@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race lint bench bench-json bench-netctl netctl-soak-smoke
+.PHONY: check fmt vet build test race lint bench bench-json bench-netctl netctl-soak-smoke tapsbench tapsbench-test
 
 # check is the full CI gate: formatting, vet, build, lint, tests with the
 # race detector. CI (.github/workflows/ci.yml) runs exactly this target.
@@ -35,15 +35,21 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# bench-json refreshes the "after" section of BENCH_planner.json: the
+# bench-json refreshes two sections of BENCH_planner.json. "after": the
 # planner hot-path micro-benchmarks (interval calculus, PlanAll, full TAPS
-# runs) plus the end-to-end Fig6/Fig7 deadline sweeps. The "baseline"
-# section is pinned at the pre-optimization numbers; see EXPERIMENTS.md.
+# runs) plus the end-to-end Fig6/Fig7 deadline sweeps on one core, to
+# compare with the pinned pre-optimization "baseline" section.
+# "sweep-parallel": the same two sweeps at 1 and 2 cores in one run (rows
+# NAME and NAME-2), the cell runner's gain. See EXPERIMENTS.md.
+SWEEP_BENCH = BenchmarkFig6DeadlineSweepSingleRooted|BenchmarkFig7DeadlineSweepFatTree
 bench-json:
 	@{ \
 		$(GO) test -run '^$$' -bench . -benchmem ./internal/simtime ./internal/core && \
-		$(GO) test -run '^$$' -bench 'BenchmarkFig6DeadlineSweepSingleRooted|BenchmarkFig7DeadlineSweepFatTree' -benchmem . ; \
+		$(GO) test -run '^$$' -bench '$(SWEEP_BENCH)' -benchmem -cpu 1 . ; \
 	} | $(GO) run ./cmd/benchjson -o BENCH_planner.json -label after
+	@$(GO) test -run '^$$' -bench '$(SWEEP_BENCH)' -benchmem -cpu 1,2 . \
+		| $(GO) run ./cmd/benchjson -o BENCH_planner.json -label sweep-parallel \
+			-note "experiments.runCells: Fig6/Fig7 at BenchScale, GOMAXPROCS 1 (NAME) vs 2 (NAME-2), one go test run"
 
 # bench-netctl refreshes BENCH_netctl.json: tapsload soaks an in-process
 # controller at NETCTL_CONNS connections (open-loop Poisson arrivals,
@@ -70,3 +76,13 @@ netctl-soak-smoke:
 	$(GO) run -race ./cmd/tapsload -selfhost -conns 32 -rate 5 \
 		-warmup 1s -duration 4s -speedup 1 -deadline-ms 2000 \
 		-declog "$$(mktemp -u)"
+
+# tapsbench runs the repository's benchmark (BENCHMARK.json): four
+# workloads, 21 s each; see bench/README.md for flags and metrics.
+tapsbench:
+	bash bench/run.sh
+
+# tapsbench-test runs the harness's own smoke and determinism tests. The
+# harness is a nested module, so `go test ./...` at the root skips it.
+tapsbench-test:
+	cd bench/tapsbench && $(GO) test -race ./...

@@ -47,6 +47,7 @@ func main() {
 	flag.Parse()
 
 	sec := Section{Note: *note, Benchmarks: map[string]Entry{}}
+	procsOf := map[string]string{} // GOMAXPROCS suffix of the row that took each name
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -55,10 +56,16 @@ func main() {
 			sec.CPU = strings.TrimSpace(cpu)
 			continue
 		}
-		name, e, ok := parseBenchLine(line)
+		name, procs, e, ok := parseBenchLine(line)
 		if !ok {
 			continue
 		}
+		// Under a -cpu list one benchmark prints a row per GOMAXPROCS: the
+		// first keeps the bare name, the others keep their suffix.
+		if taken, dup := procsOf[name]; dup && taken != procs {
+			name += procs
+		}
+		procsOf[name] = procs
 		sec.Benchmarks[name] = e
 	}
 	if err := sc.Err(); err != nil {
@@ -87,19 +94,19 @@ func main() {
 }
 
 // parseBenchLine extracts one `BenchmarkName-P  N  x ns/op  y B/op  z
-// allocs/op` line; the -P GOMAXPROCS suffix is stripped from the name.
-func parseBenchLine(line string) (string, Entry, bool) {
+// allocs/op` line; the -P GOMAXPROCS suffix ("" at GOMAXPROCS 1) is split
+// off the name.
+func parseBenchLine(line string) (name, procs string, e Entry, ok bool) {
 	f := strings.Fields(line)
 	if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
-		return "", Entry{}, false
+		return "", "", Entry{}, false
 	}
-	name := f[0]
+	name = f[0]
 	if i := strings.LastIndex(name, "-"); i > 0 {
 		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+			name, procs = name[:i], name[i:]
 		}
 	}
-	var e Entry
 	seen := false
 	for i := 2; i+1 < len(f); i += 2 {
 		v, err := strconv.ParseFloat(f[i], 64)
@@ -122,7 +129,7 @@ func parseBenchLine(line string) (string, Entry, bool) {
 			seen = true
 		}
 	}
-	return name, e, seen
+	return name, procs, e, seen
 }
 
 func fatal(err error) {

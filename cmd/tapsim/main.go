@@ -242,14 +242,26 @@ func writeReports(out io.Writer, scale experiments.Scale, schedulers []string, r
 	return nil
 }
 
+// fig6Run is the Fig. 6 sweep of this invocation once it has run: Fig. 8
+// plots the wasted bandwidth of the same run, so -fig 6,8 (and -fig all)
+// simulate it once.
+var fig6Run *experiments.SweepResult
+
 func sweepFigure(fig string, scale experiments.Scale, schedulers []string) (*experiments.SweepResult, error) {
 	switch fig {
-	case "6":
-		return experiments.Fig6(scale, schedulers)
+	case "6", "8":
+		if fig6Run == nil {
+			res, err := experiments.Fig6(scale, schedulers)
+			if err != nil {
+				return nil, err
+			}
+			fig6Run = res
+		}
+		view := *fig6Run
+		view.Figure = "fig" + fig
+		return &view, nil
 	case "7":
 		return experiments.Fig7(scale, schedulers)
-	case "8":
-		return experiments.Fig8(scale, schedulers)
 	case "9":
 		return experiments.Fig9(scale, schedulers)
 	case "10":

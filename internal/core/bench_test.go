@@ -78,38 +78,6 @@ func BenchmarkPlanAllFatTree(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanAllFatTreeParallel measures the opt-in parallel
-// candidate-path evaluation against the same request stream as
-// BenchmarkPlanAllFatTree/paths=16.
-func BenchmarkPlanAllFatTreeParallel(b *testing.B) {
-	g, r := topology.FatTree(topology.FatTreeSpec{K: 8, LinkCapacity: topology.Gbps(1)})
-	cr := topology.NewCachedRouting(r)
-	hosts := g.Hosts()
-	reqs := make([]core.FlowReq, 200)
-	for i := range reqs {
-		reqs[i] = core.FlowReq{
-			Key:      uint64(i),
-			Src:      hosts[i%len(hosts)],
-			Dst:      hosts[(i*11+5)%len(hosts)],
-			Bytes:    200 * 1024,
-			Deadline: simtime.Time(20+i%40) * simtime.Millisecond,
-		}
-		if reqs[i].Src == reqs[i].Dst {
-			reqs[i].Dst = hosts[(i+1)%len(hosts)]
-		}
-	}
-	for _, workers := range []int{2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			p := &core.Planner{Graph: g, Routing: cr, MaxPaths: 16, Workers: workers}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.PlanAll(0, reqs, nil)
-			}
-		})
-	}
-}
-
 // deltaBenchReqs builds n spread flows on a k=16 fat tree (1024 hosts),
 // sorted the way both schedulers feed the planner (EDF, then size, then
 // key) — the workload shape where one arrival touches a tiny fraction of

@@ -250,7 +250,7 @@ func (d *DeltaPlanner) reuse(now simtime.Time, r FlowReq, window simtime.Interva
 	}
 	// Verify tier: inserts only — losing candidates only got worse, so the
 	// stored path stays the winner iff it still yields the identical fit.
-	d.planner.pathsTried.Add(1)
+	d.planner.pathsTried++
 	finish, ok := d.planner.evalPath(now, r, window, v, rec.path, &d.planner.scratch)
 	if !ok || finish != rec.finish || !sameIntervals(d.planner.scratch.taken.Intervals(), ivs) {
 		return PlanEntry{}, false

@@ -119,13 +119,6 @@ func TestIncrementalMatchesFullBatchWindow(t *testing.T) {
 	checkIncrementalMatchesFull(t, cfg, nil)
 }
 
-func TestIncrementalMatchesFullParallelPlanner(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.PlannerWorkers = 4
-	cfg.IncrementalMaxDirtyFrac = 1
-	checkIncrementalMatchesFull(t, cfg, nil)
-}
-
 func TestIncrementalMatchesFullWithLinkFailure(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.IncrementalMaxDirtyFrac = 1

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"taps/internal/simtime"
 	"taps/internal/topology"
 )
@@ -37,30 +34,20 @@ type PlanEntry struct {
 //
 // A Planner carries scratch buffers reused across calls, so it must be used
 // through a single pointer and never copied. Calls are not safe for
-// concurrent use; Workers > 1 parallelizes inside a call.
+// concurrent use.
 type Planner struct {
 	Graph    *topology.Graph
 	Routing  topology.Routing
 	MaxPaths int
-	// Workers > 1 evaluates a flow's candidate paths concurrently on that
-	// many goroutines. The winner is the lowest (finish, path index), so
-	// plans are bit-identical to the sequential mode. 0 or 1 is
-	// sequential. Routing is only ever called from the driving goroutine,
-	// so non-thread-safe routings (e.g. NewCachedRouting) remain fine.
-	Workers int
 
 	// pathsTried counts candidate paths examined across all PlanAll
 	// calls; observability instrumentation reads deltas around a pass.
-	// Atomic because parallel workers update it concurrently.
-	pathsTried atomic.Int64
+	pathsTried int64
 
-	// scratch is the sequential-mode arena; wscratch holds one arena per
-	// parallel worker, created lazily.
-	scratch  evalScratch
-	wscratch []*evalScratch
+	scratch evalScratch
 }
 
-// evalScratch is the per-evaluator buffer arena: every candidate-path
+// evalScratch is the planner's buffer arena: every candidate-path
 // evaluation runs the merge → complement → take pipeline entirely inside
 // these reused buffers, so the steady-state loop performs no allocations.
 // best double-buffers with taken — when a candidate becomes the best so
@@ -77,22 +64,16 @@ type evalScratch struct {
 }
 
 // evalCandidates runs the merge → complement → take pipeline for each
-// assigned candidate path, tracking the (finish, index)-lowest winner in
-// sc. next distributes path indices; in sequential mode it is local, in
-// parallel mode it is shared by all workers.
+// candidate path, tracking the (finish, index)-lowest winner in sc.
 //
 //taps:hotpath
-func (p *Planner) evalCandidates(now simtime.Time, r FlowReq, window simtime.Interval, occ *occView, paths []topology.Path, sc *evalScratch, next *atomic.Int64) {
+func (p *Planner) evalCandidates(now simtime.Time, r FlowReq, window simtime.Interval, occ *occView, paths []topology.Path, sc *evalScratch) {
 	sc.bestIdx, sc.bestFinish = -1, simtime.Infinity
-	for {
-		i := int(next.Add(1)) - 1
-		if i >= len(paths) {
-			return
-		}
+	for i := range paths {
 		if len(paths[i]) == 0 {
 			continue
 		}
-		p.pathsTried.Add(1)
+		p.pathsTried++
 		finish, ok := p.evalPath(now, r, window, occ, paths[i], sc)
 		if ok && finish < sc.bestFinish {
 			sc.bestIdx, sc.bestFinish = i, finish
@@ -102,7 +83,7 @@ func (p *Planner) evalCandidates(now simtime.Time, r FlowReq, window simtime.Int
 }
 
 // PathsTried returns the cumulative number of candidate paths examined.
-func (p *Planner) PathsTried() int64 { return p.pathsTried.Load() }
+func (p *Planner) PathsTried() int64 { return p.pathsTried }
 
 // occView resolves per-link occupancy during a planning pass. In direct
 // mode (base == nil) reads and writes go straight to write, which the
@@ -243,23 +224,17 @@ func (p *Planner) planOne(now simtime.Time, r FlowReq, window simtime.Interval, 
 	}
 	paths := p.Routing.Paths(r.Src, r.Dst, p.MaxPaths, r.Key)
 	best.Candidates = len(paths)
-	var winner *evalScratch
-	if p.Workers > 1 && len(paths) > 1 {
-		winner = p.evalCandidatesParallel(now, r, window, occ, paths)
-	} else {
-		var next atomic.Int64
-		p.evalCandidates(now, r, window, occ, paths, &p.scratch, &next)
-		winner = &p.scratch
-	}
-	if winner == nil || winner.bestIdx < 0 {
+	sc := &p.scratch
+	p.evalCandidates(now, r, window, occ, paths, sc)
+	if sc.bestIdx < 0 {
 		return best
 	}
-	best.Path = paths[winner.bestIdx]
-	best.PathIndex = winner.bestIdx
-	best.Finish = winner.bestFinish
+	best.Path = paths[sc.bestIdx]
+	best.PathIndex = sc.bestIdx
+	best.Finish = sc.bestFinish
 	// The clone is the single allocation the planning of one flow
 	// performs; the copy is retained in the returned plan.
-	best.Slices = winner.best.Clone()
+	best.Slices = sc.best.Clone()
 	for _, l := range best.Path {
 		occ.add(l, &best.Slices)
 	}
@@ -283,38 +258,6 @@ func (p *Planner) evalPath(now simtime.Time, r FlowReq, window simtime.Interval,
 	simtime.MergeInto(&sc.occupied, sc.sets...)
 	sc.occupied.ComplementWithinInto(window, &sc.idle)
 	return sc.idle.TakeFirstInto(now, e, &sc.taken)
-}
-
-// evalCandidatesParallel fans the candidate paths out over a bounded worker
-// pool. Workers only read occ and track a local best inside their own
-// scratch arena; the deterministic winner — lowest (finish, path index),
-// exactly the sequential loop's choice — is selected after the barrier.
-func (p *Planner) evalCandidatesParallel(now simtime.Time, r FlowReq, window simtime.Interval, occ *occView, paths []topology.Path) *evalScratch {
-	workers := min(p.Workers, len(paths))
-	for len(p.wscratch) < workers {
-		p.wscratch = append(p.wscratch, &evalScratch{})
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(sc *evalScratch) {
-			defer wg.Done()
-			p.evalCandidates(now, r, window, occ, paths, sc, &next)
-		}(p.wscratch[w])
-	}
-	wg.Wait()
-	var winner *evalScratch
-	for _, sc := range p.wscratch[:workers] {
-		if sc.bestIdx < 0 {
-			continue
-		}
-		if winner == nil || sc.bestFinish < winner.bestFinish ||
-			(sc.bestFinish == winner.bestFinish && sc.bestIdx < winner.bestIdx) {
-			winner = sc
-		}
-	}
-	return winner
 }
 
 // durationFor mirrors sim.DurationFor without importing sim (core must stay

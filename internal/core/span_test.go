@@ -29,11 +29,9 @@ func spanScenario() (*topology.Graph, topology.Routing, []sim.TaskSpec) {
 
 // runWithSpans executes one TAPS run with span recording on both the
 // engine and the scheduler, returning the snapshot.
-func runWithSpans(t testing.TB, workers int) *span.Tree {
+func runWithSpans(t testing.TB) *span.Tree {
 	g, r, specs := spanScenario()
-	cfg := core.DefaultConfig()
-	cfg.PlannerWorkers = workers
-	sched := core.New(cfg)
+	sched := core.New(core.DefaultConfig())
 	rec := span.NewRecorder()
 	sched.SetSpanRecorder(rec)
 	eng := sim.New(g, r, sched, specs, sim.Config{RecordSegments: true, Spans: rec})
@@ -48,7 +46,7 @@ func runWithSpans(t testing.TB, workers int) *span.Tree {
 // were recorded with per-flow plans, and every rejected task carries an
 // attribution chain naming at least one blocking link and holder.
 func TestSpanTreeFullRun(t *testing.T) {
-	tree := runWithSpans(t, 0)
+	tree := runWithSpans(t)
 	if len(tree.Tasks) == 0 || len(tree.Flows) == 0 || len(tree.Replans) == 0 {
 		t.Fatalf("empty tree: %d tasks %d flows %d replans",
 			len(tree.Tasks), len(tree.Flows), len(tree.Replans))
@@ -114,16 +112,12 @@ func TestSpanTreeFullRun(t *testing.T) {
 	}
 }
 
-// TestSpanTreeParallelPlannersIdentical runs the same scenario with
-// sequential and parallel candidate evaluation (PlannerWorkers > 1, run
-// under -race in CI) and requires bit-identical span trees — the parallel
-// planner's winner selection is deterministic, so the recorded causal
-// history must be too.
-func TestSpanTreeParallelPlannersIdentical(t *testing.T) {
-	seq := runWithSpans(t, 0)
-	par := runWithSpans(t, 4)
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatal("span tree differs between sequential and parallel planning")
+// TestSpanTreeDeterministic runs the same scenario twice and requires
+// bit-identical span trees: the recorded causal history is a function of
+// the workload alone.
+func TestSpanTreeDeterministic(t *testing.T) {
+	if !reflect.DeepEqual(runWithSpans(t), runWithSpans(t)) {
+		t.Fatal("span tree differs between two runs of the same scenario")
 	}
 }
 

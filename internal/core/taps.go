@@ -83,12 +83,6 @@ type Config struct {
 	// simulated workloads all flows of a task arrive together, so T only
 	// matters across tasks.
 	BatchWindow simtime.Time
-	// PlannerWorkers > 1 evaluates each flow's candidate paths on that
-	// many goroutines inside the planner. Off (sequential) by default;
-	// plans are bit-identical to sequential regardless of the setting
-	// (the winner is the lowest (finish, path-index) pair). Only worth
-	// enabling on multi-rooted topologies with a meaningful MaxPaths.
-	PlannerWorkers int
 	// Incremental enables the delta planner: arrival passes re-plan only
 	// the dirty set (flows whose inputs provably changed) and re-emit
 	// validated allocations for the rest, falling back to the full
@@ -452,8 +446,7 @@ func (s *Scheduler) decide(st *sim.State, task *sim.Task) {
 // reports false and the caller falls back to the full re-plan.
 func (s *Scheduler) ensurePlanner(st *sim.State) {
 	if s.planner == nil {
-		s.planner = &Planner{Graph: st.Graph(), Routing: st.Routing(),
-			MaxPaths: s.cfg.MaxPaths, Workers: s.cfg.PlannerWorkers}
+		s.planner = &Planner{Graph: st.Graph(), Routing: st.Routing(), MaxPaths: s.cfg.MaxPaths}
 		if s.cfg.Incremental {
 			s.delta = NewDeltaPlanner(s.planner, s.cfg.IncrementalMaxDirtyFrac)
 		}

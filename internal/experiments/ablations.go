@@ -30,110 +30,78 @@ func ablationWorkload(scale Scale, g *topology.Graph) []sim.TaskSpec {
 	})
 }
 
-func runVariant(g *topology.Graph, r topology.Routing, variant string, cfg core.Config, specs []sim.TaskSpec) (AblationResult, error) {
-	eng := sim.New(g, r, instrument(core.New(cfg)), specs, simConfig(sim.Config{MaxTime: simtime.Time(4e12)}))
-	res, err := eng.Run()
-	if err != nil {
-		return AblationResult{}, fmt.Errorf("%s: %w", variant, err)
-	}
-	return AblationResult{Variant: variant, Summary: metrics.Summarize(res)}, nil
+// variant is one TAPS configuration of an ablation.
+type variant struct {
+	name string
+	cfg  core.Config
+}
+
+// runVariants runs every variant on the same workload, one cell each.
+func runVariants(g *topology.Graph, r topology.Routing, specs []sim.TaskSpec, variants []variant) ([]AblationResult, error) {
+	return runCells(len(variants), r, func(cr topology.Routing, i int) (AblationResult, error) {
+		v := variants[i]
+		eng := sim.New(g, cr, instrument(core.New(v.cfg)), specs, simConfig(sim.Config{MaxTime: simtime.Time(4e12)}))
+		res, err := eng.Run()
+		if err != nil {
+			return AblationResult{}, fmt.Errorf("%s: %w", v.name, err)
+		}
+		return AblationResult{Variant: v.name, Summary: metrics.Summarize(res)}, nil
+	})
 }
 
 // AblationRejectRule isolates the §IV-B admission control: full TAPS vs
 // accept-everything.
 func AblationRejectRule(scale Scale) ([]AblationResult, error) {
 	g, r := topology.SingleRootedTree(scale.Tree)
-	cr := topology.NewCachedRouting(r)
-	specs := ablationWorkload(scale, g)
-	var out []AblationResult
-	for _, v := range []struct {
-		name string
-		cfg  core.Config
-	}{
+	noReject := core.DefaultConfig()
+	noReject.DisableRejectRule = true
+	return runVariants(g, r, ablationWorkload(scale, g), []variant{
 		{"taps", core.DefaultConfig()},
-		{"no-reject-rule", func() core.Config {
-			c := core.DefaultConfig()
-			c.DisableRejectRule = true
-			return c
-		}()},
-	} {
-		res, err := runVariant(g, cr, v.name, v.cfg, specs)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
+		{"no-reject-rule", noReject},
+	})
 }
 
 // AblationPreemption isolates task preemption: full TAPS vs a variant that
 // never discards an admitted task.
 func AblationPreemption(scale Scale) ([]AblationResult, error) {
 	g, r := topology.SingleRootedTree(scale.Tree)
-	cr := topology.NewCachedRouting(r)
-	specs := ablationWorkload(scale, g)
-	var out []AblationResult
-	for _, v := range []struct {
-		name string
-		cfg  core.Config
-	}{
+	noPreempt := core.DefaultConfig()
+	noPreempt.NoPreemption = true
+	return runVariants(g, r, ablationWorkload(scale, g), []variant{
 		{"taps", core.DefaultConfig()},
-		{"no-preemption", func() core.Config {
-			c := core.DefaultConfig()
-			c.NoPreemption = true
-			return c
-		}()},
-	} {
-		res, err := runVariant(g, cr, v.name, v.cfg, specs)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
+		{"no-preemption", noPreempt},
+	})
 }
 
 // AblationPathCap sweeps the candidate-path cap on the fat-tree (§IV's
 // multi-path routing contribution and its planning cost).
 func AblationPathCap(scale Scale, caps []int) ([]AblationResult, error) {
 	g, r := topology.FatTree(topology.FatTreeSpec{K: scale.FatTreeK, LinkCapacity: topology.Gbps(1)})
-	cr := topology.NewCachedRouting(r)
 	specs := workload.Generate(g, workload.Spec{
 		Tasks:            scale.Tasks,
 		MeanFlowsPerTask: scale.FatFlowsPerTask,
 		ArrivalRate:      scale.ArrivalRate,
 		Seed:             scale.Seed,
 	})
-	var out []AblationResult
-	for _, cap := range caps {
-		cfg := core.DefaultConfig()
-		cfg.MaxPaths = cap
-		res, err := runVariant(g, cr, fmt.Sprintf("paths=%d", cap), cfg, specs)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
+	variants := make([]variant, len(caps))
+	for i, cap := range caps {
+		variants[i] = variant{fmt.Sprintf("paths=%d", cap), core.DefaultConfig()}
+		variants[i].cfg.MaxPaths = cap
 	}
-	return out, nil
+	return runVariants(g, r, specs, variants)
 }
 
 // AblationOrdering compares the EDF+SJF priority discipline against
 // EDF-only and SJF-only.
 func AblationOrdering(scale Scale) ([]AblationResult, error) {
 	g, r := topology.SingleRootedTree(scale.Tree)
-	cr := topology.NewCachedRouting(r)
-	specs := ablationWorkload(scale, g)
-	var out []AblationResult
-	for _, ord := range []core.Ordering{core.OrderEDFSJF, core.OrderEDF, core.OrderSJF} {
-		cfg := core.DefaultConfig()
-		cfg.Ordering = ord
-		res, err := runVariant(g, cr, ord.String(), cfg, specs)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
+	orderings := []core.Ordering{core.OrderEDFSJF, core.OrderEDF, core.OrderSJF}
+	variants := make([]variant, len(orderings))
+	for i, ord := range orderings {
+		variants[i] = variant{ord.String(), core.DefaultConfig()}
+		variants[i].cfg.Ordering = ord
 	}
-	return out, nil
+	return runVariants(g, r, ablationWorkload(scale, g), variants)
 }
 
 // OptimalComparison is the outcome of AblationVsOptimal.

@@ -1,0 +1,158 @@
+package experiments
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"taps/internal/obs"
+	"taps/internal/topology"
+)
+
+// atProcs runs f with GOMAXPROCS set to n.
+func atProcs[T any](n int, f func() T) T {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	return f()
+}
+
+// parallelScale is BenchScale averaged over three seeds that every
+// scheduler can simulate (BenchScale seed 3 stalls PDQ on Fig. 6, seed 8
+// on Fig. 7).
+func parallelScale() Scale {
+	s := BenchScale()
+	s.Seed, s.Seeds = 4, 3
+	return s
+}
+
+// TestCellsSameAtAnyGOMAXPROCS: one core and four must produce the same
+// figures float for float, standard deviations included — the fold runs in
+// index order whatever order the cells finished in.
+func TestCellsSameAtAnyGOMAXPROCS(t *testing.T) {
+	drivers := map[string]func() (any, error){
+		"Fig6":   func() (any, error) { return Fig6(parallelScale(), AllSchedulers()) },
+		"Fig7":   func() (any, error) { return Fig7(parallelScale(), AllSchedulers()) },
+		"Fig11":  func() (any, error) { return Fig11(parallelScale(), AllSchedulers()) },
+		"ExtMix": func() (any, error) { return ExtMix(parallelScale(), AllSchedulers()) },
+	}
+	for name, run := range drivers {
+		t.Run(name, func(t *testing.T) {
+			var results [2]any
+			for i, procs := range []int{1, 4} {
+				err := atProcs(procs, func() (err error) {
+					results[i], err = run()
+					return err
+				})
+				if err != nil {
+					t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+				}
+			}
+			if !reflect.DeepEqual(results[0], results[1]) {
+				t.Fatalf("GOMAXPROCS 1 and 4 disagree:\n%+v\n%+v", results[0], results[1])
+			}
+		})
+	}
+}
+
+// TestCellsSameErrorAtAnyGOMAXPROCS: seeds 1..3 put the PDQ stall of seed 3
+// at the 20 ms point in the middle of the cell list; the error must be that
+// cell's, word for word, however many workers ran.
+func TestCellsSameErrorAtAnyGOMAXPROCS(t *testing.T) {
+	scale := BenchScale()
+	scale.Seeds = 3
+	var msgs [2]string
+	for i, procs := range []int{1, 4} {
+		err := atProcs(procs, func() error {
+			_, err := Fig6(scale, AllSchedulers())
+			return err
+		})
+		if err == nil {
+			t.Skip("BenchScale seed 3 no longer fails; TestRunCellsLowestIndexError covers the runner")
+		}
+		msgs[i] = err.Error()
+	}
+	if msgs[0] != msgs[1] {
+		t.Fatalf("errors differ:\n%s\n%s", msgs[0], msgs[1])
+	}
+	if !strings.HasPrefix(msgs[0], "fig6 at deadline_ms=20 seed=3: PDQ: ") {
+		t.Fatalf("not the lowest-index failing cell: %s", msgs[0])
+	}
+}
+
+// TestRunCellsLowestIndexError: with several failing cells the lowest
+// index wins, and the runner stops handing cells out after a failure. (How
+// many cells other workers start before a failing cell has returned is up
+// to the scheduler, so the count is checked with one worker only.)
+func TestRunCellsLowestIndexError(t *testing.T) {
+	_, r := topology.SingleRootedTree(BenchScale().Tree)
+	const n, firstBad = 200, 40
+	for _, procs := range []int{1, 4} {
+		var started atomic.Int64
+		err := atProcs(procs, func() error {
+			_, err := runCells(n, r, func(_ topology.Routing, i int) (int, error) {
+				started.Add(1)
+				if i >= firstBad && i%20 == 0 {
+					return 0, fmt.Errorf("cell %d", i)
+				}
+				return i, nil
+			})
+			return err
+		})
+		if err == nil || err.Error() != fmt.Sprintf("cell %d", firstBad) {
+			t.Fatalf("GOMAXPROCS=%d: err = %v", procs, err)
+		}
+		if got := started.Load(); procs == 1 && got != firstBad+1 {
+			t.Fatalf("%d cells started, failure at index %d", got, firstBad)
+		}
+	}
+}
+
+// TestRunCellsSlots: every result lands in the slot of its index.
+func TestRunCellsSlots(t *testing.T) {
+	_, r := topology.SingleRootedTree(BenchScale().Tree)
+	out := atProcs(4, func() []int {
+		out, err := runCells(100, r, func(_ topology.Routing, i int) (int, error) { return i * i, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	})
+	for i, v := range out {
+		if v != i*i {
+			t.Fatalf("slot %d = %d", i, v)
+		}
+	}
+}
+
+// TestObservedEventStreamSameAtAnyGOMAXPROCS: with a recorder attached one
+// worker runs the cells in order, so the JSONL stream is byte-identical
+// (less dur_ns, the one wall-clock field of an event).
+func TestObservedEventStreamSameAtAnyGOMAXPROCS(t *testing.T) {
+	defer Observe(nil)
+	var streams [2]bytes.Buffer
+	for i, procs := range []int{1, 4} {
+		rec := obs.NewRecorder(obs.Options{})
+		sink := obs.JSONLSink(&streams[i])
+		rec.AddSink(func(ev obs.Event) {
+			ev.Duration = 0
+			sink(ev)
+		})
+		Observe(rec)
+		err := atProcs(procs, func() error {
+			_, err := Fig7(parallelScale(), AllSchedulers())
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if streams[0].Len() == 0 {
+		t.Fatal("no events recorded")
+	}
+	if !bytes.Equal(streams[0].Bytes(), streams[1].Bytes()) {
+		t.Fatal("event streams differ between GOMAXPROCS 1 and 4")
+	}
+}

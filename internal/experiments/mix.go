@@ -25,7 +25,6 @@ type MixResult struct {
 // completion shows who protects the interactive class.
 func ExtMix(scale Scale, schedulers []string) (*MixResult, error) {
 	g, r := topology.SingleRootedTree(scale.Tree)
-	cr := topology.NewCachedRouting(r)
 	scaleFlows := 0.1
 	if scale.Name == "paper" {
 		scaleFlows = 1
@@ -39,11 +38,8 @@ func ExtMix(scale Scale, schedulers []string) (*MixResult, error) {
 		ScaleFlows:  scaleFlows,
 		Seed:        scale.Seed,
 	})
-	out := &MixResult{
-		PerClass: make(map[string]map[workload.Preset][2]int, len(schedulers)),
-		Order:    []workload.Preset{workload.PresetWebSearch, workload.PresetMapReduce, workload.PresetCosmos},
-	}
-	for _, name := range schedulers {
+	perClass, err := runCells(len(schedulers), r, func(cr topology.Routing, i int) (map[workload.Preset][2]int, error) {
+		name := schedulers[i]
 		eng := sim.New(g, cr, NewScheduler(name), tasks, simConfig(sim.Config{MaxTime: simtime.Time(4e12)}))
 		res, err := eng.Run()
 		if err != nil {
@@ -58,7 +54,17 @@ func ExtMix(scale Scale, schedulers []string) (*MixResult, error) {
 			}
 			byClass[kinds[i]] = c
 		}
-		out.PerClass[name] = byClass
+		return byClass, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := &MixResult{
+		PerClass: make(map[string]map[workload.Preset][2]int, len(schedulers)),
+		Order:    []workload.Preset{workload.PresetWebSearch, workload.PresetMapReduce, workload.PresetCosmos},
+	}
+	for i, name := range schedulers {
+		out.PerClass[name] = perClass[i]
 	}
 	return out, nil
 }

@@ -16,7 +16,8 @@ var recorder *obs.Recorder
 
 // Observe routes decision events, planner latency, and link-utilization
 // samples from every subsequent experiment run into r. Pass nil to turn
-// recording back off.
+// recording back off. While a recorder is attached the drivers run their
+// cells one after another (runCells), so the event stream is ordered.
 func Observe(r *obs.Recorder) { recorder = r }
 
 // instrument attaches the active recorder to a freshly built scheduler:

@@ -29,8 +29,8 @@ type OverheadPoint struct {
 // re-planning.
 func ExtControlOverhead(taskCounts []int, seed int64) ([]OverheadPoint, error) {
 	g, r := topology.PartialFatTree(topology.PaperTestbed())
-	out := make([]OverheadPoint, 0, len(taskCounts))
-	for _, n := range taskCounts {
+	return runCells(len(taskCounts), r, func(_ topology.Routing, i int) (OverheadPoint, error) {
+		n := taskCounts[i]
 		tasks := workload.Generate(g, workload.Spec{
 			Tasks:             n,
 			MeanFlowsPerTask:  4,
@@ -42,7 +42,7 @@ func ExtControlOverhead(taskCounts []int, seed int64) ([]OverheadPoint, error) {
 		})
 		res, err := sdn.New(g, r, sdn.ModeTAPS, sdn.Config{}, tasks).Run()
 		if err != nil {
-			return nil, fmt.Errorf("overhead at %d tasks: %w", n, err)
+			return OverheadPoint{}, fmt.Errorf("overhead at %d tasks: %w", n, err)
 		}
 		p := OverheadPoint{
 			Tasks:           n,
@@ -54,9 +54,8 @@ func ExtControlOverhead(taskCounts []int, seed int64) ([]OverheadPoint, error) {
 		if res.Flows > 0 {
 			p.MsgsPerFlow = float64(res.ControlMessages) / float64(res.Flows)
 		}
-		out = append(out, p)
-	}
-	return out, nil
+		return p, nil
+	})
 }
 
 // OverheadTable renders the overhead points as text.

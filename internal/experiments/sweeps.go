@@ -160,9 +160,33 @@ func runPoint(g *topology.Graph, r topology.Routing, schedName string, specs []s
 // sweep runs every scheduler over the x-axis points; makeSpecs builds the
 // workload for point i under one seed (the same workload is reused for
 // every scheduler), and each point is averaged over the scale's seed list.
+// The points × seeds × schedulers cells run on runCells; r is the
+// uncached routing, which the runner wraps per worker.
 func sweep(g *topology.Graph, r topology.Routing, schedulers []string,
 	figure, xLabel string, xs []float64, seeds []int64,
 	makeSpecs func(i int, seed int64) []sim.TaskSpec) (*SweepResult, error) {
+
+	if len(seeds) == 0 {
+		seeds = []int64{1}
+	}
+	// Cell c is scheduler c % len(schedulers) on workload c / len(schedulers),
+	// and workload w is seed w % len(seeds) of point w / len(seeds): the
+	// nesting order of the fold below.
+	specs := make([][]sim.TaskSpec, len(xs)*len(seeds))
+	for w := range specs {
+		specs[w] = makeSpecs(w/len(seeds), seeds[w%len(seeds)])
+	}
+	sums, err := runCells(len(specs)*len(schedulers), r, func(cr topology.Routing, c int) (metrics.Summary, error) {
+		w := c / len(schedulers)
+		sum, err := runPoint(g, cr, schedulers[c%len(schedulers)], specs[w])
+		if err != nil {
+			return sum, fmt.Errorf("%s at %s=%g seed=%d: %w", figure, xLabel, xs[w/len(seeds)], seeds[w%len(seeds)], err)
+		}
+		return sum, nil
+	})
+	if err != nil {
+		return nil, err
+	}
 
 	out := &SweepResult{Figure: figure, XLabel: xLabel}
 	const nMetrics = 4 // tcr, fcr, app, waste
@@ -170,24 +194,13 @@ func sweep(g *topology.Graph, r topology.Routing, schedulers []string,
 	for _, s := range schedulers {
 		accs[s] = make([]metrics.Accumulator, len(xs)*nMetrics)
 	}
-	if len(seeds) == 0 {
-		seeds = []int64{1}
-	}
-	for i := range xs {
-		for _, seed := range seeds {
-			specs := makeSpecs(i, seed)
-			for _, s := range schedulers {
-				sum, err := runPoint(g, r, s, specs)
-				if err != nil {
-					return nil, fmt.Errorf("%s at %s=%g seed=%d: %w", figure, xLabel, xs[i], seed, err)
-				}
-				a := accs[s]
-				a[i*nMetrics+0].Add(sum.TaskCompletionRatio())
-				a[i*nMetrics+1].Add(sum.FlowCompletionRatio())
-				a[i*nMetrics+2].Add(sum.ApplicationThroughput())
-				a[i*nMetrics+3].Add(sum.WastedBandwidthRatio())
-			}
-		}
+	for c, sum := range sums {
+		i := c / len(schedulers) / len(seeds)
+		a := accs[schedulers[c%len(schedulers)]]
+		a[i*nMetrics+0].Add(sum.TaskCompletionRatio())
+		a[i*nMetrics+1].Add(sum.FlowCompletionRatio())
+		a[i*nMetrics+2].Add(sum.ApplicationThroughput())
+		a[i*nMetrics+3].Add(sum.WastedBandwidthRatio())
 	}
 	series := func(s string, metric int, yLabel string, std bool) metrics.Series {
 		ys := make([]float64, len(xs))
@@ -222,7 +235,7 @@ var DeadlineSweepPoints = []float64{20, 30, 40, 50, 60}
 // also yields Fig. 8's wasted-bandwidth ratio.
 func Fig6(scale Scale, schedulers []string) (*SweepResult, error) {
 	g, r := topology.SingleRootedTree(scale.Tree)
-	return sweep(g, topology.NewCachedRouting(r), schedulers,
+	return sweep(g, r, schedulers,
 		"fig6", "deadline_ms", DeadlineSweepPoints, scale.seedList(), func(i int, seed int64) []sim.TaskSpec {
 			return workload.Generate(g, workload.Spec{
 				Tasks:            scale.Tasks,
@@ -237,7 +250,7 @@ func Fig6(scale Scale, schedulers []string) (*SweepResult, error) {
 // Fig7 is the deadline sweep on the multi-rooted fat-tree.
 func Fig7(scale Scale, schedulers []string) (*SweepResult, error) {
 	g, r := topology.FatTree(topology.FatTreeSpec{K: scale.FatTreeK, LinkCapacity: topology.Gbps(1)})
-	return sweep(g, topology.NewCachedRouting(r), schedulers,
+	return sweep(g, r, schedulers,
 		"fig7", "deadline_ms", DeadlineSweepPoints, scale.seedList(), func(i int, seed int64) []sim.TaskSpec {
 			return workload.Generate(g, workload.Spec{
 				Tasks:            scale.Tasks,
@@ -274,7 +287,7 @@ func ExtBCube(scale Scale, schedulers []string) (*SweepResult, error) {
 		n = 16 // 256 servers, 2 ports each
 	}
 	g, r := topology.BCube(topology.BCubeSpec{N: n, K: 1, LinkCapacity: topology.Gbps(1)})
-	return sweep(g, topology.NewCachedRouting(r), schedulers,
+	return sweep(g, r, schedulers,
 		"bcube", "deadline_ms", DeadlineSweepPoints, scale.seedList(), func(i int, seed int64) []sim.TaskSpec {
 			return workload.Generate(g, workload.Spec{
 				Tasks:            scale.Tasks,
@@ -298,7 +311,7 @@ func ExtFiConn(scale Scale, schedulers []string) (*SweepResult, error) {
 		n = 16
 	}
 	g, r := topology.FiConn(topology.FiConnSpec{N: n, K: 1, LinkCapacity: topology.Gbps(1)})
-	return sweep(g, topology.NewCachedRouting(r), schedulers,
+	return sweep(g, r, schedulers,
 		"ficonn", "deadline_ms", DeadlineSweepPoints, scale.seedList(), func(i int, seed int64) []sim.TaskSpec {
 			return workload.Generate(g, workload.Spec{
 				Tasks:            scale.Tasks,
@@ -316,7 +329,7 @@ var SizeSweepPointsKB = []float64{60, 120, 180, 240, 300}
 // Fig9 varies the mean flow size on the single-rooted tree.
 func Fig9(scale Scale, schedulers []string) (*SweepResult, error) {
 	g, r := topology.SingleRootedTree(scale.Tree)
-	return sweep(g, topology.NewCachedRouting(r), schedulers,
+	return sweep(g, r, schedulers,
 		"fig9", "flow_size_kb", SizeSweepPointsKB, scale.seedList(), func(i int, seed int64) []sim.TaskSpec {
 			return workload.Generate(g, workload.Spec{
 				Tasks:            scale.Tasks,
@@ -332,7 +345,7 @@ func Fig9(scale Scale, schedulers []string) (*SweepResult, error) {
 // task completion ratio equals flow completion ratio.
 func Fig10(scale Scale, schedulers []string) (*SweepResult, error) {
 	g, r := topology.SingleRootedTree(scale.Tree)
-	return sweep(g, topology.NewCachedRouting(r), schedulers,
+	return sweep(g, r, schedulers,
 		"fig10", "flow_size_kb", SizeSweepPointsKB, scale.seedList(), func(i int, seed int64) []sim.TaskSpec {
 			return workload.Generate(g, workload.Spec{
 				Tasks:             scale.SingleFlowTasks,
@@ -352,7 +365,7 @@ func Fig11(scale Scale, schedulers []string) (*SweepResult, error) {
 	for i, n := range scale.FlowsPerTaskSweep {
 		xs[i] = float64(n)
 	}
-	return sweep(g, topology.NewCachedRouting(r), schedulers,
+	return sweep(g, r, schedulers,
 		"fig11", "flows_per_task", xs, scale.seedList(), func(i int, seed int64) []sim.TaskSpec {
 			return workload.Generate(g, workload.Spec{
 				Tasks:            scale.Tasks,
@@ -370,7 +383,7 @@ func Fig12(scale Scale, schedulers []string) (*SweepResult, error) {
 	for i, n := range scale.TaskCountSweep {
 		xs[i] = float64(n)
 	}
-	return sweep(g, topology.NewCachedRouting(r), schedulers,
+	return sweep(g, r, schedulers,
 		"fig12", "task_count", xs, scale.seedList(), func(i int, seed int64) []sim.TaskSpec {
 			return workload.Generate(g, workload.Spec{
 				Tasks:            scale.TaskCountSweep[i],

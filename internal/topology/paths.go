@@ -127,7 +127,10 @@ type cacheKey struct {
 }
 
 // NewCachedRouting wraps a Routing with an unbounded memo table. Not safe
-// for concurrent use.
+// for concurrent use: a cache belongs to one goroutine at a time (one
+// simulation, one controller under its lock, one experiments worker). The
+// routings this package builds keep no state of their own, so any number of
+// caches may wrap the same inner Routing concurrently.
 func NewCachedRouting(inner Routing) Routing {
 	return &cachedRouting{inner: inner, cache: make(map[cacheKey][]Path)}
 }
