@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"taps/internal/obs/span"
-	"taps/internal/sim"
 	"taps/internal/simtime"
 	"taps/internal/topology"
 )
@@ -14,12 +13,12 @@ import (
 // path) and the Alg. 3 grant (slice windows, planned finish). Only called
 // when span recording is enabled, so the copies here never touch the
 // recording-disabled hot path.
-func spanPlans(flows []*sim.Flow, entries []PlanEntry) []span.PlanSpan {
+func spanPlans(flows []*Flow, entries []PlanEntry) []span.PlanSpan {
 	plans := make([]span.PlanSpan, len(entries))
 	for i, f := range flows {
 		e := entries[i]
 		ps := span.PlanSpan{
-			Flow: int64(f.ID), Task: int64(f.Task),
+			Flow: int64(f.Key), Task: f.Task,
 			Candidates: e.Candidates, PathIndex: e.PathIndex,
 			Finish: e.Finish, Deadline: f.Deadline,
 			Missed: e.Finish > f.Deadline,
@@ -52,7 +51,7 @@ type linkAggs map[topology.LinkID]*linkAgg
 type linkAgg struct {
 	window  simtime.Interval
 	busy    simtime.Time
-	holders map[sim.TaskID]simtime.Time
+	holders map[int64]simtime.Time
 }
 
 // watch puts every link of path under watch for the given window, widening
@@ -64,7 +63,7 @@ func (aggs linkAggs) watch(path topology.Path, window simtime.Interval) {
 	for _, l := range path {
 		a, ok := aggs[l]
 		if !ok {
-			aggs[l] = &linkAgg{window: window, holders: make(map[sim.TaskID]simtime.Time)}
+			aggs[l] = &linkAgg{window: window, holders: make(map[int64]simtime.Time)}
 		} else if window.End > a.window.End {
 			a.window.End = window.End
 		}
@@ -73,7 +72,7 @@ func (aggs linkAggs) watch(path topology.Path, window simtime.Interval) {
 
 // charge folds one flow's planned slices into every watched link its path
 // crosses, crediting the overlap to its task.
-func (aggs linkAggs) charge(task sim.TaskID, path topology.Path, sl simtime.IntervalSet) {
+func (aggs linkAggs) charge(task int64, path topology.Path, sl simtime.IntervalSet) {
 	for _, l := range path {
 		a, ok := aggs[l]
 		if !ok {
@@ -108,7 +107,7 @@ func (aggs linkAggs) rank() []span.LinkBlock {
 	for _, l := range links {
 		a := aggs[l]
 		blk := span.LinkBlock{Link: int32(l), Window: a.window, Busy: a.busy}
-		holders := make([]sim.TaskID, 0, len(a.holders))
+		holders := make([]int64, 0, len(a.holders))
 		for t := range a.holders {
 			holders = append(holders, t)
 		}
@@ -122,7 +121,7 @@ func (aggs linkAggs) rank() []span.LinkBlock {
 			holders = holders[:attributionLimit]
 		}
 		for _, t := range holders {
-			blk.Holders = append(blk.Holders, span.Holder{Task: int64(t), Busy: a.holders[t]})
+			blk.Holders = append(blk.Holders, span.Holder{Task: t, Busy: a.holders[t]})
 		}
 		blocks = append(blocks, blk)
 	}
@@ -132,8 +131,8 @@ func (aggs linkAggs) rank() []span.LinkBlock {
 // chargedTasks reports which tasks hold any slice time on a watched link —
 // the §IV-B chain membership itself, independent of ranking. Map-valued on
 // purpose: callers only test membership, so iteration order never leaks.
-func (aggs linkAggs) chargedTasks() map[sim.TaskID]bool {
-	tasks := make(map[sim.TaskID]bool)
+func (aggs linkAggs) chargedTasks() map[int64]bool {
+	tasks := make(map[int64]bool)
 	for _, a := range aggs {
 		for t := range a.holders {
 			tasks[t] = true
@@ -142,7 +141,7 @@ func (aggs linkAggs) chargedTasks() map[sim.TaskID]bool {
 	return tasks
 }
 
-// buildAttribution explains why the tentative plan doomed a task: for each
+// attribute records why a tentative pass doomed a task: for each
 // missed flow that sealed its fate, the links of the flow's (would-be)
 // path whose occupancy within [now, deadline) left no feasible window, and
 // the surviving tasks holding planned slices there. Normally the missed
@@ -154,39 +153,40 @@ func (aggs linkAggs) chargedTasks() map[sim.TaskID]bool {
 // holders are ordered busiest first, ties by ID, capped at
 // attributionLimit each — this is the chain `tapsim -why` prints and the
 // trace export attaches to the terminal instant.
-func (s *Scheduler) buildAttribution(st *sim.State, task sim.TaskID, plan *allocation) []span.LinkBlock {
-	now := st.Now()
-	missed := make([]*sim.Flow, 0, len(plan.missed))
-	for _, mf := range plan.missed {
-		if mf.Task == task {
-			missed = append(missed, mf)
-		}
-	}
-	if len(missed) == 0 {
-		missed = plan.missed
+func (k *Kernel) attribute(now simtime.Time, task int64, entries []PlanEntry) {
+	blocks := k.attribution(now, task, entries)
+	k.Log.Attribute(now, task, blocks)
+	k.Spans.Attribute(task, blocks)
+}
+
+func (k *Kernel) attribution(now simtime.Time, task int64, entries []PlanEntry) []span.LinkBlock {
+	own := false
+	for i, f := range k.order {
+		own = own || (f.Task == task && k.misses(i, &entries[i]))
 	}
 	aggs := make(linkAggs)
-	for _, mf := range missed {
-		path := plan.paths[mf.ID]
-		if path == nil && s.planner != nil {
-			// Unroutable in this plan: attribute along the first candidate
+	for i, f := range k.order {
+		if !k.misses(i, &entries[i]) || (own && f.Task != task) {
+			continue
+		}
+		path := entries[i].Path
+		if path == nil {
+			// Unroutable in this pass: attribute along the first candidate
 			// path the planner considered for the flow.
-			if cands := s.planner.Routing.Paths(mf.Src, mf.Dst, s.planner.MaxPaths, uint64(mf.ID)); len(cands) > 0 {
+			if cands := k.planner.Routing.Paths(f.Src, f.Dst, k.planner.MaxPaths, f.Key); len(cands) > 0 {
 				path = cands[0]
 			}
 		}
-		aggs.watch(path, simtime.Interval{Start: now, End: mf.Deadline})
+		aggs.watch(path, simtime.Interval{Start: now, End: f.Deadline})
 	}
 	if len(aggs) == 0 {
 		return nil
 	}
 	// Charge every other task's planned slices on those links.
-	for fid, p := range plan.paths {
-		f := st.Flow(fid)
-		if f == nil || f.Task == task {
-			continue
+	for i, f := range k.order {
+		if f.Task != task && entries[i].Path != nil {
+			aggs.charge(f.Task, entries[i].Path, entries[i].Slices)
 		}
-		aggs.charge(f.Task, p, plan.slices[fid])
 	}
 	return aggs.rank()
 }
@@ -194,35 +194,30 @@ func (s *Scheduler) buildAttribution(st *sim.State, task sim.TaskID, plan *alloc
 // dirtySetEstimate predicts, before the incremental pass runs, how many
 // in-flight flows a task's arrival can plausibly dirty: the same chain
 // walk as attribution — watch every candidate path of the newcomer's flows
-// over [now, deadline), charge every committed flow's slices — then count
-// the flows of every task charged anywhere, plus the newcomer's own. The
-// scheduler uses it as the upfront full-vs-incremental policy gate; the
+// over [now, deadline), charge every committed grant — then count the
+// flows of every task charged anywhere, plus the newcomer's own. The
+// kernel uses it as the upfront full-vs-incremental policy gate; the
 // estimate is advisory (the mid-pass dirty budget remains the hard
 // backstop), so it can never affect plan correctness.
-func (s *Scheduler) dirtySetEstimate(st *sim.State, task *sim.Task, flows []*sim.Flow) int {
-	now := st.Now()
+func (k *Kernel) dirtySetEstimate(now simtime.Time, task int64) int {
 	aggs := make(linkAggs)
-	for _, fid := range task.Flows {
-		f := st.Flow(fid)
-		if f == nil || f.State != sim.FlowActive {
+	for _, f := range k.order {
+		if f.Task != task {
 			continue
 		}
-		for _, p := range s.planner.Routing.Paths(f.Src, f.Dst, s.planner.MaxPaths, uint64(f.ID)) {
+		for _, p := range k.planner.Routing.Paths(f.Src, f.Dst, k.planner.MaxPaths, f.Key) {
 			aggs.watch(p, simtime.Interval{Start: now, End: f.Deadline})
 		}
 	}
-	for _, f := range flows {
-		if f.Task == task.ID {
-			continue
-		}
-		if sl, ok := s.slices[f.ID]; ok {
-			aggs.charge(f.Task, f.Path, sl)
+	for _, f := range k.order {
+		if f.Task != task && f.Path != nil {
+			aggs.charge(f.Task, f.Path, f.Slices)
 		}
 	}
 	charged := aggs.chargedTasks()
 	est := 0
-	for _, f := range flows {
-		if f.Task == task.ID || charged[f.Task] {
+	for _, f := range k.order {
+		if f.Task == task || charged[f.Task] {
 			est++
 		}
 	}

@@ -1,7 +1,7 @@
 package core
 
 // White-box replay-determinism property test: at EVERY plan-state commit
-// of a live run (the onCommit hook), the scheduler's slices/occupancy must
+// of a live run (the onCommit hook), the kernel's grants and occupancy must
 // equal what the decision-log replayer reconstructs at the matching
 // KindCommit record — and the final replayed span tree must be
 // field-identical to the live recorder's snapshot. This is the log's
@@ -41,12 +41,15 @@ func snapScheduler(s *Scheduler) planSnap {
 		slices: make(map[int64][]simtime.Interval),
 		occ:    make(map[int32][]simtime.Interval),
 	}
-	for id, set := range s.slices {
-		if ivs := snapIntervals(set); ivs != nil {
-			ps.slices[int64(id)] = ivs
+	// The grants the kernel holds are those its occupancy still carries:
+	// a flow that finished keeps its grant until the next full pass sweeps
+	// it, a flow of a discarded task (gone from the table) holds nothing.
+	for _, f := range s.k.live {
+		if ivs := snapIntervals(f.Slices); ivs != nil && s.k.flows[f.Key] == f {
+			ps.slices[int64(f.Key)] = ivs
 		}
 	}
-	for l, set := range s.occ {
+	for l, set := range s.k.occ {
 		if ivs := snapIntervals(set); ivs != nil {
 			ps.occ[int32(l)] = ivs
 		}

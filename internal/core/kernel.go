@@ -1,0 +1,547 @@
+package core
+
+import (
+	"cmp"
+	"slices"
+	"time"
+
+	"taps/internal/obs"
+	"taps/internal/obs/declog"
+	"taps/internal/obs/span"
+	"taps/internal/simtime"
+	"taps/internal/topology"
+)
+
+// Decision records written by the kernel carry these reasons.
+const (
+	reasonRejected  = "taps: task discarded by reject rule"
+	reasonPreempted = "taps: task preempted by reject rule"
+)
+
+// FlowSpec describes one flow of an arriving task.
+type FlowSpec struct {
+	Key      uint64
+	Src, Dst topology.NodeID
+	Size     int64
+}
+
+// Flow is the kernel's record of one flow. The kernel owns it; adapters
+// read it (the grant to ship to a sender, the route to install) and never
+// write it.
+type Flow struct {
+	// FlowReq is the request the planner sees for the flow. Bytes is what
+	// the flow had left to send at the kernel's latest input — the amount
+	// Slices was sized for — and, once Done, what it left undelivered.
+	FlowReq
+	Task int64
+	Size int64
+
+	// Path and Slices are the committed grant: the route and the exclusive
+	// transmission windows on it. Both are empty while the flow is unrouted.
+	Path   topology.Path
+	Slices simtime.IntervalSet
+
+	// Done marks a flow that is no longer in flight: it finished, or its
+	// task was discarded.
+	Done bool
+}
+
+// DataPlane is what an adapter knows and the kernel cannot: how far the
+// senders have got, and how to stop them.
+type DataPlane interface {
+	// Remaining reports how many bytes f still has to send at now; zero or
+	// less once it has delivered everything or will send no more. The
+	// kernel asks when an input opens a pass, before it touches the record,
+	// so the answer may be derived from f's own grant.
+	Remaining(f *Flow, now simtime.Time) float64
+	// Discard tells the adapter that the reject rule has discarded task —
+	// the newcomer itself when by is span.NoTask, otherwise an admitted
+	// task preempted in favour of newcomer by — so that it stops the
+	// task's flows. The kernel forgets the task when the call returns;
+	// until then Flows and Fraction still answer for it.
+	Discard(now simtime.Time, task, by int64)
+}
+
+// Kernel is the TAPS decision procedure, written once: it owns the table
+// of in-flight flows and, for every input, sorts them by priority, plans
+// all of them (Alg. 1–3), applies the §IV-B reject rule, re-plans without
+// the discarded task and commits the surviving pass whole. It performs no
+// I/O and reads no clock: every input carries its own now. The simulator
+// scheduler, the networked controller and the SDN testbed are adapters
+// around it.
+//
+// A Kernel is not safe for concurrent use.
+type Kernel struct {
+	// Obs, Spans and Log, when non-nil, receive the decision events, the
+	// causal span of every planning pass with its attribution chains, and
+	// the durable decision records (Replan, Attr, Reject/Preempt/Admit,
+	// Commit). Nil keeps the planning path free of recording work.
+	Obs   *obs.Recorder
+	Spans *span.Recorder
+	Log   *declog.Writer
+
+	cfg     Config
+	dp      DataPlane
+	planner *Planner
+	delta   *DeltaPlanner // nil unless cfg.Incremental
+
+	flows map[uint64]*Flow
+	tasks map[int64][]*Flow // every flow of a task, arrival order
+	live  []*Flow           // flows in flight, any order; finished ones are swept by sweep
+	occ   map[topology.LinkID]simtime.IntervalSet
+
+	// The pass in progress, and after commit the pass just installed:
+	// flows in plan order with their requests, and the flows in flight
+	// that had nothing left to plan.
+	order   []*Flow
+	reqs    []FlowReq
+	spent   []*Flow
+	merged  bool // the last commit merged order into the plan instead of replacing it
+	missing map[int64]bool
+
+	replans    int
+	fastAdmits int
+}
+
+// NewKernel returns a kernel planning over g with routing r.
+func NewKernel(g *topology.Graph, r topology.Routing, cfg Config, dp DataPlane) *Kernel {
+	k := newKernel(cfg, dp)
+	k.bind(g, r)
+	return k
+}
+
+func newKernel(cfg Config, dp DataPlane) *Kernel {
+	return &Kernel{
+		cfg:   cfg,
+		dp:    dp,
+		flows: make(map[uint64]*Flow),
+		tasks: make(map[int64][]*Flow),
+		occ:   make(map[topology.LinkID]simtime.IntervalSet),
+	}
+}
+
+// bind gives the kernel its topology; the simulator scheduler learns it
+// only from the first engine callback.
+func (k *Kernel) bind(g *topology.Graph, r topology.Routing) {
+	if k.planner != nil {
+		return
+	}
+	k.planner = &Planner{Graph: g, Routing: r, MaxPaths: k.cfg.MaxPaths}
+	if k.cfg.Incremental {
+		k.delta = NewDeltaPlanner(k.planner, k.cfg.IncrementalMaxDirtyFrac)
+	}
+}
+
+// Replans returns how many global planning passes the kernel has run.
+func (k *Kernel) Replans() int { return k.replans }
+
+// FastAdmits returns how many tasks the FastAdmission path accepted
+// without a global pass.
+func (k *Kernel) FastAdmits() int { return k.fastAdmits }
+
+// Flow returns the record of a flow, or nil when the kernel holds none.
+func (k *Kernel) Flow(key uint64) *Flow { return k.flows[key] }
+
+// Flows returns every flow of a task the kernel knows, finished ones
+// included, in arrival order.
+func (k *Kernel) Flows(task int64) []*Flow { return k.tasks[task] }
+
+// Committed returns the flows of the pass installed by the latest input,
+// in plan order. merged is true when that pass was a fast admission: it
+// covers the newcomer alone and every other grant stands; otherwise the
+// pass is the whole plan.
+func (k *Kernel) Committed() (flows []*Flow, merged bool) { return k.order, k.merged }
+
+// Fraction is a task's byte-completion fraction as of the latest input,
+// the quantity the reject rule compares.
+func (k *Kernel) Fraction(task int64) float64 {
+	var total, sent float64
+	for _, f := range k.tasks[task] {
+		total += float64(f.Size)
+		sent += float64(f.Size) - f.Bytes
+	}
+	if total == 0 {
+		return 1
+	}
+	return sent / total
+}
+
+// compare orders two requests by the configured discipline; every
+// discipline ends on the key, so the order is total.
+func (o Ordering) compare(a, b *FlowReq) int {
+	if c := cmp.Compare(a.Deadline, b.Deadline); c != 0 && o != OrderSJF {
+		return c
+	}
+	if c := cmp.Compare(a.Bytes, b.Bytes); c != 0 && o != OrderEDF {
+		return c
+	}
+	return cmp.Compare(a.Key, b.Key)
+}
+
+// TaskArrived is Alg. 1 for one task: register its flows, plan them
+// together with everything in flight, apply the reject rule, re-plan
+// without whichever task the rule discarded and commit. It returns the
+// rule's decision and, for Preempt, the victim.
+func (k *Kernel) TaskArrived(now simtime.Time, task int64, deadline simtime.Time, specs []FlowSpec) (Decision, int64) {
+	recs := make([]Flow, len(specs))
+	flows := make([]*Flow, len(specs))
+	for i, fs := range specs {
+		f := &recs[i]
+		*f = Flow{
+			FlowReq: FlowReq{Key: fs.Key, Src: fs.Src, Dst: fs.Dst, Bytes: float64(fs.Size), Deadline: deadline},
+			Task:    task, Size: fs.Size,
+		}
+		// A local transfer never touches the network (its bytes count as
+		// delivered), and a flow with nothing to send needs no grant: both
+		// are finished on arrival.
+		if fs.Src == fs.Dst {
+			f.Done, f.Bytes = true, 0
+		} else {
+			f.Done = k.dp.Remaining(f, now) <= 0
+		}
+		flows[i] = f
+		k.flows[fs.Key] = f
+		if !f.Done {
+			k.live = append(k.live, f)
+		}
+	}
+	k.tasks[task] = flows
+
+	if k.cfg.FastAdmission && k.admitFast(now, task, flows) {
+		k.Log.Admit(now, task, true)
+		k.Obs.Record(obs.Event{Time: now, Kind: obs.KindTaskAdmitted, Task: task, Reason: "fast-admission"})
+		return Accept, span.NoTask
+	}
+
+	k.sweep(now)
+	entries, occ := k.plan(now, span.ReplanArrival, task, true)
+	decision, victim := Accept, span.NoTask
+	if !k.cfg.DisableRejectRule {
+		decision, victim = EvaluateRejectRule(k.missed(entries), task, k.Fraction, k.cfg.NoPreemption)
+	}
+	observed := k.Spans != nil || k.Log != nil
+	switch decision {
+	case RejectNew:
+		if observed {
+			k.attribute(now, task, entries)
+		}
+		k.Log.Reject(now, task, reasonRejected)
+		k.discard(now, task, span.NoTask)
+		entries, occ = k.plan(now, span.ReplanPostReject, task, false)
+	case Preempt:
+		if observed {
+			k.Log.Preempt(now, victim, task, k.Fraction(victim), reasonPreempted)
+			k.Spans.PreemptedBy(victim, task)
+			k.attribute(now, victim, entries)
+		}
+		k.discard(now, victim, task)
+		entries, occ = k.plan(now, span.ReplanPostPreempt, victim, false)
+	case Accept:
+	}
+	k.commit(now, entries, occ)
+	if decision != RejectNew {
+		k.Log.Admit(now, task, false)
+		k.Obs.Record(obs.Event{Time: now, Kind: obs.KindTaskAdmitted, Task: task})
+	}
+	return decision, victim
+}
+
+// FlowFinished takes a flow out of flight with left bytes undelivered:
+// none when it delivered its last byte, more when its sender gave up on
+// it. Its grant frees up for later passes. Unknown and already finished
+// flows are ignored.
+func (k *Kernel) FlowFinished(now simtime.Time, key uint64, left float64) {
+	f := k.flows[key]
+	if f == nil || f.Done {
+		return
+	}
+	f.Done, f.Bytes = true, left
+	if k.delta != nil {
+		k.delta.Revoke(now, key)
+	}
+}
+
+// LinkDown re-plans every flow in flight after the topology lost a link:
+// the routing the kernel was given already excludes it, so the planner
+// routes around it and re-packs the slices onto what is left.
+func (k *Kernel) LinkDown(now simtime.Time) {
+	if k.delta != nil {
+		// Every remembered path and candidate-link set may cross the dead
+		// link. Start over from a full pass.
+		k.delta.Invalidate()
+	}
+	k.sweep(now)
+	entries, occ := k.plan(now, span.ReplanRecovery, span.NoTask, false)
+	k.commit(now, entries, occ)
+}
+
+// Replan re-plans every flow in flight from now on behalf of an admitted
+// task whose grant has to be issued again (a sender that lost its reply
+// has also lost its first slices). No rule runs: nothing arrived.
+func (k *Kernel) Replan(now simtime.Time, task int64) {
+	k.sweep(now)
+	entries, occ := k.plan(now, span.ReplanArrival, task, false)
+	k.commit(now, entries, occ)
+}
+
+// Restore re-creates one flow record — identity, committed grant, bytes
+// that grant was sized for — from a decision log, so that a restarted
+// controller resumes with the plan state it crashed with. Call it for a
+// task's flows in their arrival order.
+func (k *Kernel) Restore(f Flow) {
+	k.flows[f.Key] = &f
+	k.tasks[f.Task] = append(k.tasks[f.Task], &f)
+	if !f.Done {
+		k.live = append(k.live, &f)
+	}
+}
+
+// EachInFlight calls fn for every flow in flight. fn may report the flow
+// finished.
+func (k *Kernel) EachInFlight(fn func(*Flow)) {
+	for _, f := range k.live {
+		if !f.Done {
+			fn(f)
+		}
+	}
+}
+
+// LinkBusy unions, per link, the committed grants of the flows in flight,
+// and counts the grants that claim link time another one already holds.
+// A correct plan has none.
+func (k *Kernel) LinkBusy() (busy map[topology.LinkID]simtime.IntervalSet, flows, overlaps int) {
+	busy = make(map[topology.LinkID]simtime.IntervalSet)
+	k.EachInFlight(func(f *Flow) {
+		flows++
+		for _, l := range f.Path {
+			set := busy[l]
+			if !simtime.Intersect(set, f.Slices).Empty() {
+				overlaps++
+			}
+			set.UnionInPlace(&f.Slices)
+			busy[l] = set
+		}
+	})
+	return busy, flows, overlaps
+}
+
+// sweep opens a pass at now: it drops the flows that finished since the
+// last one, asks the data plane how much every other flow has left, and
+// sorts those with work to do into plan order.
+func (k *Kernel) sweep(now simtime.Time) {
+	live := k.live[:0]
+	k.order, k.spent = k.order[:0], k.spent[:0]
+	for _, f := range k.live {
+		if f.Done {
+			continue
+		}
+		live = append(live, f)
+		f.Bytes = max(k.dp.Remaining(f, now), 0)
+		if f.Bytes == 0 {
+			// Complete as far as the data plane can tell; the report just
+			// has not arrived. Nothing to schedule, and not a miss. Its
+			// planned occupancy vanishes from this pass, so the delta
+			// planner must hear about it (Revoke is idempotent).
+			if k.delta != nil {
+				k.delta.Revoke(now, f.Key)
+			}
+			k.spent = append(k.spent, f)
+			continue
+		}
+		k.order = append(k.order, f)
+	}
+	clear(k.live[len(live):])
+	k.live = live
+	k.sortPass()
+}
+
+// sortPass puts the pass into plan order (Alg. 1: EDF, then SJF).
+func (k *Kernel) sortPass() {
+	slices.SortFunc(k.order, func(a, b *Flow) int { return k.cfg.Ordering.compare(&a.FlowReq, &b.FlowReq) })
+	k.fillReqs()
+}
+
+// fillReqs lines the planner's requests up with the flows of the pass.
+func (k *Kernel) fillReqs() {
+	k.reqs = k.reqs[:0]
+	for _, f := range k.order {
+		k.reqs = append(k.reqs, f.FlowReq)
+	}
+}
+
+// plan runs Alg. 2 over the pass (incrementally where the delta planner
+// can vouch for the result) into a fresh occupancy map and records it.
+// Nothing is installed: the caller commits the pass it keeps. kind and
+// trigger label the pass; gate marks an arrival pass, where the §IV-B
+// chain walk can tell beforehand that an incremental attempt is doomed.
+func (k *Kernel) plan(now simtime.Time, kind span.ReplanKind, trigger int64, gate bool) ([]PlanEntry, map[topology.LinkID]simtime.IntervalSet) {
+	k.replans++
+	clock := k.startPass()
+	occ := make(map[topology.LinkID]simtime.IntervalSet)
+	var entries []PlanEntry
+	scope := 0
+	if k.delta != nil {
+		var ds DeltaStats
+		ok := false
+		tried := k.delta.Records() > 0
+		// When the estimated dirty set already blows the budget, go
+		// straight to the full pass instead of burning a doomed
+		// incremental attempt.
+		if tried && (!gate || k.dirtySetEstimate(now, trigger) <= k.delta.MaxDirty(len(k.reqs))) {
+			entries, ds, ok = k.delta.PlanAll(now, k.reqs, occ)
+		}
+		if ok {
+			kind, scope = span.ReplanIncremental, ds.Replanned
+			k.Obs.ObserveReplanScope(ds.Replanned, len(k.reqs))
+		} else {
+			// occ is untouched by an aborted pass; the full planner
+			// starts from it clean.
+			entries = k.planner.PlanAll(now, k.reqs, occ)
+			k.delta.Adopt(k.reqs, entries)
+			if tried {
+				// A bootstrap pass (no records to reuse yet) is not a
+				// fallback; the counters track reuse that was possible
+				// but abandoned.
+				k.Obs.CountReplanFallback()
+				k.Obs.ObserveReplanScope(len(k.reqs), len(k.reqs))
+			}
+		}
+	} else {
+		entries = k.planner.PlanAll(now, k.reqs, occ)
+	}
+	k.recordPass(now, clock, obs.KindReplan, obs.NoTask,
+		span.ReplanSpan{Kind: kind, Trigger: trigger, Scope: scope}, entries)
+	return entries, occ
+}
+
+// passClock is what startPass reads before a planning pass so that
+// recordPass can report what the pass cost.
+type passClock struct {
+	t0    time.Time // zero unless an obs recorder is attached
+	paths int64
+}
+
+func (k *Kernel) startPass() passClock {
+	c := passClock{paths: k.planner.PathsTried()}
+	if k.Obs != nil {
+		c.t0 = time.Now() //taps:allow wallclock obs-only planner latency; never feeds simulated time
+	}
+	return c
+}
+
+// recordPass reports the pass just planned over k.order: the latency
+// event (kind ev, about evTask) to Obs, and rs — completed with the
+// pass's time, size, paths tried and per-flow plans — to Log and Spans.
+func (k *Kernel) recordPass(now simtime.Time, c passClock, ev obs.Kind, evTask int64, rs span.ReplanSpan, entries []PlanEntry) {
+	tried := k.planner.PathsTried() - c.paths
+	if k.Obs != nil {
+		k.Obs.Record(obs.Event{
+			Time: now, Kind: ev, Task: evTask,
+			Flows: int32(len(k.order)), PathsTried: tried,
+			Duration: time.Since(c.t0), //taps:allow wallclock obs-only planner latency
+		})
+	}
+	if k.Spans != nil || k.Log != nil {
+		rs.Time, rs.Flows, rs.PathsTried = now, len(k.order), tried
+		rs.Plans = spanPlans(k.order, entries)
+		k.Log.Replan(now, rs)
+		k.Spans.Replan(rs)
+	}
+}
+
+// misses reports whether the pass failed flow i: unroutable, or planned
+// to finish past its deadline.
+func (k *Kernel) misses(i int, e *PlanEntry) bool {
+	return e.Path == nil || e.Finish > k.order[i].Deadline
+}
+
+// missed classifies a pass for the reject rule: the tasks with a flow it
+// failed. The map is reused by the next decision.
+func (k *Kernel) missed(entries []PlanEntry) map[int64]bool {
+	clear(k.missing)
+	for i := range entries {
+		if k.misses(i, &entries[i]) {
+			if k.missing == nil {
+				k.missing = make(map[int64]bool)
+			}
+			k.missing[k.order[i].Task] = true
+		}
+	}
+	return k.missing
+}
+
+// discard drops a task the rule condemned — from the delta planner, from
+// the data plane, from the flow table and from the pass in progress.
+func (k *Kernel) discard(now simtime.Time, task, by int64) {
+	if k.delta != nil {
+		for _, f := range k.tasks[task] {
+			k.delta.Revoke(now, f.Key)
+		}
+	}
+	k.dp.Discard(now, task, by)
+	for _, f := range k.tasks[task] {
+		f.Done = true
+		delete(k.flows, f.Key)
+	}
+	delete(k.tasks, task)
+	k.order = slices.DeleteFunc(k.order, func(f *Flow) bool { return f.Task == task })
+	k.fillReqs()
+}
+
+// commit installs a pass as the plan, whole: every flow of the pass takes
+// the route and slices the pass gave it (none, if it found no route), a
+// flow in flight that the pass left out holds nothing, and the occupancy
+// is the pass's own. Occupancy is GC'd up to now so the per-link sets stop
+// accumulating dead history (allocation never looks before now).
+func (k *Kernel) commit(now simtime.Time, entries []PlanEntry, occ map[topology.LinkID]simtime.IntervalSet) {
+	for i, f := range k.order {
+		f.Path, f.Slices = entries[i].Path, entries[i].Slices
+	}
+	for _, f := range k.spent {
+		f.Path, f.Slices = nil, simtime.IntervalSet{}
+	}
+	for l, set := range occ {
+		set.GCBefore(now)
+		occ[l] = set
+	}
+	k.occ = occ
+	k.merged = false
+	k.Log.Commit(now, declog.CommitReplace)
+}
+
+// admitFast tries the FastAdmission append-only path: plan just the new
+// task's flows into the idle time the committed plan leaves. On success
+// every existing grant stands and the new ones are merged in; on any miss
+// nothing has changed and the caller falls back to the global pass.
+func (k *Kernel) admitFast(now simtime.Time, task int64, flows []*Flow) bool {
+	k.order, k.spent = k.order[:0], k.spent[:0]
+	for _, f := range flows {
+		if !f.Done {
+			k.order = append(k.order, f)
+		}
+	}
+	k.sortPass()
+	clock := k.startPass()
+	// Copy-on-write: the pass reads k.occ directly and clones only the
+	// links a winning path claims, so a failed attempt costs no copies
+	// and has no side effects.
+	entries, touched := k.planner.PlanAllCOW(now, k.reqs, k.occ)
+	for i := range entries {
+		if k.misses(i, &entries[i]) {
+			return false
+		}
+	}
+	k.fastAdmits++
+	k.recordPass(now, clock, obs.KindFastAdmit, task,
+		span.ReplanSpan{Kind: span.ReplanFastAdmit, Trigger: task}, entries)
+	for i, f := range k.order {
+		f.Path, f.Slices = entries[i].Path, entries[i].Slices
+	}
+	for l, set := range touched {
+		set.GCBefore(now)
+		k.occ[l] = set
+	}
+	k.merged = true
+	k.Log.Commit(now, declog.CommitMerge)
+	return true
+}

@@ -47,55 +47,61 @@ func (c ControllerConfig) withDefaults() ControllerConfig {
 	return c
 }
 
-// ctlFlow is the controller's view of one accepted flow.
-type ctlFlow struct {
-	id       uint64
-	task     int64
-	src, dst topology.NodeID
-	size     int64
-	deadline simtime.Time
-	path     topology.Path
-	slices   simtime.IntervalSet
-	rate     float64
-	done     bool
+// ctlPlane is the kernel's view of the controller's data plane. The
+// controller never hears how far a sender has got, only when it is done,
+// so progress is derived from the kernel's own grants: a sender is busy
+// exactly during its slices.
+type ctlPlane struct{ c *Controller }
+
+// Remaining is the bytes f had left when its current grant was planned,
+// less what that grant has carried since. Each pass re-sizes the grant
+// for the bytes left at that instant, so progress made under superseded
+// grants is carried forward rather than forgotten.
+func (p ctlPlane) Remaining(f *core.Flow, now simtime.Time) float64 {
+	sent := f.Slices.OverlapTotal(simtime.Interval{Start: 0, End: now})
+	return f.Bytes - p.c.graph.MinCapacity(f.Path)*float64(sent)/1e6
 }
 
-// remainingAt derives the bytes left at a virtual instant from the
-// authoritative plan: the sender is busy exactly during its slices.
-func (f *ctlFlow) remainingAt(now simtime.Time) float64 {
-	if f.done {
-		return 0
+// Discard closes the books on a task the reject rule discarded: terminal
+// records for the task and its flows, the event, the ledger. Runs inside
+// a decision, so c.mu is held.
+func (p ctlPlane) Discard(now simtime.Time, task, by int64) {
+	c := p.c
+	outcome, reason, note := span.OutcomeRejected, "reject rule", "task rejected"
+	ev := obs.Event{Time: now, Kind: obs.KindTaskRejected, Task: task, Reason: reason}
+	if by != span.NoTask {
+		outcome, reason, note = span.OutcomePreempted, fmt.Sprintf("preempted by task %d", by), "task preempted"
+		ev.Kind, ev.Fraction, ev.Reason = obs.KindTaskPreempted, c.kernel.Fraction(task), "preempted"
 	}
-	elapsed := simtime.Intersect(f.slices, simtime.NewIntervalSet(
-		simtime.Interval{Start: 0, End: now})).Total()
-	rem := float64(f.size) - f.rate*float64(elapsed)/1e6
-	if rem < 0 {
-		return 0
+	c.declog.TaskEnded(now, task, outcome, reason)
+	c.spans.TaskEnded(task, now, outcome, reason)
+	for _, f := range c.kernel.Flows(task) {
+		c.declog.FlowEnded(now, int64(f.Key), false, false, note)
+		c.spans.FlowEnded(int64(f.Key), now, false, false, note)
 	}
-	return rem
+	c.obs.Record(ev)
+	c.accepted[task] = false
 }
 
 // Controller is the networked TAPS controller. Create with NewController,
 // start with Serve (or ServeListener), stop with Close.
 type Controller struct {
-	cfg     ControllerConfig
-	graph   *topology.Graph
-	routing topology.Routing
-	planner *core.Planner
-	delta   *core.DeltaPlanner // nil unless cfg.Incremental
-	epoch   time.Time
-	obs     *obs.Recorder
-	spans   *span.Recorder
-	declog  *declog.Writer
+	cfg    ControllerConfig
+	graph  *topology.Graph
+	epoch  time.Time
+	obs    *obs.Recorder
+	spans  *span.Recorder
+	declog *declog.Writer
 
 	load *loadStats
 
-	mu        sync.Mutex
-	agents    map[*codec]HelloMsg
-	flows     map[uint64]*ctlFlow
-	taskFlows map[int64][]uint64
-	accepted  map[int64]bool
-	decided   map[int64]bool
+	mu     sync.Mutex
+	agents map[*codec]HelloMsg
+	// kernel decides: it owns the flow table and the plan. accepted and
+	// decided are the controller's ledger of what it told the agents.
+	kernel   *core.Kernel
+	accepted map[int64]bool
+	decided  map[int64]bool
 	// stageAcc points at the in-progress probe's stage accumulator while
 	// onProbe holds mu; helpers called from the critical section charge
 	// their elapsed time to it via stageAdd.
@@ -115,29 +121,34 @@ type Controller struct {
 // NewController builds a controller for the topology.
 func NewController(g *topology.Graph, r topology.Routing, cfg ControllerConfig) *Controller {
 	cfg = cfg.withDefaults()
-	planner := &core.Planner{Graph: g, Routing: r, MaxPaths: cfg.MaxPaths}
-	var delta *core.DeltaPlanner
-	if cfg.Incremental {
-		delta = core.NewDeltaPlanner(planner, cfg.IncrementalMaxDirtyFrac)
+	c := &Controller{
+		cfg:      cfg,
+		graph:    g,
+		epoch:    time.Now(), //taps:allow wallclock real controller: the virtual clock is anchored to a wall-clock epoch
+		obs:      obs.NewRecorder(obs.Options{}),
+		spans:    span.NewRecorder(),
+		load:     newLoadStats(),
+		agents:   make(map[*codec]HelloMsg),
+		accepted: make(map[int64]bool),
+		decided:  make(map[int64]bool),
+		closed:   make(chan struct{}),
 	}
-	return &Controller{
-		cfg:       cfg,
-		graph:     g,
-		routing:   r,
-		planner:   planner,
-		delta:     delta,
-		epoch:     time.Now(), //taps:allow wallclock real controller: the virtual clock is anchored to a wall-clock epoch
-		obs:       obs.NewRecorder(obs.Options{}),
-		spans:     span.NewRecorder(),
-		load:      newLoadStats(),
-		agents:    make(map[*codec]HelloMsg),
-		flows:     make(map[uint64]*ctlFlow),
-		taskFlows: make(map[int64][]uint64),
-		accepted:  make(map[int64]bool),
-		decided:   make(map[int64]bool),
-		closed:    make(chan struct{}),
-	}
+	c.kernel = core.NewKernel(g, r, core.Config{
+		MaxPaths:                cfg.MaxPaths,
+		NoPreemption:            cfg.NoPreemption,
+		Incremental:             cfg.Incremental,
+		IncrementalMaxDirtyFrac: cfg.IncrementalMaxDirtyFrac,
+	}, ctlPlane{c})
+	c.kernel.Obs, c.kernel.Spans = c.obs, c.spans
+	return c
 }
+
+// SpanRecorder returns the controller's always-on causal span recorder:
+// task/flow lifecycles, every planning pass with its grants, and the
+// attribution chains behind rejections and preemptions. This is the data
+// served by GET /trace and GET /why; snapshot it at any time while the
+// controller keeps recording.
+func (c *Controller) SpanRecorder() *span.Recorder { return c.spans }
 
 // Recorder returns the controller's always-on observability recorder:
 // decision events, planner latency, and the data behind /metrics and
@@ -166,7 +177,7 @@ func (c *Controller) EnableDecisionLog(path string) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.declog = w
+	c.declog, c.kernel.Log = w, w
 	if len(recs) == 0 {
 		names := make([]string, c.graph.NumLinks())
 		for i := range names {
@@ -193,37 +204,32 @@ func (c *Controller) EnableDecisionLog(path string) error {
 			c.cfg.Speedup = m.Speedup
 		}
 	}
-	c.spans = rp.Spans()
-	c.flows = make(map[uint64]*ctlFlow, len(rp.Flows()))
-	c.taskFlows = make(map[int64][]uint64, len(rp.TaskFlows()))
-	for id, fs := range rp.Flows() {
-		cf := &ctlFlow{
-			id: uint64(id), task: fs.Task,
-			src: topology.NodeID(fs.Src), dst: topology.NodeID(fs.Dst),
-			size: fs.Size, deadline: fs.Deadline, done: fs.Done,
-		}
-		if len(fs.Path) > 0 {
-			p := make(topology.Path, len(fs.Path))
-			for i, l := range fs.Path {
-				p[i] = topology.LinkID(l)
+	c.spans, c.kernel.Spans = rp.Spans(), rp.Spans()
+	flows := rp.Flows()
+	for _, fids := range rp.TaskFlows() {
+		for _, id := range fids {
+			fs := flows[id]
+			f := core.Flow{
+				FlowReq: core.FlowReq{Key: uint64(id), Src: topology.NodeID(fs.Src),
+					Dst: topology.NodeID(fs.Dst), Bytes: float64(fs.Size), Deadline: fs.Deadline},
+				Task: fs.Task, Size: fs.Size, Path: linkPath(fs.Path), Slices: fs.Slices, Done: fs.Done,
 			}
-			cf.path = p
-			cf.slices = fs.Slices
-			cf.rate = c.graph.MinCapacity(p)
+			// Every pass sized the next grant for what the flow had left
+			// once the grant before it had done its part, at the line rate
+			// of that grant's own route. A finished flow left nothing.
+			for _, g := range fs.Sent {
+				f.Bytes = max(f.Bytes-c.graph.MinCapacity(linkPath(g.Path))*float64(g.Time)/1e6, 0)
+			}
+			if f.Done {
+				f.Bytes = 0
+			}
+			c.kernel.Restore(f)
 		}
-		c.flows[cf.id] = cf
-	}
-	for t, fids := range rp.TaskFlows() {
-		out := make([]uint64, len(fids))
-		for i, f := range fids {
-			out[i] = uint64(f)
-		}
-		c.taskFlows[t] = out
 	}
 	c.accepted = rp.AcceptedSet()
 	c.decided = rp.DecidedSet()
 	c.cfg.Logf("netctl: recovered %d records from %s: %d flows, %d tasks in flight",
-		len(recs), path, len(c.flows), len(c.taskFlows))
+		len(recs), path, len(flows), len(rp.TaskFlows()))
 	return nil
 }
 
@@ -404,7 +410,7 @@ func (c *Controller) onProbe(p ProbeMsg) {
 	if c.decided[p.Task] {
 		// Duplicate probe (agent retry): replan and re-broadcast.
 		if c.accepted[p.Task] {
-			c.replanLocked(span.ReplanArrival, p.Task)
+			c.decideLocked(func() { c.kernel.Replan(c.now(), p.Task) })
 			c.declogSyncLocked()
 			c.broadcastGrantsLocked()
 		} else {
@@ -415,21 +421,17 @@ func (c *Controller) onProbe(p ProbeMsg) {
 	c.decided[p.Task] = true
 	now := c.now()
 
-	// Tentative: all in-flight flows plus the new task's. The arrival
-	// record is written ahead of the span emissions (emitparity): if the
-	// process dies between the two, the authoritative log already holds
-	// what the derived span trees would have shown.
+	// The arrival record is written ahead of the span emissions
+	// (emitparity): if the process dies between the two, the authoritative
+	// log already holds what the derived span trees would have shown.
 	labels := make([]string, len(p.Flows))
+	specs := make([]core.FlowSpec, len(p.Flows))
 	var infos []declog.FlowInfo
 	if c.declog != nil {
 		infos = make([]declog.FlowInfo, 0, len(p.Flows))
 	}
 	for i, fi := range p.Flows {
-		c.flows[fi.ID] = &ctlFlow{
-			id: fi.ID, task: p.Task, src: fi.Src, dst: fi.Dst,
-			size: fi.Size, deadline: p.Deadline,
-		}
-		c.taskFlows[p.Task] = append(c.taskFlows[p.Task], fi.ID)
+		specs[i] = core.FlowSpec{Key: fi.ID, Src: fi.Src, Dst: fi.Dst, Size: fi.Size}
 		labels[i] = c.graph.Node(fi.Src).Name + "->" + c.graph.Node(fi.Dst).Name
 		if c.declog != nil {
 			infos = append(infos, declog.FlowInfo{ID: int64(fi.ID),
@@ -441,65 +443,39 @@ func (c *Controller) onProbe(p ProbeMsg) {
 	for i, fi := range p.Flows {
 		c.spans.FlowArrived(int64(fi.ID), p.Task, now, p.Deadline, labels[i])
 	}
-	missed := c.planLocked(now, span.ReplanArrival, p.Task)
-	decision, victim := core.EvaluateRejectRule(missed, p.Task, c.fractionLocked(now), c.cfg.NoPreemption)
+	var decision core.Decision
+	var victim int64
+	c.decideLocked(func() { decision, victim = c.kernel.TaskArrived(now, p.Task, p.Deadline, specs) })
+	if decision != core.RejectNew {
+		c.accepted[p.Task] = true
+		// Flows the kernel found finished on arrival (a local transfer,
+		// nothing to send) end here: no agent will ever report them.
+		for _, f := range c.kernel.Flows(p.Task) {
+			if f.Done {
+				c.flowEndedLocked(f, now)
+			}
+		}
+	}
+	c.declogSyncLocked()
 	switch decision {
 	case core.RejectNew:
-		// Attribution reads the doomed task's flows and the tentative
-		// plan's occupancy, so it must precede the drop.
-		blocks := c.attributionLocked(p.Task, now)
-		c.declog.Attribute(now, p.Task, blocks)
-		c.spans.Attribute(p.Task, blocks)
-		c.declog.TaskEnded(now, p.Task, span.OutcomeRejected, "reject rule")
-		c.spans.TaskEnded(p.Task, now, span.OutcomeRejected, "reject rule")
-		for _, fid := range c.taskFlows[p.Task] {
-			c.declog.FlowEnded(now, int64(fid), false, false, "task rejected")
-			c.spans.FlowEnded(int64(fid), now, false, false, "task rejected")
-		}
-		c.declog.Reject(now, p.Task, "reject rule")
-		c.dropTaskLocked(p.Task)
-		c.replanLocked(span.ReplanPostReject, p.Task)
-		c.obs.Record(obs.Event{Time: now, Kind: obs.KindTaskRejected,
-			Task: p.Task, Reason: "reject rule"})
-		c.declogSyncLocked()
 		c.broadcastLocked(Envelope{Type: TypeReject, Reject: &RejectMsg{Task: p.Task, Reason: "reject rule"}})
-		c.broadcastGrantsLocked()
 		c.cfg.Logf("netctl: task %d rejected", p.Task)
 	case core.Preempt:
-		// The victim's completion fraction must be read before its flows
-		// are dropped (dropTaskLocked deletes them, which reads as 100%).
-		frac := c.fractionLocked(now)(victim)
-		blocks := c.attributionLocked(victim, now)
-		c.declog.Attribute(now, victim, blocks)
-		c.spans.Attribute(victim, blocks)
-		c.declog.TaskEnded(now, victim, span.OutcomePreempted,
-			fmt.Sprintf("preempted by task %d", p.Task))
-		c.spans.TaskEnded(victim, now, span.OutcomePreempted,
-			fmt.Sprintf("preempted by task %d", p.Task))
-		c.declog.Preempt(now, victim, p.Task, frac, "preempted")
-		c.spans.PreemptedBy(victim, p.Task)
-		for _, fid := range c.taskFlows[victim] {
-			c.declog.FlowEnded(now, int64(fid), false, false, "task preempted")
-			c.spans.FlowEnded(int64(fid), now, false, false, "task preempted")
-		}
-		c.dropTaskLocked(victim)
-		c.accepted[p.Task] = true
-		c.replanLocked(span.ReplanPostPreempt, victim)
-		c.obs.Record(obs.Event{Time: now, Kind: obs.KindTaskPreempted,
-			Task: victim, Fraction: frac, Reason: "preempted"})
-		c.obs.Record(obs.Event{Time: now, Kind: obs.KindTaskAdmitted, Task: p.Task})
-		c.declogSyncLocked()
 		c.broadcastLocked(Envelope{Type: TypeReject, Reject: &RejectMsg{Task: victim, Reason: "preempted"}})
-		c.broadcastGrantsLocked()
 		c.cfg.Logf("netctl: task %d accepted, task %d preempted", p.Task, victim)
 	case core.Accept:
-		c.accepted[p.Task] = true
-		c.declog.Admit(now, p.Task, false)
-		c.obs.Record(obs.Event{Time: now, Kind: obs.KindTaskAdmitted, Task: p.Task})
-		c.declogSyncLocked()
-		c.broadcastGrantsLocked()
 		c.cfg.Logf("netctl: task %d accepted", p.Task)
 	}
+	c.broadcastGrantsLocked()
+}
+
+// decideLocked runs one kernel input, charging its time to the
+// in-progress probe's plan stage.
+func (c *Controller) decideLocked(input func()) {
+	t0 := time.Now() //taps:allow wallclock obs-only stage latency; never feeds virtual time
+	input()
+	c.stageAdd(StagePlan, time.Since(t0)) //taps:allow wallclock obs-only stage latency; never feeds virtual time
 }
 
 // declogSyncLocked runs the write-ahead fsync of a decision, charging the
@@ -514,172 +490,32 @@ func (c *Controller) declogSyncLocked() {
 	c.stageAdd(StageDeclogSync, time.Since(t0)) //taps:allow wallclock obs-only stage latency; never feeds virtual time
 }
 
-// planLocked re-plans every undone flow of every accepted-or-pending task
-// from `now` and returns the set of tasks with missed deadlines. kind and
-// trigger label the pass in the span tree (why it ran, which task caused
-// it).
-func (c *Controller) planLocked(now simtime.Time, kind span.ReplanKind, trigger int64) map[int64]bool {
-	type item struct {
-		f   *ctlFlow
-		req core.FlowReq
+// linkPath converts a logged route back to the topology's link IDs.
+func linkPath(links []int32) topology.Path {
+	var p topology.Path
+	for _, l := range links {
+		p = append(p, topology.LinkID(l))
 	}
-	var items []item
-	for _, f := range c.flows {
-		if f.done {
-			continue
-		}
-		rem := f.remainingAt(now)
-		if rem <= 0 {
-			// Virtually complete per the authoritative plan; the TERM
-			// just has not arrived yet. Nothing to schedule, and the
-			// flow must not count as a miss. Its planned occupancy
-			// vanishes from this pass, so the delta planner must hear
-			// about it (Revoke is idempotent across passes).
-			if c.delta != nil {
-				c.delta.Revoke(now, f.id)
-			}
-			continue
-		}
-		items = append(items, item{f, core.FlowReq{
-			Key: f.id, Src: f.src, Dst: f.dst,
-			Bytes: rem, Deadline: f.deadline,
-		}})
-	}
-	sort.SliceStable(items, func(i, j int) bool {
-		a, b := items[i].req, items[j].req
-		if a.Deadline != b.Deadline {
-			return a.Deadline < b.Deadline
-		}
-		if a.Bytes != b.Bytes {
-			return a.Bytes < b.Bytes
-		}
-		return a.Key < b.Key
-	})
-	reqs := make([]core.FlowReq, len(items))
-	for i, it := range items {
-		reqs[i] = it.req
-	}
-	t0 := time.Now() //taps:allow wallclock obs-only planner latency; never feeds virtual time
-	p0 := c.planner.PathsTried()
-	var entries []core.PlanEntry
-	scope := 0
-	if c.delta != nil {
-		ds, ok := core.DeltaStats{}, false
-		tried := c.delta.Records() > 0
-		if tried {
-			entries, ds, ok = c.delta.PlanAll(now, reqs, nil)
-		}
-		if ok {
-			kind, scope = span.ReplanIncremental, ds.Replanned
-			c.obs.ObserveReplanScope(ds.Replanned, len(reqs))
-		} else {
-			entries = c.planner.PlanAll(now, reqs, nil)
-			c.delta.Adopt(reqs, entries)
-			if tried {
-				// A bootstrap pass (no records to reuse yet) is not a
-				// fallback; the counters track reuse that was possible
-				// but abandoned.
-				c.obs.CountReplanFallback()
-				c.obs.ObserveReplanScope(len(reqs), len(reqs))
-			}
-		}
-	} else {
-		entries = c.planner.PlanAll(now, reqs, nil)
-	}
-	planDur := time.Since(t0) //taps:allow wallclock obs-only planner latency
-	c.stageAdd(StagePlan, planDur)
-	c.obs.Record(obs.Event{
-		Time:       now,
-		Kind:       obs.KindReplan,
-		Task:       obs.NoTask,
-		Flows:      int32(len(reqs)),
-		PathsTried: c.planner.PathsTried() - p0,
-		Duration:   planDur,
-	})
-	if c.spans.Enabled() || c.declog != nil {
-		planned := make([]*ctlFlow, len(items))
-		for i, it := range items {
-			planned[i] = it.f
-		}
-		rs := span.ReplanSpan{
-			Time: now, Kind: kind, Trigger: trigger, Flows: len(reqs),
-			PathsTried: c.planner.PathsTried() - p0,
-			Scope:      scope,
-			Plans:      planSpans(planned, entries),
-		}
-		c.declog.Replan(now, rs)
-		c.spans.Replan(rs)
-	}
-	missed := make(map[int64]bool)
-	for i, e := range entries {
-		f := items[i].f
-		if e.Path == nil || e.Finish > f.deadline {
-			missed[f.task] = true
-			continue
-		}
-		f.path = e.Path
-		f.slices = e.Slices
-		f.rate = c.graph.MinCapacity(e.Path)
-	}
-	// The pass is now installed: flows whose plan met the deadline took
-	// the new path and slices, missed flows kept their previous grant.
-	c.declog.Commit(now, declog.CommitUpdate)
-	return missed
-}
-
-// replanLocked re-plans the surviving flows (used after a drop).
-func (c *Controller) replanLocked(kind span.ReplanKind, trigger int64) {
-	c.planLocked(c.now(), kind, trigger)
-}
-
-// fractionLocked returns the byte-completion fraction function for the
-// reject rule, derived from the authoritative plan.
-func (c *Controller) fractionLocked(now simtime.Time) func(int64) float64 {
-	return func(task int64) float64 {
-		var total, sent float64
-		for _, fid := range c.taskFlows[task] {
-			f := c.flows[fid]
-			total += float64(f.size)
-			sent += float64(f.size) - f.remainingAt(now)
-		}
-		if total == 0 {
-			return 1
-		}
-		return sent / total
-	}
-}
-
-// dropTaskLocked forgets a task's flows.
-func (c *Controller) dropTaskLocked(task int64) {
-	c.accepted[task] = false
-	now := c.now()
-	for _, fid := range c.taskFlows[task] {
-		if c.delta != nil {
-			c.delta.Revoke(now, fid)
-		}
-		delete(c.flows, fid)
-	}
-	delete(c.taskFlows, task)
+	return p
 }
 
 // broadcastGrantsLocked sends the current schedule of every accepted task.
 func (c *Controller) broadcastGrantsLocked() {
-	tasks := make([]int64, 0, len(c.taskFlows))
-	for t := range c.taskFlows {
-		if c.accepted[t] {
+	tasks := make([]int64, 0, len(c.accepted))
+	for t, ok := range c.accepted {
+		if ok {
 			tasks = append(tasks, t)
 		}
 	}
 	sort.Slice(tasks, func(i, j int) bool { return tasks[i] < tasks[j] })
 	for _, t := range tasks {
 		grant := GrantMsg{Task: t}
-		for _, fid := range c.taskFlows[t] {
-			f := c.flows[fid]
-			if f.done {
+		for _, f := range c.kernel.Flows(t) {
+			if f.Done {
 				continue
 			}
-			fg := FlowGrant{ID: f.id, Src: f.src, Deadline: f.deadline, Path: f.path}
-			for _, iv := range f.slices.Intervals() {
+			fg := FlowGrant{ID: f.Key, Src: f.Src, Deadline: f.Deadline, Path: f.Path}
+			for _, iv := range f.Slices.Intervals() {
 				fg.Slices = append(fg.Slices, SliceWire{Start: iv.Start, End: iv.End})
 			}
 			grant.Flows = append(grant.Flows, fg)
@@ -698,30 +534,32 @@ func (c *Controller) broadcastLocked(env Envelope) {
 	c.stageAdd(StageBroadcast, time.Since(t0)) //taps:allow wallclock obs-only stage latency; never feeds virtual time
 }
 
-// onTerm marks a flow finished and releases its future occupancy. When the
-// last flow of a task terminates, the task's span closes as completed.
+// onTerm marks a flow finished and releases its future occupancy.
 func (c *Controller) onTerm(t TermMsg) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.load.termsTotal++
-	f, ok := c.flows[t.Flow]
-	if !ok || f.done {
+	f := c.kernel.Flow(t.Flow)
+	if f == nil || f.Done {
 		return
 	}
-	f.done = true
 	now := c.now()
-	if c.delta != nil {
-		c.delta.Revoke(now, f.id)
-	}
-	c.declog.FlowEnded(now, int64(f.id), true, now <= f.deadline, "")
-	c.spans.FlowEnded(int64(f.id), now, true, now <= f.deadline, "")
-	for _, fid := range c.taskFlows[f.task] {
-		if g, ok := c.flows[fid]; !ok || !g.done {
+	c.kernel.FlowFinished(now, f.Key, 0)
+	c.flowEndedLocked(f, now)
+}
+
+// flowEndedLocked closes a finished flow's span; when it was the last flow
+// of its task, the task's span closes as completed.
+func (c *Controller) flowEndedLocked(f *core.Flow, now simtime.Time) {
+	c.declog.FlowEnded(now, int64(f.Key), true, now <= f.Deadline, "")
+	c.spans.FlowEnded(int64(f.Key), now, true, now <= f.Deadline, "")
+	for _, g := range c.kernel.Flows(f.Task) {
+		if !g.Done {
 			return
 		}
 	}
-	c.declog.TaskEnded(now, f.task, span.OutcomeCompleted, "")
-	c.spans.TaskEnded(f.task, now, span.OutcomeCompleted, "")
+	c.declog.TaskEnded(now, f.Task, span.OutcomeCompleted, "")
+	c.spans.TaskEnded(f.Task, now, span.OutcomeCompleted, "")
 }
 
 // Snapshot is introspection for tests and operators.
@@ -740,7 +578,7 @@ type Snapshot struct {
 func (c *Controller) Snapshot() Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := Snapshot{LinkBusy: make(map[topology.LinkID]simtime.IntervalSet)}
+	var s Snapshot
 	s.Agents = len(c.agents)
 	for t, ok := range c.accepted {
 		if ok {
@@ -748,19 +586,6 @@ func (c *Controller) Snapshot() Snapshot {
 		}
 	}
 	sort.Slice(s.AcceptedTasks, func(i, j int) bool { return s.AcceptedTasks[i] < s.AcceptedTasks[j] })
-	for _, f := range c.flows {
-		if f.done {
-			continue
-		}
-		s.PendingFlows++
-		for _, l := range f.path {
-			set := s.LinkBusy[l]
-			if !simtime.Intersect(set, f.slices).Empty() {
-				s.OverlapViolations++
-			}
-			set.UnionInPlace(&f.slices)
-			s.LinkBusy[l] = set
-		}
-	}
+	s.LinkBusy, s.PendingFlows, s.OverlapViolations = c.kernel.LinkBusy()
 	return s
 }

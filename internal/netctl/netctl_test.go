@@ -53,6 +53,14 @@ func TestSingleTaskOverTCP(t *testing.T) {
 	hosts := g.Hosts()
 	a0 := dial(t, addr, "a0", hosts[0])
 	a1 := dial(t, addr, "a1", hosts[2])
+	// Dial returns on the welcome frame, which the controller sends before
+	// it adds the agent to its broadcast set: a grant decided in between
+	// would never reach a1. Wait until both agents are in the set.
+	for deadline := time.Now().Add(2 * time.Second); ctl.Snapshot().Agents < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("agents never registered")
+		}
+	}
 
 	// 125 KB at 1 Gbps = 1 ms virtual; deadline 100 ms virtual.
 	err := a0.SubmitTask(1, 500*simtime.Millisecond, []netctl.FlowInfo{
@@ -62,20 +70,11 @@ func TestSingleTaskOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	a0.WaitLocalFlows()
-	a1.WaitLocalFlows()
-
-	o0, o1 := a0.Outcomes(), a1.Outcomes()
-	if len(o0) != 1 || len(o1) != 1 {
-		t.Fatalf("outcomes: %d + %d, want 1 + 1", len(o0), len(o1))
-	}
-	for _, o := range append(o0, o1...) {
-		if !o.OnTime {
-			t.Fatalf("flow %d late: finish=%d deadline=%d", o.ID, o.Finish, o.Deadline)
-		}
-	}
-	// Give the TERMs a moment to land, then check controller state.
-	deadline := time.Now().Add(2 * time.Second)
+	// SubmitTask returns on a0's copy of the grant; a1's read loop may not
+	// have seen its copy yet, so a1.WaitLocalFlows could return before a1
+	// has a flow to wait for. The controller hearing both TERMs implies
+	// that both agents processed the grant and ran their flows to the end.
+	deadline := time.Now().Add(5 * time.Second)
 	for {
 		snap := ctl.Snapshot()
 		if snap.PendingFlows == 0 {
@@ -88,6 +87,18 @@ func TestSingleTaskOverTCP(t *testing.T) {
 			t.Fatalf("TERMs never drained: %+v", snap)
 		}
 		time.Sleep(time.Millisecond)
+	}
+	a0.WaitLocalFlows()
+	a1.WaitLocalFlows()
+
+	o0, o1 := a0.Outcomes(), a1.Outcomes()
+	if len(o0) != 1 || len(o1) != 1 {
+		t.Fatalf("outcomes: %d + %d, want 1 + 1", len(o0), len(o1))
+	}
+	for _, o := range append(o0, o1...) {
+		if !o.OnTime {
+			t.Fatalf("flow %d late: finish=%d deadline=%d", o.ID, o.Finish, o.Deadline)
+		}
 	}
 }
 

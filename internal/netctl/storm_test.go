@@ -1,0 +1,144 @@
+package netctl_test
+
+import (
+	"bufio"
+	"encoding/json"
+	"math/rand"
+	"net"
+	"testing"
+	"time"
+
+	"taps/internal/netctl"
+	"taps/internal/simtime"
+	"taps/internal/topology"
+)
+
+// wireDriver speaks the agent protocol over a raw connection, one probe
+// outstanding, so that a test decides when a flow TERMs instead of a
+// sender's wall clock.
+type wireDriver struct {
+	t    *testing.T
+	conn net.Conn
+	in   *bufio.Scanner
+}
+
+func dialWire(t *testing.T, addr string, host topology.NodeID) *wireDriver {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	d := &wireDriver{t: t, conn: conn, in: bufio.NewScanner(conn)}
+	d.in.Buffer(nil, 16<<20)
+	d.send(netctl.Envelope{Type: netctl.TypeHello, Hello: &netctl.HelloMsg{Agent: "driver", Host: host}})
+	if env := d.recv(); env.Type != netctl.TypeWelcome {
+		t.Fatalf("expected welcome, got %s", env.Type)
+	}
+	return d
+}
+
+func (d *wireDriver) send(env netctl.Envelope) {
+	d.t.Helper()
+	b, err := json.Marshal(env)
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	if _, err := d.conn.Write(append(b, '\n')); err != nil {
+		d.t.Fatal(err)
+	}
+}
+
+func (d *wireDriver) recv() netctl.Envelope {
+	d.t.Helper()
+	d.conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+	if !d.in.Scan() {
+		d.t.Fatalf("connection ended: %v", d.in.Err())
+	}
+	var env netctl.Envelope
+	if err := json.Unmarshal(d.in.Bytes(), &env); err != nil {
+		d.t.Fatalf("bad frame %q: %v", d.in.Bytes(), err)
+	}
+	return env
+}
+
+// probe submits a task and reads on to its decision, skipping the
+// re-broadcast grants and the rejects of other tasks on the way.
+func (d *wireDriver) probe(p netctl.ProbeMsg) (accepted bool) {
+	d.t.Helper()
+	d.send(netctl.Envelope{Type: netctl.TypeProbe, Probe: &p})
+	for {
+		switch env := d.recv(); {
+		case env.Type == netctl.TypeGrant && env.Grant != nil && env.Grant.Task == p.Task:
+			return true
+		case env.Type == netctl.TypeReject && env.Reject != nil && env.Reject.Task == p.Task:
+			return false
+		}
+	}
+}
+
+// TestStormNeverOverlaps is the regression test for the stale grant after
+// a reject: the close-to-deadline storm of tapsbench's ctl_storm workload
+// (k=4 fat-tree, U{1..3} flows of 0.5–2 MB, deadlines U(20, 60) ms, virtual
+// clock frozen at 0, a task TERM'd 32 ops after it was accepted) with the
+// plan checked after every single op. A controller that installs a
+// tentative pass before the reject rule has spoken, and lets a flow that
+// misses in the re-plan keep its previous grant, ends an op in this stream
+// with two flows on one link at one instant.
+func TestStormNeverOverlaps(t *testing.T) {
+	const ops, lifetime = 700, 32
+	g, r := topology.FatTree(topology.FatTreeSpec{K: 4, LinkCapacity: topology.Gbps(1)})
+	ctl := netctl.NewController(g, topology.NewCachedRouting(r), netctl.ControllerConfig{Speedup: 1e-9})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- ctl.ServeListener(l) }()
+	t.Cleanup(func() {
+		ctl.Close()
+		if err := <-served; err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	})
+	hosts := g.Hosts()
+	d := dialWire(t, l.Addr().String(), hosts[0])
+
+	rng := rand.New(rand.NewSource(1))
+	live := make([][]uint64, lifetime)
+	accepts, rejects := 0, 0
+	for i := 0; i < ops; i++ {
+		slot := i % lifetime
+		for _, fid := range live[slot] {
+			d.send(netctl.Envelope{Type: netctl.TypeTerm, Term: &netctl.TermMsg{Flow: fid}})
+		}
+		live[slot] = live[slot][:0]
+		p := netctl.ProbeMsg{
+			Task:     int64(i + 1),
+			Deadline: 20*simtime.Millisecond + simtime.Time(rng.Int63n(int64(40*simtime.Millisecond)+1)),
+			Flows:    make([]netctl.FlowInfo, 1+rng.Intn(3)),
+		}
+		for j := range p.Flows {
+			src := rng.Intn(len(hosts))
+			dst := (src + 1 + rng.Intn(len(hosts)-1)) % len(hosts)
+			p.Flows[j] = netctl.FlowInfo{ID: uint64(p.Task)<<8 | uint64(j),
+				Src: hosts[src], Dst: hosts[dst], Size: 500e3 + rng.Int63n(1500e3+1)}
+		}
+		if d.probe(p) {
+			accepts++
+			for _, f := range p.Flows {
+				live[slot] = append(live[slot], f.ID)
+			}
+		} else {
+			rejects++
+		}
+		// Snapshot takes the decision lock: it sees the op complete.
+		if snap := ctl.Snapshot(); snap.OverlapViolations != 0 {
+			t.Fatalf("after op %d (%d accepts, %d rejects): %d link-time overlaps in the plan",
+				i, accepts, rejects, snap.OverlapViolations)
+		}
+	}
+	if rejects < ops/10 || accepts < ops/10 {
+		t.Fatalf("%d accepts, %d rejects: not a storm", accepts, rejects)
+	}
+}

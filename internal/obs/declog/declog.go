@@ -33,6 +33,7 @@ package declog
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -106,22 +107,25 @@ func (k Kind) String() string {
 // CommitMode selects how a KindCommit installs the preceding pass.
 type CommitMode uint8
 
-// Commit modes, mirroring the three call sites that install plan state.
+// Commit modes, mirroring the two ways the kernel installs plan state.
 const (
-	// CommitReplace is the core scheduler's full re-plan commit: the plan
-	// state is rebuilt from the pass alone — per-flow slices for every
-	// routed flow (missed ones included), per-link occupancy as the union
-	// of those grants along each winning path, GC'd up to Time.
+	// CommitReplace is the full re-plan commit: the plan state is rebuilt
+	// from the pass alone — per-flow slices for every routed flow (missed
+	// ones included), per-link occupancy as the union of those grants
+	// along each winning path, GC'd up to Time. A flow in flight that the
+	// pass left out holds nothing afterwards.
 	CommitReplace CommitMode = iota
-	// CommitMerge is the core fast-admission commit: the pass's grants
-	// are merged into the existing plan state; only links on the new
-	// paths are touched (and GC'd).
+	// CommitMerge is the fast-admission commit: the pass's grants are
+	// merged into the existing plan state; only links on the new paths
+	// are touched (and GC'd).
 	CommitMerge
-	// CommitUpdate is the networked controller's pass application: flows
-	// whose plan met the deadline take the new path and slices; missed
-	// flows keep their previous grant.
-	CommitUpdate
 )
+
+// ErrCommitMode is the decode error of a commit record whose mode this
+// build does not know — in particular mode 2, the install-as-you-go
+// "update" commit of controllers that predate the decision kernel, whose
+// plan state cannot be replayed faithfully.
+var ErrCommitMode = errors.New("declog: unknown commit mode")
 
 func (m CommitMode) String() string {
 	switch m {
@@ -129,8 +133,6 @@ func (m CommitMode) String() string {
 		return "replace"
 	case CommitMerge:
 		return "merge"
-	case CommitUpdate:
-		return "update"
 	}
 	return "mode(?)"
 }
@@ -410,6 +412,9 @@ func decodeRecord(payload []byte) (Record, error) {
 		r.Link = int32(d.varint())
 	case KindCommit:
 		r.Mode = CommitMode(d.byte())
+		if r.Mode > CommitMerge {
+			return Record{}, fmt.Errorf("%w %d", ErrCommitMode, r.Mode)
+		}
 	default: //taps:allow kindexhaustive corrupt-input guard: the decoder must reject kinds from the future, not switch over the compiled set
 		return Record{}, fmt.Errorf("declog: unknown record kind %d", r.Kind)
 	}

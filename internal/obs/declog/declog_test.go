@@ -1,6 +1,8 @@
 package declog
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -51,7 +53,7 @@ func sampleRecords() []Record {
 			{Interval: simtime.Interval{Start: 900, End: 990}, Rate: 62.5},
 		}},
 		{Kind: KindLinkDown, Time: 1500, Link: 9},
-		{Kind: KindCommit, Time: 1500, Mode: CommitUpdate},
+		{Kind: KindCommit, Time: 1500, Mode: CommitMerge},
 	}
 }
 
@@ -281,5 +283,41 @@ func TestNilWriterIsInert(t *testing.T) {
 	}
 	if w.Path() != "" || w.Err() != nil {
 		t.Fatal("nil writer leaked state")
+	}
+}
+
+// TestUnknownCommitModeRefused: a log holding commit mode 2 — the
+// install-as-you-go "update" of controllers older than the decision
+// kernel — is refused by name rather than replayed under other semantics,
+// and reopening it for append must not cut the intact frame away as if it
+// were a torn tail.
+func TestUnknownCommitModeRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.dlg")
+	w, err := Create(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Admit(10, 1, false)
+	w.Commit(10, CommitMode(2))
+	w.Admit(20, 2, false)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadFile(path); !errors.Is(err, ErrCommitMode) {
+		t.Fatalf("ReadFile err = %v, want ErrCommitMode", err)
+	}
+	if _, _, err := OpenAppend(path, Options{}); !errors.Is(err, ErrCommitMode) {
+		t.Fatalf("OpenAppend err = %v, want ErrCommitMode", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("refused log was modified: %d -> %d bytes", len(before), len(after))
 	}
 }

@@ -2,6 +2,7 @@ package declog
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -13,7 +14,9 @@ import (
 // frame. A frame whose length runs past EOF, whose CRC mismatches, or
 // whose payload fails to decode marks the torn tail: parsing stops there
 // and the offset excludes it. Only a bad magic is a hard error — a file
-// that is not a decision log at all.
+// that is not a decision log at all — and a commit mode this build cannot
+// replay (ErrCommitMode): that frame is intact, so cutting the log there
+// would destroy a valid record.
 func parse(data []byte) (recs []Record, validEnd int64, err error) {
 	if len(data) < len(Magic) || string(data[:len(Magic)]) != Magic {
 		return nil, 0, fmt.Errorf("declog: bad magic (not a decision log)")
@@ -33,6 +36,9 @@ func parse(data []byte) (recs []Record, validEnd int64, err error) {
 			return recs, int64(off), nil // corrupt frame
 		}
 		rec, decErr := decodeRecord(payload)
+		if errors.Is(decErr, ErrCommitMode) {
+			return nil, 0, decErr
+		}
 		if decErr != nil {
 			return recs, int64(off), nil // undecodable frame
 		}

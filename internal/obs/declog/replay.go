@@ -17,7 +17,19 @@ type FlowState struct {
 	Deadline simtime.Time
 	Path     []int32
 	Slices   simtime.IntervalSet
-	Done     bool
+	// Sent lists, in commit order, the grants later commits superseded
+	// after the flow had transmitted under them; what its current grant
+	// has carried since follows from Slices.
+	Sent []SentGrant
+	Done bool
+}
+
+// SentGrant is the transmission time a flow consumed on the route of one
+// superseded grant. The bytes that moved follow from the route's line rate,
+// which the log does not record.
+type SentGrant struct {
+	Path []int32
+	Time simtime.Time
 }
 
 // Replayer reconstructs controller state by folding decision records in
@@ -193,7 +205,15 @@ func (r *Replayer) applyCommit(rec *Record) {
 		}
 		r.slices = slices
 		r.occ = occ
-		r.updateFlowMirror(plans, false)
+		// The pass is installed whole: an unfinished flow holds exactly
+		// what this pass gave it, nothing if the pass left it out. The
+		// time its superseded grant had already carried is kept.
+		for _, f := range r.flows {
+			if !f.Done {
+				f.supersede(rec.Time)
+			}
+		}
+		r.grantFlows(plans)
 	case CommitMerge:
 		// Fast-admission: the newcomer's grants merge into existing state;
 		// only links on the new paths are touched.
@@ -211,22 +231,24 @@ func (r *Replayer) applyCommit(rec *Record) {
 				r.occ[l] = set
 			}
 		}
-		r.updateFlowMirror(plans, false)
-	case CommitUpdate:
-		// Networked controller: a flow takes the new path and slices only
-		// when the plan met its deadline; missed flows keep the old grant.
-		r.updateFlowMirror(plans, true)
+		r.grantFlows(plans)
 	}
 }
 
-func (r *Replayer) updateFlowMirror(plans []span.PlanSpan, skipMissed bool) {
+// supersede takes the flow's grant away at now, noting what it carried.
+func (f *FlowState) supersede(now simtime.Time) {
+	if t := f.Slices.OverlapTotal(simtime.Interval{Start: 0, End: now}); t > 0 {
+		f.Sent = append(f.Sent, SentGrant{Path: f.Path, Time: t})
+	}
+	f.Path, f.Slices = nil, simtime.IntervalSet{}
+}
+
+// grantFlows gives every routed flow of a pass its path and slices.
+func (r *Replayer) grantFlows(plans []span.PlanSpan) {
 	for i := range plans {
 		p := &plans[i]
-		if p.Path == nil || (skipMissed && p.Missed) {
-			continue
-		}
 		f := r.flows[p.Flow]
-		if f == nil {
+		if p.Path == nil || f == nil {
 			continue
 		}
 		f.Path = append([]int32(nil), p.Path...)

@@ -8,8 +8,8 @@
 //  1. a task arrives at its sending hosts;
 //  2. the senders emit a probe message carrying the task information
 //     (source, destination, size, deadline per flow) to the controller;
-//  3. the controller runs the centralized algorithm (core.Planner + the
-//     §IV-B reject rule) to accept or discard the task;
+//  3. the controller runs the centralized algorithm (core.Kernel: Alg. 1–3
+//     + the §IV-B reject rule) to accept or discard the task;
 //  4. on accept it installs forwarding entries on the switches along each
 //     chosen path (4A) and sends the pre-allocated time slices to the
 //     senders (4B);
@@ -31,6 +31,7 @@ import (
 	"sort"
 
 	"taps/internal/core"
+	"taps/internal/obs/span"
 	"taps/internal/sim"
 	"taps/internal/simtime"
 	"taps/internal/topology"
@@ -243,7 +244,7 @@ type Testbed struct {
 	mode     Mode
 	graph    *topology.Graph
 	routing  topology.Routing
-	planner  *core.Planner
+	kernel   *core.Kernel // the controller's decision procedure
 	flows    []*tbFlow
 	tasks    [][]flowID
 	arrivals []simtime.Time
@@ -282,7 +283,6 @@ func New(g *topology.Graph, r topology.Routing, mode Mode, cfg Config, tasks []s
 		mode:      mode,
 		graph:     g,
 		routing:   r,
-		planner:   &core.Planner{Graph: g, Routing: r, MaxPaths: cfg.MaxPaths},
 		switches:  make(map[topology.NodeID]*switchState),
 		accepted:  make(map[int]bool),
 		decided:   make(map[int]bool),
@@ -290,6 +290,7 @@ func New(g *topology.Graph, r topology.Routing, mode Mode, cfg Config, tasks []s
 		resolved:  make(map[int]bool),
 		res:       &Result{Mode: mode},
 	}
+	tb.kernel = core.NewKernel(g, r, core.Config{MaxPaths: cfg.MaxPaths}, ctlPlane{tb})
 	for i := 0; i < g.NumNodes(); i++ {
 		n := g.Node(topology.NodeID(i))
 		if n.Kind != topology.Host {
@@ -437,38 +438,44 @@ func (tb *Testbed) deliverControl() {
 	}
 }
 
-// inFlightReqs collects accepted, unfinished flows as planner requests.
-func (tb *Testbed) inFlightReqs(exclude int) ([]core.FlowReq, []flowID) {
-	var reqs []core.FlowReq
-	var ids []flowID
-	for ti, flows := range tb.tasks {
-		if !tb.accepted[ti] || ti == exclude {
-			continue
-		}
-		for _, fid := range flows {
-			f := tb.flows[fid]
-			if f.done || f.discarded || f.remaining <= 0 {
-				continue
-			}
-			reqs = append(reqs, core.FlowReq{
-				Key: uint64(fid), Src: f.src, Dst: f.dst,
-				Bytes: f.remaining, Deadline: f.deadline,
-			})
-			ids = append(ids, fid)
-		}
-	}
-	return reqs, ids
+// ctlPlane answers the controller's kernel from the testbed's data
+// plane: the senders' byte counters, and the preemption of a task.
+type ctlPlane struct{ tb *Testbed }
+
+func (p ctlPlane) Remaining(f *core.Flow, _ simtime.Time) float64 {
+	return p.tb.flows[f.Key].remaining
 }
 
-// controllerAdmit runs Alg. 1 + the reject rule for a newly probed task.
+// Discard stops a preempted task: its unfinished flows are abandoned and
+// their forwarding entries withdrawn. A rejected newcomer has neither
+// slices nor entries yet; its senders hear the verdict by message.
+func (p ctlPlane) Discard(_ simtime.Time, task, by int64) {
+	if by == span.NoTask {
+		return
+	}
+	tb := p.tb
+	tb.accepted[int(task)] = false
+	for _, fid := range tb.tasks[task] {
+		if f := tb.flows[fid]; !f.done {
+			f.discarded = true
+			tb.removeTables(f)
+		}
+	}
+}
+
+// controllerAdmit hands a newly probed task to the kernel (Alg. 1 + the
+// reject rule) and carries out its decision.
 func (tb *Testbed) controllerAdmit(task int) {
+	// Slices are planned from the instant the reply reaches the senders.
+	now := tb.now() + simtime.Time(tb.cfg.ControlLatencyTicks)*tb.cfg.TickDuration
 	if tb.decided[task] {
 		// Duplicate probe: the previous reply was lost. The verdict is
 		// idempotent, but a lost grant means the senders missed their
 		// original slices — re-plan the surviving flows from now before
 		// re-granting.
 		if tb.accepted[task] {
-			tb.replanAccepted(tb.now() + simtime.Time(tb.cfg.ControlLatencyTicks)*tb.cfg.TickDuration)
+			tb.kernel.Replan(now, int64(task))
+			tb.installCommitted()
 			tb.send(msgGrant, task, -1)
 		} else {
 			tb.send(msgReject, task, -1)
@@ -476,65 +483,19 @@ func (tb *Testbed) controllerAdmit(task int) {
 		return
 	}
 	tb.decided[task] = true
-	now := tb.now() + simtime.Time(tb.cfg.ControlLatencyTicks)*tb.cfg.TickDuration
-
-	reqs, ids := tb.inFlightReqs(-1)
-	for _, fid := range tb.tasks[task] {
+	specs := make([]core.FlowSpec, len(tb.tasks[task]))
+	var deadline simtime.Time // shared by the task's flows
+	for i, fid := range tb.tasks[task] {
 		f := tb.flows[fid]
-		reqs = append(reqs, core.FlowReq{
-			Key: uint64(fid), Src: f.src, Dst: f.dst,
-			Bytes: f.remaining, Deadline: f.deadline,
-		})
-		ids = append(ids, fid)
+		deadline = f.deadline
+		specs[i] = core.FlowSpec{Key: uint64(fid), Src: f.src, Dst: f.dst, Size: f.size}
 	}
-	// Alg. 1: EDF + SJF order.
-	order := make([]int, len(reqs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ra, rb := reqs[order[a]], reqs[order[b]]
-		if ra.Deadline != rb.Deadline {
-			return ra.Deadline < rb.Deadline
-		}
-		if ra.Bytes != rb.Bytes {
-			return ra.Bytes < rb.Bytes
-		}
-		return ra.Key < rb.Key
-	})
-	sorted := make([]core.FlowReq, len(reqs))
-	sortedIDs := make([]flowID, len(ids))
-	for i, idx := range order {
-		sorted[i] = reqs[idx]
-		sortedIDs[i] = ids[idx]
-	}
-	entries := tb.planner.PlanAll(now, sorted, nil)
-
-	missTasks := make(map[int]bool)
-	for i, e := range entries {
-		if e.Path == nil || e.Finish > sorted[i].Deadline {
-			missTasks[tb.flows[sortedIDs[i]].task] = true
-		}
-	}
-	switch d, victim := core.EvaluateRejectRule(missTasks, task, tb.taskFraction, false); d {
-	case core.RejectNew:
+	decision, _ := tb.kernel.TaskArrived(now, int64(task), deadline, specs)
+	tb.installCommitted()
+	if decision == core.RejectNew {
 		tb.send(msgReject, task, -1)
-		// Replan survivors so their slices stay consistent.
-		tb.replanAccepted(now)
-	case core.Preempt:
-		// Preempt the victim and replan with the newcomer.
-		for _, fid := range tb.tasks[victim] {
-			f := tb.flows[fid]
-			if !f.done {
-				f.discarded = true
-				tb.removeTables(f)
-			}
-		}
-		tb.accepted[victim] = false
-		tb.acceptWithPlan(task, now)
-	case core.Accept:
+	} else {
 		tb.accepted[task] = true
-		tb.commitEntries(sortedIDs, entries)
 		tb.send(msgGrant, task, -1)
 	}
 }
@@ -548,67 +509,21 @@ func splitmix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// taskFraction is the byte-completion fraction the reject rule compares.
-func (tb *Testbed) taskFraction(task int) float64 {
-	var total, sent float64
-	for _, fid := range tb.tasks[task] {
-		f := tb.flows[fid]
-		total += float64(f.size)
-		sent += f.sent
-	}
-	if total == 0 {
-		return 1
-	}
-	return sent / total
-}
-
-// acceptWithPlan re-plans everything (newcomer included) after a
-// preemption and grants the newcomer.
-func (tb *Testbed) acceptWithPlan(task int, now simtime.Time) {
-	tb.accepted[task] = true
-	tb.replanAccepted(now)
-	tb.send(msgGrant, task, -1)
-}
-
-// replanAccepted rebuilds slices for all accepted, unfinished flows.
-func (tb *Testbed) replanAccepted(now simtime.Time) {
-	reqs, ids := tb.inFlightReqs(-1)
-	order := make([]int, len(reqs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ra, rb := reqs[order[a]], reqs[order[b]]
-		if ra.Deadline != rb.Deadline {
-			return ra.Deadline < rb.Deadline
-		}
-		if ra.Bytes != rb.Bytes {
-			return ra.Bytes < rb.Bytes
-		}
-		return ra.Key < rb.Key
-	})
-	sorted := make([]core.FlowReq, len(reqs))
-	sortedIDs := make([]flowID, len(ids))
-	for i, idx := range order {
-		sorted[i] = reqs[idx]
-		sortedIDs[i] = ids[idx]
-	}
-	tb.commitEntries(sortedIDs, tb.planner.PlanAll(now, sorted, nil))
-}
-
-// commitEntries writes paths/slices to flows and installs flow tables.
-func (tb *Testbed) commitEntries(ids []flowID, entries []core.PlanEntry) {
-	for i, fid := range ids {
-		f := tb.flows[fid]
-		e := entries[i]
-		if e.Path == nil {
+// installCommitted takes over the plan the kernel just committed: every
+// routed flow gets its path and slices, and its forwarding entries move
+// to the new path.
+func (tb *Testbed) installCommitted() {
+	flows, _ := tb.kernel.Committed()
+	for _, kf := range flows {
+		if kf.Path == nil {
 			continue
 		}
+		f := tb.flows[kf.Key]
 		if len(f.path) > 0 {
 			tb.removeTables(f)
 		}
-		f.path = e.Path
-		f.slices = e.Slices
+		f.path = kf.Path
+		f.slices = kf.Slices
 		tb.installTables(f)
 	}
 }
@@ -640,7 +555,9 @@ func (tb *Testbed) removeTables(f *tbFlow) {
 
 // controllerTerm handles a TERM: withdraw the flow's entries (§IV-C).
 func (tb *Testbed) controllerTerm(fid flowID) {
-	tb.removeTables(tb.flows[fid])
+	f := tb.flows[fid]
+	tb.kernel.FlowFinished(tb.now(), uint64(fid), f.remaining)
+	tb.removeTables(f)
 }
 
 // forwardable reports whether every switch on the path has the flow
