@@ -41,14 +41,11 @@ func spanRun(scale experiments.Scale, declogPath string) (*span.Tree, *topology.
 		for i := range names {
 			names[i] = g.Link(topology.LinkID(i)).Name
 		}
-		dl.Meta(declog.Meta{Source: "tapsim", LinkNames: names})
+		dl.Append(&declog.Record{Kind: declog.KindMeta, Meta: &declog.Meta{Source: "tapsim", LinkNames: names}})
 	}
 	rec := span.NewRecorder()
-	sched := core.New(core.DefaultConfig())
-	sched.SetSpanRecorder(rec)
-	sched.SetDecisionLog(dl)
-	eng := sim.New(g, topology.NewCachedRouting(r), sched, specs, sim.Config{
-		RecordSegments: true, Spans: rec, DecLog: dl, MaxTime: simtime.Time(4e12),
+	eng := sim.New(g, topology.NewCachedRouting(r), core.New(core.DefaultConfig()), specs, sim.Config{
+		RecordSegments: true, Sink: declog.Sink{Log: dl, Spans: rec}, MaxTime: simtime.Time(4e12),
 	})
 	if _, err := eng.Run(); err != nil {
 		dl.Close()

@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"taps/internal/obs/declog"
 	"taps/internal/obs/span"
 	"taps/internal/simtime"
 	"taps/internal/topology"
@@ -154,9 +155,10 @@ func (aggs linkAggs) chargedTasks() map[int64]bool {
 // attributionLimit each — this is the chain `tapsim -why` prints and the
 // trace export attaches to the terminal instant.
 func (k *Kernel) attribute(now simtime.Time, task int64, entries []PlanEntry) {
-	blocks := k.attribution(now, task, entries)
-	k.Log.Attribute(now, task, blocks)
-	k.Spans.Attribute(task, blocks)
+	if k.Sink.On() {
+		k.Sink.Emit(&declog.Record{Kind: declog.KindAttr, Time: now, Task: task,
+			Blocks: k.attribution(now, task, entries)})
+	}
 }
 
 func (k *Kernel) attribution(now simtime.Time, task int64, entries []PlanEntry) []span.LinkBlock {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"taps/internal/core"
+	"taps/internal/obs/declog"
 	"taps/internal/obs/span"
 	"taps/internal/sim"
 	"taps/internal/simtime"
@@ -243,9 +244,7 @@ func BenchmarkTAPSFullRunSpans(b *testing.B) {
 				sched := core.New(core.DefaultConfig())
 				cfg := sim.Config{}
 				if spans {
-					rec := span.NewRecorder()
-					sched.SetSpanRecorder(rec)
-					cfg.Spans = rec
+					cfg.Sink = declog.Sink{Spans: span.NewRecorder()}
 				}
 				eng := sim.New(g, cr, sched, specs, cfg)
 				if _, err := eng.Run(); err != nil {

@@ -103,12 +103,10 @@ func checkReplayDeterminism(t *testing.T, cfg Config, failures []sim.LinkFailure
 	}
 	sched := New(cfg)
 	rec := span.NewRecorder()
-	sched.SetSpanRecorder(rec)
-	sched.SetDecisionLog(dl)
 	var live []planSnap
 	sched.onCommit = func(st *sim.State) { live = append(live, snapScheduler(sched)) }
 	eng := sim.New(g, r, sched, specs, sim.Config{
-		RecordSegments: true, Spans: rec, DecLog: dl, LinkFailures: failures,
+		RecordSegments: true, Sink: declog.Sink{Log: dl, Spans: rec}, LinkFailures: failures,
 	})
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -178,9 +176,7 @@ func TestReplayUntilIsPrefixConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := New(DefaultConfig())
-	sched.SetDecisionLog(dl)
-	eng := sim.New(g, r, sched, specs, sim.Config{DecLog: dl})
+	eng := sim.New(g, r, New(DefaultConfig()), specs, sim.Config{Sink: declog.Sink{Log: dl}})
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"strings"
 	"testing"
 
+	"taps/internal/obs/declog"
 	"taps/internal/obs/span"
 	"taps/internal/sim"
 	"taps/internal/simtime"
@@ -31,11 +32,10 @@ func runScenario(t *testing.T, cfg Config, failures []sim.LinkFailure) ([]planSn
 	g, r, specs := replayScenario()
 	sched := New(cfg)
 	rec := span.NewRecorder()
-	sched.SetSpanRecorder(rec)
 	var snaps []planSnap
 	sched.onCommit = func(st *sim.State) { snaps = append(snaps, snapScheduler(sched)) }
 	eng := sim.New(g, r, sched, specs, sim.Config{
-		RecordSegments: true, Spans: rec, LinkFailures: failures,
+		RecordSegments: true, Sink: declog.Sink{Spans: rec}, LinkFailures: failures,
 	})
 	res, err := eng.Run()
 	if err != nil {

@@ -72,13 +72,14 @@ type DataPlane interface {
 //
 // A Kernel is not safe for concurrent use.
 type Kernel struct {
-	// Obs, Spans and Log, when non-nil, receive the decision events, the
-	// causal span of every planning pass with its attribution chains, and
-	// the durable decision records (Replan, Attr, Reject/Preempt/Admit,
-	// Commit). Nil keeps the planning path free of recording work.
-	Obs   *obs.Recorder
-	Spans *span.Recorder
-	Log   *declog.Writer
+	// Obs, when non-nil, receives the decision events and what each
+	// planning pass cost. Sink, when on, receives the decision records —
+	// Replan, Attr, Reject/Preempt/Admit, Commit — once each, for the
+	// durable log and the span tree alike; an adapter that reports the
+	// lifecycle around them shares the same sink. Nil keeps the planning
+	// path free of recording work.
+	Obs  *obs.Recorder
+	Sink *declog.Sink
 
 	cfg     Config
 	dp      DataPlane
@@ -208,7 +209,7 @@ func (k *Kernel) TaskArrived(now simtime.Time, task int64, deadline simtime.Time
 	k.tasks[task] = flows
 
 	if k.cfg.FastAdmission && k.admitFast(now, task, flows) {
-		k.Log.Admit(now, task, true)
+		k.Sink.Emit(&declog.Record{Kind: declog.KindAdmit, Time: now, Task: task, Fast: true})
 		k.Obs.Record(obs.Event{Time: now, Kind: obs.KindTaskAdmitted, Task: task, Reason: "fast-admission"})
 		return Accept, span.NoTask
 	}
@@ -219,28 +220,23 @@ func (k *Kernel) TaskArrived(now simtime.Time, task int64, deadline simtime.Time
 	if !k.cfg.DisableRejectRule {
 		decision, victim = EvaluateRejectRule(k.missed(entries), task, k.Fraction, k.cfg.NoPreemption)
 	}
-	observed := k.Spans != nil || k.Log != nil
 	switch decision {
 	case RejectNew:
-		if observed {
-			k.attribute(now, task, entries)
-		}
-		k.Log.Reject(now, task, reasonRejected)
+		k.attribute(now, task, entries)
+		k.Sink.Emit(&declog.Record{Kind: declog.KindReject, Time: now, Task: task, Reason: reasonRejected})
 		k.discard(now, task, span.NoTask)
 		entries, occ = k.plan(now, span.ReplanPostReject, task, false)
 	case Preempt:
-		if observed {
-			k.Log.Preempt(now, victim, task, k.Fraction(victim), reasonPreempted)
-			k.Spans.PreemptedBy(victim, task)
-			k.attribute(now, victim, entries)
-		}
+		k.Sink.Emit(&declog.Record{Kind: declog.KindPreempt, Time: now, Task: victim, By: task,
+			Fraction: k.Fraction(victim), Reason: reasonPreempted})
+		k.attribute(now, victim, entries)
 		k.discard(now, victim, task)
 		entries, occ = k.plan(now, span.ReplanPostPreempt, victim, false)
 	case Accept:
 	}
 	k.commit(now, entries, occ)
 	if decision != RejectNew {
-		k.Log.Admit(now, task, false)
+		k.Sink.Emit(&declog.Record{Kind: declog.KindAdmit, Time: now, Task: task})
 		k.Obs.Record(obs.Event{Time: now, Kind: obs.KindTaskAdmitted, Task: task})
 	}
 	return decision, victim
@@ -431,7 +427,7 @@ func (k *Kernel) startPass() passClock {
 
 // recordPass reports the pass just planned over k.order: the latency
 // event (kind ev, about evTask) to Obs, and rs — completed with the
-// pass's time, size, paths tried and per-flow plans — to Log and Spans.
+// pass's time, size, paths tried and per-flow plans — to Sink.
 func (k *Kernel) recordPass(now simtime.Time, c passClock, ev obs.Kind, evTask int64, rs span.ReplanSpan, entries []PlanEntry) {
 	tried := k.planner.PathsTried() - c.paths
 	if k.Obs != nil {
@@ -441,11 +437,13 @@ func (k *Kernel) recordPass(now simtime.Time, c passClock, ev obs.Kind, evTask i
 			Duration: time.Since(c.t0), //taps:allow wallclock obs-only planner latency
 		})
 	}
-	if k.Spans != nil || k.Log != nil {
-		rs.Time, rs.Flows, rs.PathsTried = now, len(k.order), tried
-		rs.Plans = spanPlans(k.order, entries)
-		k.Log.Replan(now, rs)
-		k.Spans.Replan(rs)
+	if k.Sink.On() {
+		// The record points at a copy: what a record points at lives on the
+		// heap, and only a pass that is recorded should pay for that.
+		pass := rs
+		pass.Time, pass.Flows, pass.PathsTried = now, len(k.order), tried
+		pass.Plans = spanPlans(k.order, entries)
+		k.Sink.Emit(&declog.Record{Kind: declog.KindReplan, Time: now, Replan: &pass})
 	}
 }
 
@@ -506,7 +504,7 @@ func (k *Kernel) commit(now simtime.Time, entries []PlanEntry, occ map[topology.
 	}
 	k.occ = occ
 	k.merged = false
-	k.Log.Commit(now, declog.CommitReplace)
+	k.Sink.Emit(&declog.Record{Kind: declog.KindCommit, Time: now, Mode: declog.CommitReplace})
 }
 
 // admitFast tries the FastAdmission append-only path: plan just the new
@@ -542,6 +540,6 @@ func (k *Kernel) admitFast(now simtime.Time, task int64, flows []*Flow) bool {
 		k.occ[l] = set
 	}
 	k.merged = true
-	k.Log.Commit(now, declog.CommitMerge)
+	k.Sink.Emit(&declog.Record{Kind: declog.KindCommit, Time: now, Mode: declog.CommitMerge})
 	return true
 }

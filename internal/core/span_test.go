@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"taps/internal/core"
+	"taps/internal/obs/declog"
 	"taps/internal/obs/span"
 	"taps/internal/sim"
 	"taps/internal/simtime"
@@ -31,10 +32,8 @@ func spanScenario() (*topology.Graph, topology.Routing, []sim.TaskSpec) {
 // engine and the scheduler, returning the snapshot.
 func runWithSpans(t testing.TB) *span.Tree {
 	g, r, specs := spanScenario()
-	sched := core.New(core.DefaultConfig())
 	rec := span.NewRecorder()
-	sched.SetSpanRecorder(rec)
-	eng := sim.New(g, r, sched, specs, sim.Config{RecordSegments: true, Spans: rec})
+	eng := sim.New(g, r, core.New(core.DefaultConfig()), specs, sim.Config{RecordSegments: true, Sink: declog.Sink{Spans: rec}})
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -143,10 +142,8 @@ func TestPreemptionSpans(t *testing.T) {
 		{Arrival: simtime.Millisecond, Deadline: 40 * simtime.Millisecond,
 			Flows: []sim.FlowSpec{{Src: hosts[0], Dst: hosts[1], Size: 2 * mb}}},
 	}
-	sched := core.New(core.DefaultConfig())
 	rec := span.NewRecorder()
-	sched.SetSpanRecorder(rec)
-	eng := sim.New(g, topology.NewCachedRouting(r), sched, specs, sim.Config{Spans: rec})
+	eng := sim.New(g, topology.NewCachedRouting(r), core.New(core.DefaultConfig()), specs, sim.Config{Sink: declog.Sink{Spans: rec}})
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -203,19 +203,13 @@ func (s *Scheduler) FastAdmits() int { return s.k.FastAdmits() }
 // uninstrumented hot path.
 func (s *Scheduler) SetRecorder(r *obs.Recorder) { s.k.Obs = r }
 
-// SetSpanRecorder attaches a causal span recorder: every planning pass is
-// recorded with its per-flow plans (candidates, winning path, granted
-// slices, planned finish), rejections and preemptions carry attribution
-// chains naming the blocking links and their holders. A nil recorder (the
-// default) disables recording with zero cost on the planning path.
-func (s *Scheduler) SetSpanRecorder(r *span.Recorder) { s.k.Spans = r }
-
-// SetDecisionLog attaches the durable decision log (flight recorder):
-// every planning pass, commit, admit, reject and preemption is appended as
-// a CRC-framed record, from which a Replayer reconstructs the plan state
-// bit-identically. A nil writer (the default) disables logging with zero
-// cost on the planning path.
-func (s *Scheduler) SetDecisionLog(w *declog.Writer) { s.k.Log = w }
+// SetSink implements sim.SinkUser: the engine hands over the sink it
+// reports the task and flow lifecycle to, and every planning pass (per-flow
+// plans: candidates, winning path, granted slices, planned finish), commit,
+// admit, reject and preemption with its attribution chain joins it there —
+// one complete decision log and span tree per run. A nil sink (the default)
+// leaves the planning path free of recording work.
+func (s *Scheduler) SetSink(k *declog.Sink) { s.k.Sink = k }
 
 // Slices returns the planned transmission slices of a flow (for tests).
 func (s *Scheduler) Slices(id sim.FlowID) simtime.IntervalSet {

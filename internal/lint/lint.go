@@ -207,7 +207,7 @@ func RunWithTimings(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Tim
 // All returns the registered analyzer set, in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{Wallclock, GlobalRand, MapOrder, ScratchEscape,
-		LockOrder, EmitParity, KindExhaustive, HotPathAlloc}
+		LockOrder, KindExhaustive, HotPathAlloc}
 }
 
 // testdataPrefix marks the lint fixtures: scoped analyzers always opt into

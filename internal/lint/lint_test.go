@@ -89,42 +89,8 @@ func TestGlobalRandFixture(t *testing.T)     { runFixture(t, GlobalRand, "global
 func TestMapOrderFixture(t *testing.T)       { runFixture(t, MapOrder, "maporder") }
 func TestScratchEscapeFixture(t *testing.T)  { runFixture(t, ScratchEscape, "scratchescape") }
 func TestLockOrderFixture(t *testing.T)      { runFixture(t, LockOrder, "lockorder") }
-func TestEmitParityFixture(t *testing.T)     { runFixture(t, EmitParity, "emitparity") }
 func TestKindExhaustiveFixture(t *testing.T) { runFixture(t, KindExhaustive, "kindexhaustive") }
 func TestHotPathAllocFixture(t *testing.T)   { runFixture(t, HotPathAlloc, "hotpathalloc") }
-
-// TestEmitParityRegression deliberately compiles a span emission whose
-// declog twin was removed (testdata/emitparity/tagged_missing.go, behind
-// the taps_regress_missing_declog build tag) and asserts emitparity
-// catches it. This ties the analyzer to the replay-determinism property
-// tests: the omission it guards against is exactly what makes a replayed
-// span tree diverge from the live one.
-func TestEmitParityRegression(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader.Tags = []string{"taps_regress_missing_declog"}
-	pkgs, err := loader.Load("./testdata/emitparity")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pkg := range pkgs {
-		for _, e := range pkg.Errs {
-			t.Fatalf("tagged fixture does not type-check: %v", e)
-		}
-	}
-	found := false
-	for _, d := range Run(pkgs, []*Analyzer{EmitParity}) {
-		if strings.HasSuffix(d.Pos.Filename, "tagged_missing.go") &&
-			strings.Contains(d.Message, "span TaskEnded emitted without declog.TaskEnded") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("emitparity did not flag the deliberately dropped declog emission in tagged_missing.go")
-	}
-}
 
 // TestKindExhaustiveCatchesNewKind proves the acceptance criterion: adding
 // a declog.Kind constant without replayer handling fails lint. The
@@ -232,7 +198,7 @@ func TestAnalyzerSetStable(t *testing.T) {
 		}
 	}
 	got := strings.Join(names, " ")
-	want := "wallclock globalrand maporder scratchescape lockorder emitparity kindexhaustive hotpathalloc"
+	want := "wallclock globalrand maporder scratchescape lockorder kindexhaustive hotpathalloc"
 	if got != want {
 		t.Errorf("All() = %q, want %q", got, want)
 	}

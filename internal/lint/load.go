@@ -54,8 +54,8 @@ type Loader struct {
 
 	// Tags is an optional set of extra build tags honored during file
 	// selection, mirroring `go build -tags`. Set it before the first Load.
-	// The emitparity regression fixtures use this to hide a deliberately
-	// broken emission site from normal runs.
+	// The kindexhaustive regression test uses this to compile a record
+	// kind that normal runs never see.
 	Tags []string
 
 	fset  *token.FileSet

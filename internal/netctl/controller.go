@@ -73,11 +73,9 @@ func (p ctlPlane) Discard(now simtime.Time, task, by int64) {
 		outcome, reason, note = span.OutcomePreempted, fmt.Sprintf("preempted by task %d", by), "task preempted"
 		ev.Kind, ev.Fraction, ev.Reason = obs.KindTaskPreempted, c.kernel.Fraction(task), "preempted"
 	}
-	c.declog.TaskEnded(now, task, outcome, reason)
-	c.spans.TaskEnded(task, now, outcome, reason)
+	c.sink.Emit(&declog.Record{Kind: declog.KindTaskEnd, Time: now, Task: task, Outcome: outcome, Reason: reason})
 	for _, f := range c.kernel.Flows(task) {
-		c.declog.FlowEnded(now, int64(f.Key), false, false, note)
-		c.spans.FlowEnded(int64(f.Key), now, false, false, note)
+		c.sink.Emit(&declog.Record{Kind: declog.KindFlowEnd, Time: now, Flow: int64(f.Key), Reason: note})
 	}
 	c.obs.Record(ev)
 	c.accepted[task] = false
@@ -86,12 +84,14 @@ func (p ctlPlane) Discard(now simtime.Time, task, by int64) {
 // Controller is the networked TAPS controller. Create with NewController,
 // start with Serve (or ServeListener), stop with Close.
 type Controller struct {
-	cfg    ControllerConfig
-	graph  *topology.Graph
-	epoch  time.Time
-	obs    *obs.Recorder
-	spans  *span.Recorder
-	declog *declog.Writer
+	cfg   ControllerConfig
+	graph *topology.Graph
+	epoch time.Time
+	obs   *obs.Recorder
+	// sink is where the controller and its kernel, which shares it, report
+	// every decision and lifecycle record: the span recorder is always on,
+	// the log is attached by EnableDecisionLog.
+	sink declog.Sink
 
 	load *loadStats
 
@@ -126,7 +126,7 @@ func NewController(g *topology.Graph, r topology.Routing, cfg ControllerConfig) 
 		graph:    g,
 		epoch:    time.Now(), //taps:allow wallclock real controller: the virtual clock is anchored to a wall-clock epoch
 		obs:      obs.NewRecorder(obs.Options{}),
-		spans:    span.NewRecorder(),
+		sink:     declog.Sink{Spans: span.NewRecorder()},
 		load:     newLoadStats(),
 		agents:   make(map[*codec]HelloMsg),
 		accepted: make(map[int64]bool),
@@ -139,7 +139,7 @@ func NewController(g *topology.Graph, r topology.Routing, cfg ControllerConfig) 
 		Incremental:             cfg.Incremental,
 		IncrementalMaxDirtyFrac: cfg.IncrementalMaxDirtyFrac,
 	}, ctlPlane{c})
-	c.kernel.Obs, c.kernel.Spans = c.obs, c.spans
+	c.kernel.Obs, c.kernel.Sink = c.obs, &c.sink
 	return c
 }
 
@@ -148,7 +148,7 @@ func NewController(g *topology.Graph, r topology.Routing, cfg ControllerConfig) 
 // attribution chains behind rejections and preemptions. This is the data
 // served by GET /trace and GET /why; snapshot it at any time while the
 // controller keeps recording.
-func (c *Controller) SpanRecorder() *span.Recorder { return c.spans }
+func (c *Controller) SpanRecorder() *span.Recorder { return c.sink.Spans }
 
 // Recorder returns the controller's always-on observability recorder:
 // decision events, planner latency, and the data behind /metrics and
@@ -160,7 +160,7 @@ func (c *Controller) Recorder() *obs.Recorder { return c.obs }
 func (c *Controller) DecisionLog() *declog.Writer {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.declog
+	return c.sink.Log
 }
 
 // EnableDecisionLog makes path the controller's durable flight recorder
@@ -177,18 +177,18 @@ func (c *Controller) EnableDecisionLog(path string) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.declog, c.kernel.Log = w, w
+	c.sink.Log = w
 	if len(recs) == 0 {
 		names := make([]string, c.graph.NumLinks())
 		for i := range names {
 			names[i] = c.graph.Link(topology.LinkID(i)).Name
 		}
-		w.Meta(declog.Meta{
+		c.sink.Emit(&declog.Record{Kind: declog.KindMeta, Meta: &declog.Meta{
 			Source:        "netctl",
 			EpochUnixNano: c.epoch.UnixNano(),
 			Speedup:       c.cfg.Speedup,
 			LinkNames:     names,
-		})
+		}})
 		return w.Sync() //taps:allow lockorder one-time setup before Serve; the meta record must be durable before any decision
 	}
 	rp := declog.NewReplayer()
@@ -204,7 +204,7 @@ func (c *Controller) EnableDecisionLog(path string) error {
 			c.cfg.Speedup = m.Speedup
 		}
 	}
-	c.spans, c.kernel.Spans = rp.Spans(), rp.Spans()
+	c.sink.Spans = rp.Spans()
 	flows := rp.Flows()
 	for _, fids := range rp.TaskFlows() {
 		for _, id := range fids {
@@ -305,7 +305,7 @@ func (c *Controller) Close() error {
 		c.mu.Lock()
 		c.closing = true
 		l := c.listener
-		w := c.declog
+		w := c.sink.Log
 		conns := make([]*codec, 0, len(c.agents))
 		for cd := range c.agents {
 			conns = append(conns, cd)
@@ -339,24 +339,28 @@ func (c *Controller) handle(cd *codec) {
 		return
 	}
 	hello := *env.Hello
-	if err := cd.send(Envelope{Type: TypeWelcome, Welcome: &WelcomeMsg{
-		EpochUnixNano: c.epoch.UnixNano(),
-		Speedup:       c.cfg.Speedup,
-	}}); err != nil {
-		return
-	}
+	// Registering and welcoming are one critical section: an agent that has
+	// read its welcome is in the broadcast set of every later decision, and
+	// no grant can reach it ahead of the welcome.
 	c.mu.Lock()
 	c.agents[cd] = hello
 	if len(c.agents) > c.load.peakAgents {
 		c.load.peakAgents = len(c.agents)
 	}
+	err = cd.send(Envelope{Type: TypeWelcome, Welcome: &WelcomeMsg{ //taps:allow lockorder the welcome must precede any broadcast to this agent, and broadcasts serialize under mu
+		EpochUnixNano: c.epoch.UnixNano(),
+		Speedup:       c.cfg.Speedup,
+	}})
 	c.mu.Unlock()
-	c.cfg.Logf("netctl: agent %s (host %d) connected", hello.Agent, hello.Host)
 	defer func() {
 		c.mu.Lock()
 		delete(c.agents, cd)
 		c.mu.Unlock()
 	}()
+	if err != nil {
+		return
+	}
+	c.cfg.Logf("netctl: agent %s (host %d) connected", hello.Agent, hello.Host)
 	for {
 		env, err := cd.recv()
 		if err != nil {
@@ -421,28 +425,14 @@ func (c *Controller) onProbe(p ProbeMsg) {
 	c.decided[p.Task] = true
 	now := c.now()
 
-	// The arrival record is written ahead of the span emissions
-	// (emitparity): if the process dies between the two, the authoritative
-	// log already holds what the derived span trees would have shown.
-	labels := make([]string, len(p.Flows))
 	specs := make([]core.FlowSpec, len(p.Flows))
-	var infos []declog.FlowInfo
-	if c.declog != nil {
-		infos = make([]declog.FlowInfo, 0, len(p.Flows))
-	}
+	infos := make([]declog.FlowInfo, len(p.Flows))
 	for i, fi := range p.Flows {
 		specs[i] = core.FlowSpec{Key: fi.ID, Src: fi.Src, Dst: fi.Dst, Size: fi.Size}
-		labels[i] = c.graph.Node(fi.Src).Name + "->" + c.graph.Node(fi.Dst).Name
-		if c.declog != nil {
-			infos = append(infos, declog.FlowInfo{ID: int64(fi.ID),
-				Src: int32(fi.Src), Dst: int32(fi.Dst), Size: fi.Size, Label: labels[i]})
-		}
+		infos[i] = declog.FlowInfo{ID: int64(fi.ID), Src: int32(fi.Src), Dst: int32(fi.Dst), Size: fi.Size,
+			Label: c.graph.Node(fi.Src).Name + "->" + c.graph.Node(fi.Dst).Name}
 	}
-	c.declog.TaskArrived(now, p.Task, p.Deadline, infos)
-	c.spans.TaskArrived(p.Task, now, p.Deadline)
-	for i, fi := range p.Flows {
-		c.spans.FlowArrived(int64(fi.ID), p.Task, now, p.Deadline, labels[i])
-	}
+	c.sink.Emit(&declog.Record{Kind: declog.KindTask, Time: now, Task: p.Task, Deadline: p.Deadline, Flows: infos})
 	var decision core.Decision
 	var victim int64
 	c.decideLocked(func() { decision, victim = c.kernel.TaskArrived(now, p.Task, p.Deadline, specs) })
@@ -482,11 +472,11 @@ func (c *Controller) decideLocked(input func()) {
 // wait to the in-progress probe's declog_sync stage. Without a decision
 // log the stage stays empty rather than recording no-op timings.
 func (c *Controller) declogSyncLocked() {
-	if c.declog == nil {
+	if c.sink.Log == nil {
 		return
 	}
 	t0 := time.Now()                            //taps:allow wallclock obs-only stage latency; never feeds virtual time
-	c.declog.Sync()                             //taps:allow lockorder write-ahead contract: the decision must be durable before any agent hears it, so the fsync sits inside the critical section
+	c.sink.Log.Sync()                           //taps:allow lockorder write-ahead contract: the decision must be durable before any agent hears it, so the fsync sits inside the critical section
 	c.stageAdd(StageDeclogSync, time.Since(t0)) //taps:allow wallclock obs-only stage latency; never feeds virtual time
 }
 
@@ -551,15 +541,14 @@ func (c *Controller) onTerm(t TermMsg) {
 // flowEndedLocked closes a finished flow's span; when it was the last flow
 // of its task, the task's span closes as completed.
 func (c *Controller) flowEndedLocked(f *core.Flow, now simtime.Time) {
-	c.declog.FlowEnded(now, int64(f.Key), true, now <= f.Deadline, "")
-	c.spans.FlowEnded(int64(f.Key), now, true, now <= f.Deadline, "")
+	c.sink.Emit(&declog.Record{Kind: declog.KindFlowEnd, Time: now, Flow: int64(f.Key),
+		Done: true, OnTime: now <= f.Deadline})
 	for _, g := range c.kernel.Flows(f.Task) {
 		if !g.Done {
 			return
 		}
 	}
-	c.declog.TaskEnded(now, f.Task, span.OutcomeCompleted, "")
-	c.spans.TaskEnded(f.Task, now, span.OutcomeCompleted, "")
+	c.sink.Emit(&declog.Record{Kind: declog.KindTaskEnd, Time: now, Task: f.Task, Outcome: span.OutcomeCompleted})
 }
 
 // Snapshot is introspection for tests and operators.

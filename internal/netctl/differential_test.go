@@ -85,8 +85,7 @@ func TestSimAndControllerDecideAlike(t *testing.T) {
 				t.Fatal(err)
 			}
 			sched := core.New(core.DefaultConfig())
-			sched.SetDecisionLog(dl)
-			if _, err := sim.New(g, r, sched, stream.specs, sim.Config{DecLog: dl}).Run(); err != nil {
+			if _, err := sim.New(g, r, sched, stream.specs, sim.Config{Sink: declog.Sink{Log: dl}}).Run(); err != nil {
 				t.Fatal(err)
 			}
 			if err := dl.Close(); err != nil {

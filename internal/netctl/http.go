@@ -199,7 +199,7 @@ func (c *Controller) HTTPHandler() http.Handler {
 	mux.HandleFunc("GET /trace", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		linkName := func(l int32) string { return c.graph.Link(topology.LinkID(l)).Name }
-		if err := span.WriteTraceEvents(w, c.spans.Snapshot(),
+		if err := span.WriteTraceEvents(w, c.sink.Spans.Snapshot(),
 			span.ExportOptions{LinkName: linkName}); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
@@ -212,7 +212,7 @@ func (c *Controller) HTTPHandler() http.Handler {
 		}
 		linkName := func(l int32) string { return c.graph.Link(topology.LinkID(l)).Name }
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write([]byte(span.WhyText(c.spans.Snapshot(), task, linkName)))
+		w.Write([]byte(span.WhyText(c.sink.Spans.Snapshot(), task, linkName)))
 	})
 	mux.HandleFunc("GET /declog", func(w http.ResponseWriter, r *http.Request) {
 		dl := c.DecisionLog()

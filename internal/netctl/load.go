@@ -174,7 +174,7 @@ func (c *Controller) Load() Load {
 		ProbesDropped:  c.load.probesDropped,
 		TermsTotal:     c.load.termsTotal,
 	}
-	dl := c.declog
+	dl := c.sink.Log
 	c.mu.Unlock()
 	ld.DeclogPending = dl.Pending()
 	total := c.load.stages[StageTotal]
@@ -220,7 +220,7 @@ func (c *Controller) Health() Health {
 		ProbesTotal:    c.load.probesTotal,
 		ProbesDropped:  c.load.probesDropped,
 	}
-	dl := c.declog
+	dl := c.sink.Log
 	closing := c.closing
 	c.mu.Unlock()
 	if err := dl.Err(); err != nil {

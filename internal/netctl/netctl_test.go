@@ -53,14 +53,6 @@ func TestSingleTaskOverTCP(t *testing.T) {
 	hosts := g.Hosts()
 	a0 := dial(t, addr, "a0", hosts[0])
 	a1 := dial(t, addr, "a1", hosts[2])
-	// Dial returns on the welcome frame, which the controller sends before
-	// it adds the agent to its broadcast set: a grant decided in between
-	// would never reach a1. Wait until both agents are in the set.
-	for deadline := time.Now().Add(2 * time.Second); ctl.Snapshot().Agents < 2; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("agents never registered")
-		}
-	}
 
 	// 125 KB at 1 Gbps = 1 ms virtual; deadline 100 ms virtual.
 	err := a0.SubmitTask(1, 500*simtime.Millisecond, []netctl.FlowInfo{
@@ -98,6 +90,26 @@ func TestSingleTaskOverTCP(t *testing.T) {
 	for _, o := range append(o0, o1...) {
 		if !o.OnTime {
 			t.Fatalf("flow %d late: finish=%d deadline=%d", o.ID, o.Finish, o.Deadline)
+		}
+	}
+}
+
+// TestWelcomedAgentIsRegistered: an agent that has read its welcome frame
+// is already in the controller's broadcast set, so a decision made right
+// after Dial returns reaches it. (The welcome used to go out first, and a
+// grant decided before the registration never arrived.)
+func TestWelcomedAgentIsRegistered(t *testing.T) {
+	ctl, addr, g := startController(t)
+	for i := 0; i < 1000; i++ {
+		d := dialWire(t, addr, g.Hosts()[0])
+		if n := ctl.Snapshot().Agents; n != 1 {
+			t.Fatalf("connection %d: welcome read with %d agents registered, want 1", i, n)
+		}
+		d.conn.Close()
+		for deadline := time.Now().Add(5 * time.Second); ctl.Snapshot().Agents != 0; time.Sleep(50 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("connection %d: closed agent never unregistered", i)
+			}
 		}
 	}
 }

@@ -109,8 +109,8 @@ func loggedController(t *testing.T, g *topology.Graph, r topology.Routing) (*Con
 // requires it accepted.
 func probeKernel(t *testing.T, c *Controller, now simtime.Time, task int64, deadline simtime.Time, src, dst topology.NodeID, size int64) {
 	t.Helper()
-	c.declog.TaskArrived(now, task, deadline, []declog.FlowInfo{
-		{ID: task, Src: int32(src), Dst: int32(dst), Size: size}})
+	c.sink.Emit(&declog.Record{Kind: declog.KindTask, Time: now, Task: task, Deadline: deadline, Flows: []declog.FlowInfo{
+		{ID: task, Src: int32(src), Dst: int32(dst), Size: size}}})
 	d, _ := c.kernel.TaskArrived(now, task, deadline,
 		[]core.FlowSpec{{Key: uint64(task), Src: src, Dst: dst, Size: size}})
 	if d != core.Accept {

@@ -1,12 +1,13 @@
 // Package declog is the flight recorder: a compact append-only binary
-// decision log written by the TAPS core scheduler and the networked
-// controller alongside the span recorder. Every record is one controller
-// decision or lifecycle event — task arrival, planning pass (slice
-// grants), admit / fast-admit, reject, preempt, attribution chain,
-// task/flow terminal, transmission segments, link failure, and the
-// plan-state commit markers — stamped with simulated time and framed with
-// a CRC so a torn tail (a crash mid-write) is detected and truncated
-// instead of poisoning recovery.
+// decision log, and the one path (Sink) by which the decision kernel, the
+// simulator and the networked controller report what they decide — to
+// the log and, through the fold the Replayer shares, to the span
+// recorder. Every record is one controller decision or lifecycle event —
+// task arrival, planning pass (slice grants), admit / fast-admit, reject,
+// preempt, attribution chain, task/flow terminal, transmission segments,
+// link failure, and the plan-state commit markers — stamped with simulated
+// time and framed with a CRC so a torn tail (a crash mid-write) is
+// detected and truncated instead of poisoning recovery.
 //
 // The log is authoritative: the Replayer reconstructs, from the records
 // alone, (a) the exact span tree the live run recorded — so a replayed

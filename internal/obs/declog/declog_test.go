@@ -142,7 +142,7 @@ func TestTornTailDetectionAndRecovery(t *testing.T) {
 	if ds := health.DeclogStats(); ds.Truncations != 1 {
 		t.Fatalf("truncations counter = %d, want 1", ds.Truncations)
 	}
-	w.LinkDown(2000, 3)
+	w.Append(&Record{Kind: KindLinkDown, Time: 2000, Link: 3})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -214,8 +214,8 @@ func TestOpenAppendFreshFile(t *testing.T) {
 	if len(recovered) != 0 {
 		t.Fatalf("fresh log recovered %d records", len(recovered))
 	}
-	w.Meta(Meta{Source: "fresh"})
-	w.Admit(10, 1, false)
+	w.Append(&Record{Kind: KindMeta, Meta: &Meta{Source: "fresh"}})
+	w.Append(&Record{Kind: KindAdmit, Time: 10, Task: 1})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestHealthCountersAndSyncBatching(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		w.Admit(simtime.Time(i), int64(i), false)
+		w.Append(&Record{Kind: KindAdmit, Time: simtime.Time(i), Task: int64(i)})
 	}
 	ds := health.DeclogStats()
 	if ds.Records != 5 {
@@ -258,31 +258,97 @@ func TestHealthCountersAndSyncBatching(t *testing.T) {
 	}
 }
 
+// TestNilWriterIsInert: every way a sink can be partly or wholly off — nil
+// sink, no log, no recorder, neither — takes all twelve kinds without
+// panicking, and whichever half is attached still gets them.
 func TestNilWriterIsInert(t *testing.T) {
-	var w *Writer
-	w.Meta(Meta{})
-	w.TaskArrived(0, 1, 2, nil)
-	w.Replan(0, span.ReplanSpan{})
-	w.Admit(0, 1, false)
-	w.Reject(0, 1, "")
-	w.Preempt(0, 1, 2, 0, "")
-	w.Attribute(0, 1, nil)
-	w.TaskEnded(0, 1, span.OutcomeCompleted, "")
-	w.FlowEnded(0, 1, true, true, "")
-	w.Segments(0, 1, nil)
-	w.LinkDown(0, 1)
-	w.Commit(0, CommitReplace)
-	if err := w.Append(&Record{}); err != nil {
+	emitAll := func(s *Sink) {
+		recs := sampleRecords()
+		for i := range recs {
+			s.Emit(&recs[i])
+		}
+	}
+	var none *Sink
+	emitAll(none)
+	emitAll(&Sink{})
+	if none.On() || (&Sink{}).On() {
+		t.Fatal("a sink with nothing attached reports On")
+	}
+
+	path := filepath.Join(t.TempDir(), "log.dlg")
+	w, err := Create(path, Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Sync(); err != nil {
+	logOnly := &Sink{Log: w}
+	emitAll(logOnly)
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if got, _, err := ReadFile(path); err != nil || len(got) != len(sampleRecords()) {
+		t.Fatalf("log-only sink wrote %d records (err %v), want %d", len(got), err, len(sampleRecords()))
+	}
+
+	spansOnly := &Sink{Spans: span.NewRecorder()}
+	emitAll(spansOnly)
+	if tree := spansOnly.Spans.Snapshot(); len(tree.Tasks) == 0 || len(tree.Replans) != 1 {
+		t.Fatalf("spans-only sink recorded %d tasks, %d passes", len(tree.Tasks), len(tree.Replans))
+	}
+	if !logOnly.On() || !spansOnly.On() {
+		t.Fatal("a half-attached sink reports off")
+	}
+
+	var nw *Writer
+	if err := nw.Append(&Record{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if nw.Path() != "" || nw.Err() != nil || nw.Pending() != 0 {
+		t.Fatal("nil writer leaked state")
+	}
+}
+
+// TestSinkLiveTreeEqualsReplay is the sink's contract: records emitted
+// through a sink with a log and a recorder attached build, live, the very
+// tree a replayer rebuilds from the file — and the tree does not depend on
+// whether a log was attached at all.
+func TestSinkLiveTreeEqualsReplay(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log.dlg")
+	w, err := Create(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	both := &Sink{Log: w, Spans: span.NewRecorder()}
+	spansOnly := &Sink{Spans: span.NewRecorder()}
+	for _, s := range []*Sink{both, spansOnly} {
+		recs := sampleRecords()
+		for i := range recs {
+			s.Emit(&recs[i])
+		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Path() != "" || w.Err() != nil {
-		t.Fatal("nil writer leaked state")
+	recs, truncated, err := ReadFile(path)
+	if err != nil || truncated {
+		t.Fatalf("reread: err=%v truncated=%v", err, truncated)
+	}
+	rp := NewReplayer()
+	rp.ApplyAll(recs)
+	live := both.Spans.Snapshot()
+	if len(live.Tasks) != 1 || len(live.Flows) != 2 || len(live.Replans) != 1 || len(live.LinkDowns) != 1 {
+		t.Fatalf("live tree: %d tasks, %d flows, %d passes, %d link-downs", len(live.Tasks), len(live.Flows), len(live.Replans), len(live.LinkDowns))
+	}
+	if !reflect.DeepEqual(live, rp.Tree()) {
+		t.Fatalf("replayed tree differs from the live one:\n live %+v\nreplay %+v", live, rp.Tree())
+	}
+	if !reflect.DeepEqual(live, spansOnly.Spans.Snapshot()) {
+		t.Fatalf("spans-only tree differs from the logged run's:\n logged %+v\nspans-only %+v", live, spansOnly.Spans.Snapshot())
 	}
 }
 
@@ -297,9 +363,9 @@ func TestUnknownCommitModeRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Admit(10, 1, false)
-	w.Commit(10, CommitMode(2))
-	w.Admit(20, 2, false)
+	w.Append(&Record{Kind: KindAdmit, Time: 10, Task: 1})
+	w.Append(&Record{Kind: KindCommit, Time: 10, Mode: CommitMode(2)})
+	w.Append(&Record{Kind: KindAdmit, Time: 20, Task: 2})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -35,8 +35,8 @@ type SentGrant struct {
 // Replayer reconstructs controller state by folding decision records in
 // log order. It maintains two views simultaneously:
 //
-//   - the span forest: records are fed into a fresh span.Recorder in the
-//     same call order the live run used, so Tree() is field-identical to
+//   - the span forest: every record goes through fold, the function a
+//     live Sink feeds its recorder with, so Tree() is field-identical to
 //     the live recorder's snapshot (and a trace export is byte-identical);
 //   - the plan state: per-flow slice grants, per-link occupancy, and the
 //     in-flight flow table, rebuilt by applying each KindCommit with its
@@ -89,7 +89,8 @@ func (r *Replayer) ApplyAll(recs []Record) {
 	}
 }
 
-// Apply folds one record.
+// Apply folds one record: into the span forest with the function a live
+// Sink uses, and into the plan state kept here on top of it.
 func (r *Replayer) Apply(rec *Record) {
 	if r.hasUntil && rec.Time > r.until {
 		// Past the cutoff. Segment records are the one exception: they are
@@ -100,15 +101,19 @@ func (r *Replayer) Apply(rec *Record) {
 		}
 	}
 	r.applied++
+	if rec.Kind == KindSegments && r.hasUntil {
+		clipped := *rec
+		clipped.Segments = r.clipSegments(rec.Segments)
+		rec = &clipped
+	}
+	fold(r.spans, rec)
 	switch rec.Kind {
 	case KindMeta:
 		r.meta = rec.Meta
 	case KindTask:
-		r.spans.TaskArrived(rec.Task, rec.Time, rec.Deadline)
 		r.decided[rec.Task] = true
 		for i := range rec.Flows {
 			fi := &rec.Flows[i]
-			r.spans.FlowArrived(fi.ID, rec.Task, rec.Time, rec.Deadline, fi.Label)
 			r.flows[fi.ID] = &FlowState{
 				Flow: fi.ID, Task: rec.Task, Src: fi.Src, Dst: fi.Dst,
 				Size: fi.Size, Label: fi.Label, Deadline: rec.Deadline,
@@ -117,9 +122,6 @@ func (r *Replayer) Apply(rec *Record) {
 		}
 	case KindReplan:
 		r.lastReplan = rec.Replan
-		rs := *rec.Replan
-		rs.Plans = append([]span.PlanSpan(nil), rec.Replan.Plans...)
-		r.spans.Replan(rs)
 	case KindCommit:
 		r.applyCommit(rec)
 	case KindAdmit:
@@ -128,30 +130,18 @@ func (r *Replayer) Apply(rec *Record) {
 		r.accepted[rec.Task] = false
 		r.dropTask(rec.Task)
 	case KindPreempt:
-		r.spans.PreemptedBy(rec.Task, rec.By)
 		r.accepted[rec.Task] = false
 		r.dropTask(rec.Task)
 		r.accepted[rec.By] = true
-	case KindAttr:
-		r.spans.Attribute(rec.Task, rec.Blocks)
-	case KindTaskEnd:
-		r.spans.TaskEnded(rec.Task, rec.Time, rec.Outcome, rec.Reason)
 	case KindFlowEnd:
-		r.spans.FlowEnded(rec.Flow, rec.Time, rec.Done, rec.OnTime, rec.Reason)
 		if f := r.flows[rec.Flow]; f != nil {
 			f.Done = rec.Done
 		}
-	case KindSegments:
-		r.spans.ImportSegments(rec.Flow, r.clipSegments(rec.Segments))
-	case KindLinkDown:
-		r.spans.LinkWentDown(rec.Link, rec.Time)
+	case KindAttr, KindTaskEnd, KindSegments, KindLinkDown:
 	}
 }
 
 func (r *Replayer) clipSegments(segs []span.Segment) []span.Segment {
-	if !r.hasUntil {
-		return segs
-	}
 	out := make([]span.Segment, 0, len(segs))
 	for _, s := range segs {
 		if s.Interval.Start >= r.until {

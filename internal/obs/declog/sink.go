@@ -1,0 +1,62 @@
+package declog
+
+import "taps/internal/obs/span"
+
+// Sink is the one emission path of a run: a decision or lifecycle fact is
+// reported once, as a Record, and the sink turns it into both of its
+// forms — a frame in the durable log and a mutation of the live span
+// tree. The span half is fold, the same function the Replayer applies to
+// a record read back from the file, so the tree a log replays into is the
+// live tree by construction rather than by paired call sites.
+//
+// Either field may be nil; a nil *Sink is a valid sink that is off.
+// Emit is as safe for concurrent use as the Writer and Recorder behind it.
+type Sink struct {
+	Log   *Writer
+	Spans *span.Recorder
+}
+
+// On reports whether anything is listening. Call sites use it to skip
+// building a record's payload (plans, chains, labels) when nothing is.
+func (s *Sink) On() bool { return s != nil && (s.Log != nil || s.Spans != nil) }
+
+// Emit reports one fact. The log append comes first: should the process
+// die between the two steps, the authoritative log already holds what the
+// derived tree would have shown (write-ahead). Append errors are sticky on
+// the Writer and surface through its Err/Sync/Close.
+func (s *Sink) Emit(r *Record) {
+	if s == nil {
+		return
+	}
+	s.Log.Append(r)
+	fold(s.Spans, r)
+}
+
+// fold applies one record to a span recorder. The recorder takes what the
+// record points at (plans, chain, segments) without copying: whoever emits
+// or replays a record leaves it alone afterwards. Kinds that change plan
+// state only — what the Replayer keeps on top — leave the tree as it is.
+func fold(spans *span.Recorder, r *Record) {
+	switch r.Kind {
+	case KindTask:
+		spans.TaskArrived(r.Task, r.Time, r.Deadline)
+		for i := range r.Flows {
+			spans.FlowArrived(r.Flows[i].ID, r.Task, r.Time, r.Deadline, r.Flows[i].Label)
+		}
+	case KindReplan:
+		spans.Replan(*r.Replan)
+	case KindPreempt:
+		spans.PreemptedBy(r.Task, r.By)
+	case KindAttr:
+		spans.Attribute(r.Task, r.Blocks)
+	case KindTaskEnd:
+		spans.TaskEnded(r.Task, r.Time, r.Outcome, r.Reason)
+	case KindFlowEnd:
+		spans.FlowEnded(r.Flow, r.Time, r.Done, r.OnTime, r.Reason)
+	case KindSegments:
+		spans.ImportSegments(r.Flow, r.Segments)
+	case KindLinkDown:
+		spans.LinkWentDown(r.Link, r.Time)
+	case KindMeta, KindAdmit, KindReject, KindCommit:
+	}
+}

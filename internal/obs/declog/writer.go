@@ -8,8 +8,6 @@ import (
 	"sync"
 
 	"taps/internal/obs"
-	"taps/internal/obs/span"
-	"taps/internal/simtime"
 )
 
 // castagnoli is the CRC-32C polynomial table shared by framing and
@@ -42,9 +40,9 @@ func (o Options) syncEvery() int {
 }
 
 // Writer appends CRC-framed records to a decision log file. All methods
-// are safe for concurrent use and no-ops on a nil *Writer, so call sites
-// on the planning hot path need no conditionals. Write errors are sticky:
-// the first one is retained (see Err) and subsequent appends are dropped,
+// are safe for concurrent use and no-ops on a nil *Writer, so a Sink with
+// no log attached needs no conditionals. Write errors are sticky: the
+// first one is retained (see Err) and subsequent appends are dropped,
 // matching the crash-only recovery model — a torn or short tail is
 // truncated on the next open.
 type Writer struct {
@@ -186,106 +184,4 @@ func (w *Writer) Close() error {
 		return syncErr
 	}
 	return w.err
-}
-
-// The emit helpers below build and append one record each. All are
-// nil-safe; append errors are sticky and surfaced via Err/Sync/Close so
-// hot-path call sites need not check each one.
-
-// Meta writes the log identity record (first record of a fresh log).
-func (w *Writer) Meta(m Meta) {
-	if w == nil {
-		return
-	}
-	w.Append(&Record{Kind: KindMeta, Meta: &m})
-}
-
-// TaskArrived records a task arrival with its flows.
-func (w *Writer) TaskArrived(at simtime.Time, task int64, deadline simtime.Time, flows []FlowInfo) {
-	if w == nil {
-		return
-	}
-	w.Append(&Record{Kind: KindTask, Time: at, Task: task, Deadline: deadline, Flows: flows})
-}
-
-// Replan records one planning pass (the slice-grant batch). rs.Seq is
-// ignored — the replayer's span recorder reassigns pass numbers in log
-// order, which matches the live order by construction.
-func (w *Writer) Replan(at simtime.Time, rs span.ReplanSpan) {
-	if w == nil {
-		return
-	}
-	w.Append(&Record{Kind: KindReplan, Time: at, Replan: &rs})
-}
-
-// Admit records an accepted task (fast marks the fast-admission path).
-func (w *Writer) Admit(at simtime.Time, task int64, fast bool) {
-	if w == nil {
-		return
-	}
-	w.Append(&Record{Kind: KindAdmit, Time: at, Task: task, Fast: fast})
-}
-
-// Reject records a discarded newcomer.
-func (w *Writer) Reject(at simtime.Time, task int64, reason string) {
-	if w == nil {
-		return
-	}
-	w.Append(&Record{Kind: KindReject, Time: at, Task: task, Reason: reason})
-}
-
-// Preempt records an admitted victim sacrificed for newcomer by.
-func (w *Writer) Preempt(at simtime.Time, victim, by int64, fraction float64, reason string) {
-	if w == nil {
-		return
-	}
-	w.Append(&Record{Kind: KindPreempt, Time: at, Task: victim, By: by, Fraction: fraction, Reason: reason})
-}
-
-// Attribute records the blocking-link chain of a rejection/preemption.
-func (w *Writer) Attribute(at simtime.Time, task int64, blocks []span.LinkBlock) {
-	if w == nil {
-		return
-	}
-	w.Append(&Record{Kind: KindAttr, Time: at, Task: task, Blocks: blocks})
-}
-
-// TaskEnded records a task's terminal outcome.
-func (w *Writer) TaskEnded(at simtime.Time, task int64, outcome span.Outcome, reason string) {
-	if w == nil {
-		return
-	}
-	w.Append(&Record{Kind: KindTaskEnd, Time: at, Task: task, Outcome: outcome, Reason: reason})
-}
-
-// FlowEnded records a flow's terminal instant — the slice-revoke event.
-func (w *Writer) FlowEnded(at simtime.Time, flow int64, done, onTime bool, note string) {
-	if w == nil {
-		return
-	}
-	w.Append(&Record{Kind: KindFlowEnd, Time: at, Flow: flow, Done: done, OnTime: onTime, Reason: note})
-}
-
-// Segments records a flow's transmission segments.
-func (w *Writer) Segments(at simtime.Time, flow int64, segs []span.Segment) {
-	if w == nil {
-		return
-	}
-	w.Append(&Record{Kind: KindSegments, Time: at, Flow: flow, Segments: segs})
-}
-
-// LinkDown records a link failure.
-func (w *Writer) LinkDown(at simtime.Time, link int32) {
-	if w == nil {
-		return
-	}
-	w.Append(&Record{Kind: KindLinkDown, Time: at, Link: link})
-}
-
-// Commit records that the preceding pass was installed as plan state.
-func (w *Writer) Commit(at simtime.Time, mode CommitMode) {
-	if w == nil {
-		return
-	}
-	w.Append(&Record{Kind: KindCommit, Time: at, Mode: mode})
 }

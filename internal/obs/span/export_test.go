@@ -21,7 +21,7 @@ func sampleTree() *Tree {
 		Plans: []PlanSpan{{Flow: 10, Task: 1, Candidates: 2, PathIndex: 1,
 			Path: []int32{3, 4}, Slices: []simtime.Interval{{Start: 0, End: 30}},
 			Finish: 30, Deadline: 100}}})
-	r.Transmit(10, simtime.Interval{Start: 0, End: 30}, 1e9)
+	r.ImportSegments(10, []Segment{{Interval: simtime.Interval{Start: 0, End: 30}, Rate: 1e9}})
 	r.FlowEnded(10, 30, true, true, "")
 	r.TaskEnded(1, 30, OutcomeCompleted, "")
 
@@ -165,7 +165,7 @@ func TestHorizonClosesOpenSpans(t *testing.T) {
 	r := NewRecorder()
 	r.TaskArrived(1, 0, 100)
 	r.FlowArrived(10, 1, 0, 100, "")
-	r.Transmit(10, simtime.Interval{Start: 0, End: 75}, 1e9)
+	r.ImportSegments(10, []Segment{{Interval: simtime.Interval{Start: 0, End: 75}, Rate: 1e9}})
 	var buf bytes.Buffer
 	if err := WriteTraceEvents(&buf, r.Snapshot(), ExportOptions{}); err != nil {
 		t.Fatal(err)

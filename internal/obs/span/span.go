@@ -23,9 +23,12 @@
 //
 // Design constraints match internal/obs: every method on a nil *Recorder
 // is a no-op, so recording defaults off with zero cost on the planning hot
-// path (call sites guard span *construction* behind Enabled, and the
-// planner alloc pins in internal/core verify nothing leaks in); one
-// Recorder may be shared by the engine, the scheduler, and HTTP exporters.
+// path (emitters guard the *construction* of a record's payload behind
+// declog.Sink.On, and the planner alloc pins in internal/core verify
+// nothing leaks in). The mutators have one caller: the fold in
+// internal/obs/declog, which a live declog.Sink and the Replayer share —
+// nothing else writes to a tree. A Recorder may be read (Snapshot) by HTTP
+// exporters while recording continues.
 // The recorder stores only simulated time — never the wall clock — so a
 // trace of a deterministic run is itself deterministic.
 package span
@@ -214,7 +217,7 @@ type Recorder struct {
 	taskOrder []int64
 	flows     map[int64]*FlowSpan
 	flowOrder []int64
-	replans   []*ReplanSpan
+	replans   []ReplanSpan
 	downs     []LinkDown
 }
 
@@ -225,10 +228,6 @@ func NewRecorder() *Recorder {
 		flows: make(map[int64]*FlowSpan),
 	}
 }
-
-// Enabled reports whether the recorder records anything. Call sites use it
-// to skip span construction entirely on the disabled path.
-func (r *Recorder) Enabled() bool { return r != nil }
 
 // task returns (creating if needed) the span of a task. Caller holds mu.
 func (r *Recorder) task(id int64) *TaskSpan {
@@ -284,10 +283,8 @@ func (r *Recorder) Replan(rs ReplanSpan) {
 		return
 	}
 	r.mu.Lock()
-	p := new(ReplanSpan)
-	*p = rs // copy after the nil check so the parameter never escapes
-	p.Seq = len(r.replans) + 1
-	r.replans = append(r.replans, p)
+	rs.Seq = len(r.replans) + 1
+	r.replans = append(r.replans, rs)
 	r.mu.Unlock()
 }
 
@@ -333,24 +330,6 @@ func (r *Recorder) FlowEnded(flow int64, at simtime.Time, done, onTime bool, not
 	r.mu.Lock()
 	f := r.flow(flow)
 	f.End, f.Ended, f.Done, f.OnTime, f.Note = at, true, done, onTime, note
-	r.mu.Unlock()
-}
-
-// Transmit appends one constant-rate transmission stretch to a flow,
-// coalescing with the previous segment when contiguous at the same rate.
-// The engine calls it from the RecordSegments machinery; ImportSegments
-// bulk-loads an already-recorded run instead.
-func (r *Recorder) Transmit(flow int64, iv simtime.Interval, rate float64) {
-	if r == nil || iv.Empty() {
-		return
-	}
-	r.mu.Lock()
-	f := r.flow(flow)
-	if n := len(f.Segments); n > 0 && f.Segments[n-1].Interval.End == iv.Start && f.Segments[n-1].Rate == rate {
-		f.Segments[n-1].Interval.End = iv.End
-	} else {
-		f.Segments = append(f.Segments, Segment{Interval: iv, Rate: rate})
-	}
 	r.mu.Unlock()
 }
 
@@ -400,7 +379,7 @@ func (r *Recorder) Snapshot() *Tree {
 	}
 	t.Replans = make([]ReplanSpan, 0, len(r.replans))
 	for _, rs := range r.replans {
-		c := *rs
+		c := rs
 		c.Plans = make([]PlanSpan, len(rs.Plans))
 		for i, p := range rs.Plans {
 			c.Plans[i] = p

@@ -11,9 +11,6 @@ func iv(s, e simtime.Time) simtime.Interval { return simtime.Interval{Start: s, 
 
 func TestNilRecorderNoops(t *testing.T) {
 	var r *Recorder
-	if r.Enabled() {
-		t.Fatal("nil recorder reports enabled")
-	}
 	if n := testing.AllocsPerRun(100, func() {
 		r.TaskArrived(1, 0, 100)
 		r.FlowArrived(2, 1, 0, 100, "a->b")
@@ -22,7 +19,6 @@ func TestNilRecorderNoops(t *testing.T) {
 		r.PreemptedBy(1, 2)
 		r.Attribute(1, nil)
 		r.FlowEnded(2, 50, false, false, "x")
-		r.Transmit(2, iv(0, 10), 1)
 		r.ImportSegments(2, nil)
 		r.LinkWentDown(3, 10)
 	}); n != 0 {
@@ -45,8 +41,7 @@ func TestRecorderLifecycle(t *testing.T) {
 		Plans: []PlanSpan{{Flow: 7, Task: 3, Candidates: 2, PathIndex: 0,
 			Path: []int32{4, 5}, Slices: []simtime.Interval{iv(10, 40)},
 			Finish: 40, Deadline: 100}}})
-	r.Transmit(7, iv(10, 20), 1e9)
-	r.Transmit(7, iv(20, 40), 1e9) // coalesces
+	r.ImportSegments(7, []Segment{{Interval: iv(10, 40), Rate: 1e9}})
 	r.FlowEnded(7, 40, true, true, "")
 	r.TaskEnded(3, 40, OutcomeCompleted, "")
 	r.LinkWentDown(4, 99)
@@ -68,7 +63,7 @@ func TestRecorderLifecycle(t *testing.T) {
 		t.Fatalf("flow span: %+v", fs)
 	}
 	if fs.Segments[0].Interval != iv(10, 40) {
-		t.Fatalf("segments not coalesced: %+v", fs.Segments)
+		t.Fatalf("imported segments: %+v", fs.Segments)
 	}
 	if tree.Replans[0].Seq != 1 {
 		t.Fatalf("replan seq: %d", tree.Replans[0].Seq)

@@ -254,23 +254,21 @@ type Config struct {
 	// utilization samples from every integration step. Nil disables
 	// recording with zero overhead on the hot path.
 	Obs *obs.Recorder
-	// Spans, when non-nil, receives the causal lifecycle of every task
-	// and flow: arrivals and terminal outcomes live during the run, plus
-	// — when RecordSegments is also set — the transmission segments,
-	// imported at the end of the run. Pair it with the TAPS scheduler's
-	// SetSpanRecorder (same recorder) to get the full span tree:
-	// arrivals, planning passes, grants, transmissions, terminals.
-	// Nil disables recording with zero overhead on the hot path.
-	Spans *span.Recorder
-	// DecLog, when non-nil, receives the durable decision-log records the
-	// engine owns: task arrivals (with flow identities), task/flow
-	// terminals, link failures. Pair it with the TAPS scheduler's
-	// SetDecisionLog (same writer) so planning passes, commits and
-	// admission decisions land in the same log — together they make the
-	// log a complete flight recording that replays to the exact span tree
-	// and plan state of the live run.
-	DecLog *declog.Writer
+	// Sink, when on, receives the records the engine owns — task arrivals
+	// (with flow identities), task/flow terminals, link failures and, when
+	// RecordSegments is also set, the transmission segments at the end of
+	// the run — for its decision log, its span recorder, or both. A
+	// scheduler that is a SinkUser (TAPS) is handed the same sink, so its
+	// planning passes, commits and verdicts land in between: the log is
+	// then a complete flight recording that replays to the span tree and
+	// plan state of the live run. The zero value is off, with zero
+	// overhead on the hot path.
+	Sink declog.Sink
 }
+
+// SinkUser is a Scheduler with decisions of its own to report. New hands
+// it the engine's Config.Sink.
+type SinkUser interface{ SetSink(*declog.Sink) }
 
 // LinkFailure kills one directed link at an instant.
 type LinkFailure struct {
@@ -321,6 +319,9 @@ func New(g *topology.Graph, r topology.Routing, sched Scheduler, specs []TaskSpe
 	}
 	e.st.onTaskEnd = e.taskEnded
 	cfg.Obs.EnsureLinks(g.NumLinks())
+	if u, ok := sched.(SinkUser); ok {
+		u.SetSink(&e.cfg.Sink)
+	}
 	return e
 }
 
@@ -337,14 +338,12 @@ func (e *Engine) taskEnded(t *Task, note string, preempted bool) {
 		}
 		r.Record(ev)
 	}
-	if e.cfg.Spans != nil || e.cfg.DecLog != nil {
-		outcome := span.OutcomeRejected
-		if preempted {
-			outcome = span.OutcomePreempted
-		}
-		e.cfg.DecLog.TaskEnded(e.st.now, int64(t.ID), outcome, note)
-		e.cfg.Spans.TaskEnded(int64(t.ID), e.st.now, outcome, note)
+	outcome := span.OutcomeRejected
+	if preempted {
+		outcome = span.OutcomePreempted
 	}
+	e.cfg.Sink.Emit(&declog.Record{Kind: declog.KindTaskEnd, Time: e.st.now, Task: int64(t.ID),
+		Outcome: outcome, Reason: note})
 	if preempted {
 		e.sched.OnTaskPreempted(e.st, t)
 	} else {
@@ -408,27 +407,25 @@ func (e *Engine) Run() (*Result, error) {
 // failures — rejections and preemptions were already recorded live by
 // taskEnded), and the transmission segments when the run recorded them.
 func (e *Engine) finishSpans() {
-	r, w := e.cfg.Spans, e.cfg.DecLog
-	if r == nil && w == nil {
+	sink := &e.cfg.Sink
+	if !sink.On() {
 		return
 	}
 	st := e.st
 	for _, f := range st.flows {
 		switch f.State {
 		case FlowDone:
-			w.FlowEnded(f.Finish, int64(f.ID), true, f.Finish <= f.Deadline, "")
-			r.FlowEnded(int64(f.ID), f.Finish, true, f.Finish <= f.Deadline, "")
+			sink.Emit(&declog.Record{Kind: declog.KindFlowEnd, Time: f.Finish, Flow: int64(f.ID),
+				Done: true, OnTime: f.Finish <= f.Deadline})
 		case FlowKilled:
-			w.FlowEnded(f.Finish, int64(f.ID), false, false, f.KillNote)
-			r.FlowEnded(int64(f.ID), f.Finish, false, false, f.KillNote)
+			sink.Emit(&declog.Record{Kind: declog.KindFlowEnd, Time: f.Finish, Flow: int64(f.ID), Reason: f.KillNote})
 		}
 		if segs := e.segments[f.ID]; len(segs) > 0 {
 			out := make([]span.Segment, len(segs))
 			for i, s := range segs {
 				out[i] = span.Segment{Interval: s.Interval, Rate: s.Rate}
 			}
-			w.Segments(st.now, int64(f.ID), out)
-			r.ImportSegments(int64(f.ID), out)
+			sink.Emit(&declog.Record{Kind: declog.KindSegments, Time: st.now, Flow: int64(f.ID), Segments: out})
 		}
 	}
 	for _, t := range st.tasks {
@@ -446,13 +443,12 @@ func (e *Engine) finishSpans() {
 				}
 			}
 		}
-		if allDone {
-			w.TaskEnded(end, int64(t.ID), span.OutcomeCompleted, "")
-			r.TaskEnded(int64(t.ID), end, span.OutcomeCompleted, "")
-		} else {
-			w.TaskEnded(end, int64(t.ID), span.OutcomeKilled, note)
-			r.TaskEnded(int64(t.ID), end, span.OutcomeKilled, note)
+		outcome := span.OutcomeCompleted
+		if !allDone {
+			outcome = span.OutcomeKilled
 		}
+		sink.Emit(&declog.Record{Kind: declog.KindTaskEnd, Time: end, Task: int64(t.ID),
+			Outcome: outcome, Reason: note})
 	}
 }
 
@@ -488,8 +484,7 @@ func (e *Engine) applyFailures() {
 			Task: obs.NoTask, Link: int32(lf.Link)})
 		// Log the failure before the scheduler reacts, so replay sees the
 		// recovery re-plan after its cause.
-		e.cfg.DecLog.LinkDown(st.now, int32(lf.Link))
-		e.cfg.Spans.LinkWentDown(int32(lf.Link), st.now)
+		e.cfg.Sink.Emit(&declog.Record{Kind: declog.KindLinkDown, Time: st.now, Link: int32(lf.Link)})
 		e.sched.OnLinkDown(st, lf.Link)
 	}
 }
@@ -507,12 +502,8 @@ func (e *Engine) admitArrivals() {
 		}
 		st.tasks = append(st.tasks, task)
 		var infos []declog.FlowInfo
-		if e.cfg.DecLog != nil {
+		if e.cfg.Sink.On() {
 			infos = make([]declog.FlowInfo, 0, len(spec.Flows))
-		}
-		var labels []string
-		if e.cfg.Spans != nil || e.cfg.DecLog != nil {
-			labels = make([]string, 0, len(spec.Flows))
 		}
 		for _, fs := range spec.Flows {
 			f := &Flow{
@@ -531,13 +522,9 @@ func (e *Engine) admitArrivals() {
 			}
 			st.flows = append(st.flows, f)
 			task.Flows = append(task.Flows, f.ID)
-			if e.cfg.Spans != nil || e.cfg.DecLog != nil {
-				label := st.graph.Node(fs.Src).Name + "->" + st.graph.Node(fs.Dst).Name
-				labels = append(labels, label)
-				if e.cfg.DecLog != nil {
-					infos = append(infos, declog.FlowInfo{ID: int64(f.ID),
-						Src: int32(fs.Src), Dst: int32(fs.Dst), Size: fs.Size, Label: label})
-				}
+			if e.cfg.Sink.On() {
+				infos = append(infos, declog.FlowInfo{ID: int64(f.ID), Src: int32(fs.Src), Dst: int32(fs.Dst),
+					Size: fs.Size, Label: st.graph.Node(fs.Src).Name + "->" + st.graph.Node(fs.Dst).Name})
 			}
 			if f.remaining <= 0 || fs.Src == fs.Dst {
 				// Zero bytes, or a local transfer that never touches
@@ -551,16 +538,8 @@ func (e *Engine) admitArrivals() {
 			}
 			st.active[f.ID] = f
 		}
-		// The arrival record is written ahead of the span emissions; the
-		// span stream keeps its original TaskArrived-then-FlowArrived order.
-		e.cfg.DecLog.TaskArrived(task.Arrival, int64(task.ID), task.Deadline, infos)
-		e.cfg.Spans.TaskArrived(int64(task.ID), task.Arrival, task.Deadline)
-		if e.cfg.Spans != nil || e.cfg.DecLog != nil {
-			for i, fid := range task.Flows {
-				f := st.flows[fid]
-				e.cfg.Spans.FlowArrived(int64(f.ID), int64(task.ID), f.Arrival, f.Deadline, labels[i])
-			}
-		}
+		e.cfg.Sink.Emit(&declog.Record{Kind: declog.KindTask, Time: task.Arrival, Task: int64(task.ID),
+			Deadline: task.Deadline, Flows: infos})
 		e.sched.OnTaskArrival(st, task)
 	}
 }

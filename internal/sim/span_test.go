@@ -3,6 +3,7 @@ package sim_test
 import (
 	"testing"
 
+	"taps/internal/obs/declog"
 	"taps/internal/obs/span"
 	"taps/internal/sim"
 	"taps/internal/simtime"
@@ -24,7 +25,7 @@ func TestEngineSpanLifecycle(t *testing.T) {
 	}
 	rec := span.NewRecorder()
 	eng := sim.New(g, r, killOnMiss{}, specs, sim.Config{
-		RecordSegments: true, Spans: rec, MaxTime: simtime.Time(1e12),
+		RecordSegments: true, Sink: declog.Sink{Spans: rec}, MaxTime: simtime.Time(1e12),
 	})
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -80,7 +81,7 @@ func TestEngineSpanLinkFailure(t *testing.T) {
 		Flows: []sim.FlowSpec{{Src: a, Dst: b, Size: 5000}}}}
 	rec := span.NewRecorder()
 	eng := sim.New(g, r, serialSched{}, specs, sim.Config{
-		Spans: rec,
+		Sink: declog.Sink{Spans: rec},
 		LinkFailures: []sim.LinkFailure{
 			{At: simtime.Millisecond, Link: g.Out(a)[0]},
 		},

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"taps/internal/core"
+	"taps/internal/obs/declog"
 	"taps/internal/obs/span"
 	"taps/internal/sched/fairshare"
 	"taps/internal/sim"
@@ -121,9 +122,8 @@ func spanTrackedRun(t *testing.T, specs []sim.TaskSpec) (*sim.Result, *span.Tree
 	g.AddDuplex(b, sw, 1e6)
 	sched := core.New(core.DefaultConfig())
 	rec := span.NewRecorder()
-	sched.SetSpanRecorder(rec)
 	eng := sim.New(g, topology.NewBFSRouting(g), sched, specs, sim.Config{
-		Validate: true, RecordSegments: true, Spans: rec, MaxTime: simtime.Time(1e10),
+		Validate: true, RecordSegments: true, Sink: declog.Sink{Spans: rec}, MaxTime: simtime.Time(1e10),
 	})
 	res, err := eng.Run()
 	if err != nil {

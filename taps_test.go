@@ -3,6 +3,8 @@ package taps_test
 import (
 	"bytes"
 	"encoding/json"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -217,8 +219,7 @@ func TestFacadeSpanTracing(t *testing.T) {
 	net := smallNet()
 	tasks := smallWorkload(net)
 	rec := taps.NewSpanRecorder()
-	s := taps.ObserveSpans(taps.NewTAPS(), rec)
-	res, err := taps.RunWithOptions(net, s, tasks, taps.RunOptions{
+	res, err := taps.RunWithOptions(net, taps.NewTAPS(), tasks, taps.RunOptions{
 		RecordSegments: true, Spans: rec,
 	})
 	if err != nil {
@@ -241,5 +242,50 @@ func TestFacadeSpanTracing(t *testing.T) {
 	}
 	if g := taps.GanttWithSpans(res, tree, 40); !strings.Contains(g, "revoked") {
 		t.Fatalf("GanttWithSpans lacks the span legend:\n%s", g)
+	}
+}
+
+// TestFacadeDecisionLogReplaysToLiveTree: naming the recorder and the log
+// once, in RunOptions, is all it takes — TAPS's planning passes and
+// attribution chains reach both, and the log replays into the tree the
+// recorder holds.
+func TestFacadeDecisionLogReplaysToLiveTree(t *testing.T) {
+	net := smallNet()
+	tasks := taps.GenerateWorkload(net, taps.WorkloadSpec{
+		Tasks: 24, MeanFlowsPerTask: 6, MeanDeadline: 4 * taps.Millisecond,
+		MeanFlowSize: 100 * 1024, Seed: 5,
+	})
+	path := filepath.Join(t.TempDir(), "run.dlg")
+	w, err := taps.CreateDecisionLog(path, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := taps.NewSpanRecorder()
+	if _, err := taps.RunWithOptions(net, taps.NewTAPS(), tasks, taps.RunOptions{
+		RecordSegments: true, Spans: rec, DecLog: w,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	live := rec.Snapshot()
+	chains := 0
+	for i := range live.Tasks {
+		if len(live.Tasks[i].Blocks) > 0 {
+			chains++
+		}
+	}
+	if len(live.Replans) == 0 || chains == 0 {
+		t.Fatalf("live tree has %d planning passes and %d attribution chains; the scheduler half is missing", len(live.Replans), chains)
+	}
+	recs, truncated, err := taps.ReadDecisionLog(path)
+	if err != nil || truncated {
+		t.Fatalf("read log: err=%v truncated=%v", err, truncated)
+	}
+	rp := taps.NewDecisionReplayer()
+	rp.ApplyAll(recs)
+	if !reflect.DeepEqual(live, rp.Tree()) {
+		t.Fatal("the decision log does not replay into the live span tree")
 	}
 }
