@@ -37,10 +37,13 @@ bench:
 
 # bench-json refreshes two sections of BENCH_planner.json. "after": the
 # planner hot-path micro-benchmarks (interval calculus, PlanAll, full TAPS
-# runs) plus the end-to-end Fig6/Fig7 deadline sweeps on one core, to
-# compare with the pinned pre-optimization "baseline" section.
+# runs) plus the end-to-end Fig6/Fig7 deadline sweeps on one core.
 # "sweep-parallel": the same two sweeps at 1 and 2 cores in one run (rows
-# NAME and NAME-2), the cell runner's gain. See EXPERIMENTS.md.
+# NAME and NAME-2), the cell runner's gain. "after" is compared with the
+# "parent" section: a PR that moves these numbers first runs the two
+# `go test` commands below in a checkout of its parent commit, on the same
+# machine, piped into `benchjson -o <this checkout>/BENCH_planner.json
+# -label parent`. See EXPERIMENTS.md.
 SWEEP_BENCH = BenchmarkFig6DeadlineSweepSingleRooted|BenchmarkFig7DeadlineSweepFatTree
 bench-json:
 	@{ \

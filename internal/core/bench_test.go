@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -42,7 +43,7 @@ func BenchmarkPlanAll(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.PlanAll(0, reqs, nil)
+				p.PlanAll(0, reqs)
 			}
 		})
 	}
@@ -73,7 +74,7 @@ func BenchmarkPlanAllFatTree(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.PlanAll(0, reqs, nil)
+				p.PlanAll(0, reqs)
 			}
 		})
 	}
@@ -152,17 +153,17 @@ func BenchmarkPlanIncremental(b *testing.B) {
 			reqs := deltaBenchReqs(g, size.n)
 			p := &core.Planner{Graph: g, Routing: cr, MaxPaths: 4}
 			d := core.NewDeltaPlanner(p, 0)
-			d.Adopt(reqs, p.PlanAll(0, reqs, nil))
+			d.Adopt(reqs, p.PlanAll(0, reqs))
 			withNew, newKey := deltaBenchArrival(g, reqs)
 			// Warm the scratch arenas and candidate caches.
-			if _, _, ok := d.PlanAll(0, withNew, nil); !ok {
+			if _, _, ok := d.PlanAll(0, withNew); !ok {
 				b.Fatal("warm-up pass fell back to the full planner")
 			}
 			d.Revoke(0, newKey)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, ok := d.PlanAll(0, withNew, nil); !ok {
+				if _, _, ok := d.PlanAll(0, withNew); !ok {
 					b.Fatal("incremental pass fell back to the full planner")
 				}
 				d.Revoke(0, newKey)
@@ -184,11 +185,72 @@ func BenchmarkPlanFullReplan(b *testing.B) {
 			reqs := deltaBenchReqs(g, size.n)
 			p := &core.Planner{Graph: g, Routing: cr, MaxPaths: 4}
 			withNew, _ := deltaBenchArrival(g, reqs)
-			p.PlanAll(0, withNew, nil) // warm the routing cache and arenas
+			p.PlanAll(0, withNew) // warm the routing cache and arenas
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.PlanAll(0, withNew, nil)
+				p.PlanAll(0, withNew)
+			}
+		})
+	}
+}
+
+// churnPlane is a data plane on a frozen clock: no flow ever sends a byte,
+// and a discarded task needs no stopping.
+type churnPlane struct{}
+
+func (churnPlane) Remaining(f *core.Flow, _ simtime.Time) float64 { return float64(f.Size) }
+func (churnPlane) Discard(simtime.Time, int64, int64)             {}
+
+// BenchmarkPlanChurn is the benchmark's ctl_liveflows workload at the
+// planner layer: a kernel on a k=16 fat-tree holding 128 tasks of 12–20
+// flows (about 2 000 in flight, 16 candidate paths each) on a frozen
+// clock; every iteration retires the oldest task and admits a new one
+// whose deadline lands in the middle of the plan order. "incremental" runs
+// the same inputs with the delta planner on: at 16-wide candidate sets its
+// a-priori gate refuses every arrival pass, so it costs the full pass plus
+// the gate and an Adopt.
+func BenchmarkPlanChurn(b *testing.B) {
+	g, r := topology.FatTree(topology.FatTreeSpec{K: 16, LinkCapacity: topology.Gbps(1)})
+	cr := topology.NewCachedRouting(r)
+	hosts := g.Hosts()
+	const live = 128
+	for _, incremental := range []bool{false, true} {
+		name := "full"
+		if incremental {
+			name = "incremental"
+		}
+		b.Run(name, func(b *testing.B) {
+			cfg := core.DefaultConfig()
+			cfg.Incremental = incremental
+			k := core.NewKernel(g, cr, cfg, churnPlane{})
+			rng := rand.New(rand.NewSource(1))
+			var key uint64
+			arrive := func(task int) {
+				specs := make([]core.FlowSpec, 12+rng.Intn(9))
+				for i := range specs {
+					src, dst := rng.Intn(len(hosts)), rng.Intn(len(hosts)-1)
+					if dst >= src {
+						dst++
+					}
+					key++
+					specs[i] = core.FlowSpec{Key: key, Src: hosts[src], Dst: hosts[dst], Size: 100e3 + rng.Int63n(50e3+1)}
+				}
+				deadline := simtime.Second + rng.Int63n(2*simtime.Second+1) + 5*simtime.Millisecond*simtime.Time(task)
+				if d, _ := k.TaskArrived(0, int64(task), deadline, specs); d != core.Accept {
+					b.Fatalf("task %d: %v", task, d)
+				}
+			}
+			for task := 0; task < live; task++ {
+				arrive(task)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for task := live; task < live+b.N; task++ {
+				for _, f := range k.Flows(int64(task - live)) {
+					k.FlowFinished(0, f.Key, 0)
+				}
+				arrive(task)
 			}
 		})
 	}

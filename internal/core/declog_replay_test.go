@@ -37,10 +37,7 @@ func snapIntervals(set simtime.IntervalSet) []simtime.Interval {
 }
 
 func snapScheduler(s *Scheduler) planSnap {
-	ps := planSnap{
-		slices: make(map[int64][]simtime.Interval),
-		occ:    make(map[int32][]simtime.Interval),
-	}
+	ps := planSnap{slices: make(map[int64][]simtime.Interval)}
 	// The grants the kernel holds are those its occupancy still carries:
 	// a flow that finished keeps its grant until the next full pass sweeps
 	// it, a flow of a discarded task (gone from the table) holds nothing.
@@ -49,12 +46,19 @@ func snapScheduler(s *Scheduler) planSnap {
 			ps.slices[int64(f.Key)] = ivs
 		}
 	}
-	for l, set := range s.k.occ {
+	ps.occ = snapOccupancy(s.k.planner)
+	return ps
+}
+
+// snapOccupancy is the planner's per-link occupancy, non-empty links only.
+func snapOccupancy(p *Planner) map[int32][]simtime.Interval {
+	occ := make(map[int32][]simtime.Interval)
+	for l, set := range p.occ.links {
 		if ivs := snapIntervals(set); ivs != nil {
-			ps.occ[int32(l)] = ivs
+			occ[int32(l)] = ivs
 		}
 	}
-	return ps
+	return occ
 }
 
 func snapReplayer(rp *declog.Replayer) planSnap {

@@ -48,14 +48,14 @@ type DeltaStats struct {
 //
 // Everything else is dirty and goes through the ordinary planOne. When the
 // dirty set exceeds the configured fraction, the pass aborts and reports
-// ok=false: the caller must run the full Planner.PlanAll on a FRESH
-// occupancy map (the aborted pass already polluted the one it was given)
-// and hand the result to Adopt. Invalidate drops every record (link-down:
-// routing changed under us), which forces the same full fallback.
+// ok=false: the caller must run the full Planner.PlanAll (which starts the
+// planner's occupancy over — the aborted pass has half filled it) and hand
+// the result to Adopt. Invalidate drops every record (link-down: routing
+// changed under us), which forces the same full fallback.
 //
 // Correctness contract, enforced by the differential property tests: a
-// successful delta pass returns PlanEntry slices and fills the occupancy
-// map bit-identically to Planner.PlanAll on the same inputs.
+// successful delta pass returns PlanEntry slices and leaves the planner's
+// occupancy bit-identical to Planner.PlanAll on the same inputs.
 //
 // A DeltaPlanner is single-goroutine like the Planner it wraps.
 type DeltaPlanner struct {
@@ -66,12 +66,6 @@ type DeltaPlanner struct {
 	recs  map[uint64]*deltaRec
 	cands map[uint64]*candCache
 
-	// occScratch is the dense per-link occupancy the pass plans against
-	// (occView dense mode): per-flow unions index an array instead of
-	// hashing a map, and the backing interval storage is reused across
-	// passes. On success the non-empty links are cloned out into the
-	// caller's map.
-	occScratch []simtime.IntervalSet
 	// entriesScratch backs the entries slice PlanAll returns, reused
 	// across passes (every element is overwritten before return). The
 	// returned slice is only valid until the next PlanAll call — both
@@ -156,13 +150,11 @@ func (d *DeltaPlanner) Records() int { return len(d.recs) }
 
 // PlanAll runs one incremental pass over reqs (already sorted by the
 // caller, like Planner.PlanAll), starting from EMPTY occupancy — the only
-// occupancy the records can vouch for — and on success fills occ (nil for
-// none) with the resulting per-link occupancy. ok=false means the pass
-// aborted: no usable entries, occ untouched; run the full planner and
-// hand its result to Adopt.
+// occupancy the records can vouch for. ok=false means the pass aborted: no
+// usable entries; run the full planner and hand its result to Adopt.
 //
 //taps:hotpath
-func (d *DeltaPlanner) PlanAll(now simtime.Time, reqs []FlowReq, occ map[topology.LinkID]simtime.IntervalSet) ([]PlanEntry, DeltaStats, bool) {
+func (d *DeltaPlanner) PlanAll(now simtime.Time, reqs []FlowReq) ([]PlanEntry, DeltaStats, bool) {
 	stats := DeltaStats{Flows: len(reqs)}
 	if len(d.recs) == 0 {
 		// First pass, or everything was invalidated: nothing to reuse.
@@ -170,53 +162,37 @@ func (d *DeltaPlanner) PlanAll(now simtime.Time, reqs []FlowReq, occ map[topolog
 		return nil, stats, false
 	}
 	p := d.planner
-	if n := p.Graph.NumLinks(); len(d.occScratch) < n {
-		d.occScratch = append(d.occScratch, make([]simtime.IntervalSet, n-len(d.occScratch))...) //taps:allow hotpathalloc grow-once scratch, sized to the link count and reused every pass
-	}
-	for i := range d.occScratch {
-		d.occScratch[i].Reset()
-	}
-	v := &occView{dense: d.occScratch} //taps:allow hotpathalloc two-word view header per pass; the dense backing array is the reused scratch
-	window := p.planWindow(now, reqs, v)
+	p.occ.reset(p.Graph.NumLinks())
+	window := p.planWindow(now, reqs)
 	maxDirty := d.MaxDirty(len(reqs))
 	if cap(d.entriesScratch) < len(reqs) {
 		d.entriesScratch = make([]PlanEntry, len(reqs)) //taps:allow hotpathalloc grow-once scratch, reused across passes once it fits
 	}
 	entries := d.entriesScratch[:len(reqs)]
 	for i, r := range reqs {
-		e, ok := d.reuse(now, r, window, v)
+		e, ok := d.reuse(now, r, window)
 		if !ok {
 			stats.Replanned++
 			if stats.Replanned > maxDirty {
-				d.occScratch = v.dense
 				return nil, stats, false
 			}
-			entries[i] = p.planOne(now, r, window, v) // commits into v itself
+			entries[i] = p.planOne(now, r, window) // claims its own slices
 			d.note(now, r, entries[i])
 			continue
 		}
 		entries[i] = e
-		for _, l := range e.Path {
-			v.add(l, &entries[i].Slices)
-		}
-	}
-	d.occScratch = v.dense
-	if occ != nil {
-		for l := range v.dense {
-			if !v.dense[l].Empty() {
-				occ[topology.LinkID(l)] = v.dense[l].Clone()
-			}
-		}
+		p.occ.claim(e.Path, &entries[i].Slices, e.Finish)
 	}
 	return entries, stats, true
 }
 
 // reuse screens one flow against its record and, when any tier proves the
 // stored allocation is exactly what planOne would produce against the
-// current pass prefix in v, returns the re-emitted entry.
+// current pass prefix in the planner's occupancy, returns the re-emitted
+// entry.
 //
 //taps:hotpath
-func (d *DeltaPlanner) reuse(now simtime.Time, r FlowReq, window simtime.Interval, v *occView) (PlanEntry, bool) {
+func (d *DeltaPlanner) reuse(now simtime.Time, r FlowReq, window simtime.Interval) (PlanEntry, bool) {
 	if r.Src == r.Dst || r.Bytes <= 0 {
 		// planOne's trivial case; a leftover record's future grant (if
 		// any) vanishes from the plan, which is a free.
@@ -230,7 +206,7 @@ func (d *DeltaPlanner) reuse(now simtime.Time, r FlowReq, window simtime.Interva
 		return PlanEntry{}, false
 	}
 	cc := d.cand(r, rec)
-	if e, ok := d.reuseHead(now, r, window, v, rec, cc); ok {
+	if e, ok := d.reuseHead(now, r, window, rec, cc); ok {
 		return e, true
 	}
 	if r.Bytes != rec.bytes {
@@ -249,9 +225,10 @@ func (d *DeltaPlanner) reuse(now simtime.Time, r FlowReq, window simtime.Interva
 		return PlanEntry{}, false
 	}
 	// Verify tier: inserts only — losing candidates only got worse, so the
-	// stored path stays the winner iff it still yields the identical fit.
+	// stored path stays the winner iff it still yields the identical fit
+	// (a sweep that runs past the stored finish has already lost it).
 	d.planner.pathsTried++
-	finish, ok := d.planner.evalPath(now, r, window, v, rec.path, &d.planner.scratch)
+	finish, ok := d.planner.evalPath(now, r, rec.finish+1, rec.path, &d.planner.scratch)
 	if !ok || finish != rec.finish || !sameIntervals(d.planner.scratch.taken.Intervals(), ivs) {
 		return PlanEntry{}, false
 	}
@@ -268,7 +245,7 @@ func (d *DeltaPlanner) reuse(now simtime.Time, r FlowReq, window simtime.Interva
 // so no other flow's planning inputs change (no generation bump).
 //
 //taps:hotpath
-func (d *DeltaPlanner) reuseHead(now simtime.Time, r FlowReq, window simtime.Interval, v *occView, rec *deltaRec, cc *candCache) (PlanEntry, bool) {
+func (d *DeltaPlanner) reuseHead(now simtime.Time, r FlowReq, window simtime.Interval, rec *deltaRec, cc *candCache) (PlanEntry, bool) {
 	if rec.pathIndex != 0 || rec.linerate <= 0 || rec.linerate != cc.rate {
 		return PlanEntry{}, false
 	}
@@ -286,7 +263,7 @@ func (d *DeltaPlanner) reuseHead(now simtime.Time, r FlowReq, window simtime.Int
 	}
 	iv := simtime.Interval{Start: now, End: now + e}
 	for _, l := range rec.path {
-		if v.get(l).OverlapsInterval(iv) {
+		if d.planner.occ.get(l).OverlapsInterval(iv) {
 			return PlanEntry{}, false
 		}
 	}

@@ -129,7 +129,7 @@ func TestIncrementalMatchesFullWithLinkFailure(t *testing.T) {
 }
 
 // TestIncrementalMatchesFullTinyBudget forces near-constant mid-pass
-// aborts: the fallback path (fresh occupancy map, full plan, Adopt) must
+// aborts: the fallback path (occupancy started over, full plan, Adopt) must
 // be just as bit-identical as the reuse path.
 func TestIncrementalMatchesFullTinyBudget(t *testing.T) {
 	cfg := DefaultConfig()
@@ -189,16 +189,6 @@ type synthFlow struct {
 	deadline simtime.Time
 }
 
-func normalizeOcc(occ map[topology.LinkID]simtime.IntervalSet) map[int32][]simtime.Interval {
-	out := make(map[int32][]simtime.Interval)
-	for l, set := range occ {
-		if ivs := snapIntervals(set); ivs != nil {
-			out[int32(l)] = ivs
-		}
-	}
-	return out
-}
-
 // TestDeltaPlannerDifferentialFuzz drives DeltaPlanner directly against
 // the full planner through seeded random interleavings of arrivals,
 // transmission progress (bytes drained during granted slices),
@@ -252,10 +242,14 @@ func TestDeltaPlannerDifferentialFuzz(t *testing.T) {
 				return a.Key < b.Key
 			})
 
-			occInc := make(map[topology.LinkID]simtime.IntervalSet)
-			entriesInc, stats, ok := d.PlanAll(now, reqs, occInc)
-			occFull := make(map[topology.LinkID]simtime.IntervalSet)
-			entriesFull := p.PlanAll(now, reqs, occFull)
+			// Both passes leave their occupancy in the one planner: snapshot
+			// the incremental pass's before the full pass starts it over. The
+			// entries of the incremental pass alias records, not the planner's
+			// occupancy, so they survive the full pass.
+			entriesInc, stats, ok := d.PlanAll(now, reqs)
+			occInc := snapOccupancy(p)
+			entriesFull := p.PlanAll(now, reqs)
+			occFull := snapOccupancy(p)
 			if ok {
 				incPasses++
 				if stats.Replanned > d.MaxDirty(len(reqs)) {
@@ -271,9 +265,9 @@ func TestDeltaPlannerDifferentialFuzz(t *testing.T) {
 							seed, round, i, reqs[i].Key, ei, ef)
 					}
 				}
-				if got, want := normalizeOcc(occInc), normalizeOcc(occFull); !reflect.DeepEqual(got, want) {
+				if !reflect.DeepEqual(occInc, occFull) {
 					t.Fatalf("seed %d round %d: occupancy index diverged from recomputed occupancy\n got %+v\nwant %+v",
-						seed, round, got, want)
+						seed, round, occInc, occFull)
 				}
 			} else {
 				d.Adopt(reqs, entriesFull)
@@ -322,16 +316,17 @@ func TestDeltaPlannerDifferentialFuzz(t *testing.T) {
 // TestDeltaAllocsSteadyState pins the spans-disabled allocation budget of
 // the incremental path's best case: an all-skip pass (every record
 // re-validated by the generation screen, zero flows re-planned). The
-// remaining allocations are the per-link clones that materialize the
-// caller's occupancy map — far below the full planner's budget at the
-// same sizes (TestPlannerAllocsUnchangedWithSpansDisabled: 219/741/2228).
+// remaining allocations are the one-interval grants the head re-clip tier
+// builds for the flows transmitting at now — far below the full planner's
+// budget at the same sizes (TestPlannerAllocsUnchangedWithSpansDisabled:
+// 51/201/801).
 func TestDeltaAllocsSteadyState(t *testing.T) {
 	g, r := topology.SingleRootedTree(topology.SingleRootedTreeSpec{
 		Pods: 4, RacksPerPod: 4, HostsPerRack: 10, LinkCapacity: topology.Gbps(1),
 	})
 	cr := topology.NewCachedRouting(r)
 	hosts := g.Hosts()
-	baseline := map[int]float64{50: 145, 200: 394, 800: 394}
+	baseline := map[int]float64{50: 6, 200: 20, 800: 20}
 	for _, n := range []int{50, 200, 800} {
 		reqs := make([]FlowReq, n)
 		for i := range reqs {
@@ -345,12 +340,11 @@ func TestDeltaAllocsSteadyState(t *testing.T) {
 		}
 		p := &Planner{Graph: g, Routing: cr, MaxPaths: 16}
 		d := NewDeltaPlanner(p, 1)
-		d.Adopt(reqs, p.PlanAll(0, reqs, nil))
+		d.Adopt(reqs, p.PlanAll(0, reqs))
 		var st DeltaStats
 		var ok bool
 		got := testing.AllocsPerRun(3, func() {
-			occ := make(map[topology.LinkID]simtime.IntervalSet)
-			_, st, ok = d.PlanAll(0, reqs, occ)
+			_, st, ok = d.PlanAll(0, reqs)
 		})
 		if !ok || st.Replanned != 0 {
 			t.Fatalf("flows=%d: steady-state pass not all-skip (ok=%v, replanned=%d)", n, ok, st.Replanned)
@@ -379,7 +373,7 @@ func TestDeltaRevokeFreesCapacity(t *testing.T) {
 		{Key: 1, Src: hosts[0], Dst: hosts[1], Bytes: 100_000, Deadline: 10_000},
 		{Key: 2, Src: hosts[0], Dst: hosts[1], Bytes: 100_000, Deadline: 20_000},
 	}
-	entries := p.PlanAll(0, reqs, nil)
+	entries := p.PlanAll(0, reqs)
 	d.Adopt(reqs, entries)
 	if entries[1].Slices.Intervals()[0].Start <= entries[0].Slices.Intervals()[0].Start {
 		t.Fatal("scenario broken: flow 2 did not queue behind flow 1")
@@ -388,9 +382,8 @@ func TestDeltaRevokeFreesCapacity(t *testing.T) {
 	// Flow 1 terminates early; flow 2 must slide forward.
 	d.Revoke(0, 1)
 	rest := reqs[1:]
-	occ := make(map[topology.LinkID]simtime.IntervalSet)
-	got, _, ok := d.PlanAll(0, rest, occ)
-	want := p.PlanAll(0, rest, nil)
+	got, _, ok := d.PlanAll(0, rest)
+	want := p.PlanAll(0, rest)
 	if !ok {
 		t.Fatal("single-flow pass fell back to full replan")
 	}

@@ -89,7 +89,6 @@ type Kernel struct {
 	flows map[uint64]*Flow
 	tasks map[int64][]*Flow // every flow of a task, arrival order
 	live  []*Flow           // flows in flight, any order; finished ones are swept by sweep
-	occ   map[topology.LinkID]simtime.IntervalSet
 
 	// The pass in progress, and after commit the pass just installed:
 	// flows in plan order with their requests, and the flows in flight
@@ -117,7 +116,6 @@ func newKernel(cfg Config, dp DataPlane) *Kernel {
 		dp:    dp,
 		flows: make(map[uint64]*Flow),
 		tasks: make(map[int64][]*Flow),
-		occ:   make(map[topology.LinkID]simtime.IntervalSet),
 	}
 }
 
@@ -215,7 +213,7 @@ func (k *Kernel) TaskArrived(now simtime.Time, task int64, deadline simtime.Time
 	}
 
 	k.sweep(now)
-	entries, occ := k.plan(now, span.ReplanArrival, task, true)
+	entries := k.plan(now, span.ReplanArrival, task, true)
 	decision, victim := Accept, span.NoTask
 	if !k.cfg.DisableRejectRule {
 		decision, victim = EvaluateRejectRule(k.missed(entries), task, k.Fraction, k.cfg.NoPreemption)
@@ -225,16 +223,16 @@ func (k *Kernel) TaskArrived(now simtime.Time, task int64, deadline simtime.Time
 		k.attribute(now, task, entries)
 		k.Sink.Emit(&declog.Record{Kind: declog.KindReject, Time: now, Task: task, Reason: reasonRejected})
 		k.discard(now, task, span.NoTask)
-		entries, occ = k.plan(now, span.ReplanPostReject, task, false)
+		entries = k.plan(now, span.ReplanPostReject, task, false)
 	case Preempt:
 		k.Sink.Emit(&declog.Record{Kind: declog.KindPreempt, Time: now, Task: victim, By: task,
 			Fraction: k.Fraction(victim), Reason: reasonPreempted})
 		k.attribute(now, victim, entries)
 		k.discard(now, victim, task)
-		entries, occ = k.plan(now, span.ReplanPostPreempt, victim, false)
+		entries = k.plan(now, span.ReplanPostPreempt, victim, false)
 	case Accept:
 	}
-	k.commit(now, entries, occ)
+	k.commit(now, entries)
 	if decision != RejectNew {
 		k.Sink.Emit(&declog.Record{Kind: declog.KindAdmit, Time: now, Task: task})
 		k.Obs.Record(obs.Event{Time: now, Kind: obs.KindTaskAdmitted, Task: task})
@@ -267,8 +265,7 @@ func (k *Kernel) LinkDown(now simtime.Time) {
 		k.delta.Invalidate()
 	}
 	k.sweep(now)
-	entries, occ := k.plan(now, span.ReplanRecovery, span.NoTask, false)
-	k.commit(now, entries, occ)
+	k.commit(now, k.plan(now, span.ReplanRecovery, span.NoTask, false))
 }
 
 // Replan re-plans every flow in flight from now on behalf of an admitted
@@ -276,8 +273,7 @@ func (k *Kernel) LinkDown(now simtime.Time) {
 // has also lost its first slices). No rule runs: nothing arrived.
 func (k *Kernel) Replan(now simtime.Time, task int64) {
 	k.sweep(now)
-	entries, occ := k.plan(now, span.ReplanArrival, task, false)
-	k.commit(now, entries, occ)
+	k.commit(now, k.plan(now, span.ReplanArrival, task, false))
 }
 
 // Restore re-creates one flow record — identity, committed grant, bytes
@@ -366,48 +362,52 @@ func (k *Kernel) fillReqs() {
 }
 
 // plan runs Alg. 2 over the pass (incrementally where the delta planner
-// can vouch for the result) into a fresh occupancy map and records it.
-// Nothing is installed: the caller commits the pass it keeps. kind and
-// trigger label the pass; gate marks an arrival pass, where the §IV-B
-// chain walk can tell beforehand that an incremental attempt is doomed.
-func (k *Kernel) plan(now simtime.Time, kind span.ReplanKind, trigger int64, gate bool) ([]PlanEntry, map[topology.LinkID]simtime.IntervalSet) {
+// can vouch for the result), from empty occupancy, and records it. Nothing
+// is installed in the flow table: the caller commits the pass it keeps,
+// which is the last one it planned — the one whose occupancy the planner
+// is left holding. kind and trigger label the pass; gate marks an arrival
+// pass, where the §IV-B chain walk can tell beforehand that an incremental
+// attempt is doomed.
+func (k *Kernel) plan(now simtime.Time, kind span.ReplanKind, trigger int64, gate bool) []PlanEntry {
 	k.replans++
 	clock := k.startPass()
-	occ := make(map[topology.LinkID]simtime.IntervalSet)
 	var entries []PlanEntry
 	scope := 0
 	if k.delta != nil {
 		var ds DeltaStats
 		ok := false
 		tried := k.delta.Records() > 0
-		// When the estimated dirty set already blows the budget, go
-		// straight to the full pass instead of burning a doomed
-		// incremental attempt.
-		if tried && (!gate || k.dirtySetEstimate(now, trigger) <= k.delta.MaxDirty(len(k.reqs))) {
-			entries, ds, ok = k.delta.PlanAll(now, k.reqs, occ)
+		why := obs.FallbackBudget
+		switch {
+		case !tried:
+		case gate && k.dirtySetEstimate(now, trigger) > k.delta.MaxDirty(len(k.reqs)):
+			// The estimated dirty set already blows the budget: go straight
+			// to the full pass instead of burning a doomed incremental
+			// attempt.
+			why = obs.FallbackGate
+		default:
+			entries, ds, ok = k.delta.PlanAll(now, k.reqs)
 		}
 		if ok {
 			kind, scope = span.ReplanIncremental, ds.Replanned
 			k.Obs.ObserveReplanScope(ds.Replanned, len(k.reqs))
 		} else {
-			// occ is untouched by an aborted pass; the full planner
-			// starts from it clean.
-			entries = k.planner.PlanAll(now, k.reqs, occ)
+			entries = k.planner.PlanAll(now, k.reqs)
 			k.delta.Adopt(k.reqs, entries)
 			if tried {
 				// A bootstrap pass (no records to reuse yet) is not a
 				// fallback; the counters track reuse that was possible
 				// but abandoned.
-				k.Obs.CountReplanFallback()
+				k.Obs.CountReplanFallback(why)
 				k.Obs.ObserveReplanScope(len(k.reqs), len(k.reqs))
 			}
 		}
 	} else {
-		entries = k.planner.PlanAll(now, k.reqs, occ)
+		entries = k.planner.PlanAll(now, k.reqs)
 	}
 	k.recordPass(now, clock, obs.KindReplan, obs.NoTask,
 		span.ReplanSpan{Kind: kind, Trigger: trigger, Scope: scope}, entries)
-	return entries, occ
+	return entries
 }
 
 // passClock is what startPass reads before a planning pass so that
@@ -487,22 +487,17 @@ func (k *Kernel) discard(now simtime.Time, task, by int64) {
 }
 
 // commit installs a pass as the plan, whole: every flow of the pass takes
-// the route and slices the pass gave it (none, if it found no route), a
-// flow in flight that the pass left out holds nothing, and the occupancy
-// is the pass's own. Occupancy is GC'd up to now so the per-link sets stop
-// accumulating dead history (allocation never looks before now).
-func (k *Kernel) commit(now simtime.Time, entries []PlanEntry, occ map[topology.LinkID]simtime.IntervalSet) {
+// the route and slices the pass gave it (none, if it found no route) and a
+// flow in flight that the pass left out holds nothing. The occupancy needs
+// no installing: the planner holds that of the pass it planned last, and
+// a pass planned at now holds nothing before now to collect.
+func (k *Kernel) commit(now simtime.Time, entries []PlanEntry) {
 	for i, f := range k.order {
 		f.Path, f.Slices = entries[i].Path, entries[i].Slices
 	}
 	for _, f := range k.spent {
 		f.Path, f.Slices = nil, simtime.IntervalSet{}
 	}
-	for l, set := range occ {
-		set.GCBefore(now)
-		occ[l] = set
-	}
-	k.occ = occ
 	k.merged = false
 	k.Sink.Emit(&declog.Record{Kind: declog.KindCommit, Time: now, Mode: declog.CommitReplace})
 }
@@ -520,24 +515,15 @@ func (k *Kernel) admitFast(now simtime.Time, task int64, flows []*Flow) bool {
 	}
 	k.sortPass()
 	clock := k.startPass()
-	// Copy-on-write: the pass reads k.occ directly and clones only the
-	// links a winning path claims, so a failed attempt costs no copies
-	// and has no side effects.
-	entries, touched := k.planner.PlanAllCOW(now, k.reqs, k.occ)
-	for i := range entries {
-		if k.misses(i, &entries[i]) {
-			return false
-		}
+	entries, ok := k.planner.planOnTop(now, k.reqs)
+	if !ok {
+		return false
 	}
 	k.fastAdmits++
 	k.recordPass(now, clock, obs.KindFastAdmit, task,
 		span.ReplanSpan{Kind: span.ReplanFastAdmit, Trigger: task}, entries)
 	for i, f := range k.order {
 		f.Path, f.Slices = entries[i].Path, entries[i].Slices
-	}
-	for l, set := range touched {
-		set.GCBefore(now)
-		k.occ[l] = set
 	}
 	k.merged = true
 	k.Sink.Emit(&declog.Record{Kind: declog.KindCommit, Time: now, Mode: declog.CommitMerge})

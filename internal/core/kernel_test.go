@@ -8,8 +8,10 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
+	"taps/internal/obs"
 	"taps/internal/sim"
 	"taps/internal/simtime"
 	"taps/internal/topology"
@@ -294,5 +296,61 @@ func TestKernelFractionMatchesEngineCounters(t *testing.T) {
 	}
 	if commits == 0 || cut == 0 {
 		t.Fatalf("%d commits, %d sightings of a flow cut short in a live task; property untested", commits, cut)
+	}
+}
+
+// TestKernelFallbackReasons drives a kernel whose dirty budget is a single
+// flow through one fallback of each kind and reads the cause back from the
+// recorder and from /metrics.
+func TestKernelFallbackReasons(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Incremental = true
+	cfg.IncrementalMaxDirtyFrac = 0.01
+	k, _, hosts := newTestKernel(cfg)
+	k.Obs = obs.NewRecorder(obs.Options{})
+	fallbacks := func() [2]uint64 {
+		rs := k.Obs.ReplanScopeStats()
+		if sum := rs.Fallbacks[obs.FallbackGate] + rs.Fallbacks[obs.FallbackBudget]; rs.FullFallbacks != sum {
+			t.Fatalf("FullFallbacks = %d, its parts sum to %d", rs.FullFallbacks, sum)
+		}
+		return [2]uint64{rs.Fallbacks[obs.FallbackGate], rs.Fallbacks[obs.FallbackBudget]}
+	}
+
+	// The first pass has no records to reuse: a bootstrap, not a fallback.
+	deadline := 50 * simtime.Millisecond
+	k.TaskArrived(0, 1, deadline, []FlowSpec{
+		{Key: 1, Src: hosts[0], Dst: hosts[1], Size: 100_000},
+		{Key: 2, Src: hosts[0], Dst: hosts[1], Size: 200_000},
+		{Key: 3, Src: hosts[0], Dst: hosts[1], Size: 300_000},
+	})
+	if got := fallbacks(); got != [2]uint64{0, 0} {
+		t.Fatalf("after the bootstrap pass: fallbacks (gate, budget) = %v", got)
+	}
+	// A newcomer on the same uplink: the estimate charges all of task 1, the
+	// gate refuses the attempt before it starts.
+	k.TaskArrived(10, 2, deadline, []FlowSpec{{Key: 4, Src: hosts[0], Dst: hosts[2], Size: 100_000}})
+	if got := fallbacks(); got != [2]uint64{1, 0} {
+		t.Fatalf("after a gated arrival: fallbacks (gate, budget) = %v, want [1 0]", got)
+	}
+	// A finished flow frees link time under every other flow's candidates:
+	// the ungated pass starts, re-plans a second flow and gives up.
+	k.FlowFinished(20, 1, 0)
+	k.Replan(20, 2)
+	if got := fallbacks(); got != [2]uint64{1, 1} {
+		t.Fatalf("after a pass over budget: fallbacks (gate, budget) = %v, want [1 1]", got)
+	}
+	requireSound(t, k, 20, "after both fallbacks")
+
+	var b strings.Builder
+	if err := obs.WritePrometheus(&b, k.Obs, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		`taps_replan_full_fallbacks_total{reason="gate"} 1`,
+		`taps_replan_full_fallbacks_total{reason="budget"} 1`,
+	} {
+		if !strings.Contains(b.String(), line+"\n") {
+			t.Errorf("/metrics lacks %q", line)
+		}
 	}
 }

@@ -32,9 +32,9 @@ type PlanEntry struct {
 // over a topology, independent of any simulation engine: the flow-level
 // simulator and the SDN testbed controller both drive it.
 //
-// A Planner carries scratch buffers reused across calls, so it must be used
-// through a single pointer and never copied. Calls are not safe for
-// concurrent use.
+// A Planner owns the per-link occupancy its passes build and the scratch
+// buffers they reuse, so it must be used through a single pointer and never
+// copied. Calls are not safe for concurrent use.
 type Planner struct {
 	Graph    *topology.Graph
 	Routing  topology.Routing
@@ -44,39 +44,41 @@ type Planner struct {
 	// calls; observability instrumentation reads deltas around a pass.
 	pathsTried int64
 
+	occ     occupancy
 	scratch evalScratch
 }
 
 // evalScratch is the planner's buffer arena: every candidate-path
-// evaluation runs the merge → complement → take pipeline entirely inside
-// these reused buffers, so the steady-state loop performs no allocations.
-// best double-buffers with taken — when a candidate becomes the best so
-// far the two are swapped, which keeps the winning slices without copying.
+// evaluation is one simtime.FirstFit sweep over sets into taken, so the
+// steady-state loop performs no allocations. best double-buffers with
+// taken — when a candidate becomes the best so far the two are swapped,
+// which keeps the winning slices without copying.
 type evalScratch struct {
-	sets     []simtime.IntervalSet // per-link occupancy views of one path
-	occupied simtime.IntervalSet   // k-way union of sets (Alg. 3's Tocp)
-	idle     simtime.IntervalSet   // complement of occupied within window
-	taken    simtime.IntervalSet   // first-E-units allocation on idle
-	best     simtime.IntervalSet   // slices of the best candidate so far
+	sets  []simtime.IntervalSet // per-link occupancy views of one path
+	taken simtime.IntervalSet   // first-E-units allocation of the last sweep
+	best  simtime.IntervalSet   // slices of the best candidate so far
 
 	bestIdx    int // candidate index of best, -1 if none fit
 	bestFinish simtime.Time
 }
 
-// evalCandidates runs the merge → complement → take pipeline for each
-// candidate path, tracking the (finish, index)-lowest winner in sc.
+// evalCandidates sweeps each candidate path, tracking the (finish,
+// index)-lowest winner in sc. A candidate has to finish inside the window
+// and strictly before the best so far, and its sweep stops as soon as it
+// cannot: every candidate is still examined, ties still go to the lowest
+// index.
 //
 //taps:hotpath
-func (p *Planner) evalCandidates(now simtime.Time, r FlowReq, window simtime.Interval, occ *occView, paths []topology.Path, sc *evalScratch) {
+func (p *Planner) evalCandidates(now simtime.Time, r FlowReq, window simtime.Interval, paths []topology.Path, sc *evalScratch) {
 	sc.bestIdx, sc.bestFinish = -1, simtime.Infinity
+	before := min(window.End+1, simtime.Infinity)
 	for i := range paths {
 		if len(paths[i]) == 0 {
 			continue
 		}
 		p.pathsTried++
-		finish, ok := p.evalPath(now, r, window, occ, paths[i], sc)
-		if ok && finish < sc.bestFinish {
-			sc.bestIdx, sc.bestFinish = i, finish
+		if finish, ok := p.evalPath(now, r, before, paths[i], sc); ok {
+			sc.bestIdx, sc.bestFinish, before = i, finish, finish
 			sc.taken, sc.best = sc.best, sc.taken
 		}
 	}
@@ -85,58 +87,74 @@ func (p *Planner) evalCandidates(now simtime.Time, r FlowReq, window simtime.Int
 // PathsTried returns the cumulative number of candidate paths examined.
 func (p *Planner) PathsTried() int64 { return p.pathsTried }
 
-// occView resolves per-link occupancy during a planning pass. In direct
-// mode (base == nil) reads and writes go straight to write, which the
-// caller owns and PlanAll mutates — the historical PlanAll contract. In
-// copy-on-write mode (PlanAllCOW) reads fall through to base and a link is
-// cloned into write only right before its first mutation, so a failed pass
-// costs no copies and leaves base untouched.
-// A third mode backs the view with a dense LinkID-indexed array instead
-// of a map (dense != nil): the delta planner's hot path, where the
-// occupancy of every link is rebuilt each pass and per-link map hashing
-// would dominate the pass (see delta.go). Dense mode implies an empty
-// starting occupancy; write and base are ignored.
-type occView struct {
-	write map[topology.LinkID]simtime.IntervalSet
-	base  map[topology.LinkID]simtime.IntervalSet
-	dense []simtime.IntervalSet
+// occupancy is the planner's per-link busy calendar: the union of the
+// slices the current pass has granted on each link, in one LinkID-indexed
+// array whose interval storage is reused from pass to pass. A pass starts
+// by emptying the links the previous one touched; between a kernel's inputs
+// it is the committed plan's occupancy, because every input ends by
+// committing the last pass it planned.
+type occupancy struct {
+	links   []simtime.IntervalSet
+	touched []topology.LinkID // links written since the last reset
+	end     simtime.Time      // latest instant any link is busy
+
+	// trial, while a fast-admission attempt is planning, takes the writes
+	// in place of links (a link is cloned into it right before its first
+	// one) so that a failed attempt is dropped without a trace.
+	trial map[topology.LinkID]simtime.IntervalSet
+}
+
+// grow makes room for a graph of n links.
+func (o *occupancy) grow(n int) {
+	if len(o.links) < n {
+		o.links = append(o.links, make([]simtime.IntervalSet, n-len(o.links))...)
+	}
+}
+
+// reset empties the calendar for a pass over a graph of n links, in time
+// proportional to the links written since the last one.
+func (o *occupancy) reset(n int) {
+	o.grow(n)
+	for _, l := range o.touched {
+		o.links[l].Reset()
+	}
+	o.touched, o.end = o.touched[:0], 0
 }
 
 //taps:hotpath
-func (v *occView) get(l topology.LinkID) simtime.IntervalSet {
-	if v.dense != nil {
-		if int(l) < len(v.dense) {
-			return v.dense[l]
+func (o *occupancy) get(l topology.LinkID) simtime.IntervalSet {
+	if o.trial != nil {
+		if s, ok := o.trial[l]; ok {
+			return s
 		}
-		return simtime.IntervalSet{}
 	}
-	if s, ok := v.write[l]; ok {
-		return s
-	}
-	if v.base != nil {
-		return v.base[l]
-	}
-	return simtime.IntervalSet{}
+	return o.links[l]
 }
 
-// add unions slices into link l's occupancy, cloning from base first in
-// copy-on-write mode.
+// claim unions a flow's slices into the occupancy of every link of its
+// path.
 //
 //taps:hotpath
-func (v *occView) add(l topology.LinkID, slices *simtime.IntervalSet) {
-	if v.dense != nil {
-		for int(l) >= len(v.dense) {
-			v.dense = append(v.dense, simtime.IntervalSet{})
+func (o *occupancy) claim(path topology.Path, slices *simtime.IntervalSet, finish simtime.Time) {
+	o.end = max(o.end, finish)
+	for _, l := range path {
+		if o.trial != nil {
+			set, ok := o.trial[l]
+			if !ok {
+				if o.links[l].Empty() {
+					o.touched = append(o.touched, l)
+				}
+				set = o.links[l].Clone()
+			}
+			set.UnionInPlace(slices)
+			o.trial[l] = set
+			continue
 		}
-		v.dense[l].UnionInPlace(slices)
-		return
+		if o.links[l].Empty() {
+			o.touched = append(o.touched, l)
+		}
+		o.links[l].UnionInPlace(slices)
 	}
-	set, ok := v.write[l]
-	if !ok && v.base != nil {
-		set = v.base[l].Clone()
-	}
-	set.UnionInPlace(slices)
-	v.write[l] = set
 }
 
 // hostCapacity estimates the line rate available to a flow before a path
@@ -150,73 +168,73 @@ func (p *Planner) hostCapacity(src topology.NodeID) float64 {
 
 // PlanAll places every request, in the given order, into the earliest idle
 // time slices of its best candidate path (first-fit in priority order —
-// the caller sorts by EDF+SJF per Alg. 1). It returns one entry per
-// request, aligned by index; entries whose Finish exceeds the request
-// deadline (or is simtime.Infinity for unroutable flows) are misses.
-//
-// occ, if non-nil, seeds per-link occupancy (slices already promised to
-// flows outside reqs); PlanAll mutates it. Pass nil to start empty.
-func (p *Planner) PlanAll(now simtime.Time, reqs []FlowReq, occ map[topology.LinkID]simtime.IntervalSet) []PlanEntry {
-	if occ == nil {
-		occ = make(map[topology.LinkID]simtime.IntervalSet)
-	}
-	return p.planAll(now, reqs, &occView{write: occ})
+// the caller sorts by EDF+SJF per Alg. 1), starting from empty occupancy.
+// It returns one entry per request, aligned by index; entries whose Finish
+// exceeds the request deadline (or is simtime.Infinity for unroutable
+// flows) are misses.
+func (p *Planner) PlanAll(now simtime.Time, reqs []FlowReq) []PlanEntry {
+	p.occ.reset(p.Graph.NumLinks())
+	return p.planAll(now, reqs)
 }
 
-// PlanAllCOW plans against base occupancy without mutating it: only links
-// actually claimed by a winning path are cloned, into the returned touched
-// map. On acceptance the caller merges touched back into its own state; on
-// rejection it simply drops it. This is the FastAdmission path — the
-// historical alternative was a deep clone of the entire occupancy map per
-// arrival.
-func (p *Planner) PlanAllCOW(now simtime.Time, reqs []FlowReq, base map[topology.LinkID]simtime.IntervalSet) ([]PlanEntry, map[topology.LinkID]simtime.IntervalSet) {
-	v := &occView{write: make(map[topology.LinkID]simtime.IntervalSet, 16), base: base}
-	entries := p.planAll(now, reqs, v)
-	return entries, v.write
+// planOnTop places reqs into the idle time the standing occupancy leaves —
+// the FastAdmission path. When every request is routed and meets its
+// deadline the grants join the occupancy, garbage-collected up to now on
+// the links they touch, and ok is true; otherwise the occupancy is as it
+// was.
+func (p *Planner) planOnTop(now simtime.Time, reqs []FlowReq) (entries []PlanEntry, ok bool) {
+	o := &p.occ
+	o.grow(p.Graph.NumLinks())
+	end := o.end
+	o.trial = make(map[topology.LinkID]simtime.IntervalSet, 16)
+	entries = p.planAll(now, reqs)
+	trial := o.trial
+	o.trial = nil
+	for i := range entries {
+		if e := &entries[i]; e.Path == nil || e.Finish > reqs[i].Deadline {
+			o.end = end
+			return nil, false
+		}
+	}
+	for l, set := range trial {
+		set.GCBefore(now)
+		o.links[l] = set
+	}
+	return entries, true
 }
 
 // planWindow computes the allocation window for one pass over reqs: beyond
 // maxDeadline + serialized total work every flow finds idle slices, so
-// TakeFirst cannot fail inside the window. The delta planner computes the
+// first-fit cannot fail inside the window. The delta planner computes the
 // window through this same function so incremental passes see bit-identical
 // allocation horizons.
-func (p *Planner) planWindow(now simtime.Time, reqs []FlowReq, occ *occView) simtime.Interval {
+func (p *Planner) planWindow(now simtime.Time, reqs []FlowReq) simtime.Interval {
 	var sumE simtime.Time
-	maxDeadline := now
+	maxDeadline := max(now, p.occ.end)
 	for _, r := range reqs {
 		if c := p.hostCapacity(r.Src); c > 0 {
 			sumE += durationFor(r.Bytes, c)
 		}
 		maxDeadline = max(maxDeadline, r.Deadline)
 	}
-	for _, set := range occ.write {
-		if ivs := set.Intervals(); len(ivs) > 0 {
-			maxDeadline = max(maxDeadline, ivs[len(ivs)-1].End)
-		}
-	}
-	for _, set := range occ.base {
-		if ivs := set.Intervals(); len(ivs) > 0 {
-			maxDeadline = max(maxDeadline, ivs[len(ivs)-1].End)
-		}
-	}
 	return simtime.Interval{Start: now, End: maxDeadline + sumE + 1}
 }
 
-func (p *Planner) planAll(now simtime.Time, reqs []FlowReq, occ *occView) []PlanEntry {
-	window := p.planWindow(now, reqs, occ)
+func (p *Planner) planAll(now simtime.Time, reqs []FlowReq) []PlanEntry {
+	window := p.planWindow(now, reqs)
 
 	entries := make([]PlanEntry, len(reqs))
 	for i, r := range reqs {
-		entries[i] = p.planOne(now, r, window, occ)
+		entries[i] = p.planOne(now, r, window)
 	}
 	return entries
 }
 
-// planOne runs Alg. 2 lines 2-14 for a single flow and commits its slices
-// to occ.
+// planOne runs Alg. 2 lines 2-14 for a single flow and claims its slices
+// in the occupancy.
 //
 //taps:hotpath
-func (p *Planner) planOne(now simtime.Time, r FlowReq, window simtime.Interval, occ *occView) PlanEntry {
+func (p *Planner) planOne(now simtime.Time, r FlowReq, window simtime.Interval) PlanEntry {
 	best := PlanEntry{Finish: simtime.Infinity, PathIndex: -1}
 	if r.Src == r.Dst || r.Bytes <= 0 {
 		best.Finish = now
@@ -225,7 +243,7 @@ func (p *Planner) planOne(now simtime.Time, r FlowReq, window simtime.Interval, 
 	paths := p.Routing.Paths(r.Src, r.Dst, p.MaxPaths, r.Key)
 	best.Candidates = len(paths)
 	sc := &p.scratch
-	p.evalCandidates(now, r, window, occ, paths, sc)
+	p.evalCandidates(now, r, window, paths, sc)
 	if sc.bestIdx < 0 {
 		return best
 	}
@@ -235,29 +253,25 @@ func (p *Planner) planOne(now simtime.Time, r FlowReq, window simtime.Interval, 
 	// The clone is the single allocation the planning of one flow
 	// performs; the copy is retained in the returned plan.
 	best.Slices = sc.best.Clone()
-	for _, l := range best.Path {
-		occ.add(l, &best.Slices)
-	}
+	p.occ.claim(best.Path, &best.Slices, best.Finish)
 	return best
 }
 
-// evalPath runs Alg. 3 for one candidate path entirely inside sc: Tocp =
-// k-way merge of the links' occupancies, idle = complement within the
-// window, allocation = first E units of idle. The taken slices are left in
-// sc.taken; nothing is allocated once sc is warm.
+// evalPath runs Alg. 3 for one candidate path: one bounded first-fit sweep
+// over the occupancies of its links. It succeeds when the flow finishes
+// before `before`; the taken slices are then in sc.taken. Nothing is
+// allocated once sc is warm.
 //
 //taps:hotpath
-func (p *Planner) evalPath(now simtime.Time, r FlowReq, window simtime.Interval, occ *occView, path topology.Path, sc *evalScratch) (simtime.Time, bool) {
+func (p *Planner) evalPath(now simtime.Time, r FlowReq, before simtime.Time, path topology.Path, sc *evalScratch) (simtime.Time, bool) {
 	e := durationFor(r.Bytes, p.Graph.MinCapacity(path))
 	sc.sets = sc.sets[:0]
 	for _, l := range path {
-		if set := occ.get(l); !set.Empty() {
+		if set := p.occ.get(l); !set.Empty() {
 			sc.sets = append(sc.sets, set)
 		}
 	}
-	simtime.MergeInto(&sc.occupied, sc.sets...)
-	sc.occupied.ComplementWithinInto(window, &sc.idle)
-	return sc.idle.TakeFirstInto(now, e, &sc.taken)
+	return simtime.FirstFit(&sc.taken, now, e, before, sc.sets...)
 }
 
 // durationFor mirrors sim.DurationFor without importing sim (core must stay

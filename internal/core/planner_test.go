@@ -44,7 +44,7 @@ func TestPropPlanSlicesDisjointPerLink(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		reqs := randReqs(rng, hosts, 1+rng.Intn(25))
 		now := simtime.Time(rng.Intn(1000))
-		entries := p.PlanAll(now, reqs, nil)
+		entries := p.PlanAll(now, reqs)
 		perLink := make(map[topology.LinkID]simtime.IntervalSet)
 		for _, e := range entries {
 			if e.Path == nil {
@@ -76,7 +76,7 @@ func TestPropPlanSlicesCoverRequest(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		reqs := randReqs(rng, hosts, 1+rng.Intn(20))
 		now := simtime.Time(rng.Intn(500))
-		entries := p.PlanAll(now, reqs, nil)
+		entries := p.PlanAll(now, reqs)
 		for i, e := range entries {
 			if e.Path == nil {
 				return false // a fat-tree always offers a path
@@ -104,36 +104,6 @@ func TestPropPlanSlicesCoverRequest(t *testing.T) {
 	}
 }
 
-// TestPlanRespectsSeedOccupancy: pre-seeded occupancy (FastAdmission's
-// incremental path) is never double-booked.
-func TestPlanRespectsSeedOccupancy(t *testing.T) {
-	g, r := fatTree4()
-	hosts := g.Hosts()
-	p := &core.Planner{Graph: g, Routing: r, MaxPaths: 1}
-	// Occupy [0, 5ms) on the flow's only candidate path.
-	req := core.FlowReq{Key: 1, Src: hosts[0], Dst: hosts[1], Bytes: 1000,
-		Deadline: 50 * simtime.Millisecond}
-	path := r.Paths(req.Src, req.Dst, 1, 1)[0]
-	occ := make(map[topology.LinkID]simtime.IntervalSet)
-	busy := simtime.NewIntervalSet(simtime.Interval{Start: 0, End: 5 * simtime.Millisecond})
-	for _, l := range path {
-		occ[l] = busy.Clone()
-	}
-	entries := p.PlanAll(0, []core.FlowReq{req}, occ)
-	e := entries[0]
-	if e.Path == nil {
-		t.Fatal("no plan")
-	}
-	for _, iv := range e.Slices.Intervals() {
-		if iv.Start < 5*simtime.Millisecond {
-			t.Fatalf("slice %v inside seeded occupancy", iv)
-		}
-	}
-	if e.Finish != 6*simtime.Millisecond {
-		t.Fatalf("finish = %d, want 6 ms", e.Finish)
-	}
-}
-
 func TestPlannerZeroByteAndSelfFlows(t *testing.T) {
 	g, r := fatTree4()
 	hosts := g.Hosts()
@@ -142,7 +112,7 @@ func TestPlannerZeroByteAndSelfFlows(t *testing.T) {
 		{Key: 1, Src: hosts[0], Dst: hosts[0], Bytes: 100, Deadline: 1000},
 		{Key: 2, Src: hosts[0], Dst: hosts[1], Bytes: 0, Deadline: 1000},
 	}
-	entries := p.PlanAll(7, reqs, nil)
+	entries := p.PlanAll(7, reqs)
 	for i, e := range entries {
 		if e.Finish != 7 {
 			t.Fatalf("entry %d finish = %d, want now", i, e.Finish)

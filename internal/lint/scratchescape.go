@@ -6,9 +6,9 @@ import (
 )
 
 // ScratchEscape guards the aliasing contract of the planner's scratch
-// arenas. simtime's *Into operations (MergeInto, ComplementWithinInto,
-// TakeFirstInto) write into caller-owned destination sets whose backing
-// arrays are reused on the next call; any such set that escapes the arena
+// arenas. simtime.FirstFit writes the slices it takes into a caller-owned
+// destination set whose backing array is reused on the next call (the
+// "Into" convention); any such set that escapes the arena
 // — stored into an unrelated struct field or map, returned, or packed into
 // a composite literal — without an explicit .Clone() will be silently
 // rewritten by the next planning pass, corrupting an already-committed
@@ -31,12 +31,9 @@ var ScratchEscape = &Analyzer{
 const simtimePkg = "taps/internal/simtime"
 
 // intoDstIndex maps each Into operation to the position of its destination
-// argument. MergeInto is a package function; the other two are methods on
-// IntervalSet.
+// argument.
 var intoDstIndex = map[string]int{
-	"MergeInto":            0,
-	"ComplementWithinInto": 1,
-	"TakeFirstInto":        2,
+	"FirstFit": 0,
 }
 
 func runScratchEscape(p *Pass) {
@@ -44,9 +41,8 @@ func runScratchEscape(p *Pass) {
 
 	// Pass 1a: seed — destinations of Into calls that are struct fields.
 	// A plain `&local` destination is a fresh set owned by the enclosing
-	// function and safe to hand out (simtime's own TakeFirst/Union wrappers
-	// do exactly that); only storage that outlives the call — an arena
-	// field — makes reuse dangerous.
+	// function and safe to hand out; only storage that outlives the call —
+	// an arena field — makes reuse dangerous.
 	type assignPair struct{ lhs, rhs ast.Expr }
 	var pairs []assignPair
 	for _, f := range p.Files {

@@ -6,22 +6,20 @@ import "taps/internal/simtime"
 
 // arena mirrors the planner's evalScratch: reused Into destinations.
 type arena struct {
-	occupied simtime.IntervalSet
-	idle     simtime.IntervalSet
-	taken    simtime.IntervalSet
-	best     simtime.IntervalSet
+	probe simtime.IntervalSet
+	taken simtime.IntervalSet
+	best  simtime.IntervalSet
 }
 
 type plan struct {
 	slices simtime.IntervalSet
 }
 
-// eval runs the merge → complement → take pipeline into the arena fields,
-// marking them scratch-backed, and ends with the legal double-buffer swap.
+// eval sweeps into the arena fields, marking them scratch-backed, and ends
+// with the legal double-buffer swap.
 func (a *arena) eval(sets []simtime.IntervalSet, w simtime.Interval) {
-	simtime.MergeInto(&a.occupied, sets...)
-	a.occupied.ComplementWithinInto(w, &a.idle)
-	a.idle.TakeFirstInto(w.Start, 10, &a.taken)
+	simtime.FirstFit(&a.probe, w.Start, 1, w.End, sets...)
+	simtime.FirstFit(&a.taken, w.Start, 10, w.End, sets...)
 	a.taken, a.best = a.best, a.taken // intra-arena swap: legal
 }
 
@@ -37,12 +35,12 @@ func (a *arena) leakField(p *plan) {
 
 // leakLiteral packs the arena into a published value.
 func (a *arena) leakLiteral() plan {
-	return plan{slices: a.idle} // want "scratch-backed idle .* packed into a composite literal"
+	return plan{slices: a.probe} // want "scratch-backed probe .* packed into a composite literal"
 }
 
 // leakAlias escapes through a local copy: propagation catches it.
 func (a *arena) leakAlias() simtime.IntervalSet {
-	s := a.occupied
+	s := a.probe
 	return s // want "scratch-backed s .* returned"
 }
 
@@ -51,11 +49,11 @@ func (a *arena) publish() simtime.IntervalSet {
 	return a.taken.Clone()
 }
 
-// union writes into a fresh local destination — owned by this call, free
-// to escape, not flagged.
-func union(sets ...simtime.IntervalSet) simtime.IntervalSet {
+// firstSlices writes into a fresh local destination — owned by this call,
+// free to escape, not flagged.
+func firstSlices(sets ...simtime.IntervalSet) simtime.IntervalSet {
 	var out simtime.IntervalSet
-	simtime.MergeInto(&out, sets...)
+	simtime.FirstFit(&out, 0, 10, simtime.Infinity, sets...)
 	return out
 }
 

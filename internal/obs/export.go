@@ -249,9 +249,11 @@ func WritePrometheus(w io.Writer, r *Recorder, linkName func(int32) string) erro
 		fmt.Fprintf(&b, "taps_replan_scope_bucket{le=\"+Inf\"} %d\n", rs.Count)
 		fmt.Fprintf(&b, "taps_replan_scope_sum %s\n", formatFloat(rs.Sum))
 		fmt.Fprintf(&b, "taps_replan_scope_count %d\n", rs.Count)
-		b.WriteString("# HELP taps_replan_full_fallbacks_total Delta-planner passes that fell back to a full re-plan.\n")
+		b.WriteString("# HELP taps_replan_full_fallbacks_total Delta-planner passes that fell back to a full re-plan, by why the incremental attempt was abandoned.\n")
 		b.WriteString("# TYPE taps_replan_full_fallbacks_total counter\n")
-		fmt.Fprintf(&b, "taps_replan_full_fallbacks_total %d\n", rs.FullFallbacks)
+		for why, n := range rs.Fallbacks {
+			fmt.Fprintf(&b, "taps_replan_full_fallbacks_total{reason=%q} %d\n", FallbackReason(why), n)
+		}
 	}
 
 	_, err := io.WriteString(w, b.String())

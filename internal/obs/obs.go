@@ -133,10 +133,10 @@ type Recorder struct {
 	// in-flight flows that were actually re-planned (dirty set / total),
 	// in ten linear ratio buckets, plus how often the planner fell back
 	// to a full re-plan.
-	scopeBuckets  [scopeBucketCount]uint64
-	scopeSum      float64
-	scopeCount    uint64
-	fullFallbacks uint64
+	scopeBuckets [scopeBucketCount]uint64
+	scopeSum     float64
+	scopeCount   uint64
+	fallbacks    [fallbackReasonCount]uint64
 }
 
 // scopeBucketCount is the number of linear ratio buckets of the
@@ -353,10 +353,37 @@ type ReplanScope struct {
 	// Sum is the sum of observed fractions; Count the number of passes.
 	Sum   float64
 	Count uint64
-	// FullFallbacks counts passes the delta planner abandoned (dirty set
-	// over budget, first pass, or invalidated index), decided by a full
-	// re-plan instead.
+	// FullFallbacks counts passes that had records to reuse and were
+	// decided by a full re-plan all the same; Fallbacks splits it by why
+	// the incremental attempt was abandoned.
 	FullFallbacks uint64
+	Fallbacks     [fallbackReasonCount]uint64
+}
+
+// FallbackReason is why an incremental re-plan attempt was abandoned for
+// the full pass.
+//
+//taps:enum
+type FallbackReason uint8
+
+const (
+	// FallbackGate: the a-priori dirty-set estimate already exceeded the
+	// budget, so no incremental pass was started.
+	FallbackGate FallbackReason = iota
+	// FallbackBudget: the pass ran and re-planned more flows than the
+	// dirty budget allows.
+	FallbackBudget
+
+	fallbackReasonCount // keep last
+)
+
+var fallbackReasonNames = [fallbackReasonCount]string{"gate", "budget"}
+
+func (f FallbackReason) String() string {
+	if int(f) < len(fallbackReasonNames) {
+		return fallbackReasonNames[f]
+	}
+	return "reason(?)"
 }
 
 // ObserveReplanScope folds one incremental pass into the replan-scope
@@ -384,13 +411,13 @@ func (r *Recorder) ObserveReplanScope(replanned, total int) {
 }
 
 // CountReplanFallback counts one delta-planner pass that fell back to the
-// full re-plan. No-op on nil.
-func (r *Recorder) CountReplanFallback() {
+// full re-plan, and why. No-op on nil.
+func (r *Recorder) CountReplanFallback(why FallbackReason) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.fullFallbacks++
+	r.fallbacks[why]++
 	r.mu.Unlock()
 }
 
@@ -401,8 +428,12 @@ func (r *Recorder) ReplanScopeStats() ReplanScope {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return ReplanScope{Buckets: r.scopeBuckets, Sum: r.scopeSum,
-		Count: r.scopeCount, FullFallbacks: r.fullFallbacks}
+	rs := ReplanScope{Buckets: r.scopeBuckets, Sum: r.scopeSum,
+		Count: r.scopeCount, Fallbacks: r.fallbacks}
+	for _, n := range r.fallbacks {
+		rs.FullFallbacks += n
+	}
+	return rs
 }
 
 // DeclogSyncLatency returns the decision-log fsync latency histogram (nil

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// The planner's steady-state loop runs merge/complement/take once per
-// candidate path with warm per-planner scratch buffers. These tests pin the
-// allocation contract: with warm scratch, the Into operations allocate
-// nothing at all.
+// The planner's steady-state loop runs one FirstFit sweep per candidate
+// path with a warm per-planner destination. This test pins the allocation
+// contract: with a warm destination, or none, the sweep allocates nothing
+// at all.
 
 func allocSet(rng *rand.Rand, n int) IntervalSet {
 	var s IntervalSet
@@ -19,40 +19,19 @@ func allocSet(rng *rand.Rand, n int) IntervalSet {
 	return s
 }
 
-func TestMergeIntoZeroAllocs(t *testing.T) {
+func TestFirstFitZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	sets := []IntervalSet{allocSet(rng, 64), allocSet(rng, 64), allocSet(rng, 64), allocSet(rng, 64)}
 	var dst IntervalSet
-	MergeInto(&dst, sets...) // warm the scratch
-	if avg := testing.AllocsPerRun(100, func() {
-		MergeInto(&dst, sets...)
-	}); avg != 0 {
-		t.Fatalf("MergeInto allocates %.1f/op with warm scratch, want 0", avg)
-	}
-}
-
-func TestComplementWithinIntoZeroAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	s := allocSet(rng, 128)
-	w := Interval{0, 200_000}
-	var dst IntervalSet
-	s.ComplementWithinInto(w, &dst)
-	if avg := testing.AllocsPerRun(100, func() {
-		s.ComplementWithinInto(w, &dst)
-	}); avg != 0 {
-		t.Fatalf("ComplementWithinInto allocates %.1f/op with warm scratch, want 0", avg)
-	}
-}
-
-func TestTakeFirstIntoZeroAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	s := allocSet(rng, 128).ComplementWithin(Interval{0, 200_000})
-	var dst IntervalSet
-	s.TakeFirstInto(50, 10_000, &dst)
-	if avg := testing.AllocsPerRun(100, func() {
-		s.TakeFirstInto(50, 10_000, &dst)
-	}); avg != 0 {
-		t.Fatalf("TakeFirstInto allocates %.1f/op with warm scratch, want 0", avg)
+	FirstFit(&dst, 50, 10_000, Infinity, sets...) // warm the destination
+	for name, d := range map[string]*IntervalSet{"dst": &dst, "nodst": nil} {
+		if avg := testing.AllocsPerRun(100, func() {
+			if _, ok := FirstFit(d, 50, 10_000, Infinity, sets...); !ok {
+				t.Fatal("sweep failed")
+			}
+		}); avg != 0 {
+			t.Errorf("%s: FirstFit allocates %.1f/op, want 0", name, avg)
+		}
 	}
 }
 

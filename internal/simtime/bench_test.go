@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -32,32 +33,30 @@ func BenchmarkAddRandom(b *testing.B) {
 	}
 }
 
-func BenchmarkUnion(b *testing.B) {
-	x := randomSet(256, 1)
-	y := randomSet(256, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Union(x, y)
-	}
-}
-
-func BenchmarkComplementWithin(b *testing.B) {
-	s := randomSet(512, 3)
-	w := Interval{0, 2_000_000}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.ComplementWithin(w)
-	}
-}
-
-func BenchmarkTakeFirst(b *testing.B) {
-	s := randomSet(512, 4).ComplementWithin(Interval{0, 2_000_000})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.TakeFirst(Time(i%100_000), 5_000)
+// BenchmarkFirstFit is Alg. 3 for one candidate path of 1, 6 (a fat-tree
+// path) or 12 links, each busy about an eighth of the time. "never" sweeps
+// with no bound until the units fit; "early" is the planner's beaten
+// candidate, abandoned at the first gap from which it can no longer finish
+// before the best so far.
+func BenchmarkFirstFit(b *testing.B) {
+	for _, n := range []int{1, 6, 12} {
+		sets := make([]IntervalSet, n)
+		for i := range sets {
+			sets[i] = randomSet(512, int64(i+1))
+		}
+		_, finish, _ := oracleFirstFit(0, 50_000, Infinity, sets...)
+		for _, bound := range []struct {
+			name   string
+			before Time
+		}{{"never", Infinity}, {"early", finish / 8}} {
+			b.Run(fmt.Sprintf("sets=%d/bound=%s", n, bound.name), func(b *testing.B) {
+				var dst IntervalSet
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					FirstFit(&dst, Time(i%1000), 50_000, bound.before, sets...)
+				}
+			})
+		}
 	}
 }
 

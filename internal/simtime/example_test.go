@@ -6,28 +6,31 @@ import (
 	"taps/internal/simtime"
 )
 
-// ExampleIntervalSet_TakeFirst shows the Alg. 3 allocation primitive:
-// find the earliest E idle microseconds of a link and the resulting
-// completion instant.
-func ExampleIntervalSet_TakeFirst() {
-	// The link is busy during [0,5) and [10,20).
-	var occupied simtime.IntervalSet
-	occupied.Add(simtime.Interval{Start: 0, End: 5})
-	occupied.Add(simtime.Interval{Start: 10, End: 20})
+// ExampleFirstFit shows the Alg. 3 allocation primitive: find the earliest
+// E microseconds that are idle on every link of a path, and the resulting
+// completion instant. The path is busy whenever any of its links is.
+func ExampleFirstFit() {
+	link1 := simtime.NewIntervalSet(simtime.Interval{Start: 0, End: 5})
+	link2 := simtime.NewIntervalSet(simtime.Interval{Start: 3, End: 5}, simtime.Interval{Start: 10, End: 20})
 
-	idle := occupied.ComplementWithin(simtime.Interval{Start: 0, End: 100})
-	slices, finish, ok := idle.TakeFirst(0, 8)
+	var slices simtime.IntervalSet
+	finish, ok := simtime.FirstFit(&slices, 0, 8, 100, link1, link2)
 	fmt.Println(slices, finish, ok)
 	// Output:
 	// {[5,10) [20,23)} 23 true
 }
 
-// ExampleUnion shows the occupied-union step of Alg. 3: a path is busy
-// whenever any of its links is.
-func ExampleUnion() {
-	link1 := simtime.NewIntervalSet(simtime.Interval{Start: 0, End: 10})
-	link2 := simtime.NewIntervalSet(simtime.Interval{Start: 5, End: 15})
-	fmt.Println(simtime.Union(link1, link2))
+// ExampleFirstFit_bounded shows the strict bound: a candidate that cannot
+// finish before it — here, before the best finish found so far — is given
+// up, and no slices are asked for.
+func ExampleFirstFit_bounded() {
+	busy := simtime.NewIntervalSet(simtime.Interval{Start: 0, End: 5}, simtime.Interval{Start: 10, End: 20})
+
+	_, ok := simtime.FirstFit(nil, 0, 8, 23, busy)
+	fmt.Println(ok)
+	finish, ok := simtime.FirstFit(nil, 0, 8, 24, busy)
+	fmt.Println(finish, ok)
 	// Output:
-	// {[0,15)}
+	// false
+	// 23 true
 }

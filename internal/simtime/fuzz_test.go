@@ -32,6 +32,57 @@ func dirtyScratch() IntervalSet {
 	return NewIntervalSet(Interval{3, 9}, Interval{100, 250}, Interval{400, 401})
 }
 
+// FuzzFirstFit checks the bounded sweep against a greedy walk of the bitmap
+// model — the first `units` instants at or after `from` that are busy on
+// none of the sets — and against the oracle pipeline.
+func FuzzFirstFit(f *testing.F) {
+	f.Add([]byte{1, 10, 30, 5}, []byte{2, 8}, []byte{0, 0}, uint8(5), uint8(15), uint16(300))
+	f.Add([]byte{}, []byte{255, 255}, []byte{4, 4, 4, 4}, uint8(200), uint8(0), uint16(0))
+	f.Add([]byte{0, 23, 12, 23}, []byte{23, 1}, []byte{}, uint8(3), uint8(40), uint16(60))
+	f.Fuzz(func(t *testing.T, d1, d2, d3 []byte, from, units uint8, before uint16) {
+		sets := []IntervalSet{setFromBytes(d1), setFromBytes(d2), setFromBytes(d3)}
+		busy := [bitmapLen]bool{}
+		for _, s := range sets {
+			m := bitmap(s)
+			for i := range busy {
+				busy[i] = busy[i] || m[i]
+			}
+		}
+		// Everything at or after bitmapLen is idle: sets live below it.
+		var want IntervalSet
+		wantFinish, taken := Time(from), Time(0)
+		for i := Time(from); taken < Time(units); i++ {
+			if i >= bitmapLen || !busy[i] {
+				want.Add(Interval{i, i + 1})
+				wantFinish = i + 1
+				taken++
+			}
+		}
+		wantOK := wantFinish < Time(before)
+
+		dst := dirtyScratch()
+		finish, ok := FirstFit(&dst, Time(from), Time(units), Time(before), sets...)
+		if ok != wantOK {
+			t.Fatalf("sets %v from=%d units=%d before=%d: ok=%v, bitmap finish %d", sets, from, units, before, ok, wantFinish)
+		}
+		if !ok {
+			if finish < Time(before) || finish > wantFinish {
+				t.Fatalf("failed sweep reports finish %d: want a lower bound on %d that is no less than %d", finish, wantFinish, before)
+			}
+			return
+		}
+		if !dst.Valid() || finish != wantFinish || dst.String() != want.String() {
+			t.Fatalf("sets %v from=%d units=%d: got %v finish %d, bitmap %v finish %d", sets, from, units, dst, finish, want, wantFinish)
+		}
+		if before > 0 {
+			ref, refFinish, refOK := oracleFirstFit(Time(from), Time(units), Time(before)-1, sets...)
+			if !refOK || refFinish != finish || ref.String() != dst.String() {
+				t.Fatalf("sweep (%v,%d,true) != oracle (%v,%d,%v)", dst, finish, ref, refFinish, refOK)
+			}
+		}
+	})
+}
+
 // FuzzMergeInto checks the k-way union against the bitmap model.
 func FuzzMergeInto(f *testing.F) {
 	f.Add([]byte{1, 10, 30, 5}, []byte{2, 8}, []byte{0, 0})

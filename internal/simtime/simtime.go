@@ -1,8 +1,9 @@
 // Package simtime provides the time primitives used throughout the TAPS
 // reproduction: an integer microsecond clock, half-open intervals, and
-// disjoint sorted interval sets with the union / complement / first-N-units
-// operations that the TAPS controller's time-slice allocator (Alg. 3 of the
-// paper) is built on.
+// disjoint sorted interval sets with FirstFit, the bounded first-fit sweep
+// over a path's per-link busy sets that the TAPS controller's time-slice
+// allocator (Alg. 3 of the paper) is: the occupied union and its idle
+// complement are computed on the fly by the sweep, never stored.
 //
 // All times are int64 microseconds. Intervals are half-open [Start, End).
 // The zero IntervalSet is an empty, ready-to-use set.
@@ -244,65 +245,6 @@ func (s *IntervalSet) Remove(iv Interval) {
 	s.ivs = out
 }
 
-// Union returns the union of the two sets.
-func Union(a, b IntervalSet) IntervalSet {
-	var out IntervalSet
-	MergeInto(&out, a, b)
-	return out
-}
-
-// MergeInto replaces dst's contents with the union of the given sets,
-// produced in one linear pass. dst's backing storage is reused, so a warm
-// caller-owned scratch set makes the operation allocation-free — this is
-// the k-way union the planner runs once per candidate path (Alg. 3's Tocp,
-// the union of the path's per-link occupancies).
-//
-// dst must not alias any element of sets. Passing a pre-built slice as
-// `sets...` avoids the variadic allocation.
-//
-//taps:hotpath
-func MergeInto(dst *IntervalSet, sets ...IntervalSet) {
-	dst.ivs = dst.ivs[:0]
-	// Per-set cursors; planner paths have at most a handful of links, so
-	// the cursor array lives on the stack for the common case.
-	var cursBuf [12]int
-	var curs []int
-	if len(sets) <= len(cursBuf) {
-		curs = cursBuf[:len(sets)]
-		for i := range curs {
-			curs[i] = 0
-		}
-	} else {
-		curs = make([]int, len(sets)) //taps:allow hotpathalloc spill path for more sets than the fixed cursor buffer; callers stay within it
-	}
-	for {
-		// Pick the set whose next interval starts earliest.
-		best := -1
-		var bestStart Time
-		for i := range sets {
-			if curs[i] >= len(sets[i].ivs) {
-				continue
-			}
-			if st := sets[i].ivs[curs[i]].Start; best < 0 || st < bestStart {
-				best, bestStart = i, st
-			}
-		}
-		if best < 0 {
-			return
-		}
-		iv := sets[best].ivs[curs[best]]
-		curs[best]++
-		if n := len(dst.ivs); n > 0 && dst.ivs[n-1].End >= iv.Start {
-			// Overlaps or touches the tail: coalesce.
-			if iv.End > dst.ivs[n-1].End {
-				dst.ivs[n-1].End = iv.End
-			}
-		} else {
-			dst.ivs = append(dst.ivs, iv)
-		}
-	}
-}
-
 // UnionInPlace adds every interval of b into s.
 //
 //taps:hotpath
@@ -330,79 +272,81 @@ func Intersect(a, b IntervalSet) IntervalSet {
 	return out
 }
 
-// ComplementWithin returns the instants of window that are NOT in s —
-// the "idle" time of window. This is the complement operation used by
-// Alg. 3: the complement of the occupied union is the idle time.
-func (s IntervalSet) ComplementWithin(window Interval) IntervalSet {
-	var out IntervalSet
-	s.ComplementWithinInto(window, &out)
-	return out
-}
-
-// ComplementWithinInto is ComplementWithin into a caller-owned scratch set:
-// dst's previous contents are discarded and its backing storage reused, so
-// a warm dst makes the operation allocation-free. dst must not alias s.
+// FirstFit is Alg. 3 for one path: given the busy sets of the path's links,
+// it returns the instant at which `units` microseconds that are idle on
+// every set, taken as early as possible at or after `from`, have all
+// elapsed. ok is false when that instant is not strictly before `before`;
+// finish is then only a lower bound on it. The path's occupied union
+// (Alg. 3's Tocp) and its complement are never built: one cursor per set
+// walks the busy intervals in start order, the gaps between them are taken
+// as they pass, and the sweep is abandoned at the first busy interval that
+// leaves the remaining units no room before the bound — a planner that
+// passes the best finish so far pays for a beaten candidate only up to
+// there.
+//
+// dst, when non-nil, receives the taken slices: its previous contents are
+// discarded (also by a call that fails, which leaves a partial result the
+// next call overwrites) and its backing storage reused, so a warm
+// caller-owned scratch set makes the operation allocation-free. dst must
+// not alias any element of sets. Passing a pre-built slice as `sets...`
+// avoids the variadic allocation.
 //
 //taps:hotpath
-func (s IntervalSet) ComplementWithinInto(window Interval, dst *IntervalSet) {
-	dst.ivs = dst.ivs[:0]
-	if window.Empty() {
-		return
+func FirstFit(dst *IntervalSet, from, units, before Time, sets ...IntervalSet) (finish Time, ok bool) {
+	if dst != nil {
+		dst.ivs = dst.ivs[:0]
 	}
-	cursor := window.Start
-	for i := s.firstEndAbove(cursor); i < len(s.ivs); i++ {
-		iv := s.ivs[i]
-		if iv.Start >= window.End {
-			break
-		}
-		if iv.Start > cursor {
-			dst.ivs = append(dst.ivs, Interval{cursor, min(iv.Start, window.End)})
-		}
-		cursor = max(cursor, iv.End)
-		if cursor >= window.End {
-			return
-		}
-	}
-	dst.ivs = append(dst.ivs, Interval{cursor, window.End})
-}
-
-// TakeFirst returns, as a new set, the earliest `units` microseconds of s at
-// or after `from`, together with the instant at which the last taken slice
-// ends (the completion time). If the set holds fewer than `units`
-// microseconds after `from`, ok is false and the returned set holds
-// everything available.
-//
-// This is the "first E idle time slices" step of Alg. 3.
-func (s IntervalSet) TakeFirst(from Time, units Time) (taken IntervalSet, finish Time, ok bool) {
-	finish, ok = s.TakeFirstInto(from, units, &taken)
-	return taken, finish, ok
-}
-
-// TakeFirstInto is TakeFirst into a caller-owned scratch set: dst's previous
-// contents are discarded and its backing storage reused, so a warm dst makes
-// the operation allocation-free. dst must not alias s. The prefix of
-// intervals entirely before `from` is skipped by binary search.
-//
-//taps:hotpath
-func (s IntervalSet) TakeFirstInto(from Time, units Time, dst *IntervalSet) (finish Time, ok bool) {
-	dst.ivs = dst.ivs[:0]
 	if units <= 0 {
-		return from, true
+		return from, from < before
 	}
-	remaining := units
-	finish = from
-	for i := s.firstEndAbove(from); i < len(s.ivs); i++ {
-		iv := s.ivs[i]
-		start := max(iv.Start, from)
-		take := min(iv.End-start, remaining)
-		dst.ivs = append(dst.ivs, Interval{start, start + take})
-		remaining -= take
-		finish = start + take
-		if remaining == 0 {
-			return finish, true
+	// Per-set cursors; planner paths have at most a handful of links, so
+	// the cursor array lives on the stack for the common case.
+	var cursBuf [12]int
+	var curs []int
+	if len(sets) <= len(cursBuf) {
+		curs = cursBuf[:len(sets)]
+	} else {
+		curs = make([]int, len(sets)) //taps:allow hotpathalloc spill path for more sets than the fixed cursor buffer; callers stay within it
+	}
+	for i := range sets {
+		curs[i] = sets[i].firstEndAbove(from)
+	}
+	// t is the sweep position, remaining what is still to take: the finish
+	// can be no earlier than t + remaining, which only a busy interval
+	// starting before then pushes out.
+	t, remaining := from, units
+	for t+remaining < before {
+		// Pick the set whose next interval starts earliest, leaving behind
+		// the intervals the sweep has already passed the end of.
+		next := -1
+		var iv Interval
+		for i := range sets {
+			ivs, c := sets[i].ivs, curs[i]
+			for c < len(ivs) && ivs[c].End <= t {
+				c++
+			}
+			curs[i] = c
+			if c < len(ivs) && (next < 0 || ivs[c].Start < iv.Start) {
+				next, iv = i, ivs[c]
+			}
 		}
+		if next < 0 || iv.Start >= t+remaining {
+			// Idle from t for as long as it takes.
+			if dst != nil {
+				dst.ivs = append(dst.ivs, Interval{t, t + remaining})
+			}
+			return t + remaining, true
+		}
+		curs[next]++
+		if iv.Start > t {
+			if dst != nil {
+				dst.ivs = append(dst.ivs, Interval{t, iv.Start})
+			}
+			remaining -= iv.Start - t
+		}
+		t = iv.End
 	}
-	return finish, false
+	return t + remaining, false
 }
 
 // NextInstantIn returns the earliest instant >= from contained in the set,
