@@ -257,31 +257,22 @@ func BenchmarkPlanChurn(b *testing.B) {
 }
 
 // BenchmarkTAPSFullRun measures the whole pipeline: workload generation
-// excluded, simulation + scheduling included, with and without the
-// FastAdmission extension.
+// excluded, simulation + scheduling included.
 func BenchmarkTAPSFullRun(b *testing.B) {
 	g, r := topology.SingleRootedTree(topology.SingleRootedTreeSpec{
 		Pods: 3, RacksPerPod: 2, HostsPerRack: 5, LinkCapacity: topology.Gbps(1),
 	})
 	cr := topology.NewCachedRouting(r)
 	specs := workload.Generate(g, workload.Spec{Tasks: 12, MeanFlowsPerTask: 20, Seed: 1})
-	for _, fast := range []bool{false, true} {
-		name := "replan-always"
-		if fast {
-			name = "fast-admission"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := core.DefaultConfig()
-			cfg.FastAdmission = fast
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				eng := sim.New(g, cr, core.New(cfg), specs, sim.Config{})
-				if _, err := eng.Run(); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("replan-always", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			eng := sim.New(g, cr, core.New(core.DefaultConfig()), specs, sim.Config{})
+			if _, err := eng.Run(); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkTAPSFullRunSpans is the span-tracing cost pair: the identical

@@ -105,13 +105,6 @@ func TestIncrementalMatchesFullDefaultFrac(t *testing.T) {
 	checkIncrementalMatchesFull(t, DefaultConfig(), nil)
 }
 
-func TestIncrementalMatchesFullFastAdmission(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.FastAdmission = true
-	cfg.IncrementalMaxDirtyFrac = 1
-	checkIncrementalMatchesFull(t, cfg, nil)
-}
-
 func TestIncrementalMatchesFullBatchWindow(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BatchWindow = 200 * simtime.Microsecond

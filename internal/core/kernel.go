@@ -96,11 +96,9 @@ type Kernel struct {
 	order   []*Flow
 	reqs    []FlowReq
 	spent   []*Flow
-	merged  bool // the last commit merged order into the plan instead of replacing it
 	missing map[int64]bool
 
-	replans    int
-	fastAdmits int
+	replans int
 }
 
 // NewKernel returns a kernel planning over g with routing r.
@@ -134,10 +132,6 @@ func (k *Kernel) bind(g *topology.Graph, r topology.Routing) {
 // Replans returns how many global planning passes the kernel has run.
 func (k *Kernel) Replans() int { return k.replans }
 
-// FastAdmits returns how many tasks the FastAdmission path accepted
-// without a global pass.
-func (k *Kernel) FastAdmits() int { return k.fastAdmits }
-
 // Flow returns the record of a flow, or nil when the kernel holds none.
 func (k *Kernel) Flow(key uint64) *Flow { return k.flows[key] }
 
@@ -146,10 +140,9 @@ func (k *Kernel) Flow(key uint64) *Flow { return k.flows[key] }
 func (k *Kernel) Flows(task int64) []*Flow { return k.tasks[task] }
 
 // Committed returns the flows of the pass installed by the latest input,
-// in plan order. merged is true when that pass was a fast admission: it
-// covers the newcomer alone and every other grant stands; otherwise the
-// pass is the whole plan.
-func (k *Kernel) Committed() (flows []*Flow, merged bool) { return k.order, k.merged }
+// in plan order. The pass is the whole plan: a flow in flight that is not
+// in it holds nothing.
+func (k *Kernel) Committed() []*Flow { return k.order }
 
 // Fraction is a task's byte-completion fraction as of the latest input,
 // the quantity the reject rule compares.
@@ -205,12 +198,6 @@ func (k *Kernel) TaskArrived(now simtime.Time, task int64, deadline simtime.Time
 		}
 	}
 	k.tasks[task] = flows
-
-	if k.cfg.FastAdmission && k.admitFast(now, task, flows) {
-		k.Sink.Emit(&declog.Record{Kind: declog.KindAdmit, Time: now, Task: task, Fast: true})
-		k.Obs.Record(obs.Event{Time: now, Kind: obs.KindTaskAdmitted, Task: task, Reason: "fast-admission"})
-		return Accept, span.NoTask
-	}
 
 	k.sweep(now)
 	entries := k.plan(now, span.ReplanArrival, task, true)
@@ -344,11 +331,7 @@ func (k *Kernel) sweep(now simtime.Time) {
 	}
 	clear(k.live[len(live):])
 	k.live = live
-	k.sortPass()
-}
-
-// sortPass puts the pass into plan order (Alg. 1: EDF, then SJF).
-func (k *Kernel) sortPass() {
+	// Alg. 1: EDF, then SJF.
 	slices.SortFunc(k.order, func(a, b *Flow) int { return k.cfg.Ordering.compare(&a.FlowReq, &b.FlowReq) })
 	k.fillReqs()
 }
@@ -370,7 +353,11 @@ func (k *Kernel) fillReqs() {
 // attempt is doomed.
 func (k *Kernel) plan(now simtime.Time, kind span.ReplanKind, trigger int64, gate bool) []PlanEntry {
 	k.replans++
-	clock := k.startPass()
+	paths := k.planner.PathsTried()
+	var t0 time.Time // zero unless an obs recorder is attached
+	if k.Obs != nil {
+		t0 = time.Now() //taps:allow wallclock obs-only planner latency; never feeds simulated time
+	}
 	var entries []PlanEntry
 	scope := 0
 	if k.delta != nil {
@@ -405,46 +392,21 @@ func (k *Kernel) plan(now simtime.Time, kind span.ReplanKind, trigger int64, gat
 	} else {
 		entries = k.planner.PlanAll(now, k.reqs)
 	}
-	k.recordPass(now, clock, obs.KindReplan, obs.NoTask,
-		span.ReplanSpan{Kind: kind, Trigger: trigger, Scope: scope}, entries)
-	return entries
-}
-
-// passClock is what startPass reads before a planning pass so that
-// recordPass can report what the pass cost.
-type passClock struct {
-	t0    time.Time // zero unless an obs recorder is attached
-	paths int64
-}
-
-func (k *Kernel) startPass() passClock {
-	c := passClock{paths: k.planner.PathsTried()}
-	if k.Obs != nil {
-		c.t0 = time.Now() //taps:allow wallclock obs-only planner latency; never feeds simulated time
-	}
-	return c
-}
-
-// recordPass reports the pass just planned over k.order: the latency
-// event (kind ev, about evTask) to Obs, and rs — completed with the
-// pass's time, size, paths tried and per-flow plans — to Sink.
-func (k *Kernel) recordPass(now simtime.Time, c passClock, ev obs.Kind, evTask int64, rs span.ReplanSpan, entries []PlanEntry) {
-	tried := k.planner.PathsTried() - c.paths
+	tried := k.planner.PathsTried() - paths
 	if k.Obs != nil {
 		k.Obs.Record(obs.Event{
-			Time: now, Kind: ev, Task: evTask,
+			Time: now, Kind: obs.KindReplan, Task: obs.NoTask,
 			Flows: int32(len(k.order)), PathsTried: tried,
-			Duration: time.Since(c.t0), //taps:allow wallclock obs-only planner latency
+			Duration: time.Since(t0), //taps:allow wallclock obs-only planner latency
 		})
 	}
 	if k.Sink.On() {
-		// The record points at a copy: what a record points at lives on the
-		// heap, and only a pass that is recorded should pay for that.
-		pass := rs
-		pass.Time, pass.Flows, pass.PathsTried = now, len(k.order), tried
-		pass.Plans = spanPlans(k.order, entries)
-		k.Sink.Emit(&declog.Record{Kind: declog.KindReplan, Time: now, Replan: &pass})
+		k.Sink.Emit(&declog.Record{Kind: declog.KindReplan, Time: now, Replan: &span.ReplanSpan{
+			Time: now, Kind: kind, Trigger: trigger, Scope: scope,
+			Flows: len(k.order), PathsTried: tried, Plans: spanPlans(k.order, entries),
+		}})
 	}
+	return entries
 }
 
 // misses reports whether the pass failed flow i: unroutable, or planned
@@ -498,34 +460,5 @@ func (k *Kernel) commit(now simtime.Time, entries []PlanEntry) {
 	for _, f := range k.spent {
 		f.Path, f.Slices = nil, simtime.IntervalSet{}
 	}
-	k.merged = false
-	k.Sink.Emit(&declog.Record{Kind: declog.KindCommit, Time: now, Mode: declog.CommitReplace})
-}
-
-// admitFast tries the FastAdmission append-only path: plan just the new
-// task's flows into the idle time the committed plan leaves. On success
-// every existing grant stands and the new ones are merged in; on any miss
-// nothing has changed and the caller falls back to the global pass.
-func (k *Kernel) admitFast(now simtime.Time, task int64, flows []*Flow) bool {
-	k.order, k.spent = k.order[:0], k.spent[:0]
-	for _, f := range flows {
-		if !f.Done {
-			k.order = append(k.order, f)
-		}
-	}
-	k.sortPass()
-	clock := k.startPass()
-	entries, ok := k.planner.planOnTop(now, k.reqs)
-	if !ok {
-		return false
-	}
-	k.fastAdmits++
-	k.recordPass(now, clock, obs.KindFastAdmit, task,
-		span.ReplanSpan{Kind: span.ReplanFastAdmit, Trigger: task}, entries)
-	for i, f := range k.order {
-		f.Path, f.Slices = entries[i].Path, entries[i].Slices
-	}
-	k.merged = true
-	k.Sink.Emit(&declog.Record{Kind: declog.KindCommit, Time: now, Mode: declog.CommitMerge})
-	return true
+	k.Sink.Emit(&declog.Record{Kind: declog.KindCommit, Time: now})
 }

@@ -97,24 +97,14 @@ type occupancy struct {
 	links   []simtime.IntervalSet
 	touched []topology.LinkID // links written since the last reset
 	end     simtime.Time      // latest instant any link is busy
-
-	// trial, while a fast-admission attempt is planning, takes the writes
-	// in place of links (a link is cloned into it right before its first
-	// one) so that a failed attempt is dropped without a trace.
-	trial map[topology.LinkID]simtime.IntervalSet
-}
-
-// grow makes room for a graph of n links.
-func (o *occupancy) grow(n int) {
-	if len(o.links) < n {
-		o.links = append(o.links, make([]simtime.IntervalSet, n-len(o.links))...)
-	}
 }
 
 // reset empties the calendar for a pass over a graph of n links, in time
 // proportional to the links written since the last one.
 func (o *occupancy) reset(n int) {
-	o.grow(n)
+	if len(o.links) < n {
+		o.links = append(o.links, make([]simtime.IntervalSet, n-len(o.links))...)
+	}
 	for _, l := range o.touched {
 		o.links[l].Reset()
 	}
@@ -122,14 +112,7 @@ func (o *occupancy) reset(n int) {
 }
 
 //taps:hotpath
-func (o *occupancy) get(l topology.LinkID) simtime.IntervalSet {
-	if o.trial != nil {
-		if s, ok := o.trial[l]; ok {
-			return s
-		}
-	}
-	return o.links[l]
-}
+func (o *occupancy) get(l topology.LinkID) simtime.IntervalSet { return o.links[l] }
 
 // claim unions a flow's slices into the occupancy of every link of its
 // path.
@@ -138,18 +121,6 @@ func (o *occupancy) get(l topology.LinkID) simtime.IntervalSet {
 func (o *occupancy) claim(path topology.Path, slices *simtime.IntervalSet, finish simtime.Time) {
 	o.end = max(o.end, finish)
 	for _, l := range path {
-		if o.trial != nil {
-			set, ok := o.trial[l]
-			if !ok {
-				if o.links[l].Empty() {
-					o.touched = append(o.touched, l)
-				}
-				set = o.links[l].Clone()
-			}
-			set.UnionInPlace(slices)
-			o.trial[l] = set
-			continue
-		}
 		if o.links[l].Empty() {
 			o.touched = append(o.touched, l)
 		}
@@ -175,32 +146,6 @@ func (p *Planner) hostCapacity(src topology.NodeID) float64 {
 func (p *Planner) PlanAll(now simtime.Time, reqs []FlowReq) []PlanEntry {
 	p.occ.reset(p.Graph.NumLinks())
 	return p.planAll(now, reqs)
-}
-
-// planOnTop places reqs into the idle time the standing occupancy leaves —
-// the FastAdmission path. When every request is routed and meets its
-// deadline the grants join the occupancy, garbage-collected up to now on
-// the links they touch, and ok is true; otherwise the occupancy is as it
-// was.
-func (p *Planner) planOnTop(now simtime.Time, reqs []FlowReq) (entries []PlanEntry, ok bool) {
-	o := &p.occ
-	o.grow(p.Graph.NumLinks())
-	end := o.end
-	o.trial = make(map[topology.LinkID]simtime.IntervalSet, 16)
-	entries = p.planAll(now, reqs)
-	trial := o.trial
-	o.trial = nil
-	for i := range entries {
-		if e := &entries[i]; e.Path == nil || e.Finish > reqs[i].Deadline {
-			o.end = end
-			return nil, false
-		}
-	}
-	for l, set := range trial {
-		set.GCBefore(now)
-		o.links[l] = set
-	}
-	return entries, true
 }
 
 // planWindow computes the allocation window for one pass over reqs: beyond

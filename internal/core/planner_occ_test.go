@@ -18,8 +18,8 @@ func testFatTree(k int) (*topology.Graph, topology.Routing) {
 	return g, topology.NewCachedRouting(r)
 }
 
-// TestPlanRespectsSeedOccupancy: occupancy standing from earlier passes
-// (what FastAdmission plans on top of) is never double-booked.
+// TestPlanRespectsSeedOccupancy: a calendar seeded by an earlier pass is
+// never double-booked.
 func TestPlanRespectsSeedOccupancy(t *testing.T) {
 	g, r := testFatTree(4)
 	hosts := g.Hosts()
@@ -31,11 +31,10 @@ func TestPlanRespectsSeedOccupancy(t *testing.T) {
 	busy := simtime.NewIntervalSet(simtime.Interval{Start: 0, End: 5 * simtime.Millisecond})
 	p.occ.reset(g.NumLinks())
 	p.occ.claim(path, &busy, 5*simtime.Millisecond)
-	entries, ok := p.planOnTop(0, []FlowReq{req})
-	if !ok {
+	e := p.planAll(0, []FlowReq{req})[0]
+	if e.Path == nil {
 		t.Fatal("no plan")
 	}
-	e := entries[0]
 	for _, iv := range e.Slices.Intervals() {
 		if iv.Start < 5*simtime.Millisecond {
 			t.Fatalf("slice %v inside seeded occupancy", iv)
@@ -47,20 +46,8 @@ func TestPlanRespectsSeedOccupancy(t *testing.T) {
 	want := simtime.NewIntervalSet(simtime.Interval{Start: 0, End: 6 * simtime.Millisecond})
 	for _, l := range path {
 		if got := p.occ.get(l); got.String() != want.String() {
-			t.Fatalf("link %d holds %v after the merge, want %v", l, got, want)
+			t.Fatalf("link %d holds %v after the pass, want %v", l, got, want)
 		}
-	}
-
-	// A request that cannot make its deadline on top of that is refused and
-	// leaves the occupancy as it was.
-	before := snapOccupancy(p)
-	late := req
-	late.Deadline = 6 * simtime.Millisecond
-	if _, ok := p.planOnTop(0, []FlowReq{late}); ok {
-		t.Fatal("a flow finishing at 7 ms was admitted against a 6 ms deadline")
-	}
-	if after := snapOccupancy(p); !reflect.DeepEqual(before, after) {
-		t.Fatalf("a refused attempt changed the occupancy\n got %v\nwant %v", after, before)
 	}
 }
 

@@ -63,16 +63,6 @@ type Config struct {
 	// tentative plan sacrifices an existing task, the newcomer is
 	// rejected instead (Varys-like behaviour; ablation).
 	NoPreemption bool
-	// FastAdmission enables an incremental admission fast path: a new
-	// task is first planned append-only into the idle time left by the
-	// existing (untouched) plan; only when that fails does the
-	// controller fall back to Alg. 1's full global re-plan. This cuts
-	// the per-arrival cost from O(all flows) to O(new flows) in the
-	// common case. It is an extension beyond the paper: accepted sets
-	// can differ slightly from the always-replan baseline, because the
-	// full re-plan may rearrange earlier flows where the fast path just
-	// appends (see the ablation benchmarks).
-	FastAdmission bool
 	// BatchWindow is Alg. 1's "wait time T": a newly arrived task is
 	// held for up to this long so that tasks arriving close together are
 	// decided in one planning pass (fewer global re-plans). Zero decides
@@ -110,7 +100,7 @@ type Scheduler struct {
 
 	// rc caches per-flow transmit state, dense-indexed by FlowID and
 	// validated against gen: a commit bumps gen, invalidating every entry in
-	// O(1); fast admission stamps just the new flows. Each entry holds the
+	// O(1). Each entry holds the
 	// flow's path line rate frozen at commit time (so Rates stops
 	// recomputing Graph().MinCapacity every tick) and the transmit state
 	// memoized between slice boundaries: the state computed at time t is
@@ -127,9 +117,8 @@ type Scheduler struct {
 	pending []sim.TaskID
 	flushAt simtime.Time
 
-	// onCommit, when non-nil, fires after every plan-state installation
-	// (full commit or fast-admission merge). Test hook for the replay
-	// determinism property.
+	// onCommit, when non-nil, fires after every plan-state installation.
+	// Test hook for the replay determinism property.
 	onCommit func(st *sim.State)
 }
 
@@ -193,12 +182,12 @@ func (s *Scheduler) Name() string { return "TAPS" }
 // Replans returns how many global re-plans the controller executed.
 func (s *Scheduler) Replans() int { return s.k.Replans() }
 
-// FastAdmits returns how many tasks the FastAdmission fast path accepted
-// without a global re-plan.
-func (s *Scheduler) FastAdmits() int { return s.k.FastAdmits() }
+// FastAdmits is always 0: every admission is a global re-plan. The method
+// stays until the benchmark harness stops reading it.
+func (s *Scheduler) FastAdmits() int { return 0 }
 
-// SetRecorder attaches an observability recorder: every admit, re-plan
-// and fast-admit decision is recorded, with wall-clock planning latency.
+// SetRecorder attaches an observability recorder: every admit and re-plan
+// decision is recorded, with wall-clock planning latency.
 // A nil recorder (the default) disables recording and restores the
 // uninstrumented hot path.
 func (s *Scheduler) SetRecorder(r *obs.Recorder) { s.k.Obs = r }
@@ -262,16 +251,11 @@ func (s *Scheduler) decide(st *sim.State, task *sim.Task) {
 }
 
 // installed takes over the pass the kernel just committed: the engine's
-// flows get their routes and the Rates caches are rebuilt for the new
-// plan — every flow's after a full commit, just the newcomer's after a
-// fast admission, where every other flow's cached state stays exact.
+// flows get their routes and the Rates caches are rebuilt for the new plan.
 func (s *Scheduler) installed(st *sim.State) {
-	flows, merged := s.k.Committed()
-	now, g := st.Now(), st.Graph()
-	if !merged {
-		s.gen++ // invalidates every cached per-flow rate state at once
-	}
-	for _, kf := range flows {
+	g := st.Graph()
+	s.gen++ // invalidates every cached per-flow rate state at once
+	for _, kf := range s.k.Committed() {
 		if kf.Path == nil {
 			continue
 		}
@@ -279,11 +263,6 @@ func (s *Scheduler) installed(st *sim.State) {
 		f.Path = kf.Path
 		c := s.cacheEntry(f.ID)
 		c.lrGen, c.linerate = s.gen, g.MinCapacity(f.Path)
-		if merged {
-			// validUntil = now forces the first Rates lookup to compute
-			// the new flow's transmit state.
-			c.rateGen, c.validUntil, c.active = s.gen, now, false
-		}
 	}
 	if s.onCommit != nil {
 		s.onCommit(st)
@@ -335,8 +314,7 @@ func (s *Scheduler) OnLinkDown(st *sim.State, link topology.LinkID) {
 // flow's (active, rate, next-boundary) triple is cached until its boundary
 // passes: a flow whose cached boundary is still ahead of now — in
 // particular one far past the current horizon minimum — is served from the
-// cache without re-searching its slice set. The cache is invalidated by
-// commit (full re-plan) and per flow by fast admission.
+// cache without re-searching its slice set. A commit invalidates the cache.
 //
 //taps:hotpath
 func (s *Scheduler) Rates(st *sim.State) (sim.RateMap, simtime.Time) {

@@ -323,84 +323,6 @@ func TestSJFOrderingAblationChangesOutcome(t *testing.T) {
 	}
 }
 
-func TestFastAdmissionAcceptsLightLoad(t *testing.T) {
-	g, r, a, b := pair()
-	cfg := core.DefaultConfig()
-	cfg.FastAdmission = true
-	taps := core.New(cfg)
-	var specs []sim.TaskSpec
-	for i := 0; i < 5; i++ {
-		specs = append(specs, sim.TaskSpec{
-			Arrival:  simtime.Time(i) * 10 * simtime.Millisecond,
-			Deadline: 8 * simtime.Millisecond,
-			Flows:    []sim.FlowSpec{{Src: a, Dst: b, Size: 2000}},
-		})
-	}
-	res := run(t, g, r, taps, specs)
-	for _, task := range res.Tasks {
-		if !task.Completed(res.Flows) {
-			t.Fatalf("task %d should complete", task.ID)
-		}
-	}
-	// Sequential non-overlapping tasks: all but the first hit the fast
-	// path (the first does too: empty occupancy).
-	if taps.FastAdmits() != 5 {
-		t.Fatalf("fast admits = %d, want 5", taps.FastAdmits())
-	}
-	if taps.Replans() != 0 {
-		t.Fatalf("replans = %d, want 0", taps.Replans())
-	}
-}
-
-func TestFastAdmissionFallsBackUnderContention(t *testing.T) {
-	g, r, a, b := pair()
-	cfg := core.DefaultConfig()
-	cfg.FastAdmission = true
-	taps := core.New(cfg)
-	// Task 0 fills [0,8) loosely against a 10 ms deadline; task 1 is
-	// urgent (deadline 2 ms) and cannot be appended after task 0's
-	// slices — the fast path fails and the full re-plan reorders.
-	specs := []sim.TaskSpec{
-		{Arrival: 0, Deadline: 10 * simtime.Millisecond,
-			Flows: []sim.FlowSpec{{Src: a, Dst: b, Size: 8000}}},
-		{Arrival: 1 * simtime.Millisecond, Deadline: 2 * simtime.Millisecond,
-			Flows: []sim.FlowSpec{{Src: a, Dst: b, Size: 1000}}},
-	}
-	res := run(t, g, r, taps, specs)
-	if !res.Tasks[0].Completed(res.Flows) || !res.Tasks[1].Completed(res.Flows) {
-		t.Fatal("full re-plan should fit both tasks")
-	}
-	if taps.Replans() == 0 {
-		t.Fatal("expected a fallback re-plan")
-	}
-}
-
-func TestFastAdmissionMatchesFullReplanOnLightLoad(t *testing.T) {
-	g, r, a, b := pair()
-	var specs []sim.TaskSpec
-	for i := 0; i < 8; i++ {
-		specs = append(specs, sim.TaskSpec{
-			Arrival:  simtime.Time(i) * 4 * simtime.Millisecond,
-			Deadline: 30 * simtime.Millisecond,
-			Flows: []sim.FlowSpec{
-				{Src: a, Dst: b, Size: int64(1000 + 100*i)},
-				{Src: a, Dst: b, Size: 500},
-			},
-		})
-	}
-	full := core.New(core.DefaultConfig())
-	resFull := run(t, g, r, full, specs)
-	cfg := core.DefaultConfig()
-	cfg.FastAdmission = true
-	fast := core.New(cfg)
-	resFast := run(t, g, r, fast, specs)
-	for i := range resFull.Tasks {
-		if resFull.Tasks[i].Completed(resFull.Flows) != resFast.Tasks[i].Completed(resFast.Flows) {
-			t.Fatalf("task %d outcome differs between full and fast admission", i)
-		}
-	}
-}
-
 func TestBatchWindowDefersDecisions(t *testing.T) {
 	g, r, a, b := pair()
 	cfg := core.DefaultConfig()

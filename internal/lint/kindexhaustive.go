@@ -9,7 +9,7 @@ import (
 
 // KindExhaustive makes the closed enum sets of the decision pipeline
 // impossible to extend silently. The flight recorder's record kinds
-// (declog.Kind), commit modes, span outcomes, replan kinds, and the
+// (declog.Kind), span outcomes, replan kinds, and the
 // scheduler's ordering/decision enums each have a replayer, encoder, or
 // policy switch that must handle every constant: adding record kind 13
 // with an encoder case but no replayer case corrupts time-travel debugging
@@ -22,7 +22,7 @@ import (
 // decoder is legitimate; a lazy catch-all in a replayer is not).
 var KindExhaustive = &Analyzer{
 	Name: "kindexhaustive",
-	Doc:  "switches over closed enums (declog.Kind, commit modes, span outcomes) must cover every constant or annotate their default",
+	Doc:  "switches over closed enums (declog.Kind, span outcomes, replan kinds) must cover every constant or annotate their default",
 	Run:  runKindExhaustive,
 }
 
@@ -31,12 +31,11 @@ var KindExhaustive = &Analyzer{
 // instead (comments don't travel across package boundaries, so the
 // directive only works in the enum's declaring package).
 var kindexRegistry = map[string]bool{
-	"taps/internal/obs/declog.Kind":       true,
-	"taps/internal/obs/declog.CommitMode": true,
-	"taps/internal/obs/span.Outcome":      true,
-	"taps/internal/obs/span.ReplanKind":   true,
-	"taps/internal/core.Ordering":         true,
-	"taps/internal/core.Decision":         true,
+	"taps/internal/obs/declog.Kind":     true,
+	"taps/internal/obs/span.Outcome":    true,
+	"taps/internal/obs/span.ReplanKind": true,
+	"taps/internal/core.Ordering":       true,
+	"taps/internal/core.Decision":       true,
 }
 
 // enumDirective is the opt-in marker for closed enums declared in the

@@ -408,6 +408,7 @@ func (c *Controller) onProbe(p ProbeMsg) {
 		// on the sketch lock must never extend the decision lock.
 		end := time.Now() //taps:allow wallclock obs-only stage latency decomposition
 		acc[StageTotal] = end.Sub(t0)
+		acc[StageOther] = acc[StageTotal] - acc[StageLockWait] - acc[StagePlan] - acc[StageDeclogSync] - acc[StageBroadcast]
 		c.observeStages(end.UnixNano(), &acc)
 		c.load.inFlight.Add(-1)
 	}()

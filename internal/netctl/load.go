@@ -37,6 +37,11 @@ const (
 	// StageBroadcast: serializing grant/reject frames onto every agent
 	// socket. Scales with connected agents times accepted tasks.
 	StageBroadcast
+	// StageOther: what is left of the decision once the four stages above
+	// are taken out — building the kernel's input, recording the task,
+	// bookkeeping under the lock — so that lock_wait + plan + declog_sync +
+	// broadcast + other = total on every decision.
+	StageOther
 	// StageTotal: the whole decision, lock wait included.
 	StageTotal
 
@@ -49,6 +54,7 @@ var stageNames = [stageCount]string{
 	"plan",
 	"declog_sync",
 	"broadcast",
+	"other",
 	"total",
 }
 

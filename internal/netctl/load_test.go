@@ -2,6 +2,7 @@ package netctl_test
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -153,6 +154,51 @@ func TestStageDecompositionAndLoadEndpoints(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("missing %q in summary:\n%s", want, text)
 		}
+	}
+}
+
+// TestStagesSumToTotal: on every decision lock_wait + plan + declog_sync +
+// broadcast + other = total, so after any number of probes — accepted,
+// rejected, duplicate — the five stage sums equal the total's sum to the
+// nanosecond.
+func TestStagesSumToTotal(t *testing.T) {
+	ctl, addr, g := startControllerWithLog(t, filepath.Join(t.TempDir(), "stages.dlg"))
+	hosts := g.Hosts()
+	a0 := dial(t, addr, "a0", hosts[0])
+	const probes = 40
+	for i := int64(0); i < probes; i++ {
+		task, deadline := i, 500*simtime.Millisecond
+		switch i % 4 {
+		case 2:
+			deadline = simtime.Millisecond // cannot carry 12.5 MB: rejected
+		case 3:
+			task = i - 3 // duplicate of an accepted task: replan and re-broadcast
+		}
+		if err := a0.SubmitTask(task, deadline, []netctl.FlowInfo{
+			{ID: uint64(100 + task), Src: hosts[0], Dst: hosts[7], Size: 12_500_000},
+		}); err != nil && !errors.Is(err, netctl.ErrRejected) {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	// The sketches are fed once the decision lock is released, which is
+	// after the agent has its answer.
+	total := ctl.StageSketch(netctl.StageTotal)
+	for deadline := time.Now().Add(2 * time.Second); total.TotalCount() < probes; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d decisions timed, want %d", total.TotalCount(), probes)
+		}
+	}
+	var sum time.Duration
+	for _, s := range []netctl.Stage{netctl.StageLockWait, netctl.StagePlan,
+		netctl.StageDeclogSync, netctl.StageBroadcast, netctl.StageOther} {
+		sk := ctl.StageSketch(s)
+		if sk.TotalCount() == 0 {
+			t.Fatalf("stage %s has no samples", s)
+		}
+		sum += sk.TotalSum()
+	}
+	if sum != total.TotalSum() {
+		t.Fatalf("stages sum to %v, total is %v", sum, total.TotalSum())
 	}
 }
 

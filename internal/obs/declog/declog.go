@@ -3,7 +3,7 @@
 // simulator and the networked controller report what they decide — to
 // the log and, through the fold the Replayer shares, to the span
 // recorder. Every record is one controller decision or lifecycle event —
-// task arrival, planning pass (slice grants), admit / fast-admit, reject,
+// task arrival, planning pass (slice grants), admit, reject,
 // preempt, attribution chain, task/flow terminal, transmission segments,
 // link failure, and the plan-state commit markers — stamped with simulated
 // time and framed with a CRC so a torn tail (a crash mid-write) is
@@ -63,8 +63,7 @@ const (
 	// full span.ReplanSpan: per-flow candidates, winning path, granted
 	// slice windows, planned finish.
 	KindReplan
-	// KindAdmit: the task was accepted (Fast marks the incremental
-	// fast-admission path).
+	// KindAdmit: the task was accepted.
 	KindAdmit
 	// KindReject: the task was discarded before admission; the replayer
 	// drops its flows from the in-flight table.
@@ -87,7 +86,11 @@ const (
 	// KindLinkDown: an injected or observed link failure.
 	KindLinkDown
 	// KindCommit: the preceding KindReplan's plans were installed as the
-	// controller's plan state, under Mode semantics.
+	// controller's plan state, whole: the plan state is the pass alone —
+	// per-flow slices for every routed flow (missed ones included), per-link
+	// occupancy as the union of those grants along each winning path, GC'd
+	// up to Time. A flow in flight that the pass left out holds nothing
+	// afterwards.
 	KindCommit
 
 	kindCount
@@ -105,38 +108,12 @@ func (k Kind) String() string {
 	return "kind(?)"
 }
 
-// CommitMode selects how a KindCommit installs the preceding pass.
-type CommitMode uint8
-
-// Commit modes, mirroring the two ways the kernel installs plan state.
-const (
-	// CommitReplace is the full re-plan commit: the plan state is rebuilt
-	// from the pass alone — per-flow slices for every routed flow (missed
-	// ones included), per-link occupancy as the union of those grants
-	// along each winning path, GC'd up to Time. A flow in flight that the
-	// pass left out holds nothing afterwards.
-	CommitReplace CommitMode = iota
-	// CommitMerge is the fast-admission commit: the pass's grants are
-	// merged into the existing plan state; only links on the new paths
-	// are touched (and GC'd).
-	CommitMerge
-)
-
-// ErrCommitMode is the decode error of a commit record whose mode this
-// build does not know — in particular mode 2, the install-as-you-go
-// "update" commit of controllers that predate the decision kernel, whose
-// plan state cannot be replayed faithfully.
+// ErrCommitMode is the decode error of a commit record whose mode byte is
+// not 0, the whole-pass commit above and the only one this build writes.
+// Other controllers wrote 1 (the pass merged into the standing plan) and 2
+// (install-as-you-go "update"); their plan state cannot be replayed
+// faithfully, so such a log is refused at that record.
 var ErrCommitMode = errors.New("declog: unknown commit mode")
-
-func (m CommitMode) String() string {
-	switch m {
-	case CommitReplace:
-		return "replace"
-	case CommitMerge:
-		return "merge"
-	}
-	return "mode(?)"
-}
 
 // Meta is the log's identity record.
 type Meta struct {
@@ -174,11 +151,9 @@ type Record struct {
 	Flow     int64            // subject flow (KindFlowEnd, KindSegments)
 	Link     int32            // subject link (KindLinkDown)
 	Deadline simtime.Time     // absolute deadline (KindTask)
-	Fast     bool             // fast-admission path (KindAdmit)
 	Done     bool             // all bytes delivered (KindFlowEnd)
 	OnTime   bool             // finished within deadline (KindFlowEnd)
 	Outcome  span.Outcome     // terminal outcome (KindTaskEnd)
-	Mode     CommitMode       // commit semantics (KindCommit)
 	Fraction float64          // completion fraction (KindPreempt)
 	Reason   string           // decision reason / kill note
 	Meta     *Meta            // KindMeta
@@ -233,7 +208,7 @@ func encodeRecord(b []byte, r *Record) []byte {
 		}
 	case KindAdmit:
 		b = binary.AppendVarint(b, r.Task)
-		b = appendBool(b, r.Fast)
+		b = append(b, 0) // flag byte, reserved
 	case KindReject:
 		b = binary.AppendVarint(b, r.Task)
 		b = appendString(b, r.Reason)
@@ -277,7 +252,7 @@ func encodeRecord(b []byte, r *Record) []byte {
 	case KindLinkDown:
 		b = binary.AppendVarint(b, int64(r.Link))
 	case KindCommit:
-		b = append(b, byte(r.Mode))
+		b = append(b, 0) // mode byte, see ErrCommitMode
 	}
 	return b
 }
@@ -361,7 +336,7 @@ func decodeRecord(payload []byte) (Record, error) {
 		r.Replan = rs
 	case KindAdmit:
 		r.Task = d.varint()
-		r.Fast = d.bool()
+		d.byte() // flag byte: reserved, not always 0 in other builds' logs
 	case KindReject:
 		r.Task = d.varint()
 		r.Reason = d.str()
@@ -412,9 +387,8 @@ func decodeRecord(payload []byte) (Record, error) {
 	case KindLinkDown:
 		r.Link = int32(d.varint())
 	case KindCommit:
-		r.Mode = CommitMode(d.byte())
-		if r.Mode > CommitMerge {
-			return Record{}, fmt.Errorf("%w %d", ErrCommitMode, r.Mode)
+		if mode := d.byte(); mode != 0 {
+			return Record{}, fmt.Errorf("%w %d", ErrCommitMode, mode)
 		}
 	default: //taps:allow kindexhaustive corrupt-input guard: the decoder must reject kinds from the future, not switch over the compiled set
 		return Record{}, fmt.Errorf("declog: unknown record kind %d", r.Kind)

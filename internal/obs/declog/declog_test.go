@@ -2,7 +2,9 @@ package declog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -38,7 +40,7 @@ func sampleRecords() []Record {
 					Path: []int32{}, Slices: []simtime.Interval{}, Finish: 200, Deadline: 5000},
 			},
 		}},
-		{Kind: KindAdmit, Time: 101, Task: 7, Fast: true},
+		{Kind: KindAdmit, Time: 101, Task: 7},
 		{Kind: KindReject, Time: 205, Task: 8, Reason: "taps: task discarded by reject rule"},
 		{Kind: KindPreempt, Time: 300, Task: 7, By: 9, Fraction: 0.375, Reason: "preempted"},
 		{Kind: KindAttr, Time: 300, Task: 7, Blocks: []span.LinkBlock{
@@ -53,7 +55,7 @@ func sampleRecords() []Record {
 			{Interval: simtime.Interval{Start: 900, End: 990}, Rate: 62.5},
 		}},
 		{Kind: KindLinkDown, Time: 1500, Link: 9},
-		{Kind: KindCommit, Time: 1500, Mode: CommitMerge},
+		{Kind: KindCommit, Time: 1500},
 	}
 }
 
@@ -352,6 +354,51 @@ func TestSinkLiveTreeEqualsReplay(t *testing.T) {
 	}
 }
 
+// appendRawFrame appends to the log at path one record this build decodes
+// but never writes, framed the way Writer.Append frames its own.
+func appendRawFrame(t *testing.T, path string, kind Kind, at simtime.Time, fields ...byte) {
+	t.Helper()
+	payload := binary.AppendVarint([]byte{byte(kind)}, at)
+	payload = append(payload, fields...)
+	frame := make([]byte, frameHeaderSize)
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(append(frame, payload...)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkRefused: reading the log and reopening it for append both fail with
+// ErrCommitMode, and the refusal leaves the file as it was — the refused
+// frame is intact, not a torn tail to cut away.
+func checkRefused(t *testing.T, path string) []Record {
+	t.Helper()
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := ReadFile(path)
+	if !errors.Is(err, ErrCommitMode) {
+		t.Fatalf("ReadFile err = %v, want ErrCommitMode", err)
+	}
+	if _, _, err := OpenAppend(path, Options{}); !errors.Is(err, ErrCommitMode) {
+		t.Fatalf("OpenAppend err = %v, want ErrCommitMode", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("refused log was modified: %d -> %d bytes", len(before), len(after))
+	}
+	return recs
+}
+
 // TestUnknownCommitModeRefused: a log holding commit mode 2 — the
 // install-as-you-go "update" of controllers older than the decision
 // kernel — is refused by name rather than replayed under other semantics,
@@ -364,26 +411,62 @@ func TestUnknownCommitModeRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Append(&Record{Kind: KindAdmit, Time: 10, Task: 1})
-	w.Append(&Record{Kind: KindCommit, Time: 10, Mode: CommitMode(2)})
-	w.Append(&Record{Kind: KindAdmit, Time: 20, Task: 2})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	before, err := os.ReadFile(path)
+	appendRawFrame(t, path, KindCommit, 10, 2)
+	appendRawFrame(t, path, KindAdmit, 20, 4, 0) // task 2, zigzag
+	checkRefused(t, path)
+}
+
+// TestMergeCommitLogCutAtCommit: a log as a controller with append-only
+// admission wrote it — admit records with the flag byte set, commits with
+// mode 1 — decodes up to its first mode-1 commit and is refused there. The
+// records before the cut replay; nothing after it is looked at.
+func TestMergeCommitLogCutAtCommit(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "merge.dlg")
+	w, err := Create(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadFile(path); !errors.Is(err, ErrCommitMode) {
-		t.Fatalf("ReadFile err = %v, want ErrCommitMode", err)
+	plan := func(at simtime.Time, kind span.ReplanKind, task, flow int64, link int32) *span.ReplanSpan {
+		return &span.ReplanSpan{Time: at, Kind: kind, Trigger: task, Flows: 1, PathsTried: 1,
+			Plans: []span.PlanSpan{{Flow: flow, Task: task, Candidates: 1, Path: []int32{link},
+				Slices: []simtime.Interval{{Start: at, End: at + 100}}, Finish: at + 100, Deadline: 5000}}}
 	}
-	if _, _, err := OpenAppend(path, Options{}); !errors.Is(err, ErrCommitMode) {
-		t.Fatalf("OpenAppend err = %v, want ErrCommitMode", err)
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
+	w.Append(&Record{Kind: KindTask, Time: 10, Task: 1, Deadline: 5000, Flows: []FlowInfo{{ID: 10, Src: 1, Dst: 2, Size: 100}}})
+	w.Append(&Record{Kind: KindReplan, Time: 10, Replan: plan(10, span.ReplanArrival, 1, 10, 3)})
+	w.Append(&Record{Kind: KindCommit, Time: 10})
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(before, after) {
-		t.Fatalf("refused log was modified: %d -> %d bytes", len(before), len(after))
+	appendRawFrame(t, path, KindAdmit, 10, 2, 1) // task 1, flag byte set
+	w, _, err = OpenAppend(path, Options{})
+	if err != nil {
+		t.Fatalf("a log with a flagged admit and no merge commit must reopen: %v", err)
+	}
+	w.Append(&Record{Kind: KindTask, Time: 20, Task: 2, Deadline: 5000, Flows: []FlowInfo{{ID: 20, Src: 1, Dst: 2, Size: 100}}})
+	w.Append(&Record{Kind: KindReplan, Time: 20, Replan: plan(20, span.ReplanKind(1), 2, 20, 4)})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	appendRawFrame(t, path, KindCommit, 20, 1)
+	appendRawFrame(t, path, KindAdmit, 20, 4, 1)
+
+	recs := checkRefused(t, path)
+	if len(recs) != 6 || recs[3].Kind != KindAdmit || recs[3].Task != 1 || recs[5].Kind != KindReplan {
+		t.Fatalf("records before the cut: %+v", recs)
+	}
+	rp := NewReplayer()
+	rp.ApplyAll(recs)
+	if !rp.Accepted(1) || rp.Accepted(2) {
+		t.Fatalf("replayed prefix: task 1 accepted=%v, task 2 accepted=%v; want true, false", rp.Accepted(1), rp.Accepted(2))
+	}
+	want := simtime.NewIntervalSet(simtime.Interval{Start: 10, End: 110})
+	if got := rp.Slices()[10]; got.String() != want.String() {
+		t.Fatalf("flow 10 holds %v after the replayed prefix, want %v", got, want)
+	}
+	if _, ok := rp.Slices()[20]; ok {
+		t.Fatal("the pass of the refused commit was installed")
 	}
 }

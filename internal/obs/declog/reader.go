@@ -16,7 +16,8 @@ import (
 // and the offset excludes it. Only a bad magic is a hard error — a file
 // that is not a decision log at all — and a commit mode this build cannot
 // replay (ErrCommitMode): that frame is intact, so cutting the log there
-// would destroy a valid record.
+// would destroy a valid record. The records before it are returned with
+// the error.
 func parse(data []byte) (recs []Record, validEnd int64, err error) {
 	if len(data) < len(Magic) || string(data[:len(Magic)]) != Magic {
 		return nil, 0, fmt.Errorf("declog: bad magic (not a decision log)")
@@ -37,7 +38,7 @@ func parse(data []byte) (recs []Record, validEnd int64, err error) {
 		}
 		rec, decErr := decodeRecord(payload)
 		if errors.Is(decErr, ErrCommitMode) {
-			return nil, 0, decErr
+			return recs, int64(off), decErr
 		}
 		if decErr != nil {
 			return recs, int64(off), nil // undecodable frame
@@ -48,7 +49,8 @@ func parse(data []byte) (recs []Record, validEnd int64, err error) {
 }
 
 // Read decodes a whole decision log stream. truncated reports whether a
-// torn or corrupt tail was detected (and excluded from recs).
+// torn or corrupt tail was detected (and excluded from recs). On
+// ErrCommitMode recs holds the records before the refused commit.
 func Read(r io.Reader) (recs []Record, truncated bool, err error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -56,7 +58,7 @@ func Read(r io.Reader) (recs []Record, truncated bool, err error) {
 	}
 	recs, validEnd, err := parse(data)
 	if err != nil {
-		return nil, false, err
+		return recs, false, err
 	}
 	return recs, validEnd < int64(len(data)), nil
 }

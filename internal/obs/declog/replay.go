@@ -123,7 +123,7 @@ func (r *Replayer) Apply(rec *Record) {
 	case KindReplan:
 		r.lastReplan = rec.Replan
 	case KindCommit:
-		r.applyCommit(rec)
+		r.applyCommit(rec.Time)
 	case KindAdmit:
 		r.accepted[rec.Task] = true
 	case KindReject:
@@ -162,79 +162,44 @@ func (r *Replayer) dropTask(task int64) {
 	delete(r.taskFlows, task)
 }
 
-// applyCommit installs the most recent planning pass as plan state,
-// reproducing the live mutation the recorded mode describes.
-func (r *Replayer) applyCommit(rec *Record) {
+// applyCommit installs the most recent planning pass as plan state:
+// slices and occupancy are rebuilt from this pass alone — every routed
+// flow contributes, missed ones included — then garbage-collected up to
+// the decision instant.
+func (r *Replayer) applyCommit(now simtime.Time) {
 	if r.lastReplan == nil {
 		return
 	}
 	plans := r.lastReplan.Plans
-	switch rec.Mode {
-	case CommitReplace:
-		// Full re-plan: slices and occupancy are rebuilt from this pass
-		// alone — every routed flow contributes, missed ones included —
-		// then garbage-collected up to the decision instant.
-		slices := make(map[int64]simtime.IntervalSet, len(plans))
-		occ := make(map[int32]simtime.IntervalSet)
-		for i := range plans {
-			p := &plans[i]
-			if p.Path == nil {
-				continue
-			}
-			grant := simtime.NewIntervalSet(p.Slices...)
-			slices[p.Flow] = grant
-			for _, l := range p.Path {
-				set := occ[l]
-				set.UnionInPlace(&grant)
-				occ[l] = set
-			}
+	slices := make(map[int64]simtime.IntervalSet, len(plans))
+	occ := make(map[int32]simtime.IntervalSet)
+	for i := range plans {
+		p := &plans[i]
+		if p.Path == nil {
+			continue
 		}
-		for l, set := range occ {
-			set.GCBefore(rec.Time)
+		grant := simtime.NewIntervalSet(p.Slices...)
+		slices[p.Flow] = grant
+		for _, l := range p.Path {
+			set := occ[l]
+			set.UnionInPlace(&grant)
 			occ[l] = set
 		}
-		r.slices = slices
-		r.occ = occ
-		// The pass is installed whole: an unfinished flow holds exactly
-		// what this pass gave it, nothing if the pass left it out. The
-		// time its superseded grant had already carried is kept.
-		for _, f := range r.flows {
-			if !f.Done {
-				f.supersede(rec.Time)
-			}
-		}
-		r.grantFlows(plans)
-	case CommitMerge:
-		// Fast-admission: the newcomer's grants merge into existing state;
-		// only links on the new paths are touched.
-		for i := range plans {
-			p := &plans[i]
-			if p.Path == nil {
-				continue
-			}
-			grant := simtime.NewIntervalSet(p.Slices...)
-			r.slices[p.Flow] = grant
-			for _, l := range p.Path {
-				set := r.occ[l]
-				set.UnionInPlace(&grant)
-				set.GCBefore(rec.Time)
-				r.occ[l] = set
-			}
-		}
-		r.grantFlows(plans)
 	}
-}
-
-// supersede takes the flow's grant away at now, noting what it carried.
-func (f *FlowState) supersede(now simtime.Time) {
-	if t := f.Slices.OverlapTotal(simtime.Interval{Start: 0, End: now}); t > 0 {
-		f.Sent = append(f.Sent, SentGrant{Path: f.Path, Time: t})
+	for l, set := range occ {
+		set.GCBefore(now)
+		occ[l] = set
 	}
-	f.Path, f.Slices = nil, simtime.IntervalSet{}
-}
-
-// grantFlows gives every routed flow of a pass its path and slices.
-func (r *Replayer) grantFlows(plans []span.PlanSpan) {
+	r.slices = slices
+	r.occ = occ
+	// The pass is installed whole: an unfinished flow holds exactly what
+	// this pass gave it, nothing if the pass left it out. The time its
+	// superseded grant had already carried is kept.
+	for _, f := range r.flows {
+		if !f.Done {
+			f.supersede(now)
+		}
+	}
 	for i := range plans {
 		p := &plans[i]
 		f := r.flows[p.Flow]
@@ -244,6 +209,14 @@ func (r *Replayer) grantFlows(plans []span.PlanSpan) {
 		f.Path = append([]int32(nil), p.Path...)
 		f.Slices = simtime.NewIntervalSet(p.Slices...)
 	}
+}
+
+// supersede takes the flow's grant away at now, noting what it carried.
+func (f *FlowState) supersede(now simtime.Time) {
+	if t := f.Slices.OverlapTotal(simtime.Interval{Start: 0, End: now}); t > 0 {
+		f.Sent = append(f.Sent, SentGrant{Path: f.Path, Time: t})
+	}
+	f.Path, f.Slices = nil, simtime.IntervalSet{}
 }
 
 // Tree materializes the reconstructed span forest (identical to the live

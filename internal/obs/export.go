@@ -129,8 +129,6 @@ func FormatEvent(e Event) string {
 	case KindReplan:
 		return fmt.Sprintf("%s replan: %d flows, %d paths tried, %v",
 			at, e.Flows, e.PathsTried, e.Duration)
-	case KindFastAdmit:
-		return fmt.Sprintf("%s task %d fast-admitted in %v", at, e.Task, e.Duration)
 	case KindDeadlineMissed:
 		return fmt.Sprintf("%s flow %d (task %d) missed its deadline", at, e.Flow, e.Task)
 	case KindLinkDown:
@@ -163,7 +161,7 @@ func WritePrometheus(w io.Writer, r *Recorder, linkName func(int32) string) erro
 			top = i
 		}
 	}
-	b.WriteString("# HELP taps_replan_latency_seconds Wall-clock planner latency per re-plan or fast-admit pass.\n")
+	b.WriteString("# HELP taps_replan_latency_seconds Wall-clock planner latency per re-plan pass.\n")
 	b.WriteString("# TYPE taps_replan_latency_seconds histogram\n")
 	var cum uint64
 	for i := 0; i <= top; i++ {
@@ -305,7 +303,6 @@ type Summary struct {
 	Rejected    uint64
 	Preempted   uint64
 	Replans     uint64
-	FastAdmits  uint64
 	Missed      uint64
 	LinksDown   uint64
 	PlannerP50  float64 // milliseconds
@@ -327,7 +324,6 @@ func (r *Recorder) Summarize() Summary {
 		Rejected:    r.Count(KindTaskRejected),
 		Preempted:   r.Count(KindTaskPreempted),
 		Replans:     r.Count(KindReplan),
-		FastAdmits:  r.Count(KindFastAdmit),
 		Missed:      r.Count(KindDeadlineMissed),
 		LinksDown:   r.Count(KindLinkDown),
 		PlannerP50:  toMs(float64(h.Quantile(0.50))),
@@ -348,8 +344,8 @@ func (r *Recorder) SummaryText(linkName func(int32) string) string {
 	s := r.Summarize()
 	var b strings.Builder
 	b.WriteString("## observability summary\n")
-	fmt.Fprintf(&b, "decisions: %d admitted (%d via fast path), %d rejected, %d preempted\n",
-		s.Admitted, s.FastAdmits, s.Rejected, s.Preempted)
+	fmt.Fprintf(&b, "decisions: %d admitted, %d rejected, %d preempted\n",
+		s.Admitted, s.Rejected, s.Preempted)
 	fmt.Fprintf(&b, "runtime:   %d replans, %d deadline misses, %d link failures\n",
 		s.Replans, s.Missed, s.LinksDown)
 	if h := r.PlannerLatency(); h.Count() > 0 {

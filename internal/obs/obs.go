@@ -42,9 +42,6 @@ const (
 	// placed, Duration the wall-clock latency, PathsTried the candidate
 	// paths examined.
 	KindReplan
-	// KindFastAdmit: the incremental fast path admitted Task without a
-	// global re-plan; Duration is the wall-clock latency.
-	KindFastAdmit
 	// KindDeadlineMissed: active Flow of Task passed its deadline.
 	KindDeadlineMissed
 	// KindLinkDown: Link failed.
@@ -58,7 +55,6 @@ var kindNames = [kindCount]string{
 	"task_rejected",
 	"task_preempted",
 	"replan",
-	"fast_admit",
 	"deadline_missed",
 	"link_down",
 }
@@ -83,7 +79,7 @@ type Event struct {
 	Link       int32         // subject link (LinkDown)
 	Flows      int32         // flows planned (Replan)
 	PathsTried int64         // candidate paths examined (Replan)
-	Duration   time.Duration // wall-clock planner latency (Replan, FastAdmit)
+	Duration   time.Duration // wall-clock planner latency (Replan)
 	Fraction   float64       // completion fraction (TaskPreempted)
 	Reason     string        // kill note / decision reason
 }
@@ -116,7 +112,7 @@ type Options struct {
 // Recorder collects events, planner latencies, and link gauges. Create
 // with NewRecorder; a nil *Recorder is a valid disabled recorder.
 type Recorder struct {
-	planner    Histogram // replan + fast-admit wall-clock latency
+	planner    Histogram // replan wall-clock latency
 	declogSync Histogram // decision-log fsync wall-clock latency
 
 	mu            sync.Mutex
@@ -156,13 +152,13 @@ func NewRecorder(opts Options) *Recorder {
 func (r *Recorder) Enabled() bool { return r != nil }
 
 // Record appends one event, stamps its sequence number, and forwards it
-// to any sinks. Replan and FastAdmit durations also feed the planner
-// latency histogram. No-op on a nil recorder; allocation-free.
+// to any sinks. Replan durations also feed the planner latency
+// histogram. No-op on a nil recorder; allocation-free.
 func (r *Recorder) Record(ev Event) {
 	if r == nil {
 		return
 	}
-	if ev.Kind == KindReplan || ev.Kind == KindFastAdmit {
+	if ev.Kind == KindReplan {
 		r.planner.Observe(ev.Duration)
 	}
 	r.mu.Lock()

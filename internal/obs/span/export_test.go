@@ -34,7 +34,7 @@ func sampleTree() *Tree {
 
 	r.TaskArrived(4, 10, 200)
 	r.FlowArrived(40, 4, 10, 200, "h4->h5")
-	r.Replan(ReplanSpan{Time: 10, Kind: ReplanFastAdmit, Trigger: 4, Flows: 1, PathsTried: 1,
+	r.Replan(ReplanSpan{Time: 10, Kind: ReplanArrival, Trigger: 4, Flows: 1, PathsTried: 1,
 		Plans: []PlanSpan{{Flow: 40, Task: 4, Candidates: 1, PathIndex: 0,
 			Path: []int32{7}, Slices: []simtime.Interval{{Start: 30, End: 90}},
 			Finish: 90, Deadline: 200}}})

@@ -77,13 +77,11 @@ func (o Outcome) String() string {
 // ReplanKind classifies one planning pass.
 type ReplanKind uint8
 
-// Planning pass kinds.
+// Planning pass kinds. Decision logs store the numbers; 1 is reserved.
 const (
 	// ReplanArrival is Alg. 1's global re-plan triggered by a task arrival.
 	ReplanArrival ReplanKind = iota
-	// ReplanFastAdmit is the append-only fast-admission pass (plans only
-	// the arriving task's flows against the existing occupancy).
-	ReplanFastAdmit
+	_
 	// ReplanPostReject re-plans the survivors after the newcomer was
 	// discarded (Trigger names the rejected task).
 	ReplanPostReject
@@ -102,12 +100,12 @@ const (
 )
 
 var replanKindNames = [replanKindCount]string{
-	"arrival", "fast-admit", "post-reject", "post-preempt", "recovery",
+	"arrival", "", "post-reject", "post-preempt", "recovery",
 	"incremental",
 }
 
 func (k ReplanKind) String() string {
-	if int(k) < len(replanKindNames) {
+	if int(k) < len(replanKindNames) && replanKindNames[k] != "" {
 		return replanKindNames[k]
 	}
 	return "replan(?)"

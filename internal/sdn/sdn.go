@@ -513,8 +513,7 @@ func splitmix(x uint64) uint64 {
 // routed flow gets its path and slices, and its forwarding entries move
 // to the new path.
 func (tb *Testbed) installCommitted() {
-	flows, _ := tb.kernel.Committed()
-	for _, kf := range flows {
+	for _, kf := range tb.kernel.Committed() {
 		if kf.Path == nil {
 			continue
 		}

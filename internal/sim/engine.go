@@ -367,6 +367,12 @@ func (e *Engine) Run() (*Result, error) {
 			continue
 		}
 		rates, horizon := e.sched.Rates(st)
+		if len(st.active) == 0 {
+			// The scheduler killed the last active flows inside Rates (PDQ's
+			// Early Termination does): the run is over, or idle until the
+			// next arrival.
+			continue
+		}
 		if e.cfg.Validate {
 			if err := e.validate(rates); err != nil {
 				return nil, err

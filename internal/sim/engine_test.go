@@ -351,6 +351,45 @@ func (idleSched) Rates(*sim.State) (sim.RateMap, simtime.Time) {
 	return nil, simtime.Infinity
 }
 
+// TestKillingEveryFlowInsideRatesIsNotAStall: a scheduler that terminates
+// the last active flows from inside Rates (PDQ's Early Termination) leaves
+// no rates and no horizon, and nothing to wait for either: the engine idles
+// to the next arrival, and ends the run when there is none.
+func TestKillingEveryFlowInsideRatesIsNotAStall(t *testing.T) {
+	g, r, a, b := pair()
+	specs := []sim.TaskSpec{
+		{Arrival: 0, Deadline: simtime.Second,
+			Flows: []sim.FlowSpec{{Src: a, Dst: b, Size: 1000}, {Src: a, Dst: b, Size: 1000}}},
+		{Arrival: 5 * simtime.Millisecond, Deadline: simtime.Second,
+			Flows: []sim.FlowSpec{{Src: a, Dst: b, Size: 1000}}},
+	}
+	eng := sim.New(g, r, killerSched{}, specs, sim.Config{Validate: true})
+	res, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.EndTime != 5*simtime.Millisecond {
+		t.Fatalf("run ended at t=%d, want the second arrival (5 ms)", res.EndTime)
+	}
+	for _, f := range res.Flows {
+		if f.State != sim.FlowKilled {
+			t.Fatalf("flow %d is %v, want killed", f.ID, f.State)
+		}
+	}
+}
+
+// killerSched kills every active flow inside Rates and transmits nothing.
+type killerSched struct{ sim.NopHooks }
+
+func (killerSched) Name() string { return "killer" }
+
+func (killerSched) Rates(st *sim.State) (sim.RateMap, simtime.Time) {
+	for _, f := range st.ActiveFlows() {
+		st.KillFlow(f, "terminated early")
+	}
+	return nil, simtime.Infinity
+}
+
 func TestMaxTimeAborts(t *testing.T) {
 	g, r, a, b := pair()
 	specs := []sim.TaskSpec{{Arrival: 0, Deadline: simtime.Second,
