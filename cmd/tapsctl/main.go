@@ -41,7 +41,6 @@ func main() {
 		n       = flag.Int("n", 4, "bcube: n")
 		speedup = flag.Float64("speedup", 1, "virtual µs per real µs")
 		paths   = flag.Int("paths", 16, "candidate path cap")
-		incrF   = flag.Bool("incremental", false, "delta replanning: reuse unchanged plans across passes, fall back to a full pass when the dirty set is large")
 		httpAt  = flag.String("http", "", "serve GET /status, /metrics, /events and /healthz on this address (empty: off)")
 		eventsF = flag.String("events", "", "stream decision events as JSONL to this file")
 		declogF = flag.String("declog", "", "write-ahead decision log file (reopening an existing log recovers controller state)")
@@ -66,10 +65,9 @@ func main() {
 		os.Exit(1)
 	}
 	ctl := netctl.NewController(g, r, netctl.ControllerConfig{
-		Speedup:     *speedup,
-		MaxPaths:    *paths,
-		Incremental: *incrF,
-		Logf:        log.Printf,
+		Speedup:  *speedup,
+		MaxPaths: *paths,
+		Logf:     log.Printf,
 	})
 	var eventsFile *os.File
 	if *eventsF != "" {

@@ -40,13 +40,10 @@ func spanPlans(flows []*Flow, entries []PlanEntry) []span.PlanSpan {
 // the busiest holders per link) are named.
 const attributionLimit = 5
 
-// linkAggs is the §IV-B chain walk shared by rejection/preemption
-// attribution and the delta planner's dirty-set estimate: a set of watched
-// contended links, each with the deadline window under contention and the
-// per-task slice time other tasks hold there. Both consumers ask the same
-// question — "whose planned occupancy on these links intersects this
-// window?" — attribution to name the blockers, the delta planner to bound
-// which tasks an arrival can affect.
+// linkAggs is the §IV-B chain walk behind rejection/preemption
+// attribution: a set of watched contended links, each with the deadline
+// window under contention and the per-task slice time other tasks hold
+// there — "whose planned occupancy on these links intersects this window?"
 type linkAggs map[topology.LinkID]*linkAgg
 
 type linkAgg struct {
@@ -129,19 +126,6 @@ func (aggs linkAggs) rank() []span.LinkBlock {
 	return blocks
 }
 
-// chargedTasks reports which tasks hold any slice time on a watched link —
-// the §IV-B chain membership itself, independent of ranking. Map-valued on
-// purpose: callers only test membership, so iteration order never leaks.
-func (aggs linkAggs) chargedTasks() map[int64]bool {
-	tasks := make(map[int64]bool)
-	for _, a := range aggs {
-		for t := range a.holders {
-			tasks[t] = true
-		}
-	}
-	return tasks
-}
-
 // attribute records why a tentative pass doomed a task: for each
 // missed flow that sealed its fate, the links of the flow's (would-be)
 // path whose occupancy within [now, deadline) left no feasible window, and
@@ -191,37 +175,4 @@ func (k *Kernel) attribution(now simtime.Time, task int64, entries []PlanEntry) 
 		}
 	}
 	return aggs.rank()
-}
-
-// dirtySetEstimate predicts, before the incremental pass runs, how many
-// in-flight flows a task's arrival can plausibly dirty: the same chain
-// walk as attribution — watch every candidate path of the newcomer's flows
-// over [now, deadline), charge every committed grant — then count the
-// flows of every task charged anywhere, plus the newcomer's own. The
-// kernel uses it as the upfront full-vs-incremental policy gate; the
-// estimate is advisory (the mid-pass dirty budget remains the hard
-// backstop), so it can never affect plan correctness.
-func (k *Kernel) dirtySetEstimate(now simtime.Time, task int64) int {
-	aggs := make(linkAggs)
-	for _, f := range k.order {
-		if f.Task != task {
-			continue
-		}
-		for _, p := range k.planner.Routing.Paths(f.Src, f.Dst, k.planner.MaxPaths, f.Key) {
-			aggs.watch(p, simtime.Interval{Start: now, End: f.Deadline})
-		}
-	}
-	for _, f := range k.order {
-		if f.Task != task && f.Path != nil {
-			aggs.charge(f.Task, f.Path, f.Slices)
-		}
-	}
-	charged := aggs.chargedTasks()
-	est := 0
-	for _, f := range k.order {
-		if f.Task == task || charged[f.Task] {
-			est++
-		}
-	}
-	return est
 }

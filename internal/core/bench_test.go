@@ -80,11 +80,9 @@ func BenchmarkPlanAllFatTree(b *testing.B) {
 	}
 }
 
-// deltaBenchReqs builds n spread flows on a k=16 fat tree (1024 hosts),
-// sorted the way both schedulers feed the planner (EDF, then size, then
-// key) — the workload shape where one arrival touches a tiny fraction of
-// the fleet, which is exactly what the delta planner exploits.
-func deltaBenchReqs(g *topology.Graph, n int) []core.FlowReq {
+// replanBenchReqs builds n spread flows on a k=16 fat tree (1024 hosts),
+// sorted the way the kernel feeds the planner (EDF, then size, then key).
+func replanBenchReqs(g *topology.Graph, n int) []core.FlowReq {
 	hosts := g.Hosts()
 	reqs := make([]core.FlowReq, n)
 	for i := range reqs {
@@ -112,8 +110,8 @@ func deltaBenchReqs(g *topology.Graph, n int) []core.FlowReq {
 	return reqs
 }
 
-// deltaBenchArrival splices one newcomer into its sorted position.
-func deltaBenchArrival(g *topology.Graph, reqs []core.FlowReq) ([]core.FlowReq, uint64) {
+// replanBenchArrival splices one newcomer into its sorted position.
+func replanBenchArrival(g *topology.Graph, reqs []core.FlowReq) []core.FlowReq {
 	hosts := g.Hosts()
 	nc := core.FlowReq{
 		Key: uint64(1) << 40, Src: hosts[3], Dst: hosts[len(hosts)/2],
@@ -131,60 +129,23 @@ func deltaBenchArrival(g *topology.Graph, reqs []core.FlowReq) ([]core.FlowReq, 
 	})
 	out := make([]core.FlowReq, 0, len(reqs)+1)
 	out = append(append(append(out, reqs[:pos]...), nc), reqs[pos:]...)
-	return out, nc.Key
+	return out
 }
 
-var deltaBenchSizes = []struct {
-	name string
-	n    int
-}{{"1k", 1_000}, {"10k", 10_000}, {"100k", 100_000}}
-
-// BenchmarkPlanIncremental measures one arrival's delta replan at scale:
-// steady state (records adopted from a full pass), then per iteration one
-// newcomer spliced in, one incremental pass over all n+1 flows, and the
-// newcomer revoked. Compare against BenchmarkPlanFullReplan at the same
-// sizes — the full pass is what every arrival cost before the delta
-// planner (no 100k full baseline: see EXPERIMENTS.md).
-func BenchmarkPlanIncremental(b *testing.B) {
-	g, r := topology.FatTree(topology.FatTreeSpec{K: 16, LinkCapacity: topology.Gbps(1)})
-	cr := topology.NewCachedRouting(r)
-	for _, size := range deltaBenchSizes {
-		b.Run("flows="+size.name, func(b *testing.B) {
-			reqs := deltaBenchReqs(g, size.n)
-			p := &core.Planner{Graph: g, Routing: cr, MaxPaths: 4}
-			d := core.NewDeltaPlanner(p, 0)
-			d.Adopt(reqs, p.PlanAll(0, reqs))
-			withNew, newKey := deltaBenchArrival(g, reqs)
-			// Warm the scratch arenas and candidate caches.
-			if _, _, ok := d.PlanAll(0, withNew); !ok {
-				b.Fatal("warm-up pass fell back to the full planner")
-			}
-			d.Revoke(0, newKey)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, ok := d.PlanAll(0, withNew); !ok {
-					b.Fatal("incremental pass fell back to the full planner")
-				}
-				d.Revoke(0, newKey)
-			}
-		})
-	}
-}
-
-// BenchmarkPlanFullReplan is the arrival cost without the delta planner
-// on the identical workload and topology as BenchmarkPlanIncremental:
-// one full first-fit pass over all n+1 flows. 100k is omitted — a single
-// full pass there runs ~0.3s, too slow for the CI bench-smoke's 1x pass
-// to say anything useful (the trend is already linear from 1k to 10k).
+// BenchmarkPlanFullReplan is what one arrival costs at scale: one full
+// first-fit pass over n in-flight flows plus the newcomer. 100k is omitted
+// — a single pass there runs ~0.3s, too slow for the CI bench-smoke's 1x
+// pass to say anything useful (the trend is already linear from 1k to 10k).
 func BenchmarkPlanFullReplan(b *testing.B) {
 	g, r := topology.FatTree(topology.FatTreeSpec{K: 16, LinkCapacity: topology.Gbps(1)})
 	cr := topology.NewCachedRouting(r)
-	for _, size := range deltaBenchSizes[:2] {
+	for _, size := range []struct {
+		name string
+		n    int
+	}{{"1k", 1_000}, {"10k", 10_000}} {
 		b.Run("flows="+size.name, func(b *testing.B) {
-			reqs := deltaBenchReqs(g, size.n)
 			p := &core.Planner{Graph: g, Routing: cr, MaxPaths: 4}
-			withNew, _ := deltaBenchArrival(g, reqs)
+			withNew := replanBenchArrival(g, replanBenchReqs(g, size.n))
 			p.PlanAll(0, withNew) // warm the routing cache and arenas
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -206,53 +167,40 @@ func (churnPlane) Discard(simtime.Time, int64, int64)             {}
 // planner layer: a kernel on a k=16 fat-tree holding 128 tasks of 12–20
 // flows (about 2 000 in flight, 16 candidate paths each) on a frozen
 // clock; every iteration retires the oldest task and admits a new one
-// whose deadline lands in the middle of the plan order. "incremental" runs
-// the same inputs with the delta planner on: at 16-wide candidate sets its
-// a-priori gate refuses every arrival pass, so it costs the full pass plus
-// the gate and an Adopt.
+// whose deadline lands in the middle of the plan order.
 func BenchmarkPlanChurn(b *testing.B) {
 	g, r := topology.FatTree(topology.FatTreeSpec{K: 16, LinkCapacity: topology.Gbps(1)})
 	cr := topology.NewCachedRouting(r)
 	hosts := g.Hosts()
 	const live = 128
-	for _, incremental := range []bool{false, true} {
-		name := "full"
-		if incremental {
-			name = "incremental"
+	k := core.NewKernel(g, cr, core.DefaultConfig(), churnPlane{})
+	rng := rand.New(rand.NewSource(1))
+	var key uint64
+	arrive := func(task int) {
+		specs := make([]core.FlowSpec, 12+rng.Intn(9))
+		for i := range specs {
+			src, dst := rng.Intn(len(hosts)), rng.Intn(len(hosts)-1)
+			if dst >= src {
+				dst++
+			}
+			key++
+			specs[i] = core.FlowSpec{Key: key, Src: hosts[src], Dst: hosts[dst], Size: 100e3 + rng.Int63n(50e3+1)}
 		}
-		b.Run(name, func(b *testing.B) {
-			cfg := core.DefaultConfig()
-			cfg.Incremental = incremental
-			k := core.NewKernel(g, cr, cfg, churnPlane{})
-			rng := rand.New(rand.NewSource(1))
-			var key uint64
-			arrive := func(task int) {
-				specs := make([]core.FlowSpec, 12+rng.Intn(9))
-				for i := range specs {
-					src, dst := rng.Intn(len(hosts)), rng.Intn(len(hosts)-1)
-					if dst >= src {
-						dst++
-					}
-					key++
-					specs[i] = core.FlowSpec{Key: key, Src: hosts[src], Dst: hosts[dst], Size: 100e3 + rng.Int63n(50e3+1)}
-				}
-				deadline := simtime.Second + rng.Int63n(2*simtime.Second+1) + 5*simtime.Millisecond*simtime.Time(task)
-				if d, _ := k.TaskArrived(0, int64(task), deadline, specs); d != core.Accept {
-					b.Fatalf("task %d: %v", task, d)
-				}
-			}
-			for task := 0; task < live; task++ {
-				arrive(task)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for task := live; task < live+b.N; task++ {
-				for _, f := range k.Flows(int64(task - live)) {
-					k.FlowFinished(0, f.Key, 0)
-				}
-				arrive(task)
-			}
-		})
+		deadline := simtime.Second + rng.Int63n(2*simtime.Second+1) + 5*simtime.Millisecond*simtime.Time(task)
+		if d, _ := k.TaskArrived(0, int64(task), deadline, specs); d != core.Accept {
+			b.Fatalf("task %d: %v", task, d)
+		}
+	}
+	for task := 0; task < live; task++ {
+		arrive(task)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for task := live; task < live+b.N; task++ {
+		for _, f := range k.Flows(int64(task - live)) {
+			k.FlowFinished(0, f.Key, 0)
+		}
+		arrive(task)
 	}
 }
 

@@ -84,7 +84,6 @@ type Kernel struct {
 	cfg     Config
 	dp      DataPlane
 	planner *Planner
-	delta   *DeltaPlanner // nil unless cfg.Incremental
 
 	flows map[uint64]*Flow
 	tasks map[int64][]*Flow // every flow of a task, arrival order
@@ -124,9 +123,6 @@ func (k *Kernel) bind(g *topology.Graph, r topology.Routing) {
 		return
 	}
 	k.planner = &Planner{Graph: g, Routing: r, MaxPaths: k.cfg.MaxPaths}
-	if k.cfg.Incremental {
-		k.delta = NewDeltaPlanner(k.planner, k.cfg.IncrementalMaxDirtyFrac)
-	}
 }
 
 // Replans returns how many global planning passes the kernel has run.
@@ -200,7 +196,7 @@ func (k *Kernel) TaskArrived(now simtime.Time, task int64, deadline simtime.Time
 	k.tasks[task] = flows
 
 	k.sweep(now)
-	entries := k.plan(now, span.ReplanArrival, task, true)
+	entries := k.plan(now, span.ReplanArrival, task)
 	decision, victim := Accept, span.NoTask
 	if !k.cfg.DisableRejectRule {
 		decision, victim = EvaluateRejectRule(k.missed(entries), task, k.Fraction, k.cfg.NoPreemption)
@@ -210,13 +206,13 @@ func (k *Kernel) TaskArrived(now simtime.Time, task int64, deadline simtime.Time
 		k.attribute(now, task, entries)
 		k.Sink.Emit(&declog.Record{Kind: declog.KindReject, Time: now, Task: task, Reason: reasonRejected})
 		k.discard(now, task, span.NoTask)
-		entries = k.plan(now, span.ReplanPostReject, task, false)
+		entries = k.plan(now, span.ReplanPostReject, task)
 	case Preempt:
 		k.Sink.Emit(&declog.Record{Kind: declog.KindPreempt, Time: now, Task: victim, By: task,
 			Fraction: k.Fraction(victim), Reason: reasonPreempted})
 		k.attribute(now, victim, entries)
 		k.discard(now, victim, task)
-		entries = k.plan(now, span.ReplanPostPreempt, victim, false)
+		entries = k.plan(now, span.ReplanPostPreempt, victim)
 	case Accept:
 	}
 	k.commit(now, entries)
@@ -237,22 +233,14 @@ func (k *Kernel) FlowFinished(now simtime.Time, key uint64, left float64) {
 		return
 	}
 	f.Done, f.Bytes = true, left
-	if k.delta != nil {
-		k.delta.Revoke(now, key)
-	}
 }
 
 // LinkDown re-plans every flow in flight after the topology lost a link:
 // the routing the kernel was given already excludes it, so the planner
 // routes around it and re-packs the slices onto what is left.
 func (k *Kernel) LinkDown(now simtime.Time) {
-	if k.delta != nil {
-		// Every remembered path and candidate-link set may cross the dead
-		// link. Start over from a full pass.
-		k.delta.Invalidate()
-	}
 	k.sweep(now)
-	k.commit(now, k.plan(now, span.ReplanRecovery, span.NoTask, false))
+	k.commit(now, k.plan(now, span.ReplanRecovery, span.NoTask))
 }
 
 // Replan re-plans every flow in flight from now on behalf of an admitted
@@ -260,7 +248,7 @@ func (k *Kernel) LinkDown(now simtime.Time) {
 // has also lost its first slices). No rule runs: nothing arrived.
 func (k *Kernel) Replan(now simtime.Time, task int64) {
 	k.sweep(now)
-	k.commit(now, k.plan(now, span.ReplanArrival, task, false))
+	k.commit(now, k.plan(now, span.ReplanArrival, task))
 }
 
 // Restore re-creates one flow record — identity, committed grant, bytes
@@ -318,12 +306,7 @@ func (k *Kernel) sweep(now simtime.Time) {
 		f.Bytes = max(k.dp.Remaining(f, now), 0)
 		if f.Bytes == 0 {
 			// Complete as far as the data plane can tell; the report just
-			// has not arrived. Nothing to schedule, and not a miss. Its
-			// planned occupancy vanishes from this pass, so the delta
-			// planner must hear about it (Revoke is idempotent).
-			if k.delta != nil {
-				k.delta.Revoke(now, f.Key)
-			}
+			// has not arrived. Nothing to schedule, and not a miss.
 			k.spent = append(k.spent, f)
 			continue
 		}
@@ -344,54 +327,18 @@ func (k *Kernel) fillReqs() {
 	}
 }
 
-// plan runs Alg. 2 over the pass (incrementally where the delta planner
-// can vouch for the result), from empty occupancy, and records it. Nothing
-// is installed in the flow table: the caller commits the pass it keeps,
-// which is the last one it planned — the one whose occupancy the planner
-// is left holding. kind and trigger label the pass; gate marks an arrival
-// pass, where the §IV-B chain walk can tell beforehand that an incremental
-// attempt is doomed.
-func (k *Kernel) plan(now simtime.Time, kind span.ReplanKind, trigger int64, gate bool) []PlanEntry {
+// plan runs Alg. 2 over the pass, from empty occupancy, and records it.
+// Nothing is installed in the flow table: the caller commits the pass it
+// keeps, which is the last one it planned — the one whose occupancy the
+// planner is left holding. kind and trigger label the pass.
+func (k *Kernel) plan(now simtime.Time, kind span.ReplanKind, trigger int64) []PlanEntry {
 	k.replans++
 	paths := k.planner.PathsTried()
 	var t0 time.Time // zero unless an obs recorder is attached
 	if k.Obs != nil {
 		t0 = time.Now() //taps:allow wallclock obs-only planner latency; never feeds simulated time
 	}
-	var entries []PlanEntry
-	scope := 0
-	if k.delta != nil {
-		var ds DeltaStats
-		ok := false
-		tried := k.delta.Records() > 0
-		why := obs.FallbackBudget
-		switch {
-		case !tried:
-		case gate && k.dirtySetEstimate(now, trigger) > k.delta.MaxDirty(len(k.reqs)):
-			// The estimated dirty set already blows the budget: go straight
-			// to the full pass instead of burning a doomed incremental
-			// attempt.
-			why = obs.FallbackGate
-		default:
-			entries, ds, ok = k.delta.PlanAll(now, k.reqs)
-		}
-		if ok {
-			kind, scope = span.ReplanIncremental, ds.Replanned
-			k.Obs.ObserveReplanScope(ds.Replanned, len(k.reqs))
-		} else {
-			entries = k.planner.PlanAll(now, k.reqs)
-			k.delta.Adopt(k.reqs, entries)
-			if tried {
-				// A bootstrap pass (no records to reuse yet) is not a
-				// fallback; the counters track reuse that was possible
-				// but abandoned.
-				k.Obs.CountReplanFallback(why)
-				k.Obs.ObserveReplanScope(len(k.reqs), len(k.reqs))
-			}
-		}
-	} else {
-		entries = k.planner.PlanAll(now, k.reqs)
-	}
+	entries := k.planner.PlanAll(now, k.reqs)
 	tried := k.planner.PathsTried() - paths
 	if k.Obs != nil {
 		k.Obs.Record(obs.Event{
@@ -402,7 +349,7 @@ func (k *Kernel) plan(now simtime.Time, kind span.ReplanKind, trigger int64, gat
 	}
 	if k.Sink.On() {
 		k.Sink.Emit(&declog.Record{Kind: declog.KindReplan, Time: now, Replan: &span.ReplanSpan{
-			Time: now, Kind: kind, Trigger: trigger, Scope: scope,
+			Time: now, Kind: kind, Trigger: trigger,
 			Flows: len(k.order), PathsTried: tried, Plans: spanPlans(k.order, entries),
 		}})
 	}
@@ -430,14 +377,9 @@ func (k *Kernel) missed(entries []PlanEntry) map[int64]bool {
 	return k.missing
 }
 
-// discard drops a task the rule condemned — from the delta planner, from
-// the data plane, from the flow table and from the pass in progress.
+// discard drops a task the rule condemned — from the data plane, from the
+// flow table and from the pass in progress.
 func (k *Kernel) discard(now simtime.Time, task, by int64) {
-	if k.delta != nil {
-		for _, f := range k.tasks[task] {
-			k.delta.Revoke(now, f.Key)
-		}
-	}
 	k.dp.Discard(now, task, by)
 	for _, f := range k.tasks[task] {
 		f.Done = true

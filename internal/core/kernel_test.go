@@ -8,10 +8,8 @@ package core
 import (
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
-	"taps/internal/obs"
 	"taps/internal/sim"
 	"taps/internal/simtime"
 	"taps/internal/topology"
@@ -101,57 +99,46 @@ func grants(k *Kernel) map[uint64][]simtime.Interval {
 
 // TestKernelStormStaysCollisionFree drives an RCD-style close-to-deadline
 // storm with moving time, progress, finishes, rejections and duplicate
-// probes through the kernel, with and without the delta planner, checking
-// the plan after every single input. Both configurations must also decide
-// every task alike.
+// probes through the kernel, checking the plan after every single input.
 func TestKernelStormStaysCollisionFree(t *testing.T) {
-	var verdicts [2][]Decision
-	for ci, incremental := range []bool{false, true} {
-		cfg := DefaultConfig()
-		cfg.Incremental = incremental
-		k, plane, hosts := newTestKernel(cfg)
-		rng := rand.New(rand.NewSource(11))
-		now := simtime.Time(0)
-		var key uint64
-		rejects := 0
-		for task := int64(1); task <= 400; task++ {
-			next := now + simtime.Time(rng.Intn(3000))
-			for _, fin := range plane.run(now, next) {
-				k.FlowFinished(next, fin, 0)
-				requireDisjoint(t, k, next, "flow finished")
-			}
-			now = next
-			specs := make([]FlowSpec, 1+rng.Intn(3))
-			for i := range specs {
-				src := rng.Intn(len(hosts))
-				dst := (src + 1 + rng.Intn(len(hosts)-1)) % len(hosts)
-				key++
-				specs[i] = FlowSpec{Key: key, Src: hosts[src], Dst: hosts[dst], Size: 500e3 + rng.Int63n(1500e3)}
-			}
-			deadline := now + 20e3 + simtime.Time(rng.Intn(40e3))
-			d, _ := k.TaskArrived(now, task, deadline, specs)
-			requireSound(t, k, now, "task arrived")
-			verdicts[ci] = append(verdicts[ci], d)
-			if d == RejectNew {
-				rejects++
-				if k.Flows(task) != nil || k.Flow(specs[0].Key) != nil {
-					t.Fatalf("rejected task %d is still in the flow table", task)
-				}
-			}
-			if d != RejectNew && task%17 == 0 {
-				k.Replan(now, task)
-				requireSound(t, k, now, "duplicate probe")
+	k, plane, hosts := newTestKernel(DefaultConfig())
+	rng := rand.New(rand.NewSource(11))
+	now := simtime.Time(0)
+	var key uint64
+	rejects := 0
+	for task := int64(1); task <= 400; task++ {
+		next := now + simtime.Time(rng.Intn(3000))
+		for _, fin := range plane.run(now, next) {
+			k.FlowFinished(next, fin, 0)
+			requireDisjoint(t, k, next, "flow finished")
+		}
+		now = next
+		specs := make([]FlowSpec, 1+rng.Intn(3))
+		for i := range specs {
+			src := rng.Intn(len(hosts))
+			dst := (src + 1 + rng.Intn(len(hosts)-1)) % len(hosts)
+			key++
+			specs[i] = FlowSpec{Key: key, Src: hosts[src], Dst: hosts[dst], Size: 500e3 + rng.Int63n(1500e3)}
+		}
+		deadline := now + 20e3 + simtime.Time(rng.Intn(40e3))
+		d, _ := k.TaskArrived(now, task, deadline, specs)
+		requireSound(t, k, now, "task arrived")
+		if d == RejectNew {
+			rejects++
+			if k.Flows(task) != nil || k.Flow(specs[0].Key) != nil {
+				t.Fatalf("rejected task %d is still in the flow table", task)
 			}
 		}
-		if rejects == 0 || rejects == 400 {
-			t.Fatalf("storm rejected %d of 400 tasks; the reject path or the accept path went untested", rejects)
-		}
-		if len(plane.discarded) != rejects {
-			t.Fatalf("adapter heard of %d discards, kernel rejected %d", len(plane.discarded), rejects)
+		if d != RejectNew && task%17 == 0 {
+			k.Replan(now, task)
+			requireSound(t, k, now, "duplicate probe")
 		}
 	}
-	if !reflect.DeepEqual(verdicts[0], verdicts[1]) {
-		t.Fatal("the delta planner changed a decision")
+	if rejects == 0 || rejects == 400 {
+		t.Fatalf("storm rejected %d of 400 tasks; the reject path or the accept path went untested", rejects)
+	}
+	if len(plane.discarded) != rejects {
+		t.Fatalf("adapter heard of %d discards, kernel rejected %d", len(plane.discarded), rejects)
 	}
 }
 
@@ -245,6 +232,34 @@ func TestKernelSpentFlowHoldsNothing(t *testing.T) {
 	}
 }
 
+// TestKernelFinishedFlowFreesItsSlices: once FlowFinished has taken a flow
+// out of flight, the next pass plans as if it had never held anything — a
+// flow queued behind it slides into the freed window and the newcomer
+// takes the place after that.
+func TestKernelFinishedFlowFreesItsSlices(t *testing.T) {
+	k, _, hosts := newTestKernel(DefaultConfig())
+	// Same host pair, one shared uplink, 0.8 ms each: flow 2 queues behind
+	// flow 1.
+	k.TaskArrived(0, 1, 10e3, []FlowSpec{{Key: 1, Src: hosts[0], Dst: hosts[1], Size: 100_000}})
+	k.TaskArrived(0, 2, 20e3, []FlowSpec{{Key: 2, Src: hosts[0], Dst: hosts[1], Size: 100_000}})
+	if got := k.Flow(2).Slices.Intervals(); len(got) != 1 || got[0].Start != 800 {
+		t.Fatalf("scenario broken: flow 2 holds %v, want one window from t=800 behind flow 1", got)
+	}
+	k.FlowFinished(0, 1, 0)
+	if d, _ := k.TaskArrived(0, 3, 30e3, []FlowSpec{{Key: 3, Src: hosts[0], Dst: hosts[1], Size: 100_000}}); d != Accept {
+		t.Fatalf("decision %v, want accept", d)
+	}
+	requireSound(t, k, 0, "arrival after a finish")
+	for key, want := range map[uint64]simtime.Interval{2: {Start: 0, End: 800}, 3: {Start: 800, End: 1600}} {
+		if got := k.Flow(key).Slices.Intervals(); len(got) != 1 || got[0] != want {
+			t.Fatalf("flow %d holds %v after flow 1 finished, want %v", key, got, want)
+		}
+	}
+	if _, flows, _ := k.LinkBusy(); flows != 2 {
+		t.Fatalf("%d flows in flight, want 2", flows)
+	}
+}
+
 // TestKernelFractionCountsDeliveredBytes: a flow whose sender gave up
 // counts for what it delivered, not for its size; a local transfer counts
 // in full.
@@ -296,61 +311,5 @@ func TestKernelFractionMatchesEngineCounters(t *testing.T) {
 	}
 	if commits == 0 || cut == 0 {
 		t.Fatalf("%d commits, %d sightings of a flow cut short in a live task; property untested", commits, cut)
-	}
-}
-
-// TestKernelFallbackReasons drives a kernel whose dirty budget is a single
-// flow through one fallback of each kind and reads the cause back from the
-// recorder and from /metrics.
-func TestKernelFallbackReasons(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Incremental = true
-	cfg.IncrementalMaxDirtyFrac = 0.01
-	k, _, hosts := newTestKernel(cfg)
-	k.Obs = obs.NewRecorder(obs.Options{})
-	fallbacks := func() [2]uint64 {
-		rs := k.Obs.ReplanScopeStats()
-		if sum := rs.Fallbacks[obs.FallbackGate] + rs.Fallbacks[obs.FallbackBudget]; rs.FullFallbacks != sum {
-			t.Fatalf("FullFallbacks = %d, its parts sum to %d", rs.FullFallbacks, sum)
-		}
-		return [2]uint64{rs.Fallbacks[obs.FallbackGate], rs.Fallbacks[obs.FallbackBudget]}
-	}
-
-	// The first pass has no records to reuse: a bootstrap, not a fallback.
-	deadline := 50 * simtime.Millisecond
-	k.TaskArrived(0, 1, deadline, []FlowSpec{
-		{Key: 1, Src: hosts[0], Dst: hosts[1], Size: 100_000},
-		{Key: 2, Src: hosts[0], Dst: hosts[1], Size: 200_000},
-		{Key: 3, Src: hosts[0], Dst: hosts[1], Size: 300_000},
-	})
-	if got := fallbacks(); got != [2]uint64{0, 0} {
-		t.Fatalf("after the bootstrap pass: fallbacks (gate, budget) = %v", got)
-	}
-	// A newcomer on the same uplink: the estimate charges all of task 1, the
-	// gate refuses the attempt before it starts.
-	k.TaskArrived(10, 2, deadline, []FlowSpec{{Key: 4, Src: hosts[0], Dst: hosts[2], Size: 100_000}})
-	if got := fallbacks(); got != [2]uint64{1, 0} {
-		t.Fatalf("after a gated arrival: fallbacks (gate, budget) = %v, want [1 0]", got)
-	}
-	// A finished flow frees link time under every other flow's candidates:
-	// the ungated pass starts, re-plans a second flow and gives up.
-	k.FlowFinished(20, 1, 0)
-	k.Replan(20, 2)
-	if got := fallbacks(); got != [2]uint64{1, 1} {
-		t.Fatalf("after a pass over budget: fallbacks (gate, budget) = %v, want [1 1]", got)
-	}
-	requireSound(t, k, 20, "after both fallbacks")
-
-	var b strings.Builder
-	if err := obs.WritePrometheus(&b, k.Obs, nil); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range []string{
-		`taps_replan_full_fallbacks_total{reason="gate"} 1`,
-		`taps_replan_full_fallbacks_total{reason="budget"} 1`,
-	} {
-		if !strings.Contains(b.String(), line+"\n") {
-			t.Errorf("/metrics lacks %q", line)
-		}
 	}
 }

@@ -150,9 +150,7 @@ func (p *Planner) PlanAll(now simtime.Time, reqs []FlowReq) []PlanEntry {
 
 // planWindow computes the allocation window for one pass over reqs: beyond
 // maxDeadline + serialized total work every flow finds idle slices, so
-// first-fit cannot fail inside the window. The delta planner computes the
-// window through this same function so incremental passes see bit-identical
-// allocation horizons.
+// first-fit cannot fail inside the window.
 func (p *Planner) planWindow(now simtime.Time, reqs []FlowReq) simtime.Interval {
 	var sumE simtime.Time
 	maxDeadline := max(now, p.occ.end)

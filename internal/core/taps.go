@@ -70,18 +70,6 @@ type Config struct {
 	// simulated workloads all flows of a task arrive together, so T only
 	// matters across tasks.
 	BatchWindow simtime.Time
-	// Incremental enables the delta planner: arrival passes re-plan only
-	// the dirty set (flows whose inputs provably changed) and re-emit
-	// validated allocations for the rest, falling back to the full
-	// re-plan when the dirty set exceeds IncrementalMaxDirtyFrac or a
-	// link failure invalidates the occupancy index. Plans are
-	// bit-identical to the full re-plan (property-tested); off by
-	// default.
-	Incremental bool
-	// IncrementalMaxDirtyFrac is the dirty-set fraction above which an
-	// incremental pass aborts into the full re-plan. <= 0 selects
-	// DefaultMaxDirtyFrac.
-	IncrementalMaxDirtyFrac float64
 }
 
 // DefaultConfig is the configuration used throughout the paper's

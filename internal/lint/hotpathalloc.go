@@ -9,8 +9,8 @@ import (
 
 // HotPathAlloc turns the planner's pinned-allocations benchmarks into
 // file/line diagnostics. Functions annotated //taps:hotpath (the planner's
-// candidate evaluation, the delta planner, the occupancy index, simtime's
-// *Into calculus) promise not to allocate per call; the benchmarks catch a
+// candidate evaluation and occupancy calendar, simtime's FirstFit sweep)
+// promise not to allocate per call; the benchmarks catch a
 // regression as a number, this analyzer points at the line. Flagged
 // constructs: make/new, map and slice literals, &composite (heap escape),
 // closures that capture variables, fmt calls, interface boxing at call

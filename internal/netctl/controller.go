@@ -23,13 +23,9 @@ type ControllerConfig struct {
 	MaxPaths int
 	// NoPreemption disables the preemption branch of the reject rule.
 	NoPreemption bool
-	// Incremental enables delta replanning: per-arrival passes re-plan
-	// only flows whose feasibility can have changed, falling back to a
-	// full pass when the dirty set grows past IncrementalMaxDirtyFrac.
+	// Incremental is accepted and ignored: every planning pass is a full
+	// pass. The field remains for the benchmark harness, which sets it.
 	Incremental bool
-	// IncrementalMaxDirtyFrac caps an incremental pass's dirty set as a
-	// fraction of all in-flight flows (default core.DefaultMaxDirtyFrac).
-	IncrementalMaxDirtyFrac float64
 	// Logf receives controller diagnostics (default: discards).
 	Logf func(format string, args ...any)
 }
@@ -134,10 +130,8 @@ func NewController(g *topology.Graph, r topology.Routing, cfg ControllerConfig) 
 		closed:   make(chan struct{}),
 	}
 	c.kernel = core.NewKernel(g, r, core.Config{
-		MaxPaths:                cfg.MaxPaths,
-		NoPreemption:            cfg.NoPreemption,
-		Incremental:             cfg.Incremental,
-		IncrementalMaxDirtyFrac: cfg.IncrementalMaxDirtyFrac,
+		MaxPaths:     cfg.MaxPaths,
+		NoPreemption: cfg.NoPreemption,
 	}, ctlPlane{c})
 	c.kernel.Obs, c.kernel.Sink = c.obs, &c.sink
 	return c

@@ -196,12 +196,6 @@ func encodeRecord(b []byte, r *Record) []byte {
 		b = binary.AppendVarint(b, rs.Trigger)
 		b = binary.AppendVarint(b, int64(rs.Flows))
 		b = binary.AppendVarint(b, rs.PathsTried)
-		if rs.Kind == span.ReplanIncremental {
-			// Scope exists only for incremental passes, keyed on the kind
-			// byte already written, so logs from before the delta planner
-			// (which never contain this kind) stay byte-identical.
-			b = binary.AppendVarint(b, int64(rs.Scope))
-		}
 		b = binary.AppendUvarint(b, uint64(len(rs.Plans)))
 		for i := range rs.Plans {
 			b = encodePlan(b, &rs.Plans[i])
@@ -325,8 +319,12 @@ func decodeRecord(payload []byte) (Record, error) {
 		rs.Trigger = d.varint()
 		rs.Flows = int(d.varint())
 		rs.PathsTried = d.varint()
-		if rs.Kind == span.ReplanIncremental {
-			rs.Scope = int(d.varint())
+		if rs.Kind == 5 {
+			// An older controller's incremental pass: kind 5, then how
+			// many flows it re-planned. Its plans are those of an arrival
+			// pass over the same flows, so that is what it is read as.
+			d.varint()
+			rs.Kind = span.ReplanArrival
 		}
 		n := d.count()
 		rs.Plans = make([]span.PlanSpan, n)

@@ -419,6 +419,13 @@ func TestUnknownCommitModeRefused(t *testing.T) {
 	checkRefused(t, path)
 }
 
+// onePlan is a pass at `at` that grants one flow 100 µs on one link.
+func onePlan(at simtime.Time, kind span.ReplanKind, task, flow int64, link int32) *span.ReplanSpan {
+	return &span.ReplanSpan{Time: at, Kind: kind, Trigger: task, Flows: 1, PathsTried: 1,
+		Plans: []span.PlanSpan{{Flow: flow, Task: task, Candidates: 1, Path: []int32{link},
+			Slices: []simtime.Interval{{Start: at, End: at + 100}}, Finish: at + 100, Deadline: 5000}}}
+}
+
 // TestMergeCommitLogCutAtCommit: a log as a controller with append-only
 // admission wrote it — admit records with the flag byte set, commits with
 // mode 1 — decodes up to its first mode-1 commit and is refused there. The
@@ -429,13 +436,8 @@ func TestMergeCommitLogCutAtCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := func(at simtime.Time, kind span.ReplanKind, task, flow int64, link int32) *span.ReplanSpan {
-		return &span.ReplanSpan{Time: at, Kind: kind, Trigger: task, Flows: 1, PathsTried: 1,
-			Plans: []span.PlanSpan{{Flow: flow, Task: task, Candidates: 1, Path: []int32{link},
-				Slices: []simtime.Interval{{Start: at, End: at + 100}}, Finish: at + 100, Deadline: 5000}}}
-	}
 	w.Append(&Record{Kind: KindTask, Time: 10, Task: 1, Deadline: 5000, Flows: []FlowInfo{{ID: 10, Src: 1, Dst: 2, Size: 100}}})
-	w.Append(&Record{Kind: KindReplan, Time: 10, Replan: plan(10, span.ReplanArrival, 1, 10, 3)})
+	w.Append(&Record{Kind: KindReplan, Time: 10, Replan: onePlan(10, span.ReplanArrival, 1, 10, 3)})
 	w.Append(&Record{Kind: KindCommit, Time: 10})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -446,7 +448,7 @@ func TestMergeCommitLogCutAtCommit(t *testing.T) {
 		t.Fatalf("a log with a flagged admit and no merge commit must reopen: %v", err)
 	}
 	w.Append(&Record{Kind: KindTask, Time: 20, Task: 2, Deadline: 5000, Flows: []FlowInfo{{ID: 20, Src: 1, Dst: 2, Size: 100}}})
-	w.Append(&Record{Kind: KindReplan, Time: 20, Replan: plan(20, span.ReplanKind(1), 2, 20, 4)})
+	w.Append(&Record{Kind: KindReplan, Time: 20, Replan: onePlan(20, span.ReplanKind(1), 2, 20, 4)})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -468,5 +470,87 @@ func TestMergeCommitLogCutAtCommit(t *testing.T) {
 	}
 	if _, ok := rp.Slices()[20]; ok {
 		t.Fatal("the pass of the refused commit was installed")
+	}
+}
+
+// TestIncrementalPassLogReplaysWhole: a log as a controller with the delta
+// planner wrote it — a replan record of kind 5 carrying, after the paths
+// tried, how many flows the pass re-planned — reads back with that pass as
+// an arrival pass, reopens for append untouched, and replays through it:
+// the records behind it are decoded and applied.
+func TestIncrementalPassLogReplaysWhole(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "incremental.dlg")
+	w, err := Create(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Append(&Record{Kind: KindTask, Time: 10, Task: 1, Deadline: 5000, Flows: []FlowInfo{{ID: 10, Src: 1, Dst: 2, Size: 100}}})
+	w.Append(&Record{Kind: KindReplan, Time: 10, Replan: onePlan(10, span.ReplanArrival, 1, 10, 3)})
+	w.Append(&Record{Kind: KindCommit, Time: 10})
+	w.Append(&Record{Kind: KindAdmit, Time: 10, Task: 1})
+	w.Append(&Record{Kind: KindTask, Time: 20, Task: 2, Deadline: 5000, Flows: []FlowInfo{{ID: 20, Src: 1, Dst: 2, Size: 100}}})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Kind 5, trigger 2, 1 flow, 1 path tried, 1 flow re-planned, 1 plan.
+	pass := onePlan(20, span.ReplanArrival, 2, 20, 4)
+	fields := binary.AppendVarint([]byte{5}, pass.Trigger)
+	fields = binary.AppendVarint(fields, int64(pass.Flows))
+	fields = binary.AppendVarint(fields, pass.PathsTried)
+	fields = binary.AppendVarint(fields, 1)
+	fields = binary.AppendUvarint(fields, 1)
+	appendRawFrame(t, path, KindReplan, 20, encodePlan(fields, &pass.Plans[0])...)
+	appendRawFrame(t, path, KindCommit, 20, 0)
+	appendRawFrame(t, path, KindAdmit, 20, 4, 0) // task 2, zigzag
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	recs, truncated, err := ReadFile(path)
+	if err != nil || truncated {
+		t.Fatalf("ReadFile: truncated=%v err=%v; the log is whole", truncated, err)
+	}
+	if len(recs) != 8 || recs[7].Kind != KindAdmit || recs[7].Task != 2 {
+		t.Fatalf("decoded %d records, want 8 ending in task 2's admit: %+v", len(recs), recs)
+	}
+	if got := recs[5].Replan; got == nil || !reflect.DeepEqual(got, pass) {
+		t.Fatalf("the kind-5 pass decoded as %+v, want %+v", got, pass)
+	}
+
+	w, reopened, err := OpenAppend(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reopened) != len(recs) {
+		t.Fatalf("OpenAppend recovered %d records, want %d", len(reopened), len(recs))
+	}
+	w.Append(&Record{Kind: KindFlowEnd, Time: 120, Flow: 20, Done: true, OnTime: true})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(after, before) || len(after) == len(before) {
+		t.Fatalf("reopening rewrote the log: %d -> %d bytes", len(before), len(after))
+	}
+
+	rp := NewReplayer()
+	rp.ApplyAll(recs)
+	if !rp.Accepted(1) || !rp.Accepted(2) {
+		t.Fatalf("replay: task 1 accepted=%v, task 2 accepted=%v; want both", rp.Accepted(1), rp.Accepted(2))
+	}
+	want := simtime.NewIntervalSet(simtime.Interval{Start: 20, End: 120})
+	if got := rp.Slices()[20]; got.String() != want.String() {
+		t.Fatalf("flow 20 holds %v after the replay, want %v", got, want)
+	}
+	if _, ok := rp.Slices()[10]; ok {
+		t.Fatal("flow 10 kept its grant through a pass that left it out")
+	}
+	passes := rp.Tree().Replans
+	if len(passes) != 2 || passes[1].Kind != span.ReplanArrival || passes[1].Seq != 2 || passes[1].Trigger != 2 {
+		t.Fatalf("replayed passes: %+v", passes)
 	}
 }

@@ -235,24 +235,6 @@ func WritePrometheus(w io.Writer, r *Recorder, linkName func(int32) string) erro
 		fmt.Fprintf(&b, "taps_declog_fsync_seconds_sum %s\n", formatFloat(sh.Sum().Seconds()))
 		fmt.Fprintf(&b, "taps_declog_fsync_seconds_count %d\n", sh.Count())
 	}
-	if rs := r.ReplanScopeStats(); rs.Count > 0 || rs.FullFallbacks > 0 {
-		b.WriteString("# HELP taps_replan_scope Dirty-set fraction per incremental re-plan (re-planned flows / in-flight flows).\n")
-		b.WriteString("# TYPE taps_replan_scope histogram\n")
-		var rcum uint64
-		for i, c := range rs.Buckets {
-			rcum += c
-			fmt.Fprintf(&b, "taps_replan_scope_bucket{le=%q} %d\n",
-				formatFloat(float64(i+1)/scopeBucketCount), rcum)
-		}
-		fmt.Fprintf(&b, "taps_replan_scope_bucket{le=\"+Inf\"} %d\n", rs.Count)
-		fmt.Fprintf(&b, "taps_replan_scope_sum %s\n", formatFloat(rs.Sum))
-		fmt.Fprintf(&b, "taps_replan_scope_count %d\n", rs.Count)
-		b.WriteString("# HELP taps_replan_full_fallbacks_total Delta-planner passes that fell back to a full re-plan, by why the incremental attempt was abandoned.\n")
-		b.WriteString("# TYPE taps_replan_full_fallbacks_total counter\n")
-		for why, n := range rs.Fallbacks {
-			fmt.Fprintf(&b, "taps_replan_full_fallbacks_total{reason=%q} %d\n", FallbackReason(why), n)
-		}
-	}
 
 	_, err := io.WriteString(w, b.String())
 	return err

@@ -1,6 +1,6 @@
 // Package obs is the controller observability layer: a low-overhead
 // structured event recorder for scheduler decisions (admit, reject,
-// preempt, re-plan, fast admit, deadline miss, link down), wall-clock
+// preempt, re-plan, deadline miss, link down), wall-clock
 // planner-latency histograms, and per-link utilization gauges.
 //
 // Design constraints (see DESIGN.md "Observability"):
@@ -124,20 +124,7 @@ type Recorder struct {
 	declogRecords uint64
 	declogBytes   uint64
 	declogTruncs  uint64
-
-	// Delta-planner replan scope: per incremental pass, the fraction of
-	// in-flight flows that were actually re-planned (dirty set / total),
-	// in ten linear ratio buckets, plus how often the planner fell back
-	// to a full re-plan.
-	scopeBuckets [scopeBucketCount]uint64
-	scopeSum     float64
-	scopeCount   uint64
-	fallbacks    [fallbackReasonCount]uint64
 }
-
-// scopeBucketCount is the number of linear ratio buckets of the
-// taps_replan_scope histogram: bucket i covers (i/10, (i+1)/10].
-const scopeBucketCount = 10
 
 // NewRecorder returns an enabled recorder.
 func NewRecorder(opts Options) *Recorder {
@@ -339,97 +326,19 @@ func (r *Recorder) DeclogStats() DeclogStats {
 	return DeclogStats{Records: r.declogRecords, Bytes: r.declogBytes, Truncations: r.declogTruncs}
 }
 
-// ReplanScope is a snapshot of the delta planner's dirty-set observability:
-// a linear histogram over the re-planned fraction of each pass and the
-// full-fallback count.
+// ReplanScope counts the planning passes as what each of them is: a full
+// pass that re-planned every flow it was given (Sum and FullFallbacks equal
+// Count). The type and its accessor remain for the benchmark harness, whose
+// core.delta_* metrics are derived from them.
 type ReplanScope struct {
-	// Buckets[i] counts passes whose dirty fraction fell in
-	// (i/10, (i+1)/10]; a fraction of exactly 0 lands in Buckets[0].
-	Buckets [scopeBucketCount]uint64
-	// Sum is the sum of observed fractions; Count the number of passes.
-	Sum   float64
-	Count uint64
-	// FullFallbacks counts passes that had records to reuse and were
-	// decided by a full re-plan all the same; Fallbacks splits it by why
-	// the incremental attempt was abandoned.
-	FullFallbacks uint64
-	Fallbacks     [fallbackReasonCount]uint64
+	Sum                  float64
+	Count, FullFallbacks uint64
 }
 
-// FallbackReason is why an incremental re-plan attempt was abandoned for
-// the full pass.
-//
-//taps:enum
-type FallbackReason uint8
-
-const (
-	// FallbackGate: the a-priori dirty-set estimate already exceeded the
-	// budget, so no incremental pass was started.
-	FallbackGate FallbackReason = iota
-	// FallbackBudget: the pass ran and re-planned more flows than the
-	// dirty budget allows.
-	FallbackBudget
-
-	fallbackReasonCount // keep last
-)
-
-var fallbackReasonNames = [fallbackReasonCount]string{"gate", "budget"}
-
-func (f FallbackReason) String() string {
-	if int(f) < len(fallbackReasonNames) {
-		return fallbackReasonNames[f]
-	}
-	return "reason(?)"
-}
-
-// ObserveReplanScope folds one incremental pass into the replan-scope
-// histogram: replanned of total flows went through first-fit. No-op on nil.
-func (r *Recorder) ObserveReplanScope(replanned, total int) {
-	if r == nil {
-		return
-	}
-	frac := 0.0
-	if total > 0 {
-		frac = float64(replanned) / float64(total)
-	}
-	b := 0
-	if total > 0 && replanned > 0 {
-		b = (replanned*scopeBucketCount - 1) / total // ceil(frac*10) - 1
-		if b >= scopeBucketCount {
-			b = scopeBucketCount - 1
-		}
-	}
-	r.mu.Lock()
-	r.scopeBuckets[b]++
-	r.scopeSum += frac
-	r.scopeCount++
-	r.mu.Unlock()
-}
-
-// CountReplanFallback counts one delta-planner pass that fell back to the
-// full re-plan, and why. No-op on nil.
-func (r *Recorder) CountReplanFallback(why FallbackReason) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.fallbacks[why]++
-	r.mu.Unlock()
-}
-
-// ReplanScopeStats returns a snapshot of the replan-scope counters.
+// ReplanScopeStats returns the ReplanScope of the passes recorded so far.
 func (r *Recorder) ReplanScopeStats() ReplanScope {
-	if r == nil {
-		return ReplanScope{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	rs := ReplanScope{Buckets: r.scopeBuckets, Sum: r.scopeSum,
-		Count: r.scopeCount, Fallbacks: r.fallbacks}
-	for _, n := range r.fallbacks {
-		rs.FullFallbacks += n
-	}
-	return rs
+	n := r.Count(KindReplan)
+	return ReplanScope{Sum: float64(n), Count: n, FullFallbacks: n}
 }
 
 // DeclogSyncLatency returns the decision-log fsync latency histogram (nil

@@ -77,7 +77,8 @@ func (o Outcome) String() string {
 // ReplanKind classifies one planning pass.
 type ReplanKind uint8
 
-// Planning pass kinds. Decision logs store the numbers; 1 is reserved.
+// Planning pass kinds. Decision logs store the numbers; 1 and 5 are
+// reserved (the log reader yields an older log's kind 5 as ReplanArrival).
 const (
 	// ReplanArrival is Alg. 1's global re-plan triggered by a task arrival.
 	ReplanArrival ReplanKind = iota
@@ -90,18 +91,13 @@ const (
 	ReplanPostPreempt
 	// ReplanRecovery re-plans around an injected link failure.
 	ReplanRecovery
-	// ReplanIncremental is an arrival pass the delta planner decided:
-	// only the dirty set (Scope flows) went through first-fit planning,
-	// the rest re-emitted validated allocations. Bit-identical plans to
-	// an arrival pass, by construction.
-	ReplanIncremental
+	_
 
 	replanKindCount
 )
 
 var replanKindNames = [replanKindCount]string{
-	"arrival", "", "post-reject", "post-preempt", "recovery",
-	"incremental",
+	"arrival", "", "post-reject", "post-preempt", "recovery", "",
 }
 
 func (k ReplanKind) String() string {
@@ -134,11 +130,7 @@ type ReplanSpan struct {
 	Trigger    int64 // task that caused the pass (NoTask for recovery)
 	Flows      int   // flows handed to the planner
 	PathsTried int64 // candidate paths examined across the pass
-	// Scope is the dirty-set size of a ReplanIncremental pass: how many
-	// of Flows were actually re-planned (the rest were re-emitted from
-	// the delta planner's records). Zero for every other kind.
-	Scope int
-	Plans []PlanSpan
+	Plans      []PlanSpan
 }
 
 // Holder is one accepted task occupying slices on a blocking link.

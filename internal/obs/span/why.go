@@ -57,12 +57,8 @@ func WhyText(t *Tree, task int64, linkName func(int32) string) string {
 				missed++
 			}
 		}
-		scope := ""
-		if rs.Kind == ReplanIncremental {
-			scope = fmt.Sprintf(" (%d of %d re-planned)", rs.Scope, rs.Flows)
-		}
-		fmt.Fprintf(&b, "  pass #%d (%s) at %s: %d flows planned, %d paths tried, %d missed%s\n",
-			rs.Seq, rs.Kind, ms(rs.Time), rs.Flows, rs.PathsTried, missed, scope)
+		fmt.Fprintf(&b, "  pass #%d (%s) at %s: %d flows planned, %d paths tried, %d missed\n",
+			rs.Seq, rs.Kind, ms(rs.Time), rs.Flows, rs.PathsTried, missed)
 	}
 
 	if len(ts.Blocks) > 0 {
