@@ -1,7 +1,7 @@
 // Command tapslint runs the repository's determinism, concurrency, and
 // hot-path lint pass (internal/lint) over module packages.
 //
-//	tapslint [-list] [-json] [-v] [-write-baseline] [packages...]
+//	tapslint [-list] [-json] [-v] [packages...]
 //
 // Packages are directory patterns relative to the working directory
 // (./internal/core, ./..., ./internal/...); the default is ./... from the
@@ -9,20 +9,13 @@
 // the deliberate-violation fixtures under internal/lint/testdata only load
 // when named explicitly.
 //
-// Findings ratchet against lint.baseline.json at the module root: a
-// finding matching a baseline entry (same check, file, and message) is
-// grandfathered — reported as baselined but not fatal — while any finding
-// absent from the baseline fails the run. Baseline entries that no longer
-// match anything are listed as stale so they can be burned down; stale
-// entries alone do not fail the run, but the baseline-drift CI check does
-// catch them via -write-baseline + git diff. -write-baseline rewrites the
-// file from the current findings, preserving rationales of surviving
-// entries.
+// There is one way to waive a finding: a reasoned //taps:allow directive
+// on its line. Everything else fails the run.
 //
 // Diagnostics are printed for every package before exiting (no fail-fast):
 // one clean run shows everything there is to fix. Exit status: 0 when
-// every finding is baselined (or none exist), 1 when any new finding was
-// reported, 2 when packages failed to load or type-check.
+// there are no findings, 1 when any finding was reported, 2 when packages
+// failed to load or type-check.
 package main
 
 import (
@@ -35,43 +28,18 @@ import (
 	"taps/internal/lint"
 )
 
-const baselineName = "lint.baseline.json"
-
-// baselineEntry grandfathers one finding. Line numbers are deliberately
-// not part of the key: edits above a finding must not un-baseline it.
-type baselineEntry struct {
-	Check   string `json:"check"`
-	File    string `json:"file"` // module-root-relative, slash-separated
-	Message string `json:"message"`
-	// Rationale says why the finding is parked rather than fixed; the
-	// review bar for adding an entry is the same as for //taps:allow.
-	Rationale string `json:"rationale,omitempty"`
-}
-
-type baselineFile struct {
-	// Comment documents the ratchet for people opening the file raw.
-	Comment  string          `json:"comment,omitempty"`
-	Findings []baselineEntry `json:"findings"`
-}
-
-func baselineKey(check, file, message string) string {
-	return check + "\x00" + file + "\x00" + message
-}
-
 // jsonFinding is one diagnostic in -json output.
 type jsonFinding struct {
-	File      string `json:"file"`
-	Line      int    `json:"line"`
-	Column    int    `json:"column"`
-	Check     string `json:"check"`
-	Message   string `json:"message"`
-	Baselined bool   `json:"baselined,omitempty"`
+	File    string `json:"file"`
+	Line    int    `json:"line"`
+	Column  int    `json:"column"`
+	Check   string `json:"check"`
+	Message string `json:"message"`
 }
 
 type jsonReport struct {
-	Findings []jsonFinding   `json:"findings"`
-	Stale    []baselineEntry `json:"stale,omitempty"`
-	Timings  []jsonTiming    `json:"timings,omitempty"`
+	Findings []jsonFinding `json:"findings"`
+	Timings  []jsonTiming  `json:"timings,omitempty"`
 }
 
 type jsonTiming struct {
@@ -83,11 +51,9 @@ func main() {
 	list := flag.Bool("list", false, "print the registered analyzers and exit")
 	asJSON := flag.Bool("json", false, "emit findings as a JSON report on stdout")
 	verbose := flag.Bool("v", false, "print per-analyzer wall time to stderr")
-	writeBaseline := flag.Bool("write-baseline", false,
-		"rewrite "+baselineName+" from the current findings and exit")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: tapslint [-list] [-json] [-v] [-write-baseline] [packages...]\n")
+			"usage: tapslint [-list] [-json] [-v] [packages...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -132,15 +98,8 @@ func main() {
 		}
 	}
 
-	baselinePath := filepath.Join(loader.ModRoot, baselineName)
-	base, err := readBaseline(baselinePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tapslint:", err)
-		os.Exit(2)
-	}
-
 	// relName maps a diagnostic's absolute filename to the module-root-
-	// relative slash form used both for display and as the baseline key.
+	// relative slash form it is displayed in.
 	relName := func(abs string) string {
 		if rel, err := filepath.Rel(loader.ModRoot, abs); err == nil && !filepath.IsAbs(rel) {
 			return filepath.ToSlash(rel)
@@ -148,49 +107,16 @@ func main() {
 		return filepath.ToSlash(abs)
 	}
 
-	known := make(map[string]*baselineEntry, len(base.Findings))
-	used := make(map[string]bool, len(base.Findings))
-	for i := range base.Findings {
-		e := &base.Findings[i]
-		known[baselineKey(e.Check, e.File, e.Message)] = e
-	}
-
 	findings := []jsonFinding{}
-	newCount := 0
 	for _, d := range diags {
-		file := relName(d.Pos.Filename)
-		key := baselineKey(d.Check, file, d.Message)
-		_, grandfathered := known[key]
-		if grandfathered {
-			used[key] = true
-		} else {
-			newCount++
-		}
 		findings = append(findings, jsonFinding{
-			File: file, Line: d.Pos.Line, Column: d.Pos.Column,
-			Check: d.Check, Message: d.Message, Baselined: grandfathered,
+			File: relName(d.Pos.Filename), Line: d.Pos.Line, Column: d.Pos.Column,
+			Check: d.Check, Message: d.Message,
 		})
-	}
-	var stale []baselineEntry
-	for _, e := range base.Findings {
-		if !used[baselineKey(e.Check, e.File, e.Message)] {
-			stale = append(stale, e)
-		}
-	}
-
-	if *writeBaseline {
-		if err := writeBaselineFile(baselinePath, base, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "tapslint:", err)
-			os.Exit(2)
-		}
-		if loadFailed {
-			os.Exit(2)
-		}
-		return
 	}
 
 	if *asJSON {
-		rep := jsonReport{Findings: findings, Stale: stale}
+		rep := jsonReport{Findings: findings}
 		for _, t := range timings {
 			rep.Timings = append(rep.Timings, jsonTiming{
 				Analyzer: t.Name, WallMS: float64(t.Wall.Microseconds()) / 1000})
@@ -203,74 +129,14 @@ func main() {
 		}
 	} else {
 		for _, f := range findings {
-			tag := ""
-			if f.Baselined {
-				tag = " (baselined)"
-			}
-			fmt.Printf("%s:%d:%d: %s: %s%s\n", f.File, f.Line, f.Column, f.Check, f.Message, tag)
-		}
-		for _, e := range stale {
-			fmt.Fprintf(os.Stderr, "tapslint: stale baseline entry: %s: %s: %s\n",
-				e.Check, e.File, e.Message)
+			fmt.Printf("%s:%d:%d: %s: %s\n", f.File, f.Line, f.Column, f.Check, f.Message)
 		}
 	}
 
 	switch {
 	case loadFailed:
 		os.Exit(2)
-	case newCount > 0:
+	case len(findings) > 0:
 		os.Exit(1)
 	}
-}
-
-// readBaseline loads the ratchet file; a missing file is an empty
-// baseline, not an error, so fresh checkouts and subsets lint cleanly.
-func readBaseline(path string) (baselineFile, error) {
-	var base baselineFile
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return base, nil
-		}
-		return base, fmt.Errorf("read baseline: %w", err)
-	}
-	if err := json.Unmarshal(data, &base); err != nil {
-		return base, fmt.Errorf("parse %s: %w", path, err)
-	}
-	return base, nil
-}
-
-// writeBaselineFile rewrites the ratchet from the current findings.
-// Entries that still fire keep their rationale; brand-new entries get a
-// placeholder that review is expected to replace.
-func writeBaselineFile(path string, old baselineFile, findings []jsonFinding) error {
-	rationales := make(map[string]string, len(old.Findings))
-	for _, e := range old.Findings {
-		rationales[baselineKey(e.Check, e.File, e.Message)] = e.Rationale
-	}
-	out := baselineFile{
-		Comment: "tapslint ratchet: findings listed here are grandfathered until burned down; " +
-			"new findings fail the run. Every entry needs a rationale.",
-		Findings: []baselineEntry{},
-	}
-	seen := make(map[string]bool)
-	for _, f := range findings {
-		key := baselineKey(f.Check, f.File, f.Message)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		r := rationales[key]
-		if r == "" {
-			r = "TODO: justify or fix"
-		}
-		out.Findings = append(out.Findings, baselineEntry{
-			Check: f.Check, File: f.File, Message: f.Message, Rationale: r,
-		})
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -16,14 +16,10 @@
 //
 //	tapsload -selfhost -conns 1000 -rate 2000 -duration 30s      # in-process controller
 //	tapsload -addr 127.0.0.1:7474 -conns 10000 -rate 5000        # against a live tapsctl
-//	tapsload -selfhost -conns 1000 -rate 2000 -bench | \
-//	    go run ./cmd/benchjson -o BENCH_netctl.json -label after # fold into the trajectory file
 //
-// With -bench the report is printed as `go test -bench`-style lines
-// (ns/op = mean client-observed decision latency, plus tasks/sec and
-// per-stage quantiles as custom units) so cmd/benchjson can fold it into
-// BENCH_netctl.json. Exit status is non-zero if any probe was dropped or
-// the controller finished unhealthy — the CI smoke gate.
+// The report is one JSON document on stdout. Exit status is non-zero if
+// any probe was dropped or the controller finished unhealthy — the CI
+// smoke gate.
 package main
 
 import (
@@ -41,7 +37,7 @@ import (
 	"time"
 
 	"taps/internal/netctl"
-	"taps/internal/obs/sketch"
+	"taps/internal/obs"
 	"taps/internal/simtime"
 	"taps/internal/topology"
 )
@@ -64,14 +60,13 @@ func main() {
 		size      = flag.Int64("size", 125_000, "bytes per flow")
 		seed      = flag.Int64("seed", 1, "arrival/placement PRNG seed")
 		declogF   = flag.String("declog", "", "selfhost: write-ahead decision log path, so the soak exercises the declog_sync stage (empty: off)")
-		benchOut  = flag.Bool("bench", false, "print go test -bench style lines for cmd/benchjson")
 	)
 	flag.Parse()
 	if err := run(config{
 		addr: *addr, httpAt: *httpAt, selfhost: *selfhost, topo: *topo, k: *k,
 		speedup: *speedup, conns: *conns, rate: *rate, warmup: *warmup,
 		duration: *duration, deadlineMs: *deadline, tightness: *tightness,
-		flows: *flows, size: *size, seed: *seed, declog: *declogF, bench: *benchOut,
+		flows: *flows, size: *size, seed: *seed, declog: *declogF,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "tapsload:", err)
 		os.Exit(1)
@@ -81,7 +76,7 @@ func main() {
 type config struct {
 	addr, httpAt, topo    string
 	declog                string
-	selfhost, bench       bool
+	selfhost              bool
 	k, conns, flows       int
 	speedup, rate         float64
 	warmup, duration      time.Duration
@@ -89,7 +84,7 @@ type config struct {
 	size, seed            int64
 }
 
-// Report is the run's JSON output (without -bench).
+// Report is the run's JSON output.
 type Report struct {
 	Conns          int     `json:"conns"`
 	RatePerSec     float64 `json:"rate_per_sec"`
@@ -168,9 +163,10 @@ func run(cfg config) error {
 	}()
 
 	var (
-		// One wide window: the client-side sketch aggregates the whole
-		// measure phase (the controller keeps the live windowed view).
-		lat       = sketch.New(1, time.Hour)
+		// Client-observed decision latency over the whole measure phase
+		// (the controller keeps the live windowed view).
+		latMu     sync.Mutex
+		lat       obs.Histogram
 		submitted atomic.Int64
 		accepted  atomic.Int64
 		rejected  atomic.Int64
@@ -196,7 +192,9 @@ func run(cfg config) error {
 			errs.Add(1)
 			return // connection-level failure: not a decision latency
 		}
-		lat.Observe(time.Now().UnixNano(), d)
+		latMu.Lock()
+		lat.Observe(d)
+		latMu.Unlock()
 	}
 
 	// Open-loop dispatcher: Poisson arrivals assigned to random
@@ -266,14 +264,15 @@ func run(cfg config) error {
 	if rep.MeasureSec > 0 {
 		rep.ThroughputPerSec = float64(decided) / rep.MeasureSec
 	}
+	// Every submit goroutine has returned: lat is quiescent.
 	toMs := func(d time.Duration) float64 { return float64(d) / 1e6 }
-	if n := lat.TotalCount(); n > 0 {
-		rep.DecisionMeanMs = toMs(lat.TotalSum()) / float64(n)
+	if n := lat.Count(); n > 0 {
+		rep.DecisionMeanMs = toMs(lat.Sum()) / float64(n)
 	}
-	rep.DecisionP50Ms = toMs(lat.TotalQuantile(0.50))
-	rep.DecisionP95Ms = toMs(lat.TotalQuantile(0.95))
-	rep.DecisionP99Ms = toMs(lat.TotalQuantile(0.99))
-	rep.DecisionMaxMs = toMs(lat.TotalMax())
+	rep.DecisionP50Ms = toMs(lat.Quantile(0.50))
+	rep.DecisionP95Ms = toMs(lat.Quantile(0.95))
+	rep.DecisionP99Ms = toMs(lat.Quantile(0.99))
+	rep.DecisionMaxMs = toMs(lat.Max())
 
 	switch {
 	case ctl != nil:
@@ -288,14 +287,10 @@ func run(cfg config) error {
 		}
 	}
 
-	if cfg.bench {
-		printBench(os.Stdout, cfg, rep)
-	} else {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			return err
-		}
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(rep); err != nil {
+		return err
 	}
 
 	// The smoke gate: an unhealthy controller or dropped probes fail the
@@ -361,27 +356,4 @@ func fetchLoad(base string) (*netctl.Load, error) {
 		return nil, err
 	}
 	return &ld, nil
-}
-
-// printBench renders the report as `go test -bench` lines so benchjson
-// can fold it into BENCH_netctl.json. ns/op is the mean client-observed
-// decision latency over the measure phase.
-func printBench(w *os.File, cfg config, rep Report) {
-	name := fmt.Sprintf("BenchmarkNetctlSoak/conns=%d/rate=%g/tightness=%g",
-		cfg.conns, cfg.rate, cfg.tightness)
-	decided := rep.Accepted + rep.Rejected
-	fmt.Fprintf(w, "%s\t%d\t%.0f ns/op", name, decided, rep.DecisionMeanMs*1e6)
-	fmt.Fprintf(w, "\t%.1f tasks/sec", rep.ThroughputPerSec)
-	fmt.Fprintf(w, "\t%.4f client_p50_ms\t%.4f client_p99_ms\t%.4f client_max_ms",
-		rep.DecisionP50Ms, rep.DecisionP99Ms, rep.DecisionMaxMs)
-	if rep.ControllerLoad != nil {
-		// Stage quantiles in the bench line are the all-time measure-run
-		// aggregates: the live window has often rotated past the load by
-		// the time the report prints.
-		for _, st := range rep.ControllerLoad.Stages {
-			fmt.Fprintf(w, "\t%.4f %s_p50_ms\t%.4f %s_p95_ms\t%.4f %s_p99_ms",
-				st.TotalP50Ms, st.Stage, st.TotalP95Ms, st.Stage, st.TotalP99Ms, st.Stage)
-		}
-	}
-	fmt.Fprintln(w)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"slices"
-	"time"
 
 	"taps/internal/obs"
 	"taps/internal/obs/declog"
@@ -334,9 +333,9 @@ func (k *Kernel) fillReqs() {
 func (k *Kernel) plan(now simtime.Time, kind span.ReplanKind, trigger int64) []PlanEntry {
 	k.replans++
 	paths := k.planner.PathsTried()
-	var t0 time.Time // zero unless an obs recorder is attached
+	var sw obs.Stopwatch // read only when an obs recorder is attached
 	if k.Obs != nil {
-		t0 = time.Now() //taps:allow wallclock obs-only planner latency; never feeds simulated time
+		sw = obs.StartStopwatch()
 	}
 	entries := k.planner.PlanAll(now, k.reqs)
 	tried := k.planner.PathsTried() - paths
@@ -344,7 +343,7 @@ func (k *Kernel) plan(now simtime.Time, kind span.ReplanKind, trigger int64) []P
 		k.Obs.Record(obs.Event{
 			Time: now, Kind: obs.KindReplan, Task: obs.NoTask,
 			Flows: int32(len(k.order)), PathsTried: tried,
-			Duration: time.Since(t0), //taps:allow wallclock obs-only planner latency
+			Duration: sw.Elapsed(),
 		})
 	}
 	if k.Sink.On() {

@@ -11,8 +11,10 @@ import (
 // voids the reproduction's bit-determinism guarantee (identical Fig. 6/7
 // sweeps, parallel plans identical to sequential).
 //
-// Observability timing (planner latency histograms) and the real SDN
-// control plane's virtual-clock bridge are legitimate wall-clock users;
+// Latency timing needs no exemption: it goes through obs.Stopwatch, which
+// lives outside this analyzer's scope and yields a duration, never an
+// instant of virtual time. The real SDN control plane's virtual-clock
+// bridge and its scrape-time reads are the legitimate wall-clock users;
 // each such site carries an explicit //taps:allow wallclock directive so
 // the exemption is visible and reviewed.
 var Wallclock = &Analyzer{

@@ -382,17 +382,17 @@ func (c *Controller) handle(cd *codec) {
 
 // observeDecode feeds one frame's unmarshal time to the decode-stage
 // sketch (codec hook; called outside mu, per frame rather than per probe).
-func (c *Controller) observeDecode(d time.Duration) {
-	c.load.stages[StageDecode].Observe(time.Now().UnixNano(), d) //taps:allow wallclock obs-only stage latency; never feeds virtual time
+func (c *Controller) observeDecode(d time.Duration, unixNano int64) {
+	c.load.stages[StageDecode].Observe(unixNano, d)
 }
 
 // onProbe runs Alg. 1 + the reject rule and broadcasts the outcome.
 func (c *Controller) onProbe(p ProbeMsg) {
-	t0 := time.Now() //taps:allow wallclock obs-only stage latency decomposition; never feeds virtual time
+	sw := obs.StartStopwatch()
 	c.load.inFlight.Add(1)
 	c.mu.Lock()
 	var acc [stageCount]time.Duration
-	acc[StageLockWait] = time.Since(t0) //taps:allow wallclock obs-only stage latency; never feeds virtual time
+	acc[StageLockWait] = sw.Elapsed()
 	c.stageAcc = &acc
 	c.load.probesTotal++
 	defer func() {
@@ -400,10 +400,10 @@ func (c *Controller) onProbe(p ProbeMsg) {
 		c.mu.Unlock()
 		// Sketches are fed after mu is released: a slow scrape contending
 		// on the sketch lock must never extend the decision lock.
-		end := time.Now() //taps:allow wallclock obs-only stage latency decomposition
-		acc[StageTotal] = end.Sub(t0)
-		acc[StageOther] = acc[StageTotal] - acc[StageLockWait] - acc[StagePlan] - acc[StageDeclogSync] - acc[StageBroadcast]
-		c.observeStages(end.UnixNano(), &acc)
+		total, end := sw.Lap()
+		acc[StageTotal] = total
+		acc[StageOther] = total - acc[StageLockWait] - acc[StagePlan] - acc[StageDeclogSync] - acc[StageBroadcast]
+		c.observeStages(end, &acc)
 		c.load.inFlight.Add(-1)
 	}()
 	if c.decided[p.Task] {
@@ -458,9 +458,9 @@ func (c *Controller) onProbe(p ProbeMsg) {
 // decideLocked runs one kernel input, charging its time to the
 // in-progress probe's plan stage.
 func (c *Controller) decideLocked(input func()) {
-	t0 := time.Now() //taps:allow wallclock obs-only stage latency; never feeds virtual time
+	sw := obs.StartStopwatch()
 	input()
-	c.stageAdd(StagePlan, time.Since(t0)) //taps:allow wallclock obs-only stage latency; never feeds virtual time
+	c.stageAdd(StagePlan, sw.Elapsed())
 }
 
 // declogSyncLocked runs the write-ahead fsync of a decision, charging the
@@ -470,9 +470,9 @@ func (c *Controller) declogSyncLocked() {
 	if c.sink.Log == nil {
 		return
 	}
-	t0 := time.Now()                            //taps:allow wallclock obs-only stage latency; never feeds virtual time
-	c.sink.Log.Sync()                           //taps:allow lockorder write-ahead contract: the decision must be durable before any agent hears it, so the fsync sits inside the critical section
-	c.stageAdd(StageDeclogSync, time.Since(t0)) //taps:allow wallclock obs-only stage latency; never feeds virtual time
+	sw := obs.StartStopwatch()
+	c.sink.Log.Sync() //taps:allow lockorder write-ahead contract: the decision must be durable before any agent hears it, so the fsync sits inside the critical section
+	c.stageAdd(StageDeclogSync, sw.Elapsed())
 }
 
 // linkPath converts a logged route back to the topology's link IDs.
@@ -510,13 +510,13 @@ func (c *Controller) broadcastGrantsLocked() {
 }
 
 func (c *Controller) broadcastLocked(env Envelope) {
-	t0 := time.Now() //taps:allow wallclock obs-only stage latency; never feeds virtual time
+	sw := obs.StartStopwatch()
 	for cd := range c.agents {
 		if err := cd.send(env); err != nil { //taps:allow lockorder grants must serialize under the decision lock so agents observe monotone schedules
 			c.cfg.Logf("netctl: broadcast to agent failed: %v", err)
 		}
 	}
-	c.stageAdd(StageBroadcast, time.Since(t0)) //taps:allow wallclock obs-only stage latency; never feeds virtual time
+	c.stageAdd(StageBroadcast, sw.Elapsed())
 }
 
 // onTerm marks a flow finished and releases its future occupancy.

@@ -166,10 +166,12 @@ type Health struct {
 	DeclogError    string `json:"declog_error,omitempty"`
 }
 
+// toMs renders a duration as the load document's milliseconds.
+func toMs(d time.Duration) float64 { return float64(d) / 1e6 }
+
 // Load assembles the current load document.
 func (c *Controller) Load() Load {
-	now := time.Now() //taps:allow wallclock real controller: load telemetry is wall-clock by nature
-	nowNs := now.UnixNano()
+	nowNs := time.Now().UnixNano() //taps:allow wallclock scrape instant: the live windows are the ones as of this read; never feeds virtual time
 	c.mu.Lock()
 	ld := Load{
 		NowUs:          c.now(),
@@ -183,28 +185,29 @@ func (c *Controller) Load() Load {
 	dl := c.sink.Log
 	c.mu.Unlock()
 	ld.DeclogPending = dl.Pending()
-	total := c.load.stages[StageTotal]
-	ld.ProbeRatePerSec = total.Rate(nowNs)
-	ld.WindowSec = total.Horizon().Seconds()
-	toMs := func(d time.Duration) float64 { return float64(d) / 1e6 }
+	decisions := c.load.stages[StageTotal]
+	ld.ProbeRatePerSec = decisions.Rate(nowNs)
+	ld.WindowSec = decisions.Horizon().Seconds()
 	for i := Stage(0); i < stageCount; i++ {
-		s := c.load.stages[i]
-		if s.TotalCount() == 0 {
+		// One copy of each distribution: every number of the row comes
+		// from the same two instants.
+		total := c.load.stages[i].Total()
+		if total.Count() == 0 {
 			continue
 		}
-		wc, _, wmax := s.WindowTotals(nowNs)
+		live := c.load.stages[i].Live(nowNs)
 		ld.Stages = append(ld.Stages, StageLoad{
 			Stage:       i.String(),
-			Count:       s.TotalCount(),
-			WindowCount: wc,
-			P50Ms:       toMs(s.Quantile(nowNs, 0.50)),
-			P95Ms:       toMs(s.Quantile(nowNs, 0.95)),
-			P99Ms:       toMs(s.Quantile(nowNs, 0.99)),
-			WindowMaxMs: toMs(wmax),
-			TotalP50Ms:  toMs(s.TotalQuantile(0.50)),
-			TotalP95Ms:  toMs(s.TotalQuantile(0.95)),
-			TotalP99Ms:  toMs(s.TotalQuantile(0.99)),
-			TotalMaxMs:  toMs(s.TotalMax()),
+			Count:       total.Count(),
+			WindowCount: live.Count(),
+			P50Ms:       toMs(live.Quantile(0.50)),
+			P95Ms:       toMs(live.Quantile(0.95)),
+			P99Ms:       toMs(live.Quantile(0.99)),
+			WindowMaxMs: toMs(live.Max()),
+			TotalP50Ms:  toMs(total.Quantile(0.50)),
+			TotalP95Ms:  toMs(total.Quantile(0.95)),
+			TotalP99Ms:  toMs(total.Quantile(0.99)),
+			TotalMaxMs:  toMs(total.Max()),
 		})
 	}
 	var ms runtime.MemStats
@@ -275,15 +278,14 @@ func (c *Controller) LoadSummaryText() string {
 	fmt.Fprintf(&b, "agents:    %d peak concurrent; %d probes decided, %d dropped\n",
 		peak, probes, dropped)
 	b.WriteString("decision latency by stage (all-time): p50 / p95 / p99 / max\n")
-	toMs := func(d time.Duration) float64 { return float64(d) / 1e6 }
 	for i := Stage(0); i < stageCount; i++ {
-		s := c.load.stages[i]
-		if s.TotalCount() == 0 {
+		total := c.load.stages[i].Total()
+		if total.Count() == 0 {
 			continue
 		}
 		fmt.Fprintf(&b, "  %-12s %8.3fms %8.3fms %8.3fms %8.3fms  (%d samples)\n",
-			i.String(), toMs(s.TotalQuantile(0.50)), toMs(s.TotalQuantile(0.95)),
-			toMs(s.TotalQuantile(0.99)), toMs(s.TotalMax()), s.TotalCount())
+			i.String(), toMs(total.Quantile(0.50)), toMs(total.Quantile(0.95)),
+			toMs(total.Quantile(0.99)), toMs(total.Max()), total.Count())
 	}
 	return b.String()
 }

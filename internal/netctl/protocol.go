@@ -27,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"taps/internal/obs"
 	"taps/internal/simtime"
 	"taps/internal/topology"
 )
@@ -128,9 +129,10 @@ type codec struct {
 	wmu  sync.Mutex
 	enc  *json.Encoder
 	// onDecode, when set, receives the CPU time spent unmarshalling each
-	// inbound frame (excludes time blocked waiting for bytes). The
-	// controller hooks it to feed the StageDecode sketch.
-	onDecode func(d time.Duration)
+	// inbound frame (excludes time blocked waiting for bytes) and the
+	// instant it ended. The controller hooks it to feed the StageDecode
+	// sketch.
+	onDecode func(d time.Duration, unixNano int64)
 }
 
 func newCodec(conn net.Conn) *codec {
@@ -151,14 +153,14 @@ func (c *codec) recv() (Envelope, error) {
 	if err != nil {
 		return Envelope{}, err
 	}
-	var t0 time.Time
+	var sw obs.Stopwatch
 	if c.onDecode != nil {
-		t0 = time.Now() //taps:allow wallclock obs-only decode-stage latency; never feeds virtual time
+		sw = obs.StartStopwatch()
 	}
 	var env Envelope
 	err = json.Unmarshal(line, &env)
 	if c.onDecode != nil {
-		c.onDecode(time.Since(t0)) //taps:allow wallclock obs-only stage latency; never feeds virtual time
+		c.onDecode(sw.Lap())
 	}
 	if err != nil {
 		return Envelope{}, fmt.Errorf("netctl: decode frame: %w", err)

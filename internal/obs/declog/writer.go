@@ -154,10 +154,13 @@ func (w *Writer) syncLocked() error {
 		return nil
 	}
 	w.pending = 0
-	// The wall-clock fsync timing lives in obs (TimeDeclogSync): this
-	// package records only simulated time and stays inside the tapslint
-	// wallclock scope without suppressions.
-	if err := w.health.TimeDeclogSync(w.f.Sync); err != nil { //taps:allow lockorder group-commit fsync: callers batched behind mu are exactly the ones this sync makes durable
+	// The fsync is timed through obs.Stopwatch: this package records only
+	// simulated time and stays inside the tapslint wallclock scope without
+	// suppressions.
+	sw := obs.StartStopwatch()
+	err := w.f.Sync() //taps:allow lockorder group-commit fsync: callers batched behind mu are exactly the ones this sync makes durable
+	w.health.ObserveDeclogSync(sw.Elapsed())
+	if err != nil {
 		w.err = fmt.Errorf("declog: fsync: %w", err)
 		return w.err
 	}

@@ -153,25 +153,9 @@ func WritePrometheus(w io.Writer, r *Recorder, linkName func(int32) string) erro
 		fmt.Fprintf(&b, "taps_events_total{kind=%q} %d\n", k.String(), r.Count(k))
 	}
 
-	h := r.PlannerLatency()
-	buckets := h.Buckets()
-	top := 0
-	for i, c := range buckets {
-		if c > 0 {
-			top = i
-		}
-	}
 	b.WriteString("# HELP taps_replan_latency_seconds Wall-clock planner latency per re-plan pass.\n")
 	b.WriteString("# TYPE taps_replan_latency_seconds histogram\n")
-	var cum uint64
-	for i := 0; i <= top; i++ {
-		cum += buckets[i]
-		fmt.Fprintf(&b, "taps_replan_latency_seconds_bucket{le=%q} %d\n",
-			formatFloat(HistBucketUpper(i).Seconds()), cum)
-	}
-	fmt.Fprintf(&b, "taps_replan_latency_seconds_bucket{le=\"+Inf\"} %d\n", h.Count())
-	fmt.Fprintf(&b, "taps_replan_latency_seconds_sum %s\n", formatFloat(h.Sum().Seconds()))
-	fmt.Fprintf(&b, "taps_replan_latency_seconds_count %d\n", h.Count())
+	r.PlannerLatency().WritePrometheus(&b, "taps_replan_latency_seconds", "")
 
 	links := r.LinkStats()
 	sampled := false
@@ -215,25 +199,9 @@ func WritePrometheus(w io.Writer, r *Recorder, linkName func(int32) string) erro
 		b.WriteString("# TYPE taps_declog_truncations_total counter\n")
 		fmt.Fprintf(&b, "taps_declog_truncations_total %d\n", ds.Truncations)
 
-		sh := r.DeclogSyncLatency()
-		sb := sh.Buckets()
-		stop := 0
-		for i, c := range sb {
-			if c > 0 {
-				stop = i
-			}
-		}
 		b.WriteString("# HELP taps_declog_fsync_seconds Wall-clock decision-log fsync latency.\n")
 		b.WriteString("# TYPE taps_declog_fsync_seconds histogram\n")
-		var scum uint64
-		for i := 0; i <= stop; i++ {
-			scum += sb[i]
-			fmt.Fprintf(&b, "taps_declog_fsync_seconds_bucket{le=%q} %d\n",
-				formatFloat(HistBucketUpper(i).Seconds()), scum)
-		}
-		fmt.Fprintf(&b, "taps_declog_fsync_seconds_bucket{le=\"+Inf\"} %d\n", sh.Count())
-		fmt.Fprintf(&b, "taps_declog_fsync_seconds_sum %s\n", formatFloat(sh.Sum().Seconds()))
-		fmt.Fprintf(&b, "taps_declog_fsync_seconds_count %d\n", sh.Count())
+		r.DeclogSyncLatency().WritePrometheus(&b, "taps_declog_fsync_seconds", "")
 	}
 
 	_, err := io.WriteString(w, b.String())

@@ -112,10 +112,9 @@ type Options struct {
 // Recorder collects events, planner latencies, and link gauges. Create
 // with NewRecorder; a nil *Recorder is a valid disabled recorder.
 type Recorder struct {
-	planner    Histogram // replan wall-clock latency
-	declogSync Histogram // decision-log fsync wall-clock latency
-
 	mu            sync.Mutex
+	planner       Histogram // replan wall-clock latency
+	declogSync    Histogram // decision-log fsync wall-clock latency
 	ring          []Event
 	seq           uint64
 	counts        [kindCount]uint64
@@ -145,10 +144,10 @@ func (r *Recorder) Record(ev Event) {
 	if r == nil {
 		return
 	}
+	r.mu.Lock()
 	if ev.Kind == KindReplan {
 		r.planner.Observe(ev.Duration)
 	}
-	r.mu.Lock()
 	r.seq++
 	ev.Seq = r.seq
 	r.ring[int((r.seq-1)%uint64(len(r.ring)))] = ev
@@ -169,16 +168,20 @@ func (r *Recorder) ObservePlanner(d time.Duration) {
 	if r == nil {
 		return
 	}
+	r.mu.Lock()
 	r.planner.Observe(d)
+	r.mu.Unlock()
 }
 
-// PlannerLatency returns the planner latency histogram (nil on a nil
-// recorder).
-func (r *Recorder) PlannerLatency() *Histogram {
+// PlannerLatency returns a copy of the planner latency histogram (the
+// zero value on a nil recorder).
+func (r *Recorder) PlannerLatency() Histogram {
 	if r == nil {
-		return nil
+		return Histogram{}
 	}
-	return &r.planner
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.planner
 }
 
 // AddSink registers fn to receive every subsequent event, synchronously,
@@ -341,27 +344,26 @@ func (r *Recorder) ReplanScopeStats() ReplanScope {
 	return ReplanScope{Sum: float64(n), Count: n, FullFallbacks: n}
 }
 
-// DeclogSyncLatency returns the decision-log fsync latency histogram (nil
-// on a nil recorder).
-func (r *Recorder) DeclogSyncLatency() *Histogram {
+// ObserveDeclogSync records one decision-log fsync latency sample. No-op
+// on nil.
+func (r *Recorder) ObserveDeclogSync(d time.Duration) {
 	if r == nil {
-		return nil
+		return
 	}
-	return &r.declogSync
+	r.mu.Lock()
+	r.declogSync.Observe(d)
+	r.mu.Unlock()
 }
 
-// TimeDeclogSync runs one decision-log fsync and records its wall-clock
-// latency. The sync itself always runs, even on a nil recorder — this
-// method exists so the wall-clock reads stay in obs, keeping the declog
-// package itself free of wall-clock calls (a tapslint invariant).
-func (r *Recorder) TimeDeclogSync(sync func() error) error {
+// DeclogSyncLatency returns a copy of the decision-log fsync latency
+// histogram (the zero value on a nil recorder).
+func (r *Recorder) DeclogSyncLatency() Histogram {
 	if r == nil {
-		return sync()
+		return Histogram{}
 	}
-	start := time.Now()
-	err := sync()
-	r.declogSync.Observe(time.Since(start))
-	return err
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.declogSync
 }
 
 // LinkStats returns a snapshot of the per-link gauges, indexed by link ID.

@@ -1,7 +1,6 @@
 package sketch
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -9,21 +8,6 @@ import (
 
 	"taps/internal/obs"
 )
-
-// EncodeJSON writes the snapshot codec form to w: one JSON document,
-// stable for a given sketch state (windows are start-ordered).
-func EncodeJSON(w io.Writer, sn Snapshot) error {
-	return json.NewEncoder(w).Encode(sn)
-}
-
-// DecodeJSON reads one snapshot back from its codec form.
-func DecodeJSON(r io.Reader) (Snapshot, error) {
-	var sn Snapshot
-	if err := json.NewDecoder(r).Decode(&sn); err != nil {
-		return Snapshot{}, fmt.Errorf("sketch: decode snapshot: %w", err)
-	}
-	return sn, nil
-}
 
 // Labeled pairs one sketch with its label value for the Prometheus
 // exporter (e.g. stage="plan").
@@ -40,39 +24,26 @@ var WindowQuantiles = []float64{0.5, 0.95, 0.99}
 // labelKey=label per series) plus name+"_window" gauges carrying the live
 // p50/p95/p99 (label q) over each sketch's horizon as of now. Sketches
 // that never observed a sample are skipped; help documents the family.
+// Each sketch is read once per section — Total for the histogram, Live
+// for the gauges — so a series' lines agree with each other.
 func WritePrometheus(w io.Writer, name, help, labelKey string, items []Labeled, now int64) error {
 	var b strings.Builder
 	wroteHist := false
 	for _, it := range items {
-		if it.Sketch.TotalCount() == 0 {
+		total := it.Sketch.Total()
+		if total.Count() == 0 {
 			continue
 		}
 		if !wroteHist {
 			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
 			wroteHist = true
 		}
-		sn := it.Sketch.Snapshot()
-		top := 0
-		for i, c := range sn.AllTime.Counts {
-			if c > 0 {
-				top = i
-			}
-		}
-		var cum uint64
-		for i := 0; i <= top; i++ {
-			cum += sn.AllTime.Counts[i]
-			fmt.Fprintf(&b, "%s_bucket{%s=%q,le=%q} %d\n",
-				name, labelKey, it.Label, formatSeconds(obs.HistBucketUpper(i)), cum)
-		}
-		fmt.Fprintf(&b, "%s_bucket{%s=%q,le=\"+Inf\"} %d\n", name, labelKey, it.Label, sn.AllTime.Count)
-		fmt.Fprintf(&b, "%s_sum{%s=%q} %s\n", name, labelKey, it.Label,
-			formatSeconds(time.Duration(sn.AllTime.SumNs)))
-		fmt.Fprintf(&b, "%s_count{%s=%q} %d\n", name, labelKey, it.Label, sn.AllTime.Count)
+		total.WritePrometheus(&b, name, fmt.Sprintf("%s=%q", labelKey, it.Label))
 	}
 	wroteWin := false
 	for _, it := range items {
-		count, _, _ := it.Sketch.WindowTotals(now)
-		if count == 0 {
+		live := it.Sketch.Live(now)
+		if live.Count() == 0 {
 			continue
 		}
 		if !wroteWin {
@@ -82,7 +53,7 @@ func WritePrometheus(w io.Writer, name, help, labelKey string, items []Labeled, 
 		}
 		for _, q := range WindowQuantiles {
 			fmt.Fprintf(&b, "%s_window{%s=%q,q=\"%g\"} %s\n",
-				name, labelKey, it.Label, q, formatSeconds(it.Sketch.Quantile(now, q)))
+				name, labelKey, it.Label, q, obs.FormatSeconds(live.Quantile(q)))
 		}
 	}
 	_, err := io.WriteString(w, b.String())
@@ -98,10 +69,4 @@ func horizonLabel(items []Labeled) time.Duration {
 		}
 	}
 	return 0
-}
-
-// formatSeconds renders a duration in seconds the way obs's Prometheus
-// exporter formats floats (no scientific notation).
-func formatSeconds(d time.Duration) string {
-	return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%.9f", d.Seconds()), "0"), ".")
 }

@@ -49,7 +49,7 @@ func TestExpositionGolden(t *testing.T) {
 		} else {
 			rec.ObservePlanner(d)
 		}
-		rec.DeclogSyncLatency().Observe(d)
+		rec.ObserveDeclogSync(d)
 	}
 	rec.ObservePlanner(math.MaxInt64)
 	rec.DeclogAppended(len(ds), 1<<20)

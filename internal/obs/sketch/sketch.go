@@ -1,10 +1,10 @@
-// Package sketch is a windowed, mergeable log-bucket quantile sketch for
-// live controller-load telemetry. It shares obs.Histogram's bucket layout
-// (bucket 0 holds exactly 0ns, bucket i holds [2^(i-1), 2^i - 1] ns) but
-// splits the counts across a rotating ring of fixed-width time windows, so
-// a /metrics or /load scrape can report p50/p95/p99 over the *last N
-// seconds* of traffic rather than over the process lifetime, alongside the
-// all-time aggregate.
+// Package sketch is a windowed latency sketch for live controller-load
+// telemetry: a rotating ring of fixed-width time windows, each holding one
+// obs.Histogram, plus one all-time histogram. A /metrics or /load scrape
+// can so report p50/p95/p99 over the *last N seconds* of traffic rather
+// than over the process lifetime, alongside the all-time aggregate. The
+// bucket layout, the quantile walk and the exposition are obs.Histogram's;
+// this package only decides which samples are live.
 //
 // Design constraints, matching the rest of internal/obs:
 //
@@ -15,69 +15,24 @@
 //   - No wall-clock reads: callers pass the current instant as unix
 //     nanoseconds, keeping this package clock-free (the tapslint wallclock
 //     discipline) and making window arithmetic testable and replayable.
-//   - Mergeable: Snapshot captures the full ring plus the all-time
-//     aggregate as plain data with a JSON codec; snapshots from per-shard
-//     sketches with the same window width Merge bucket-wise, so a future
-//     sharded controller (ROADMAP item 2) can combine per-pod telemetry
-//     into one fleet-wide quantile without resampling.
+//   - One lock, copies out: Sketch.mu guards the ring and the all-time
+//     histogram; Live and Total return histogram values, so every number a
+//     caller reads off one of them describes the same instant.
 package sketch
 
 import (
-	"fmt"
-	"math"
-	"math/bits"
 	"sync"
 	"time"
 
 	"taps/internal/obs"
 )
 
-// numBuckets mirrors obs.Histogram's fixed log-scale layout; bucket
-// bounds come from obs.HistBucketUpper so the two stay in lockstep.
-const numBuckets = 64
-
-// bucketOf returns the index of the bucket containing d (obs.Histogram's
-// mapping: 0 for d <= 0, bits.Len64 otherwise).
-func bucketOf(d time.Duration) int {
-	if d <= 0 {
-		return 0
-	}
-	return bits.Len64(uint64(d))
-}
-
-// Window is one time window's counts: the sketch's unit of rotation,
-// snapshotting, and merging. StartUnixNano identifies the window (aligned
-// down to the sketch width); two windows with equal starts from sketches
-// of equal width cover the same real-time span and merge bucket-wise.
+// Window is one time window's samples, the sketch's unit of rotation.
+// Start identifies the window: unix nanoseconds, aligned down to the
+// sketch width.
 type Window struct {
-	StartUnixNano int64              `json:"start_unix_nano"`
-	Counts        [numBuckets]uint64 `json:"counts"`
-	Count         uint64             `json:"count"`
-	SumNs         int64              `json:"sum_ns"`
-	MaxNs         int64              `json:"max_ns"`
-}
-
-func (w *Window) observe(d time.Duration) {
-	w.Counts[bucketOf(d)]++
-	w.Count++
-	if d < 0 {
-		d = 0
-	}
-	w.SumNs += int64(d)
-	if int64(d) > w.MaxNs {
-		w.MaxNs = int64(d)
-	}
-}
-
-func (w *Window) merge(o *Window) {
-	for i := range w.Counts {
-		w.Counts[i] += o.Counts[i]
-	}
-	w.Count += o.Count
-	w.SumNs += o.SumNs
-	if o.MaxNs > w.MaxNs {
-		w.MaxNs = o.MaxNs
-	}
+	Start int64
+	Hist  obs.Histogram
 }
 
 // Sketch is the live recorder. Create with New; a nil *Sketch is a valid
@@ -86,8 +41,8 @@ type Sketch struct {
 	width int64 // window width in nanoseconds
 
 	mu      sync.Mutex
-	ring    []Window // fixed-length rotation ring
-	allTime Window   // process-lifetime aggregate (StartUnixNano 0)
+	ring    []Window      // fixed-length rotation ring
+	allTime obs.Histogram // process-lifetime aggregate
 }
 
 // Default window geometry: 15 one-second windows, so windowed quantiles
@@ -110,14 +65,6 @@ func New(windows int, width time.Duration) *Sketch {
 	return &Sketch{width: int64(width), ring: make([]Window, windows)}
 }
 
-// Width returns the window width (0 on nil).
-func (s *Sketch) Width() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return time.Duration(s.width)
-}
-
 // Horizon returns the total observable span: width × windows (0 on nil).
 func (s *Sketch) Horizon() time.Duration {
 	if s == nil {
@@ -131,12 +78,12 @@ func (s *Sketch) Horizon() time.Duration {
 func (s *Sketch) slotLocked(now int64) *Window {
 	start := now - mod(now, s.width)
 	w := &s.ring[int(mod(start/s.width, int64(len(s.ring))))]
-	if w.StartUnixNano != start && start > w.StartUnixNano {
-		*w = Window{StartUnixNano: start}
+	if start > w.Start {
+		*w = Window{Start: start}
 	}
-	// start < w.StartUnixNano only when the caller's clock stepped
-	// backwards across a window boundary; the sample folds into the newer
-	// window already occupying the slot rather than being dropped.
+	// start < w.Start only when the caller's clock stepped backwards
+	// across a window boundary; the sample folds into the newer window
+	// already occupying the slot rather than being dropped.
 	return w
 }
 
@@ -157,265 +104,59 @@ func (s *Sketch) Observe(now int64, d time.Duration) {
 		return
 	}
 	s.mu.Lock()
-	s.slotLocked(now).observe(d)
-	s.allTime.observe(d)
+	s.slotLocked(now).Hist.Observe(d)
+	s.allTime.Observe(d)
 	s.mu.Unlock()
 }
 
-// liveLocked folds every non-expired window into out. A window is live
-// when its start lies in (now-horizon, now] — exactly the ring's worth of
-// aligned starts, so the filter and slot eviction agree on which windows
-// exist: a window old enough to have lost its slot to a newer one is
-// never admitted, whether or not the slot was actually reused. The
-// current partial window counts, so the live span covers between
-// (windows-1) and windows widths of real time.
-func (s *Sketch) liveLocked(now int64, out *Window) {
+// Live returns the histogram of the samples in the live horizon as of
+// now: every non-expired window folded into one value (empty on nil). A
+// window is live when its start lies in (now-horizon, now] — exactly the
+// ring's worth of aligned starts, so the filter and slot eviction agree
+// on which windows exist: a window old enough to have lost its slot to a
+// newer one is never admitted, whether or not the slot was actually
+// reused. The current partial window counts, so the live span covers
+// between (windows-1) and windows widths of real time.
+func (s *Sketch) Live(now int64) obs.Histogram {
+	var live obs.Histogram
+	if s == nil {
+		return live
+	}
 	horizon := s.width * int64(len(s.ring))
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for i := range s.ring {
 		w := &s.ring[i]
-		if w.Count == 0 {
-			continue
-		}
-		if w.StartUnixNano > now-horizon && w.StartUnixNano <= now {
-			out.merge(w)
+		if w.Hist.Count() > 0 && w.Start > now-horizon && w.Start <= now {
+			live.Merge(&w.Hist)
 		}
 	}
+	return live
 }
 
-// WindowTotals returns the live-horizon sample count, sum, and max as of
-// now. Zero values on nil.
-func (s *Sketch) WindowTotals(now int64) (count uint64, sum, max time.Duration) {
+// Total returns the histogram of every sample ever recorded, for
+// end-of-run summaries where the live horizon may already be idle (empty
+// on nil).
+func (s *Sketch) Total() obs.Histogram {
 	if s == nil {
-		return 0, 0, 0
+		return obs.Histogram{}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var live Window
-	s.liveLocked(now, &live)
-	return live.Count, time.Duration(live.SumNs), time.Duration(live.MaxNs)
+	return s.allTime
 }
 
+// TotalCount returns the all-time sample count.
+func (s *Sketch) TotalCount() uint64 { return s.Total().Count() }
+
+// TotalSum returns the all-time duration sum.
+func (s *Sketch) TotalSum() time.Duration { return s.Total().Sum() }
+
 // Rate returns the live-horizon event rate in events per second as of now
-// (0 on nil or an empty horizon).
+// (0 on nil).
 func (s *Sketch) Rate(now int64) float64 {
 	if s == nil {
 		return 0
 	}
-	count, _, _ := s.WindowTotals(now)
-	h := float64(s.width * int64(len(s.ring)))
-	if h <= 0 {
-		return 0
-	}
-	return float64(count) / (h / float64(time.Second))
-}
-
-// Quantile estimates the q-quantile of the samples in the live horizon as
-// of now: the upper bound of the bucket holding the rank-ceil(q*n)
-// smallest sample, clamped to the window max (obs.Histogram semantics).
-// Returns 0 when the horizon is empty or the sketch is nil.
-func (s *Sketch) Quantile(now int64, q float64) time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	var live Window
-	s.liveLocked(now, &live)
-	s.mu.Unlock()
-	return windowQuantile(&live, q)
-}
-
-// TotalQuantile estimates the q-quantile over every sample ever recorded
-// (the all-time aggregate), for end-of-run summaries where the live
-// horizon may already be idle.
-func (s *Sketch) TotalQuantile(q float64) time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	all := s.allTime
-	s.mu.Unlock()
-	return windowQuantile(&all, q)
-}
-
-// TotalCount returns the all-time sample count (0 on nil).
-func (s *Sketch) TotalCount() uint64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.allTime.Count
-}
-
-// TotalSum returns the all-time duration sum (0 on nil).
-func (s *Sketch) TotalSum() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return time.Duration(s.allTime.SumNs)
-}
-
-// TotalMax returns the all-time maximum (0 on nil).
-func (s *Sketch) TotalMax() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return time.Duration(s.allTime.MaxNs)
-}
-
-// windowQuantile is the shared rank walk over one (possibly merged)
-// window's buckets.
-func windowQuantile(w *Window, q float64) time.Duration {
-	if w.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(math.Ceil(q * float64(w.Count)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > w.Count {
-		rank = w.Count
-	}
-	var cum uint64
-	for i, c := range w.Counts {
-		cum += c
-		if cum >= rank {
-			return min(obs.HistBucketUpper(i), time.Duration(w.MaxNs))
-		}
-	}
-	return time.Duration(w.MaxNs)
-}
-
-// Snapshot captures the sketch's full state as plain mergeable data: the
-// window ring (only populated windows), the all-time aggregate, and the
-// geometry needed to interpret and merge it. It marshals to/from JSON
-// unchanged (the snapshot codec), so a shard can serve its snapshot over
-// HTTP and an aggregator can DecodeSnapshot + Merge it.
-type Snapshot struct {
-	WidthNs int64 `json:"width_ns"`
-	// RingWindows is the source sketch's ring length; it fixes the
-	// snapshot's horizon (WidthNs × RingWindows) independently of how
-	// many windows happen to be populated.
-	RingWindows int      `json:"ring_windows"`
-	Windows     []Window `json:"windows,omitempty"`
-	AllTime     Window   `json:"all_time"`
-}
-
-// Snapshot captures the current state as of now. Windows are ordered by
-// start time. Nil sketches return a zero snapshot.
-func (s *Sketch) Snapshot() Snapshot {
-	if s == nil {
-		return Snapshot{}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	snap := Snapshot{WidthNs: s.width, RingWindows: len(s.ring), AllTime: s.allTime}
-	for i := range s.ring {
-		if s.ring[i].Count > 0 {
-			snap.Windows = append(snap.Windows, s.ring[i])
-		}
-	}
-	// Ring order is rotation order, not time order; sort by start so the
-	// snapshot (and its JSON form) is canonical for a given state.
-	for i := 1; i < len(snap.Windows); i++ {
-		for j := i; j > 0 && snap.Windows[j-1].StartUnixNano > snap.Windows[j].StartUnixNano; j-- {
-			snap.Windows[j-1], snap.Windows[j] = snap.Windows[j], snap.Windows[j-1]
-		}
-	}
-	return snap
-}
-
-// Merge combines two snapshots from sketches of identical geometry
-// (window width and ring length): windows with equal starts merge
-// bucket-wise, others union; the all-time aggregates sum. The inputs are
-// not modified. An empty snapshot (zero WidthNs) merges as the identity.
-// Geometry must match because the horizon filter and ring eviction are
-// only consistent across shards when every shard rotates the same way.
-func Merge(a, b Snapshot) (Snapshot, error) {
-	if a.WidthNs == 0 {
-		return b, nil
-	}
-	if b.WidthNs == 0 {
-		return a, nil
-	}
-	if a.WidthNs != b.WidthNs || a.RingWindows != b.RingWindows {
-		return Snapshot{}, fmt.Errorf("sketch: merge geometry mismatch: %dns×%d vs %dns×%d",
-			a.WidthNs, a.RingWindows, b.WidthNs, b.RingWindows)
-	}
-	out := Snapshot{WidthNs: a.WidthNs, RingWindows: a.RingWindows, AllTime: a.AllTime}
-	out.AllTime.merge(&b.AllTime)
-	out.Windows = append([]Window(nil), a.Windows...)
-	for _, w := range b.Windows {
-		merged := false
-		for i := range out.Windows {
-			if out.Windows[i].StartUnixNano == w.StartUnixNano {
-				out.Windows[i].merge(&w)
-				merged = true
-				break
-			}
-		}
-		if !merged {
-			out.Windows = append(out.Windows, w)
-		}
-	}
-	for i := 1; i < len(out.Windows); i++ {
-		for j := i; j > 0 && out.Windows[j-1].StartUnixNano > out.Windows[j].StartUnixNano; j-- {
-			out.Windows[j-1], out.Windows[j] = out.Windows[j], out.Windows[j-1]
-		}
-	}
-	return out, nil
-}
-
-// live folds the snapshot's non-expired windows (relative to now and the
-// snapshot's recorded ring geometry) into one window, with the same
-// strict start-in-(now-horizon, now] filter as the live sketch.
-func (sn Snapshot) live(now int64) Window {
-	var out Window
-	if sn.WidthNs == 0 {
-		return out
-	}
-	n := int64(sn.RingWindows)
-	if n < 1 {
-		n = int64(len(sn.Windows))
-		if n < 1 {
-			n = 1
-		}
-	}
-	horizon := sn.WidthNs * n
-	for i := range sn.Windows {
-		w := &sn.Windows[i]
-		if w.StartUnixNano > now-horizon && w.StartUnixNano <= now {
-			out.merge(w)
-		}
-	}
-	return out
-}
-
-// Quantile estimates the q-quantile over the snapshot's live windows as
-// of now (see Sketch.Quantile).
-func (sn Snapshot) Quantile(now int64, q float64) time.Duration {
-	live := sn.live(now)
-	return windowQuantile(&live, q)
-}
-
-// WindowCount returns the snapshot's live-horizon sample count as of now.
-func (sn Snapshot) WindowCount(now int64) uint64 {
-	return sn.live(now).Count
-}
-
-// TotalQuantile estimates the q-quantile over the snapshot's all-time
-// aggregate.
-func (sn Snapshot) TotalQuantile(q float64) time.Duration {
-	all := sn.AllTime
-	return windowQuantile(&all, q)
+	return float64(s.Live(now).Count()) / s.Horizon().Seconds()
 }

@@ -15,29 +15,11 @@ import (
 func TestNilSketchIsSafe(t *testing.T) {
 	var s *Sketch
 	s.Observe(0, time.Millisecond)
-	if s.Quantile(0, 0.5) != 0 || s.TotalQuantile(0.99) != 0 || s.Rate(0) != 0 {
+	if s.Live(0).Quantile(0.5) != 0 || s.Total().Quantile(0.99) != 0 || s.Rate(0) != 0 {
 		t.Fatal("nil sketch must report zeros")
 	}
-	if got := s.Snapshot(); got.WidthNs != 0 || len(got.Windows) != 0 {
-		t.Fatalf("nil snapshot: %+v", got)
-	}
-}
-
-func TestBucketLayoutMatchesObsHistogram(t *testing.T) {
-	// The sketch promises obs.Histogram's exact bucket layout: a single
-	// observation must yield identical quantile estimates from both.
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 200; i++ {
-		d := time.Duration(rng.Int63n(int64(10 * time.Second)))
-		var h obs.Histogram
-		h.Observe(d)
-		s := New(4, time.Second)
-		s.Observe(0, d)
-		for _, q := range []float64{0.01, 0.5, 0.99, 1} {
-			if got, want := s.Quantile(0, q), h.Quantile(q); got != want {
-				t.Fatalf("d=%v q=%v: sketch %v, histogram %v", d, q, got, want)
-			}
-		}
+	if s.TotalCount() != 0 || s.TotalSum() != 0 || s.Horizon() != 0 {
+		t.Fatal("nil sketch must report zero totals")
 	}
 }
 
@@ -47,29 +29,29 @@ func TestWindowRotationExpiresOldSamples(t *testing.T) {
 	s.Observe(0, 10*time.Millisecond)
 	s.Observe(width, 20*time.Millisecond)
 
-	if c, _, _ := s.WindowTotals(width); c != 2 {
+	if c := s.Live(width).Count(); c != 2 {
 		t.Fatalf("live count at t=1s: %d, want 2", c)
 	}
 	// Liveness is strict: a window is live while its start lies in
 	// (now-3s, now]. Window [0,1s) expires at now=3s exactly; window
 	// [1s,2s) at now=4s.
-	if c, _, _ := s.WindowTotals(3*width - 1); c != 2 {
+	if c := s.Live(3*width - 1).Count(); c != 2 {
 		t.Fatalf("live count just before t=3s: %d, want 2", c)
 	}
-	if c, _, _ := s.WindowTotals(3*width + width/2); c != 1 {
+	if c := s.Live(3*width + width/2).Count(); c != 1 {
 		t.Fatalf("live count at t=3.5s: %d, want 1", c)
 	}
-	if c, _, _ := s.WindowTotals(4*width + width/2); c != 0 {
+	if c := s.Live(4*width + width/2).Count(); c != 0 {
 		t.Fatalf("live count at t=4.5s: %d, want 0", c)
 	}
-	if c, _, _ := s.WindowTotals(10 * width); c != 0 {
+	if c := s.Live(10 * width).Count(); c != 0 {
 		t.Fatalf("live count at t=10s: %d, want 0", c)
 	}
-	if s.Quantile(10*width, 0.99) != 0 {
+	if s.Live(10*width).Quantile(0.99) != 0 {
 		t.Fatal("expired horizon must report zero quantiles")
 	}
 	// The all-time aggregate never expires.
-	if s.TotalCount() != 2 || s.TotalQuantile(1) == 0 {
+	if s.TotalCount() != 2 || s.Total().Quantile(1) == 0 {
 		t.Fatalf("all-time lost samples: count=%d", s.TotalCount())
 	}
 }
@@ -81,10 +63,10 @@ func TestRingSlotReuseResetsExpiredCounts(t *testing.T) {
 	// t=2s maps onto the same ring slot as t=0; the slot must reset, not
 	// accumulate into the stale window.
 	s.Observe(2*width, 4*time.Millisecond)
-	if c, _, _ := s.WindowTotals(2 * width); c != 1 {
+	if c := s.Live(2 * width).Count(); c != 1 {
 		t.Fatalf("live count after slot reuse: %d, want 1", c)
 	}
-	if got := s.Quantile(2*width, 1); got != 4*time.Millisecond {
+	if got := s.Live(2 * width).Quantile(1); got != 4*time.Millisecond {
 		t.Fatalf("quantile after reuse: %v, want 4ms (max clamp)", got)
 	}
 }
@@ -96,58 +78,73 @@ func TestBackwardClockStepFoldsIntoOccupyingWindow(t *testing.T) {
 	// A sample stamped before the slot's current window start must not be
 	// dropped (nor resurrect the old window).
 	s.Observe(0, 2*time.Millisecond)
-	if c, _, _ := s.WindowTotals(2 * width); c != 2 {
+	if c := s.Live(2 * width).Count(); c != 2 {
 		t.Fatalf("live count after backward step: %d, want 2", c)
 	}
 }
 
-// TestMergeMatchesCombinedStream is the merge property test: quantiles of
-// merge(a, b) must equal the quantiles of one sketch fed the combined
-// sample stream (same geometry), including across window rotation and
-// slot eviction.
+// TestMergeMatchesCombinedStream holds the sketch to the plain histogram:
+// for random streams split across windows and across two sketches of one
+// geometry, Live(now) equals a bare obs.Histogram fed exactly the samples
+// whose window is live, Total() one fed every sample, and a.Merge(&b) the
+// histogram fed both halves — across window rotation and slot eviction.
 func TestMergeMatchesCombinedStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 100; trial++ {
 		width := time.Duration(1+rng.Intn(3)) * time.Second
 		windows := 2 + rng.Intn(6)
-		a, b := New(windows, width), New(windows, width)
-		combined := New(windows, width)
-		span := int64(width) * int64(windows) * 2 // include rotation + expiry
+		horizon := int64(width) * int64(windows)
+		sketches := [2]*Sketch{New(windows, width), New(windows, width)}
+		span := horizon * 2 // include rotation + expiry
 		n := 1 + rng.Intn(400)
-		// Timestamps are non-decreasing, as in real use: eviction in the
-		// per-shard sketches then mirrors eviction in the combined one.
-		ats := make([]int64, n)
-		for i := range ats {
-			ats[i] = rng.Int63n(span)
+		// Timestamps are non-decreasing, as in real use, and every query
+		// is at or after the last one: a window can then only have lost
+		// its slot to one a whole horizon newer, so it is already expired.
+		type sample struct {
+			at   int64
+			d    time.Duration
+			half int
 		}
-		sort.Slice(ats, func(i, j int) bool { return ats[i] < ats[j] })
-		for _, at := range ats {
-			d := time.Duration(rng.Int63n(int64(time.Second)))
-			if rng.Intn(2) == 0 {
-				a.Observe(at, d)
-			} else {
-				b.Observe(at, d)
+		samples := make([]sample, n)
+		for i := range samples {
+			samples[i].at = rng.Int63n(span)
+		}
+		sort.Slice(samples, func(i, j int) bool { return samples[i].at < samples[j].at })
+		for i := range samples {
+			sm := &samples[i]
+			sm.d = time.Duration(rng.Int63n(int64(time.Second)))
+			sm.half = rng.Intn(2)
+			sketches[sm.half].Observe(sm.at, sm.d)
+		}
+		last := samples[n-1].at
+		for _, now := range []int64{last, span, span + int64(width), last + horizon} {
+			var live, total [2]obs.Histogram
+			var liveBoth, totalBoth obs.Histogram
+			for _, sm := range samples {
+				total[sm.half].Observe(sm.d)
+				totalBoth.Observe(sm.d)
+				if start := sm.at - sm.at%int64(width); start > now-horizon && start <= now {
+					live[sm.half].Observe(sm.d)
+					liveBoth.Observe(sm.d)
+				}
 			}
-			combined.Observe(at, d)
-		}
-		now := span
-		merged, err := Merge(a.Snapshot(), b.Snapshot())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := combined.Snapshot()
-		if merged.WindowCount(now) != ref.WindowCount(now) {
-			t.Fatalf("trial %d: merged live count %d, combined %d",
-				trial, merged.WindowCount(now), ref.WindowCount(now))
-		}
-		for _, q := range []float64{0.1, 0.5, 0.9, 0.95, 0.99, 1} {
-			got, want := merged.Quantile(now, q), ref.Quantile(now, q)
-			if got != want {
-				t.Fatalf("trial %d q=%v: merged %v, combined-stream %v", trial, q, got, want)
+			for h, s := range sketches {
+				if s.Live(now) != live[h] {
+					t.Fatalf("trial %d now=%d: sketch %d Live differs from the histogram of its live samples", trial, now, h)
+				}
+				if s.Total() != total[h] {
+					t.Fatalf("trial %d: sketch %d Total differs from the histogram of its samples", trial, h)
+				}
 			}
-			if merged.TotalQuantile(q) != ref.TotalQuantile(q) {
-				t.Fatalf("trial %d q=%v: all-time merged %v, combined %v",
-					trial, q, merged.TotalQuantile(q), ref.TotalQuantile(q))
+			merged, other := sketches[0].Live(now), sketches[1].Live(now)
+			merged.Merge(&other)
+			if merged != liveBoth {
+				t.Fatalf("trial %d now=%d: merged Live differs from the combined-stream histogram", trial, now)
+			}
+			merged, other = sketches[0].Total(), sketches[1].Total()
+			merged.Merge(&other)
+			if merged != totalBoth {
+				t.Fatalf("trial %d: merged Total differs from the combined-stream histogram", trial)
 			}
 		}
 	}
@@ -179,11 +176,9 @@ func TestQuantileWithinOneBucketOfSamples(t *testing.T) {
 			all = append(all, d)
 		}
 		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-		merged, err := Merge(a.Snapshot(), b.Snapshot())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := merged.WindowCount(now); got != uint64(n) {
+		merged, other := a.Live(now), b.Live(now)
+		merged.Merge(&other)
+		if got := merged.Count(); got != uint64(n) {
 			t.Fatalf("trial %d: live count %d, want %d", trial, got, n)
 		}
 		for _, q := range []float64{0.5, 0.95, 0.99, 1} {
@@ -192,7 +187,7 @@ func TestQuantileWithinOneBucketOfSamples(t *testing.T) {
 				rank = 0
 			}
 			truth := all[rank]
-			got := merged.Quantile(now, q)
+			got := merged.Quantile(q)
 			if got < truth || (truth > 0 && got > 2*truth) {
 				t.Fatalf("trial %d q=%v: sketch %v outside [truth, 2*truth] of %v",
 					trial, q, got, truth)
@@ -201,44 +196,46 @@ func TestQuantileWithinOneBucketOfSamples(t *testing.T) {
 	}
 }
 
-func TestMergeWidthMismatchFails(t *testing.T) {
-	a := New(2, time.Second)
-	b := New(2, 2*time.Second)
-	a.Observe(0, time.Millisecond)
-	b.Observe(0, time.Millisecond)
-	if _, err := Merge(a.Snapshot(), b.Snapshot()); err == nil {
-		t.Fatal("expected width-mismatch error")
-	}
-	// Empty snapshots are a merge identity regardless of width.
-	if out, err := Merge(Snapshot{}, b.Snapshot()); err != nil || out.AllTime.Count != 1 {
-		t.Fatalf("identity merge: %v, %+v", err, out)
-	}
-}
-
-func TestSnapshotCodecRoundTrip(t *testing.T) {
-	s := New(4, time.Second)
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 100; i++ {
-		s.Observe(rng.Int63n(4*int64(time.Second)), time.Duration(rng.Int63n(int64(time.Minute))))
-	}
-	var buf bytes.Buffer
-	if err := EncodeJSON(&buf, s.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig := s.Snapshot()
-	now := 4 * int64(time.Second)
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if back.Quantile(now, q) != orig.Quantile(now, q) {
-			t.Fatalf("q=%v differs after round trip", q)
+// TestLiveAndTotalAreConsistentCopies: a histogram handed out while
+// another goroutine observes is one instant's state — its count is the
+// sum of its buckets and no quantile exceeds its max. Separate Count,
+// Quantile and Max calls on the sketch could promise neither.
+func TestLiveAndTotalAreConsistentCopies(t *testing.T) {
+	s := New(4, time.Millisecond)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rng := rand.New(rand.NewSource(5))
+		for now := int64(0); ; now += int64(50 * time.Microsecond) {
+			select {
+			case <-stop:
+				return
+			default:
+				s.Observe(now, time.Duration(rng.Int63n(int64(time.Second))))
+			}
+		}
+	}()
+	check := func(name string, h obs.Histogram) {
+		var sum uint64
+		for _, c := range h.Buckets() {
+			sum += c
+		}
+		if sum != h.Count() {
+			t.Fatalf("%s: count %d, buckets sum to %d", name, h.Count(), sum)
+		}
+		for _, q := range []float64{0.5, 0.95, 0.99, 1} {
+			if got := h.Quantile(q); got > h.Max() {
+				t.Fatalf("%s: q=%v is %v, above max %v", name, q, got, h.Max())
+			}
 		}
 	}
-	if back.AllTime != orig.AllTime {
-		t.Fatal("all-time window differs after round trip")
+	for i := 0; i < 2000; i++ {
+		check("Live", s.Live(int64(i)*int64(100*time.Microsecond)))
+		check("Total", s.Total())
 	}
+	close(stop)
+	<-done
 }
 
 func TestRate(t *testing.T) {

@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"time"
-
 	"taps/internal/obs"
 	"taps/internal/sim"
 	"taps/internal/simtime"
@@ -43,8 +41,8 @@ func (o *observed) OnTaskArrival(st *sim.State, task *sim.Task) {
 
 // Rates implements sim.Scheduler, timing the wrapped allocation pass.
 func (o *observed) Rates(st *sim.State) (sim.RateMap, simtime.Time) {
-	t0 := time.Now() //taps:allow wallclock obs-only scheduler latency; never feeds simulated time
+	sw := obs.StartStopwatch()
 	rates, horizon := o.Scheduler.Rates(st)
-	o.rec.ObservePlanner(time.Since(t0)) //taps:allow wallclock obs-only scheduler latency
+	o.rec.ObservePlanner(sw.Elapsed())
 	return rates, horizon
 }
