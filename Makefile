@@ -16,7 +16,7 @@ vet:
 	$(GO) vet ./...
 
 # lint runs the repo's own determinism/concurrency/hot-path analyzers
-# (DESIGN.md §8 and §12). Prints every finding across all packages and
+# (DESIGN.md §8). Prints every finding across all packages and
 # exits non-zero if there is one; a clean run prints nothing.
 lint:
 	$(GO) run ./cmd/tapslint ./...

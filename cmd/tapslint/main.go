@@ -1,13 +1,12 @@
 // Command tapslint runs the repository's determinism, concurrency, and
 // hot-path lint pass (internal/lint) over module packages.
 //
-//	tapslint [-list] [-json] [-v] [packages...]
+//	tapslint [-list] [-json] [packages...]
 //
-// Packages are directory patterns relative to the working directory
-// (./internal/core, ./..., ./internal/...); the default is ./... from the
-// module root, which — like the go tool — skips testdata directories, so
-// the deliberate-violation fixtures under internal/lint/testdata only load
-// when named explicitly.
+// Packages are go list patterns relative to the working directory
+// (./internal/core, ./..., ./internal/...); the default is ./..., which
+// skips testdata directories, so the deliberate-violation fixtures under
+// internal/lint/testdata only load when named explicitly.
 //
 // There is one way to waive a finding: a reasoned //taps:allow directive
 // on its line. Everything else fails the run.
@@ -15,7 +14,7 @@
 // Diagnostics are printed for every package before exiting (no fail-fast):
 // one clean run shows everything there is to fix. Exit status: 0 when
 // there are no findings, 1 when any finding was reported, 2 when packages
-// failed to load or type-check.
+// failed to load or type-check (nothing is analyzed then).
 package main
 
 import (
@@ -39,21 +38,14 @@ type jsonFinding struct {
 
 type jsonReport struct {
 	Findings []jsonFinding `json:"findings"`
-	Timings  []jsonTiming  `json:"timings,omitempty"`
-}
-
-type jsonTiming struct {
-	Analyzer string  `json:"analyzer"`
-	WallMS   float64 `json:"wall_ms"`
 }
 
 func main() {
 	list := flag.Bool("list", false, "print the registered analyzers and exit")
 	asJSON := flag.Bool("json", false, "emit findings as a JSON report on stdout")
-	verbose := flag.Bool("v", false, "print per-analyzer wall time to stderr")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: tapslint [-list] [-json] [-v] [packages...]\n")
+			"usage: tapslint [-list] [-json] [packages...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -82,21 +74,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	loadFailed := false
-	for _, pkg := range pkgs {
-		for _, e := range pkg.Errs {
-			loadFailed = true
-			fmt.Fprintf(os.Stderr, "tapslint: %s: %v\n", pkg.Path, e)
-		}
-	}
-
-	diags, timings := lint.RunWithTimings(pkgs, analyzers)
-	if *verbose {
-		for _, t := range timings {
-			fmt.Fprintf(os.Stderr, "tapslint: %-14s %8.1fms\n", t.Name,
-				float64(t.Wall.Microseconds())/1000)
-		}
-	}
+	diags := lint.Run(pkgs, analyzers)
 
 	// relName maps a diagnostic's absolute filename to the module-root-
 	// relative slash form it is displayed in.
@@ -116,14 +94,9 @@ func main() {
 	}
 
 	if *asJSON {
-		rep := jsonReport{Findings: findings}
-		for _, t := range timings {
-			rep.Timings = append(rep.Timings, jsonTiming{
-				Analyzer: t.Name, WallMS: float64(t.Wall.Microseconds()) / 1000})
-		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
+		if err := enc.Encode(jsonReport{Findings: findings}); err != nil {
 			fmt.Fprintln(os.Stderr, "tapslint:", err)
 			os.Exit(2)
 		}
@@ -133,10 +106,7 @@ func main() {
 		}
 	}
 
-	switch {
-	case loadFailed:
-		os.Exit(2)
-	case len(findings) > 0:
+	if len(findings) > 0 {
 		os.Exit(1)
 	}
 }

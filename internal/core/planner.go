@@ -52,7 +52,9 @@ type Planner struct {
 // evaluation is one simtime.FirstFit sweep over sets into taken, so the
 // steady-state loop performs no allocations. best double-buffers with
 // taken — when a candidate becomes the best so far the two are swapped,
-// which keeps the winning slices without copying.
+// which keeps the winning slices without copying. Both are rewritten by the
+// next evaluation, so planOne publishes a Clone of best;
+// TestPlanSlicesSurviveNextPass guards that.
 type evalScratch struct {
 	sets  []simtime.IntervalSet // per-link occupancy views of one path
 	taken simtime.IntervalSet   // first-E-units allocation of the last sweep

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -101,6 +102,27 @@ func TestPropPlanSlicesCoverRequest(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPlanSlicesSurviveNextPass guards the planner's scratch-arena
+// contract: the slices a pass returns are the caller's, so a later pass on
+// the same Planner (same arena) must not rewrite them.
+func TestPlanSlicesSurviveNextPass(t *testing.T) {
+	g, r := fatTree4()
+	hosts := g.Hosts()
+	p := &core.Planner{Graph: g, Routing: r, MaxPaths: 4}
+	rng := rand.New(rand.NewSource(7))
+	first := p.PlanAll(0, randReqs(rng, hosts, 20))
+	want := make([][]simtime.Interval, len(first))
+	for i, e := range first {
+		want[i] = slices.Clone(e.Slices.Intervals())
+	}
+	p.PlanAll(100, randReqs(rng, hosts, 20))
+	for i, e := range first {
+		if !slices.Equal(e.Slices.Intervals(), want[i]) {
+			t.Fatalf("entry %d slices changed by the next pass: %v, want %v", i, e.Slices.Intervals(), want[i])
+		}
 	}
 }
 

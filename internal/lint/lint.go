@@ -5,8 +5,9 @@
 // that are bit-identical across runs and across the sequential/parallel
 // evaluation modes — only survives refactoring if nobody reintroduces
 // wall-clock reads, unseeded global randomness, order-dependent map
-// iteration, or scratch-arena aliasing into the hot paths. The analyzers
-// registered here (see All) turn those conventions into CI failures.
+// iteration, inconsistent lock order, unhandled record kinds, or
+// allocations into the hot paths. The analyzers registered here (see All)
+// turn those conventions into CI failures.
 //
 // Individual findings are silenced with a directive comment on the
 // offending line (or the line directly above it):
@@ -26,7 +27,6 @@ import (
 	"go/types"
 	"slices"
 	"strings"
-	"time"
 )
 
 // Diagnostic is one finding: a position, the check that produced it, and a
@@ -144,27 +144,12 @@ func collectDirectives(pkg *Package) directiveIndex {
 	return ix
 }
 
-// Timing is one analyzer's accumulated wall time across a lint.Run sweep
-// (all packages it opted into). Reported by tapslint -v.
-type Timing struct {
-	Name string
-	Wall time.Duration
-}
-
 // Run applies every analyzer to every package it opts into and returns all
 // surviving diagnostics sorted by position — the full cross-package sweep,
 // never stopping at the first finding, so one tapslint run shows
 // everything there is to fix.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunWithTimings(pkgs, analyzers)
-	return diags
-}
-
-// RunWithTimings is Run plus per-analyzer wall time, in analyzer order.
-func RunWithTimings(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Timing) {
-	timings := make([]Timing, len(analyzers))
-	for i, a := range analyzers {
-		timings[i].Name = a.Name
+	for _, a := range analyzers {
 		if a.Reset != nil {
 			a.Reset()
 		}
@@ -172,11 +157,10 @@ func RunWithTimings(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Tim
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		allow := collectDirectives(pkg)
-		for i, a := range analyzers {
+		for _, a := range analyzers {
 			if a.AppliesTo != nil && !a.AppliesTo(pkg.Path) {
 				continue
 			}
-			start := time.Now()
 			a.Run(&Pass{
 				Analyzer: a,
 				Fset:     pkg.Fset,
@@ -186,7 +170,6 @@ func RunWithTimings(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Tim
 				allow:    allow,
 				diags:    &diags,
 			})
-			timings[i].Wall += time.Since(start)
 		}
 	}
 	slices.SortFunc(diags, func(a, b Diagnostic) int {
@@ -201,13 +184,13 @@ func RunWithTimings(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []Tim
 		}
 		return cmp.Compare(a.Check, b.Check)
 	})
-	return diags, timings
+	return diags
 }
 
 // All returns the registered analyzer set, in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Wallclock, GlobalRand, MapOrder, ScratchEscape,
-		LockOrder, KindExhaustive, HotPathAlloc}
+	return []*Analyzer{Wallclock, GlobalRand, MapOrder, LockOrder,
+		KindExhaustive, HotPathAlloc}
 }
 
 // testdataPrefix marks the lint fixtures: scoped analyzers always opt into

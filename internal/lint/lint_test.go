@@ -2,8 +2,12 @@ package lint
 
 import (
 	"go/token"
+	"go/types"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -31,11 +35,6 @@ func runFixture(t *testing.T, a *Analyzer, fixture string) {
 	pkgs, err := loader.Load("./testdata/" + fixture)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, pkg := range pkgs {
-		for _, e := range pkg.Errs {
-			t.Fatalf("fixture %s does not type-check: %v", fixture, e)
-		}
 	}
 
 	wants := make(map[wantKey][]string)
@@ -87,7 +86,6 @@ func runFixture(t *testing.T, a *Analyzer, fixture string) {
 func TestWallclockFixture(t *testing.T)      { runFixture(t, Wallclock, "wallclock") }
 func TestGlobalRandFixture(t *testing.T)     { runFixture(t, GlobalRand, "globalrand") }
 func TestMapOrderFixture(t *testing.T)       { runFixture(t, MapOrder, "maporder") }
-func TestScratchEscapeFixture(t *testing.T)  { runFixture(t, ScratchEscape, "scratchescape") }
 func TestLockOrderFixture(t *testing.T)      { runFixture(t, LockOrder, "lockorder") }
 func TestKindExhaustiveFixture(t *testing.T) { runFixture(t, KindExhaustive, "kindexhaustive") }
 func TestHotPathAllocFixture(t *testing.T)   { runFixture(t, HotPathAlloc, "hotpathalloc") }
@@ -105,12 +103,7 @@ func TestKindExhaustiveCatchesNewKind(t *testing.T) {
 	loader.Tags = []string{"taps_regress_newkind"}
 	pkgs, err := loader.Load("../obs/declog")
 	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pkg := range pkgs {
-		for _, e := range pkg.Errs {
-			t.Fatalf("declog with regression kind does not type-check: %v", e)
-		}
+		t.Fatalf("declog with regression kind does not load: %v", err)
 	}
 	hits := 0
 	for _, d := range Run(pkgs, []*Analyzer{KindExhaustive}) {
@@ -163,6 +156,85 @@ func TestTreeExpansionSkipsTestdata(t *testing.T) {
 	}
 }
 
+// TestTreeMatchesGoList pins the loader to the go tool: ./... loads
+// exactly the packages `go list ./...` prints, each with exactly its
+// non-test GoFiles.
+func TestTreeMatchesGoList(t *testing.T) {
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.Load("./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command("go", "list", "-f", "{{.ImportPath}}:{{join .GoFiles \",\"}}", "./...").Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Fields(string(out))
+	var got []string
+	for _, pkg := range pkgs {
+		var names []string
+		for _, f := range pkg.Files {
+			names = append(names, filepath.Base(pkg.Fset.Position(f.Pos()).Filename))
+		}
+		got = append(got, pkg.Path+":"+strings.Join(names, ","))
+	}
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("Load(./...) =\n%s\ngo list ./... =\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestImportsShareTypes guards the identity lockorder's module-wide graph
+// relies on: a module package imported by another package of the same
+// Load is the very *types.Package that Load checked, not a second copy.
+func TestImportsShareTypes(t *testing.T) {
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.Load("../core", "../simtime")
+	if err != nil {
+		t.Fatal(err)
+	}
+	byPath := make(map[string]*Package)
+	for _, pkg := range pkgs {
+		byPath[pkg.Path] = pkg
+	}
+	core, simtime := byPath["taps/internal/core"], byPath["taps/internal/simtime"]
+	if core == nil || simtime == nil {
+		t.Fatalf("Load returned %d packages, want core and simtime", len(pkgs))
+	}
+	i := slices.IndexFunc(core.Types.Imports(), func(p *types.Package) bool { return p.Path() == simtime.Path })
+	if i < 0 {
+		t.Fatal("core does not import simtime")
+	}
+	if core.Types.Imports()[i] != simtime.Types {
+		t.Error("core's simtime import is not the *types.Package Load returned for simtime")
+	}
+}
+
+// TestLoadErrors: a pattern that matches nothing and a package that does
+// not type-check both fail the load, the latter naming file:line.
+func TestLoadErrors(t *testing.T) {
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loader.Load("./does/not/exist"); err == nil {
+		t.Error("Load(./does/not/exist) succeeded")
+	}
+	_, err = loader.Load("./testdata/broken")
+	if err == nil {
+		t.Fatal("Load(./testdata/broken) succeeded")
+	}
+	if !strings.Contains(err.Error(), "broken.go:6:") {
+		t.Errorf("Load(./testdata/broken) error does not name broken.go:6: %v", err)
+	}
+}
+
 // TestDirectiveGrammar exercises the comma-separated multi-check form and
 // rationale text without going through a fixture package.
 func TestDirectiveGrammar(t *testing.T) {
@@ -198,7 +270,7 @@ func TestAnalyzerSetStable(t *testing.T) {
 		}
 	}
 	got := strings.Join(names, " ")
-	want := "wallclock globalrand maporder scratchescape lockorder kindexhaustive hotpathalloc"
+	want := "wallclock globalrand maporder lockorder kindexhaustive hotpathalloc"
 	if got != want {
 		t.Errorf("All() = %q, want %q", got, want)
 	}

@@ -4,7 +4,7 @@ package declog
 
 // KindRegress simulates "record kind 13 added without replayer handling".
 // The file is compiled only under the taps_regress_newkind build tag
-// (tapslint's Loader.Tags option); internal/lint's
+// (`go list -tags`, via Loader.Tags); internal/lint's
 // TestKindExhaustiveCatchesNewKind loads this package with the tag set and
 // asserts that the kindexhaustive analyzer flags encodeRecord's and the
 // replayer's Kind switches the moment a constant exists that they do not

@@ -249,17 +249,19 @@ func formatFloat(v float64) string {
 
 // Summary is the end-of-run decision/latency digest.
 type Summary struct {
-	Admitted    uint64
-	Rejected    uint64
-	Preempted   uint64
-	Replans     uint64
-	Missed      uint64
-	LinksDown   uint64
-	PlannerP50  float64 // milliseconds
-	PlannerP95  float64
-	PlannerP99  float64
-	PlannerMax  float64
-	PlannerMean float64
+	Admitted  uint64
+	Rejected  uint64
+	Preempted uint64
+	Replans   uint64
+	Missed    uint64
+	LinksDown uint64
+
+	PlannerSamples uint64
+	PlannerP50     float64 // milliseconds
+	PlannerP95     float64
+	PlannerP99     float64
+	PlannerMax     float64
+	PlannerMean    float64
 }
 
 // Summarize extracts the digest counters and latency quantiles.
@@ -270,17 +272,18 @@ func (r *Recorder) Summarize() Summary {
 	h := r.PlannerLatency()
 	toMs := func(d float64) float64 { return d / 1e6 }
 	return Summary{
-		Admitted:    r.Count(KindTaskAdmitted),
-		Rejected:    r.Count(KindTaskRejected),
-		Preempted:   r.Count(KindTaskPreempted),
-		Replans:     r.Count(KindReplan),
-		Missed:      r.Count(KindDeadlineMissed),
-		LinksDown:   r.Count(KindLinkDown),
-		PlannerP50:  toMs(float64(h.Quantile(0.50))),
-		PlannerP95:  toMs(float64(h.Quantile(0.95))),
-		PlannerP99:  toMs(float64(h.Quantile(0.99))),
-		PlannerMax:  toMs(float64(h.Max())),
-		PlannerMean: toMs(float64(h.Mean())),
+		Admitted:       r.Count(KindTaskAdmitted),
+		Rejected:       r.Count(KindTaskRejected),
+		Preempted:      r.Count(KindTaskPreempted),
+		Replans:        r.Count(KindReplan),
+		Missed:         r.Count(KindDeadlineMissed),
+		LinksDown:      r.Count(KindLinkDown),
+		PlannerSamples: h.Count(),
+		PlannerP50:     toMs(float64(h.Quantile(0.50))),
+		PlannerP95:     toMs(float64(h.Quantile(0.95))),
+		PlannerP99:     toMs(float64(h.Quantile(0.99))),
+		PlannerMax:     toMs(float64(h.Max())),
+		PlannerMean:    toMs(float64(h.Mean())),
 	}
 }
 
@@ -298,9 +301,9 @@ func (r *Recorder) SummaryText(linkName func(int32) string) string {
 		s.Admitted, s.Rejected, s.Preempted)
 	fmt.Fprintf(&b, "runtime:   %d replans, %d deadline misses, %d link failures\n",
 		s.Replans, s.Missed, s.LinksDown)
-	if h := r.PlannerLatency(); h.Count() > 0 {
+	if s.PlannerSamples > 0 {
 		fmt.Fprintf(&b, "planner latency (%d samples): p50=%.3fms p95=%.3fms p99=%.3fms max=%.3fms mean=%.3fms\n",
-			h.Count(), s.PlannerP50, s.PlannerP95, s.PlannerP99, s.PlannerMax, s.PlannerMean)
+			s.PlannerSamples, s.PlannerP50, s.PlannerP95, s.PlannerP99, s.PlannerMax, s.PlannerMean)
 	}
 	type linkRow struct {
 		id   int32

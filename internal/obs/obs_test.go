@@ -279,6 +279,11 @@ func TestSummaryText(t *testing.T) {
 	if s.PlannerP50 <= 0 {
 		t.Fatalf("p50 = %g", s.PlannerP50)
 	}
+	r.ObservePlanner(2 * time.Millisecond)
+	text, s = r.SummaryText(nil), r.Summarize()
+	if s.PlannerSamples != 2 || !strings.Contains(text, "planner latency ("+strconv.FormatUint(s.PlannerSamples, 10)+" samples)") {
+		t.Fatalf("summary prints a sample count other than Summarize's %d:\n%s", s.PlannerSamples, text)
+	}
 }
 
 func TestRecorderConcurrency(t *testing.T) {
