@@ -26,7 +26,6 @@ import (
 	"os/signal"
 
 	"taps/internal/netctl"
-	"taps/internal/obs"
 	"taps/internal/topology"
 )
 
@@ -41,8 +40,7 @@ func main() {
 		n       = flag.Int("n", 4, "bcube: n")
 		speedup = flag.Float64("speedup", 1, "virtual µs per real µs")
 		paths   = flag.Int("paths", 16, "candidate path cap")
-		httpAt  = flag.String("http", "", "serve GET /status, /metrics, /events and /healthz on this address (empty: off)")
-		eventsF = flag.String("events", "", "stream decision events as JSONL to this file")
+		httpAt  = flag.String("http", "", "serve GET /status, /metrics, /declog and /healthz on this address (empty: off)")
 		declogF = flag.String("declog", "", "write-ahead decision log file (reopening an existing log recovers controller state)")
 		replayF = flag.String("replay", "", "offline mode: replay this decision log instead of serving")
 		untilF  = flag.Int64("until", 0, "replay: materialize state as of this virtual time in µs (0: end of log)")
@@ -69,44 +67,18 @@ func main() {
 		MaxPaths: *paths,
 		Logf:     log.Printf,
 	})
-	var eventsFile *os.File
-	if *eventsF != "" {
-		eventsFile, err = os.Create(*eventsF)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tapsctl:", err)
-			os.Exit(1)
-		}
-		ctl.Recorder().AddSink(obs.JSONLSink(eventsFile))
-	}
 	if *declogF != "" {
 		if err := ctl.EnableDecisionLog(*declogF); err != nil {
 			fmt.Fprintln(os.Stderr, "tapsctl:", err)
 			os.Exit(1)
 		}
 	}
-	// shutdown flushes everything durable: Close syncs and closes the
-	// decision log, and the events file is closed only after the
-	// controller (its last writer) is down. Called on both exit paths, so
-	// the SIGINT path cannot drop a buffered tail.
-	shutdown := func() {
-		if err := ctl.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "tapsctl:", err)
-		}
-		if eventsFile != nil {
-			if err := eventsFile.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "tapsctl:", err)
-			}
-		}
-	}
-	// On interrupt, print the decision/latency digest before exiting.
+	// An interrupt closes the controller, which makes Serve return nil.
 	go func() {
 		ch := make(chan os.Signal, 1)
 		signal.Notify(ch, os.Interrupt)
 		<-ch
-		fmt.Fprint(os.Stderr, ctl.Recorder().SummaryText(nil))
-		fmt.Fprint(os.Stderr, ctl.LoadSummaryText())
-		shutdown()
-		os.Exit(0)
+		ctl.Close()
 	}()
 	if *httpAt != "" {
 		go func() {
@@ -119,10 +91,17 @@ func main() {
 	log.Printf("tapsctl: %s topology, %d hosts, listening on %s (speedup %gx)",
 		*topo, len(g.Hosts()), *listen, *speedup)
 	err = ctl.Serve(*listen)
-	shutdown()
+	// Close syncs and closes the decision log; when the interrupt got there
+	// first it waits for that call to finish, so the digest below counts
+	// every decision made.
+	if cerr := ctl.Close(); cerr != nil {
+		fmt.Fprintln(os.Stderr, "tapsctl:", cerr)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Fprint(os.Stderr, ctl.Recorder().SummaryText())
+	fmt.Fprint(os.Stderr, ctl.LoadSummaryText())
 }
 
 func buildTopology(topo string, pods, racks, hosts, k, n int) (*topology.Graph, topology.Routing, error) {

@@ -23,6 +23,7 @@ import (
 	"taps/internal/experiments"
 	"taps/internal/metrics"
 	"taps/internal/obs"
+	"taps/internal/obs/declog"
 	"taps/internal/sim"
 	"taps/internal/simtime"
 	"taps/internal/topology"
@@ -38,9 +39,7 @@ func main() {
 		seedsFlag = flag.Int("seeds", 0, "average every sweep point over this many consecutive seeds")
 		outFlag   = flag.String("o", "", "write output to this file instead of stdout")
 		formatF   = flag.String("format", "table", "sweep output format: table, csv, json, chart")
-		obsFlag   = flag.Bool("obs", false, "record controller decisions and runtime metrics; print a summary at exit")
-		eventsF   = flag.String("events", "", "stream decision events as JSONL to this file (implies -obs)")
-		verboseF  = flag.Bool("v", false, "stream decision events to stderr as they happen (implies -obs)")
+		obsFlag   = flag.Bool("obs", false, "count controller decisions and time the planners; print a summary at exit")
 		traceF    = flag.String("trace", "", "run one TAPS simulation at the scale's §V-A point with causal span tracing and write Chrome trace_event JSON to this file (skips -fig)")
 		whyF      = flag.String("why", "", "run one TAPS simulation at the scale's §V-A point and explain this task's fate (a task ID, or \"rejected\" for the first discarded task; skips -fig)")
 		declogF   = flag.String("declog", "", "run one TAPS simulation at the scale's §V-A point and write the binary decision log (flight recording) to this file, for tapsctl -replay (skips -fig)")
@@ -58,19 +57,8 @@ func main() {
 	}
 
 	var rec *obs.Recorder
-	if *obsFlag || *eventsF != "" || *verboseF {
-		rec = obs.NewRecorder(obs.Options{})
-		if *eventsF != "" {
-			f, err := os.Create(*eventsF)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			rec.AddSink(obs.JSONLSink(f))
-		}
-		if *verboseF {
-			rec.AddSink(func(ev obs.Event) { fmt.Fprintln(os.Stderr, obs.FormatEvent(ev)) })
-		}
+	if *obsFlag {
+		rec = obs.NewRecorder()
 		experiments.Observe(rec)
 	}
 
@@ -137,7 +125,7 @@ func main() {
 			fig, time.Since(start).Round(time.Millisecond), scale.Name, scale.Seed)
 	}
 	if rec != nil {
-		fmt.Fprint(out, rec.SummaryText(nil))
+		fmt.Fprint(out, rec.SummaryText())
 	}
 }
 
@@ -224,7 +212,7 @@ func writeReports(out io.Writer, scale experiments.Scale, schedulers []string, r
 	})
 	for _, name := range schedulers {
 		eng := sim.New(g, cr, experiments.NewScheduler(name), specs, sim.Config{
-			RecordSegments: true, MaxTime: simtime.Time(4e12), Obs: rec,
+			RecordSegments: true, MaxTime: simtime.Time(4e12), Sink: declog.Sink{Obs: rec},
 		})
 		res, err := eng.Run()
 		if err != nil {

@@ -71,12 +71,12 @@ type DataPlane interface {
 //
 // A Kernel is not safe for concurrent use.
 type Kernel struct {
-	// Obs, when non-nil, receives the decision events and what each
-	// planning pass cost. Sink, when on, receives the decision records —
-	// Replan, Attr, Reject/Preempt/Admit, Commit — once each, for the
-	// durable log and the span tree alike; an adapter that reports the
-	// lifecycle around them shares the same sink. Nil keeps the planning
-	// path free of recording work.
+	// Obs, when non-nil, receives what each planning pass cost in wall-clock
+	// time. Sink, when on, receives the decision records — Replan, Attr,
+	// Reject/Preempt/Admit, Commit — once each, for the durable log, the
+	// span tree and the decision counters alike; an adapter that reports
+	// the lifecycle around them shares the same sink. Nil keeps the
+	// planning path free of recording work.
 	Obs  *obs.Recorder
 	Sink *declog.Sink
 
@@ -217,7 +217,6 @@ func (k *Kernel) TaskArrived(now simtime.Time, task int64, deadline simtime.Time
 	k.commit(now, entries)
 	if decision != RejectNew {
 		k.Sink.Emit(&declog.Record{Kind: declog.KindAdmit, Time: now, Task: task})
-		k.Obs.Record(obs.Event{Time: now, Kind: obs.KindTaskAdmitted, Task: task})
 	}
 	return decision, victim
 }
@@ -340,11 +339,7 @@ func (k *Kernel) plan(now simtime.Time, kind span.ReplanKind, trigger int64) []P
 	entries := k.planner.PlanAll(now, k.reqs)
 	tried := k.planner.PathsTried() - paths
 	if k.Obs != nil {
-		k.Obs.Record(obs.Event{
-			Time: now, Kind: obs.KindReplan, Task: obs.NoTask,
-			Flows: int32(len(k.order)), PathsTried: tried,
-			Duration: sw.Elapsed(),
-		})
+		k.Obs.ObservePlanner(sw.Elapsed())
 	}
 	if k.Sink.On() {
 		k.Sink.Emit(&declog.Record{Kind: declog.KindReplan, Time: now, Replan: &span.ReplanSpan{

@@ -137,7 +137,7 @@ func (p *enginePlane) Remaining(f *Flow, _ simtime.Time) float64 {
 }
 
 // Discard kills the task's flows; the engine dispatches the hook and
-// event matching a rejected newcomer or a preempted victim.
+// terminal record matching a rejected newcomer or a preempted victim.
 func (p *enginePlane) Discard(_ simtime.Time, task, by int64) {
 	if by == span.NoTask {
 		p.st.KillTask(sim.TaskID(task), reasonRejected)
@@ -174,10 +174,10 @@ func (s *Scheduler) Replans() int { return s.k.Replans() }
 // stays until the benchmark harness stops reading it.
 func (s *Scheduler) FastAdmits() int { return 0 }
 
-// SetRecorder attaches an observability recorder: every admit and re-plan
-// decision is recorded, with wall-clock planning latency.
-// A nil recorder (the default) disables recording and restores the
-// uninstrumented hot path.
+// SetRecorder attaches an observability recorder for the wall-clock
+// latency of every planning pass; the decisions themselves are counted by
+// the sink (SetSink). A nil recorder (the default) disables timing and
+// restores the uninstrumented hot path.
 func (s *Scheduler) SetRecorder(r *obs.Recorder) { s.k.Obs = r }
 
 // SetSink implements sim.SinkUser: the engine hands over the sink it

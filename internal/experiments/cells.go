@@ -25,9 +25,6 @@ import (
 // the error a sequential loop stops at: indices are handed out in
 // increasing order, so that cell always runs. Once any cell has failed no
 // further cell is handed out.
-//
-// With a recorder attached (Observe) one worker runs every cell, in index
-// order, so the event stream keeps the order of a sequential run.
 func runCells[T any](n int, r topology.Routing, cell func(r topology.Routing, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	errs := make([]error, n)
@@ -46,9 +43,6 @@ func runCells[T any](n int, r topology.Routing, cell func(r topology.Routing, i 
 		}
 	}
 	workers := min(runtime.GOMAXPROCS(0), n)
-	if recorder != nil {
-		workers = min(1, n)
-	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

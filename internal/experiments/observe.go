@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"taps/internal/core"
 	"taps/internal/obs"
 	"taps/internal/sched"
 	"taps/internal/sim"
@@ -14,29 +13,17 @@ import (
 // itself is safe for concurrent runs.
 var recorder *obs.Recorder
 
-// Observe routes decision events, planner latency, and link-utilization
-// samples from every subsequent experiment run into r. Pass nil to turn
-// recording back off. While a recorder is attached the drivers run their
-// cells one after another (runCells), so the event stream is ordered.
+// Observe routes decision counts and planner latency from every
+// subsequent experiment run into r. Pass nil to turn recording back off.
 func Observe(r *obs.Recorder) { recorder = r }
 
-// instrument attaches the active recorder to a freshly built scheduler:
-// TAPS records from inside its planner (replans, fast admissions), every
-// other scheduler is wrapped so its admissions and Rates latency are
-// recorded the same way.
-func instrument(s sim.Scheduler) sim.Scheduler {
-	if recorder == nil {
-		return s
-	}
-	if t, ok := s.(*core.Scheduler); ok {
-		t.SetRecorder(recorder)
-		return t
-	}
-	return sched.Observe(s, recorder)
-}
+// instrument attaches the active recorder to a freshly built scheduler
+// (sched.Observe).
+func instrument(s sim.Scheduler) sim.Scheduler { return sched.Observe(s, recorder) }
 
-// simConfig attaches the active recorder to an engine configuration.
+// simConfig points an engine configuration's sink at the active recorder,
+// which tallies the decisions the engine and the scheduler report.
 func simConfig(cfg sim.Config) sim.Config {
-	cfg.Obs = recorder
+	cfg.Sink.Obs = recorder
 	return cfg
 }

@@ -15,7 +15,7 @@ import (
 //   - appends to a slice declared outside the loop (element order = map
 //     order) — exempt when a later statement in the same block sorts that
 //     slice, the collect-then-sort idiom;
-//   - emits observability events (Recorder.Record) or writes formatted
+//   - calls a method named Record (an event emitter) or writes formatted
 //     output (fmt print family), which serializes in map order;
 //   - unconditionally assigns a range variable to an outer variable (the
 //     "pick an element" idiom — a map-order-dependent tie-break unless the

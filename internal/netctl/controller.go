@@ -59,21 +59,18 @@ func (p ctlPlane) Remaining(f *core.Flow, now simtime.Time) float64 {
 }
 
 // Discard closes the books on a task the reject rule discarded: terminal
-// records for the task and its flows, the event, the ledger. Runs inside
-// a decision, so c.mu is held.
+// records for the task and its flows, the ledger. Runs inside a decision,
+// so c.mu is held.
 func (p ctlPlane) Discard(now simtime.Time, task, by int64) {
 	c := p.c
 	outcome, reason, note := span.OutcomeRejected, "reject rule", "task rejected"
-	ev := obs.Event{Time: now, Kind: obs.KindTaskRejected, Task: task, Reason: reason}
 	if by != span.NoTask {
 		outcome, reason, note = span.OutcomePreempted, fmt.Sprintf("preempted by task %d", by), "task preempted"
-		ev.Kind, ev.Fraction, ev.Reason = obs.KindTaskPreempted, c.kernel.Fraction(task), "preempted"
 	}
 	c.sink.Emit(&declog.Record{Kind: declog.KindTaskEnd, Time: now, Task: task, Outcome: outcome, Reason: reason})
 	for _, f := range c.kernel.Flows(task) {
 		c.sink.Emit(&declog.Record{Kind: declog.KindFlowEnd, Time: now, Flow: int64(f.Key), Reason: note})
 	}
-	c.obs.Record(ev)
 	c.accepted[task] = false
 }
 
@@ -85,8 +82,8 @@ type Controller struct {
 	epoch time.Time
 	obs   *obs.Recorder
 	// sink is where the controller and its kernel, which shares it, report
-	// every decision and lifecycle record: the span recorder is always on,
-	// the log is attached by EnableDecisionLog.
+	// every decision and lifecycle record: the span recorder and the obs
+	// tally are always on, the log is attached by EnableDecisionLog.
 	sink declog.Sink
 
 	load *loadStats
@@ -117,12 +114,13 @@ type Controller struct {
 // NewController builds a controller for the topology.
 func NewController(g *topology.Graph, r topology.Routing, cfg ControllerConfig) *Controller {
 	cfg = cfg.withDefaults()
+	rec := obs.NewRecorder()
 	c := &Controller{
 		cfg:      cfg,
 		graph:    g,
 		epoch:    time.Now(), //taps:allow wallclock real controller: the virtual clock is anchored to a wall-clock epoch
-		obs:      obs.NewRecorder(obs.Options{}),
-		sink:     declog.Sink{Spans: span.NewRecorder()},
+		obs:      rec,
+		sink:     declog.Sink{Spans: span.NewRecorder(), Obs: rec},
 		load:     newLoadStats(),
 		agents:   make(map[*codec]HelloMsg),
 		accepted: make(map[int64]bool),
@@ -145,8 +143,8 @@ func NewController(g *topology.Graph, r topology.Routing, cfg ControllerConfig) 
 func (c *Controller) SpanRecorder() *span.Recorder { return c.sink.Spans }
 
 // Recorder returns the controller's always-on observability recorder:
-// decision events, planner latency, and the data behind /metrics and
-// /events. Attach sinks (obs.JSONLSink) before Serve.
+// decision counts, planner and fsync latency, and decision-log health —
+// the data behind /metrics.
 func (c *Controller) Recorder() *obs.Recorder { return c.obs }
 
 // DecisionLog returns the attached decision-log writer (nil unless
@@ -243,11 +241,17 @@ func (c *Controller) Serve(addr string) error {
 	return c.ServeListener(l)
 }
 
-// ServeListener accepts agents on l until Close.
+// ServeListener accepts agents on l until Close. Called after Close, it
+// only closes l.
 func (c *Controller) ServeListener(l net.Listener) error {
 	c.mu.Lock()
 	c.listener = l
+	closing := c.closing
 	c.mu.Unlock()
+	if closing {
+		// Close ran before l was registered, so it cannot have closed it.
+		return l.Close()
+	}
 	for {
 		conn, err := l.Accept()
 		if err != nil {

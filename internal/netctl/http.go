@@ -89,13 +89,6 @@ func (c *Controller) status() Status {
 	return st
 }
 
-// EventsPage is the response document of GET /events: one page of decision
-// events plus the cursor to request the next page (pass it back as ?since=).
-type EventsPage struct {
-	Events  []obs.Event `json:"events"`
-	LastSeq uint64      `json:"last_seq"`
-}
-
 // HTTPHandler returns a monitoring handler:
 //
 //	GET /status          -> Status JSON
@@ -106,9 +99,7 @@ type EventsPage struct {
 //	                        declog backlog, goroutine/GC stats
 //	GET /metrics         -> Prometheus text exposition (build info,
 //	                        decision counters, replan-latency histogram,
-//	                        link gauges, per-stage latency sketches)
-//	GET /events?since=N  -> EventsPage JSON: events with Seq > N
-//	                        (&limit=M caps the page size, default 256)
+//	                        decision-log health, per-stage latency sketches)
 //	GET /trace           -> Chrome trace_event JSON of the causal span
 //	                        tree (open in Perfetto / chrome://tracing)
 //	GET /why?task=N      -> plain-text causal explanation of task N's
@@ -155,8 +146,7 @@ func (c *Controller) HTTPHandler() http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		linkName := func(l int32) string { return c.graph.Link(topology.LinkID(l)).Name }
-		if err := obs.WritePrometheus(w, c.obs, linkName); err != nil {
+		if err := obs.WritePrometheus(w, c.obs); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
@@ -164,35 +154,6 @@ func (c *Controller) HTTPHandler() http.Handler {
 		if err := sketch.WritePrometheus(w, "taps_ctl_stage_seconds",
 			"Controller admission-path latency by stage.", "stage",
 			c.stageLabeled(), now); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("GET /events", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		since, err := parseUintParam(q.Get("since"), 0)
-		if err != nil {
-			http.Error(w, "bad since: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		limit, err := parseUintParam(q.Get("limit"), 256)
-		if err != nil {
-			http.Error(w, "bad limit: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		page := EventsPage{Events: c.obs.Events(since, int(limit))}
-		if n := len(page.Events); n > 0 {
-			page.LastSeq = page.Events[n-1].Seq
-		} else {
-			// Empty page: resync the cursor to the recorder's current
-			// sequence instead of echoing `since` back. A cursor ahead of
-			// the recorder (stale client state from a previous controller
-			// incarnation, or a typo'd ?since=) would otherwise be echoed
-			// forever and the client would never advance.
-			page.LastSeq = c.obs.Seq()
-			page.Events = []obs.Event{} // "[]", not "null"
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(page); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})

@@ -48,6 +48,19 @@ func dial(t *testing.T, addr, name string, host topology.NodeID) *netctl.Agent {
 	return a
 }
 
+// TestServeAfterCloseReturns: a Close that lands before Serve has bound
+// (an interrupt during start-up) still makes Serve return.
+func TestServeAfterCloseReturns(t *testing.T) {
+	g, r := topology.PartialFatTree(topology.PaperTestbed())
+	ctl := netctl.NewController(g, r, netctl.ControllerConfig{})
+	if err := ctl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.Serve("127.0.0.1:0"); err != nil {
+		t.Fatalf("serve after close: %v", err)
+	}
+}
+
 func TestSingleTaskOverTCP(t *testing.T) {
 	ctl, addr, g := startController(t)
 	hosts := g.Hosts()

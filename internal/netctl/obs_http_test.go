@@ -1,15 +1,19 @@
 package netctl_test
 
 import (
-	"encoding/json"
+	"bytes"
 	"io"
 	"net/http/httptest"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"taps/internal/netctl"
 	"taps/internal/obs"
+	"taps/internal/obs/declog"
+	"taps/internal/obs/span"
 	"taps/internal/simtime"
 )
 
@@ -79,167 +83,77 @@ func TestHTTPMetricsEndpoint(t *testing.T) {
 	a.WaitLocalFlows()
 }
 
-func TestHTTPEventsPagination(t *testing.T) {
-	ctl, addr, g := startController(t)
+// TestHTTPDeclogPaging pages through the decision log the way a client
+// tails it: GET /declog?off=N returns the bytes from N on, so a reader that
+// resumes at the length it already holds sees every record exactly once,
+// and the records it decodes tally to the controller's own counters.
+func TestHTTPDeclogPaging(t *testing.T) {
+	ctl, addr, g := startControllerWithLog(t, filepath.Join(t.TempDir(), "ctl.dlg"))
 	hosts := g.Hosts()
 	a := dial(t, addr, "a", hosts[0])
+	srv := httptest.NewServer(ctl.HTTPHandler())
+	defer srv.Close()
+	get := func(query string, wantStatus int) []byte {
+		t.Helper()
+		resp, err := srv.Client().Get(srv.URL + "/declog?" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != wantStatus {
+			t.Fatalf("/declog?%s = %d, want %d", query, resp.StatusCode, wantStatus)
+		}
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+
+	var log []byte
 	for i := 0; i < 3; i++ {
 		if err := a.SubmitTask(int64(i+1), 500*simtime.Millisecond, []netctl.FlowInfo{
 			{ID: uint64(10 + i), Src: hosts[0], Dst: hosts[5+i%3], Size: 100_000},
 		}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// 3 probes → 3 replan + 3 admitted events, seq 1..6.
-	if got := ctl.Recorder().Seq(); got != 6 {
-		t.Fatalf("recorder seq = %d, want 6", got)
-	}
-
-	srv := httptest.NewServer(ctl.HTTPHandler())
-	defer srv.Close()
-	getPage := func(since uint64, limit int) netctl.EventsPage {
-		t.Helper()
-		url := srv.URL + "/events?since=" + strconv.FormatUint(since, 10) +
-			"&limit=" + strconv.Itoa(limit)
-		resp, err := srv.Client().Get(url)
-		if err != nil {
-			t.Fatal(err)
+		page := get("off="+strconv.Itoa(len(log)), 200)
+		if len(page) == 0 {
+			t.Fatalf("task %d: empty page at off=%d", i+1, len(log))
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("events = %d", resp.StatusCode)
-		}
-		var page netctl.EventsPage
-		if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
-			t.Fatal(err)
-		}
-		return page
+		log = append(log, page...)
 	}
-
-	var all []obs.Event
-	since := uint64(0)
-	for pages := 0; pages < 10; pages++ {
-		page := getPage(since, 4)
-		if len(page.Events) == 0 {
-			break
-		}
-		all = append(all, page.Events...)
-		since = page.LastSeq
-	}
-	if len(all) != 6 {
-		t.Fatalf("paged through %d events, want 6", len(all))
-	}
-	for i, ev := range all {
-		if ev.Seq != uint64(i+1) {
-			t.Fatalf("event %d has seq %d", i, ev.Seq)
-		}
-	}
-	admitted := 0
-	for _, ev := range all {
-		if ev.Kind == obs.KindTaskAdmitted {
-			admitted++
-		}
-	}
-	if admitted != 3 {
-		t.Fatalf("admitted events = %d, want 3", admitted)
-	}
-
-	// An exhausted cursor returns an empty page with the cursor unchanged.
-	empty := getPage(since, 4)
-	if len(empty.Events) != 0 || empty.LastSeq != since {
-		t.Fatalf("empty page = %+v", empty)
-	}
-
-	// Malformed cursors are a client error.
-	resp, err := srv.Client().Get(srv.URL + "/events?since=banana")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 400 {
-		t.Fatalf("bad since = %d, want 400", resp.StatusCode)
-	}
+	// Once every flow has reported its end, the log stops growing: one
+	// more page catches the tail, and the pages add up to the whole log.
 	a.WaitLocalFlows()
-}
-
-// TestHTTPEventsRingWrapAndStaleCursor covers the /events cursor at the
-// ring edges: after the ring wraps, a cursor older than the oldest
-// retained event streams the full retained window (not an empty page),
-// and a cursor ahead of the recorder — stale client state from a previous
-// controller incarnation — resyncs to the live sequence instead of being
-// echoed back forever.
-func TestHTTPEventsRingWrapAndStaleCursor(t *testing.T) {
-	ctl, _, _ := startController(t)
-	rec := ctl.Recorder()
-	// Overflow the ring (default capacity 8192) so early seqs are evicted.
-	const total = 9000
-	for i := 0; i < total; i++ {
-		rec.Record(obs.Event{Kind: obs.KindTaskAdmitted, Task: int64(i)})
-	}
-	srv := httptest.NewServer(ctl.HTTPHandler())
-	defer srv.Close()
-	getPage := func(since uint64, limit int) netctl.EventsPage {
-		t.Helper()
-		url := srv.URL + "/events?since=" + strconv.FormatUint(since, 10) +
-			"&limit=" + strconv.Itoa(limit)
-		resp, err := srv.Client().Get(url)
-		if err != nil {
-			t.Fatal(err)
+	for deadline := time.Now().Add(5 * time.Second); ctl.Snapshot().PendingFlows != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("flows never drained")
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("events = %d", resp.StatusCode)
-		}
-		var page netctl.EventsPage
-		if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
-			t.Fatal(err)
-		}
-		return page
 	}
-
-	head := rec.Seq()
-	oldest := head - 8192 + 1
-	// A cursor from before the retained window: the page starts at the
-	// oldest retained event and the cursor advances.
-	page := getPage(1, 16)
-	if len(page.Events) != 16 || page.Events[0].Seq != oldest {
-		t.Fatalf("wrapped page starts at seq %d (%d events), want %d",
-			page.Events[0].Seq, len(page.Events), oldest)
+	log = append(log, get("off="+strconv.Itoa(len(log)), 200)...)
+	if whole := get("", 200); !bytes.Equal(whole, log) {
+		t.Fatalf("pages add up to %d bytes, the log has %d", len(log), len(whole))
 	}
-	if page.LastSeq <= 1 {
-		t.Fatalf("cursor did not advance: %d", page.LastSeq)
+	recs, truncated, err := declog.Read(bytes.NewReader(log))
+	if err != nil || truncated {
+		t.Fatalf("read paged log: truncated=%v err=%v", truncated, err)
 	}
-	// Paging from there converges on the head with contiguous seqs.
-	since, last := page.LastSeq, page.Events[len(page.Events)-1].Seq
-	for pages := 0; pages < 20 && since < head; pages++ {
-		p := getPage(since, 1024)
-		if len(p.Events) == 0 {
-			break
-		}
-		if p.Events[0].Seq != last+1 {
-			t.Fatalf("gap: page starts at %d after %d", p.Events[0].Seq, last)
-		}
-		last = p.Events[len(p.Events)-1].Seq
-		since = p.LastSeq
+	replayed := obs.NewRecorder()
+	sink := declog.Sink{Obs: replayed}
+	for i := range recs {
+		sink.Emit(&recs[i])
 	}
-	if last != head {
-		t.Fatalf("paged up to %d, want head %d", last, head)
+	live := ctl.Recorder().Summarize()
+	if got := replayed.Summarize(); got.Admitted != 3 || got.Replans != 3 || got.Missed != live.Missed ||
+		got.Admitted != live.Admitted || got.Replans != live.Replans || got.Rejected != live.Rejected {
+		t.Fatalf("paged log tallies %+v, controller %+v", got, live)
 	}
-
-	// A cursor ahead of the recorder resyncs to the live sequence.
-	stale := getPage(head+500, 16)
-	if len(stale.Events) != 0 {
-		t.Fatalf("stale cursor returned %d events", len(stale.Events))
+	// A cursor past the end is an empty page, not an error.
+	if page := get("off="+strconv.Itoa(len(log)+500), 200); len(page) != 0 {
+		t.Fatalf("cursor past the end returned %d bytes", len(page))
 	}
-	if stale.LastSeq != head {
-		t.Fatalf("stale cursor echoed %d, want resync to %d", stale.LastSeq, head)
-	}
-	// From the resynced cursor, new events flow again.
-	rec.Record(obs.Event{Kind: obs.KindTaskAdmitted, Task: 424242})
-	next := getPage(stale.LastSeq, 16)
-	if len(next.Events) != 1 || next.Events[0].Task != 424242 {
-		t.Fatalf("post-resync page = %+v", next)
-	}
+	get("off=banana", 400)
 }
 
 func TestHTTPDebugEndpoints(t *testing.T) {
@@ -265,17 +179,11 @@ func TestHTTPRejectionEventRecorded(t *testing.T) {
 	_ = a.SubmitTask(9, 1*simtime.Millisecond, []netctl.FlowInfo{
 		{ID: 90, Src: hosts[0], Dst: hosts[7], Size: 500_000_000},
 	})
-	rec := ctl.Recorder()
-	if n := rec.Count(obs.KindTaskRejected); n != 1 {
-		t.Fatalf("rejected events = %d", n)
+	if n := ctl.Recorder().Count(obs.KindTaskRejected); n != 1 {
+		t.Fatalf("rejected count = %d", n)
 	}
-	found := false
-	for _, ev := range rec.Events(0, 0) {
-		if ev.Kind == obs.KindTaskRejected && ev.Task == 9 && ev.Reason == "reject rule" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("missing rejection event for task 9")
+	if ts := ctl.SpanRecorder().Snapshot().Tasks; len(ts) != 1 || ts[0].Task != 9 ||
+		ts[0].Outcome != span.OutcomeRejected || ts[0].Reason != "reject rule" {
+		t.Fatalf("task spans = %+v, want task 9 rejected by the reject rule", ts)
 	}
 }

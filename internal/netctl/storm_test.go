@@ -77,18 +77,18 @@ func (d *wireDriver) probe(p netctl.ProbeMsg) (accepted bool) {
 	}
 }
 
-// TestStormNeverOverlaps is the regression test for the stale grant after
-// a reject: the close-to-deadline storm of tapsbench's ctl_storm workload
-// (k=4 fat-tree, U{1..3} flows of 0.5–2 MB, deadlines U(20, 60) ms, virtual
-// clock frozen at 0, a task TERM'd 32 ops after it was accepted) with the
-// plan checked after every single op. A controller that installs a
-// tentative pass before the reject rule has spoken, and lets a flow that
-// misses in the re-plan keep its previous grant, ends an op in this stream
-// with two flows on one link at one instant.
-func TestStormNeverOverlaps(t *testing.T) {
-	const ops, lifetime = 700, 32
+// startStorm boots the controller of tapsbench's ctl_storm workload — k=4
+// fat-tree, virtual clock frozen at 0 — with its decision log at logPath
+// when that is not empty, and connects one wire driver to it.
+func startStorm(t *testing.T, logPath string) (*netctl.Controller, *wireDriver, []topology.NodeID) {
+	t.Helper()
 	g, r := topology.FatTree(topology.FatTreeSpec{K: 4, LinkCapacity: topology.Gbps(1)})
 	ctl := netctl.NewController(g, topology.NewCachedRouting(r), netctl.ControllerConfig{Speedup: 1e-9})
+	if logPath != "" {
+		if err := ctl.EnableDecisionLog(logPath); err != nil {
+			t.Fatal(err)
+		}
+	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -102,11 +102,17 @@ func TestStormNeverOverlaps(t *testing.T) {
 		}
 	})
 	hosts := g.Hosts()
-	d := dialWire(t, l.Addr().String(), hosts[0])
+	return ctl, dialWire(t, l.Addr().String(), hosts[0]), hosts
+}
 
+// driveStorm runs ops close-to-deadline probes through d — U{1..3} flows
+// of 0.5–2 MB, deadlines U(20, 60) ms, a task TERM'd 32 ops after it was
+// accepted — calling afterOp once each op's decision is in.
+func driveStorm(t *testing.T, d *wireDriver, hosts []topology.NodeID, ops int, afterOp func(op, accepts, rejects int)) (accepts, rejects int) {
+	t.Helper()
+	const lifetime = 32
 	rng := rand.New(rand.NewSource(1))
 	live := make([][]uint64, lifetime)
-	accepts, rejects := 0, 0
 	for i := 0; i < ops; i++ {
 		slot := i % lifetime
 		for _, fid := range live[slot] {
@@ -132,12 +138,27 @@ func TestStormNeverOverlaps(t *testing.T) {
 		} else {
 			rejects++
 		}
+		afterOp(i, accepts, rejects)
+	}
+	return accepts, rejects
+}
+
+// TestStormNeverOverlaps is the regression test for the stale grant after
+// a reject: the ctl_storm stream (driveStorm) with the plan checked after
+// every single op. A controller that installs a tentative pass before the
+// reject rule has spoken, and lets a flow that misses in the re-plan keep
+// its previous grant, ends an op in this stream with two flows on one link
+// at one instant.
+func TestStormNeverOverlaps(t *testing.T) {
+	const ops = 700
+	ctl, d, hosts := startStorm(t, "")
+	accepts, rejects := driveStorm(t, d, hosts, ops, func(op, accepts, rejects int) {
 		// Snapshot takes the decision lock: it sees the op complete.
 		if snap := ctl.Snapshot(); snap.OverlapViolations != 0 {
 			t.Fatalf("after op %d (%d accepts, %d rejects): %d link-time overlaps in the plan",
-				i, accepts, rejects, snap.OverlapViolations)
+				op, accepts, rejects, snap.OverlapViolations)
 		}
-	}
+	})
 	if rejects < ops/10 || accepts < ops/10 {
 		t.Fatalf("%d accepts, %d rejects: not a storm", accepts, rejects)
 	}

@@ -5,48 +5,32 @@ import (
 	"time"
 )
 
-// TestRecordZeroAllocs proves the event append path allocates nothing —
-// both the disabled (nil recorder) path the planner hot loop takes by
-// default, and the enabled ring-append path.
+// TestRecordZeroAllocs proves the recording paths allocate nothing — both
+// the disabled (nil recorder) path the planner hot loop takes by default,
+// and the enabled tally and histogram paths.
 func TestRecordZeroAllocs(t *testing.T) {
-	ev := Event{Time: 123, Kind: KindReplan, Task: NoTask, Flows: 40,
-		PathsTried: 80, Duration: 5 * time.Microsecond}
-
 	var nilRec *Recorder
 	if n := testing.AllocsPerRun(1000, func() {
-		nilRec.Record(ev)
+		nilRec.Tally(KindReplan)
 		nilRec.ObservePlanner(time.Microsecond)
-		nilRec.SampleLink(1, 0.5, 10)
 	}); n != 0 {
 		t.Fatalf("disabled recorder path allocates %.1f/op, want 0", n)
 	}
 
-	r := NewRecorder(Options{Capacity: 1024})
-	r.EnsureLinks(8)
+	r := NewRecorder()
 	if n := testing.AllocsPerRun(1000, func() {
-		r.Record(ev)
+		r.Tally(KindReplan)
 		r.ObservePlanner(time.Microsecond)
-		r.SampleLink(1, 0.5, 10)
 	}); n != 0 {
 		t.Fatalf("enabled recorder path allocates %.1f/op, want 0", n)
 	}
 }
 
-func BenchmarkRecordDisabled(b *testing.B) {
-	var r *Recorder
-	ev := Event{Kind: KindReplan, Duration: time.Microsecond}
+func BenchmarkTally(b *testing.B) {
+	r := NewRecorder()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Record(ev)
-	}
-}
-
-func BenchmarkRecordEnabled(b *testing.B) {
-	r := NewRecorder(Options{Capacity: 8192})
-	ev := Event{Kind: KindTaskAdmitted, Task: 1}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Record(ev)
+		r.Tally(KindTaskAdmitted)
 	}
 }
 
@@ -55,14 +39,5 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(time.Duration(i))
-	}
-}
-
-func BenchmarkSampleLink(b *testing.B) {
-	r := NewRecorder(Options{})
-	r.EnsureLinks(64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.SampleLink(int32(i&63), 0.8, 10)
 	}
 }

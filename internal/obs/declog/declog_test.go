@@ -133,7 +133,7 @@ func TestTornTailDetectionAndRecovery(t *testing.T) {
 
 	// OpenAppend physically truncates the tail, counts it, and appends
 	// cleanly after the last valid frame.
-	health := obs.NewRecorder(obs.Options{})
+	health := obs.NewRecorder()
 	w, recovered, err := OpenAppend(path, Options{Health: health})
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +231,7 @@ func TestOpenAppendFreshFile(t *testing.T) {
 }
 
 func TestHealthCountersAndSyncBatching(t *testing.T) {
-	health := obs.NewRecorder(obs.Options{})
+	health := obs.NewRecorder()
 	path := filepath.Join(t.TempDir(), "log.dlg")
 	w, err := Create(path, Options{SyncEvery: 2, Health: health})
 	if err != nil {
@@ -404,6 +404,45 @@ func checkRefused(t *testing.T, path string) []Record {
 // kernel — is refused by name rather than replayed under other semantics,
 // and reopening it for append must not cut the intact frame away as if it
 // were a torn tail.
+// tallySample is sampleRecords plus one record per remaining row of the
+// tally's mapping: a rejected task, a killed flow and a late flow.
+func tallySample() []Record {
+	return append(sampleRecords(),
+		Record{Kind: KindTaskEnd, Time: 205, Task: 8, Outcome: span.OutcomeRejected, Reason: "reject rule"},
+		Record{Kind: KindTaskEnd, Time: 990, Task: 2, Outcome: span.OutcomeCompleted},
+		Record{Kind: KindFlowEnd, Time: 205, Flow: 80, Reason: "task rejected"},
+		Record{Kind: KindFlowEnd, Time: 6000, Flow: 71, Done: true},
+	)
+}
+
+// TestSinkTally pins which records the sink counts as which decision.
+func TestSinkTally(t *testing.T) {
+	rec := obs.NewRecorder()
+	s := Sink{Obs: rec}
+	recs := tallySample()
+	for i := range recs {
+		s.Emit(&recs[i])
+	}
+	want := obs.Summary{Admitted: 1, Rejected: 1, Preempted: 1, Replans: 1, Missed: 2, LinksDown: 1}
+	if got := rec.Summarize(); got != want {
+		t.Fatalf("tally = %+v, want %+v", got, want)
+	}
+}
+
+// TestSinkTallyZeroAllocs: counting adds no allocation to Emit, whatever
+// the record's kind.
+func TestSinkTallyZeroAllocs(t *testing.T) {
+	s := &Sink{Obs: obs.NewRecorder()}
+	recs := tallySample()
+	if avg := testing.AllocsPerRun(100, func() {
+		for i := range recs {
+			s.Emit(&recs[i])
+		}
+	}); avg != 0 {
+		t.Fatalf("Emit with a tally allocates %.1f/op, want 0", avg)
+	}
+}
+
 func TestUnknownCommitModeRefused(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "old.dlg")
 	w, err := Create(path, Options{})

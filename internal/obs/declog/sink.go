@@ -1,24 +1,30 @@
 package declog
 
-import "taps/internal/obs/span"
+import (
+	"taps/internal/obs"
+	"taps/internal/obs/span"
+)
 
 // Sink is the one emission path of a run: a decision or lifecycle fact is
-// reported once, as a Record, and the sink turns it into both of its
-// forms — a frame in the durable log and a mutation of the live span
-// tree. The span half is fold, the same function the Replayer applies to
-// a record read back from the file, so the tree a log replays into is the
-// live tree by construction rather than by paired call sites.
+// reported once, as a Record, and the sink turns it into each of its
+// forms — a frame in the durable log, a mutation of the live span tree,
+// and a decision counter. The span half is fold, the same function the
+// Replayer applies to a record read back from the file, so the tree a log
+// replays into is the live tree by construction rather than by paired
+// call sites; the counter half is tally, so the counters of a log read
+// back equal the live ones.
 //
-// Either field may be nil; a nil *Sink is a valid sink that is off.
-// Emit is as safe for concurrent use as the Writer and Recorder behind it.
+// Any field may be nil; a nil *Sink is a valid sink that is off.
+// Emit is as safe for concurrent use as the Writer and Recorders behind it.
 type Sink struct {
 	Log   *Writer
 	Spans *span.Recorder
+	Obs   *obs.Recorder
 }
 
 // On reports whether anything is listening. Call sites use it to skip
 // building a record's payload (plans, chains, labels) when nothing is.
-func (s *Sink) On() bool { return s != nil && (s.Log != nil || s.Spans != nil) }
+func (s *Sink) On() bool { return s != nil && (s.Log != nil || s.Spans != nil || s.Obs != nil) }
 
 // Emit reports one fact. The log append comes first: should the process
 // die between the two steps, the authoritative log already holds what the
@@ -30,6 +36,7 @@ func (s *Sink) Emit(r *Record) {
 	}
 	s.Log.Append(r)
 	fold(s.Spans, r)
+	tally(s.Obs, r)
 }
 
 // fold applies one record to a span recorder. The recorder takes what the
@@ -58,5 +65,37 @@ func fold(spans *span.Recorder, r *Record) {
 	case KindLinkDown:
 		spans.LinkWentDown(r.Link, r.Time)
 	case KindMeta, KindAdmit, KindReject, KindCommit:
+	}
+}
+
+// tally counts the decisions among the records: admissions, planning
+// passes and link failures by their own kinds; rejections and preemptions
+// by the terminal record every scheduler's discarded task gets (KindReject
+// and KindPreempt are TAPS's alone); and, as a deadline miss, every flow
+// that ended without delivering by its deadline — late, or killed.
+func tally(rec *obs.Recorder, r *Record) {
+	if rec == nil {
+		return
+	}
+	switch r.Kind {
+	case KindAdmit:
+		rec.Tally(obs.KindTaskAdmitted)
+	case KindReplan:
+		rec.Tally(obs.KindReplan)
+	case KindLinkDown:
+		rec.Tally(obs.KindLinkDown)
+	case KindTaskEnd:
+		switch r.Outcome {
+		case span.OutcomeRejected:
+			rec.Tally(obs.KindTaskRejected)
+		case span.OutcomePreempted:
+			rec.Tally(obs.KindTaskPreempted)
+		case span.OutcomeRunning, span.OutcomeCompleted, span.OutcomeKilled:
+		}
+	case KindFlowEnd:
+		if !r.OnTime {
+			rec.Tally(obs.KindDeadlineMissed)
+		}
+	case KindMeta, KindTask, KindReject, KindPreempt, KindAttr, KindSegments, KindCommit:
 	}
 }

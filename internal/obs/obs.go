@@ -1,50 +1,49 @@
-// Package obs is the controller observability layer: a low-overhead
-// structured event recorder for scheduler decisions (admit, reject,
-// preempt, re-plan, deadline miss, link down), wall-clock
-// planner-latency histograms, and per-link utilization gauges.
+// Package obs is the controller observability layer: counters of the
+// scheduler's decisions (admit, reject, preempt, re-plan, deadline miss,
+// link down), wall-clock planner and decision-log fsync latency
+// histograms, and the decision log's health counters.
+//
+// The decision counters are a tally of the records declog.Sink emits: a
+// decision is reported once, as a record, and the sink counts it here.
+// Wall-clock durations never enter that record, so the histograms are fed
+// directly by whoever holds the stopwatch.
 //
 // Design constraints (see DESIGN.md "Observability"):
 //
 //   - Nil-safe: every method on a nil *Recorder is a no-op, so call sites
 //     in the planning hot path need no conditionals of their own.
-//   - Zero-alloc append: Record writes the event by value into a
-//     preallocated ring slot; neither the disabled (nil) nor the enabled
-//     path allocates (verified by AllocsPerRun tests).
-//   - Race-safe: one Recorder may be shared by the simulation engine, the
+//   - Zero-alloc: neither Tally nor the histogram observers allocate
+//     (verified by AllocsPerRun tests).
+//   - Race-safe: one Recorder may be shared by the simulation cells, the
 //     networked controller's connection goroutines, and HTTP exporters.
 //
-// Exporters (export.go) turn the recorded state into a JSONL event log,
-// Prometheus text exposition, and a human decision/latency summary.
+// Exporters (export.go) turn the recorded state into Prometheus text
+// exposition and a human decision/latency summary.
 package obs
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
-
-	"taps/internal/simtime"
 )
 
-// Kind classifies one recorded event.
+// Kind labels one decision counter.
 type Kind uint8
 
-// Event kinds. The taxonomy mirrors the controller decisions of §IV-B
-// plus the runtime signals the engine observes.
+// Counter kinds: the controller decisions of §IV-B plus the runtime
+// signals the engine observes. declog.Sink maps its record kinds onto them.
 const (
-	// KindTaskAdmitted: the controller accepted Task into the plan.
+	// KindTaskAdmitted: the scheduler accepted a task.
 	KindTaskAdmitted Kind = iota
-	// KindTaskRejected: Task was discarded before admission (reject rule,
-	// or an explicit scheduler kill); Reason holds the kill note.
+	// KindTaskRejected: a task was discarded before admission.
 	KindTaskRejected
-	// KindTaskPreempted: the already-admitted Task was sacrificed for a
-	// newcomer; Fraction is its byte-completion fraction at preemption.
+	// KindTaskPreempted: an admitted task was sacrificed for a newcomer.
 	KindTaskPreempted
-	// KindReplan: one global planning pass; Flows is the number of flows
-	// placed, Duration the wall-clock latency, PathsTried the candidate
-	// paths examined.
+	// KindReplan: one global planning pass.
 	KindReplan
-	// KindDeadlineMissed: active Flow of Task passed its deadline.
+	// KindDeadlineMissed: a flow ended without delivering by its deadline.
 	KindDeadlineMissed
-	// KindLinkDown: Link failed.
+	// KindLinkDown: a link failed.
 	KindLinkDown
 
 	kindCount // number of kinds; keep last
@@ -66,104 +65,43 @@ func (k Kind) String() string {
 	return "kind(?)"
 }
 
-// Event is one recorded occurrence. Which fields are meaningful depends
-// on Kind (see the kind constants); unused numeric fields are left at
-// their zero or NoTask values.
-type Event struct {
-	Seq  uint64       // 1-based monotonic sequence, assigned by Record
-	Time simtime.Time // virtual time, µs
-	Kind Kind
-
-	Task       int64         // subject task (NoTask when not applicable)
-	Flow       int64         // subject flow (DeadlineMissed)
-	Link       int32         // subject link (LinkDown)
-	Flows      int32         // flows planned (Replan)
-	PathsTried int64         // candidate paths examined (Replan)
-	Duration   time.Duration // wall-clock planner latency (Replan)
-	Fraction   float64       // completion fraction (TaskPreempted)
-	Reason     string        // kill note / decision reason
-}
-
-// NoTask marks the Task field of events that concern no particular task
-// (Replan, LinkDown). Real task IDs are non-negative in both the
-// simulator and the networked controller's recommended usage.
-const NoTask int64 = -1
-
-// LinkStat aggregates the utilization samples of one link.
-type LinkStat struct {
-	// Peak is the highest sampled utilization (0..1).
-	Peak float64
-	// UtilTime is the integral of utilization over time, in µs; divide by
-	// the observation window for the mean utilization.
-	UtilTime float64
-	// BusyTime is the total time the link carried any traffic, in µs.
-	BusyTime simtime.Time
-	// Samples counts the integration intervals observed.
-	Samples uint64
-}
-
-// Options tunes a Recorder.
-type Options struct {
-	// Capacity is the event ring size (default 8192). Older events are
-	// overwritten once the ring is full; sinks still see every event.
-	Capacity int
-}
-
-// Recorder collects events, planner latencies, and link gauges. Create
-// with NewRecorder; a nil *Recorder is a valid disabled recorder.
+// Recorder collects decision counts, latency histograms and decision-log
+// health. Create with NewRecorder; a nil *Recorder is a valid disabled
+// recorder.
 type Recorder struct {
+	counts [kindCount]atomic.Uint64
+
 	mu            sync.Mutex
 	planner       Histogram // replan wall-clock latency
 	declogSync    Histogram // decision-log fsync wall-clock latency
-	ring          []Event
-	seq           uint64
-	counts        [kindCount]uint64
-	links         []LinkStat
-	sinks         []func(Event)
 	declogRecords uint64
 	declogBytes   uint64
 	declogTruncs  uint64
 }
 
 // NewRecorder returns an enabled recorder.
-func NewRecorder(opts Options) *Recorder {
-	c := opts.Capacity
-	if c <= 0 {
-		c = 8192
-	}
-	return &Recorder{ring: make([]Event, c)}
-}
+func NewRecorder() *Recorder { return &Recorder{} }
 
-// Enabled reports whether the recorder records anything.
-func (r *Recorder) Enabled() bool { return r != nil }
-
-// Record appends one event, stamps its sequence number, and forwards it
-// to any sinks. Replan durations also feed the planner latency
-// histogram. No-op on a nil recorder; allocation-free.
-func (r *Recorder) Record(ev Event) {
+// Tally counts one decision of kind k. No-op on a nil recorder;
+// allocation-free and lock-free.
+func (r *Recorder) Tally(k Kind) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	if ev.Kind == KindReplan {
-		r.planner.Observe(ev.Duration)
-	}
-	r.seq++
-	ev.Seq = r.seq
-	r.ring[int((r.seq-1)%uint64(len(r.ring)))] = ev
-	if int(ev.Kind) < len(r.counts) {
-		r.counts[ev.Kind]++
-	}
-	sinks := r.sinks
-	r.mu.Unlock()
-	for _, fn := range sinks {
-		fn(ev)
-	}
+	r.counts[k].Add(1)
 }
 
-// ObservePlanner records a planner latency sample without an event (used
-// by the baseline-scheduler wrapper to time Rates computations, keeping
-// all schedulers comparable on one histogram). No-op on nil.
+// Count returns how many decisions of the kind were tallied.
+func (r *Recorder) Count(k Kind) uint64 {
+	if r == nil || k >= kindCount {
+		return 0
+	}
+	return r.counts[k].Load()
+}
+
+// ObservePlanner records one planner latency sample: a TAPS planning pass,
+// or a baseline scheduler's Rates computation, so all schedulers are
+// comparable on one histogram. No-op on nil.
 func (r *Recorder) ObservePlanner(d time.Duration) {
 	if r == nil {
 		return
@@ -182,108 +120,6 @@ func (r *Recorder) PlannerLatency() Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.planner
-}
-
-// AddSink registers fn to receive every subsequent event, synchronously,
-// outside the recorder lock. Sinks must not call back into the recorder.
-func (r *Recorder) AddSink(fn func(Event)) {
-	if r == nil || fn == nil {
-		return
-	}
-	r.mu.Lock()
-	// Copy-on-write so Record can read the slice outside the lock.
-	sinks := make([]func(Event), len(r.sinks)+1)
-	copy(sinks, r.sinks)
-	sinks[len(sinks)-1] = fn
-	r.sinks = sinks
-	r.mu.Unlock()
-}
-
-// Count returns how many events of the kind were recorded.
-func (r *Recorder) Count(k Kind) uint64 {
-	if r == nil || int(k) >= int(kindCount) {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counts[k]
-}
-
-// Seq returns the sequence number of the latest event (0 when empty).
-func (r *Recorder) Seq() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq
-}
-
-// Events returns the recorded events with Seq > since that are still in
-// the ring, oldest first, capped at limit (0: no cap). The ring keeps the
-// most recent Capacity events; earlier ones are only visible to sinks.
-func (r *Recorder) Events(since uint64, limit int) []Event {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	first := since + 1
-	if n := uint64(len(r.ring)); r.seq > n && first < r.seq-n+1 {
-		first = r.seq - n + 1
-	}
-	if first > r.seq {
-		return nil
-	}
-	n := int(r.seq - first + 1)
-	if limit > 0 && n > limit {
-		n = limit
-	}
-	out := make([]Event, n)
-	for i := range out {
-		out[i] = r.ring[int((first+uint64(i)-1)%uint64(len(r.ring)))]
-	}
-	return out
-}
-
-// EnsureLinks preallocates gauge slots for links [0, n). Call once at
-// startup so SampleLink stays allocation-free.
-func (r *Recorder) EnsureLinks(n int) {
-	if r == nil || n <= 0 {
-		return
-	}
-	r.mu.Lock()
-	if n > len(r.links) {
-		grown := make([]LinkStat, n)
-		copy(grown, r.links)
-		r.links = grown
-	}
-	r.mu.Unlock()
-}
-
-// SampleLink folds one utilization observation (util in 0..1 sustained
-// for dt µs) into the link's gauge. Links beyond the EnsureLinks range
-// grow the gauge table (allocating); negative links are ignored.
-func (r *Recorder) SampleLink(link int32, util float64, dt simtime.Time) {
-	if r == nil || link < 0 || dt <= 0 {
-		return
-	}
-	r.mu.Lock()
-	if int(link) >= len(r.links) {
-		grown := make([]LinkStat, link+1)
-		copy(grown, r.links)
-		r.links = grown
-	}
-	s := &r.links[link]
-	if util > s.Peak {
-		s.Peak = util
-	}
-	s.UtilTime += util * float64(dt)
-	if util > 0 {
-		s.BusyTime += dt
-	}
-	s.Samples++
-	r.mu.Unlock()
 }
 
 // DeclogStats aggregates decision-log writer health.
@@ -364,16 +200,4 @@ func (r *Recorder) DeclogSyncLatency() Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.declogSync
-}
-
-// LinkStats returns a snapshot of the per-link gauges, indexed by link ID.
-func (r *Recorder) LinkStats() []LinkStat {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]LinkStat, len(r.links))
-	copy(out, r.links)
-	return out
 }

@@ -42,13 +42,12 @@ func goldenDurations() []time.Duration {
 func TestExpositionGolden(t *testing.T) {
 	ds := goldenDurations()
 
-	rec := obs.NewRecorder(obs.Options{})
+	rec := obs.NewRecorder()
 	for i, d := range ds {
 		if i%2 == 0 {
-			rec.Record(obs.Event{Kind: obs.KindReplan, Task: obs.NoTask, Duration: d})
-		} else {
-			rec.ObservePlanner(d)
+			rec.Tally(obs.KindReplan)
 		}
+		rec.ObservePlanner(d)
 		rec.ObserveDeclogSync(d)
 	}
 	rec.ObservePlanner(math.MaxInt64)
@@ -71,7 +70,7 @@ func TestExpositionGolden(t *testing.T) {
 	expired.Observe(-10*sec, 3*time.Millisecond)
 
 	var buf bytes.Buffer
-	if err := obs.WritePrometheus(&buf, rec, nil); err != nil {
+	if err := obs.WritePrometheus(&buf, rec); err != nil {
 		t.Fatal(err)
 	}
 	err := WritePrometheus(&buf, "taps_ctl_stage_seconds", "Controller admission-path latency by stage.", "stage",

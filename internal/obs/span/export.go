@@ -328,142 +328,3 @@ func linkEvents(t *Tree, opts ExportOptions) []traceEvent {
 	}
 	return evs
 }
-
-// jsonl wire shapes: one record per line, discriminated by "type".
-type taskJSON struct {
-	Type        string      `json:"type"` // "task"
-	Task        int64       `json:"task"`
-	ArrivalUs   int64       `json:"arrival_us"`
-	DeadlineUs  int64       `json:"deadline_us"`
-	EndUs       int64       `json:"end_us,omitempty"`
-	Outcome     string      `json:"outcome"`
-	Reason      string      `json:"reason,omitempty"`
-	PreemptedBy int64       `json:"preempted_by,omitempty"`
-	Flows       []int64     `json:"flows,omitempty"`
-	Blocks      []blockJSON `json:"blocking,omitempty"`
-}
-
-type blockJSON struct {
-	Link    int32        `json:"link"`
-	WindowS int64        `json:"window_start_us"`
-	WindowE int64        `json:"window_end_us"`
-	BusyUs  int64        `json:"busy_us"`
-	Holders []holderJSON `json:"holders"`
-}
-
-type holderJSON struct {
-	Task   int64 `json:"task"`
-	BusyUs int64 `json:"busy_us"`
-}
-
-type flowJSON struct {
-	Type       string    `json:"type"` // "flow"
-	Flow       int64     `json:"flow"`
-	Task       int64     `json:"task"`
-	Label      string    `json:"label,omitempty"`
-	ArrivalUs  int64     `json:"arrival_us"`
-	DeadlineUs int64     `json:"deadline_us"`
-	EndUs      int64     `json:"end_us,omitempty"`
-	State      string    `json:"state"`
-	Note       string    `json:"note,omitempty"`
-	Segments   [][]int64 `json:"segments_us,omitempty"` // [start, end] pairs
-}
-
-type replanJSON struct {
-	Type       string     `json:"type"` // "replan"
-	Seq        int        `json:"seq"`
-	TimeUs     int64      `json:"t_us"`
-	Kind       string     `json:"kind"`
-	Trigger    int64      `json:"trigger_task"`
-	Flows      int        `json:"flows"`
-	PathsTried int64      `json:"paths_tried"`
-	Plans      []planJSON `json:"plans,omitempty"`
-}
-
-type planJSON struct {
-	Flow       int64     `json:"flow"`
-	Task       int64     `json:"task"`
-	Candidates int       `json:"candidates"`
-	PathIndex  int       `json:"path_index"`
-	Links      []int32   `json:"links,omitempty"`
-	Slices     [][]int64 `json:"slices_us,omitempty"`
-	FinishUs   int64     `json:"finish_us"`
-	DeadlineUs int64     `json:"deadline_us"`
-	Missed     bool      `json:"missed,omitempty"`
-}
-
-// WriteJSONL writes the snapshot as JSONL: one "task", "flow" or "replan"
-// record per line, in deterministic order.
-func WriteJSONL(w io.Writer, t *Tree) error {
-	enc := json.NewEncoder(w)
-	for i := range t.Tasks {
-		ts := &t.Tasks[i]
-		rec := taskJSON{
-			Type: "task", Task: ts.Task,
-			ArrivalUs: int64(ts.Arrival), DeadlineUs: int64(ts.Deadline),
-			EndUs: int64(ts.End), Outcome: ts.Outcome.String(),
-			Reason: ts.Reason, Flows: ts.Flows,
-		}
-		if ts.PreemptedBy != NoTask {
-			rec.PreemptedBy = ts.PreemptedBy
-		}
-		for _, b := range ts.Blocks {
-			bj := blockJSON{Link: b.Link, WindowS: int64(b.Window.Start),
-				WindowE: int64(b.Window.End), BusyUs: int64(b.Busy)}
-			for _, h := range b.Holders {
-				bj.Holders = append(bj.Holders, holderJSON{Task: h.Task, BusyUs: int64(h.Busy)})
-			}
-			rec.Blocks = append(rec.Blocks, bj)
-		}
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-	}
-	for i := range t.Flows {
-		fs := &t.Flows[i]
-		state := "active"
-		switch {
-		case fs.Ended && fs.Done && fs.OnTime:
-			state = "done"
-		case fs.Ended && fs.Done:
-			state = "late"
-		case fs.Ended:
-			state = "killed"
-		}
-		rec := flowJSON{
-			Type: "flow", Flow: fs.Flow, Task: fs.Task, Label: fs.Label,
-			ArrivalUs: int64(fs.Arrival), DeadlineUs: int64(fs.Deadline),
-			EndUs: int64(fs.End), State: state, Note: fs.Note,
-		}
-		for _, s := range fs.Segments {
-			rec.Segments = append(rec.Segments, []int64{int64(s.Interval.Start), int64(s.Interval.End)})
-		}
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-	}
-	for i := range t.Replans {
-		rs := &t.Replans[i]
-		rec := replanJSON{
-			Type: "replan", Seq: rs.Seq, TimeUs: int64(rs.Time),
-			Kind: rs.Kind.String(), Trigger: rs.Trigger,
-			Flows: rs.Flows, PathsTried: rs.PathsTried,
-		}
-		for _, p := range rs.Plans {
-			pj := planJSON{
-				Flow: p.Flow, Task: p.Task, Candidates: p.Candidates,
-				PathIndex: p.PathIndex, Links: p.Path,
-				FinishUs: int64(p.Finish), DeadlineUs: int64(p.Deadline),
-				Missed: p.Missed,
-			}
-			for _, iv := range p.Slices {
-				pj.Slices = append(pj.Slices, []int64{int64(iv.Start), int64(iv.End)})
-			}
-			rec.Plans = append(rec.Plans, pj)
-		}
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}

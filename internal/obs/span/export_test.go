@@ -1,7 +1,6 @@
 package span
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"strings"
@@ -132,32 +131,6 @@ func TestLinkNameOption(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "tor0-agg0") {
 		t.Fatal("LinkName labels not applied to link tracks")
-	}
-}
-
-func TestWriteJSONL(t *testing.T) {
-	tree := sampleTree()
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, tree); err != nil {
-		t.Fatal(err)
-	}
-	counts := map[string]int{}
-	sc := bufio.NewScanner(&buf)
-	for sc.Scan() {
-		var rec map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
-		}
-		typ, _ := rec["type"].(string)
-		counts[typ]++
-		if typ == "task" && rec["task"].(float64) == 2 {
-			if rec["blocking"] == nil {
-				t.Fatal("rejected task record lacks blocking chain")
-			}
-		}
-	}
-	if counts["task"] != 3 || counts["flow"] != 3 || counts["replan"] != 2 {
-		t.Fatalf("record counts = %v, want 3 tasks, 3 flows, 2 replans", counts)
 	}
 }
 

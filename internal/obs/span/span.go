@@ -39,7 +39,7 @@ import (
 	"taps/internal/simtime"
 )
 
-// NoTask marks task fields that name no task (mirrors obs.NoTask).
+// NoTask marks task fields that name no task.
 const NoTask int64 = -1
 
 // Outcome is the terminal state of a task span.

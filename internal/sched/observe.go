@@ -2,30 +2,46 @@ package sched
 
 import (
 	"taps/internal/obs"
+	"taps/internal/obs/declog"
 	"taps/internal/sim"
 	"taps/internal/simtime"
 )
 
 // observed decorates a scheduler with decision tracing: arrivals that the
-// scheduler leaves alive are recorded as admissions, and every Rates
-// computation is timed into the recorder's planner-latency histogram, so
-// baseline schedulers produce the same comparable metrics TAPS emits from
-// inside its planner.
+// scheduler leaves alive are reported to the engine's sink as admissions,
+// and every Rates computation is timed into the recorder's planner-latency
+// histogram, so baseline schedulers produce the same comparable metrics
+// TAPS reports from inside its planner.
 type observed struct {
 	sim.Scheduler
-	rec *obs.Recorder
+	rec  *obs.Recorder
+	sink *declog.Sink
 }
 
-// Observe wraps s so its decisions feed r. Rejections, preemptions,
-// deadline misses and link failures are already recorded by the engine at
-// the kill site; the wrapper adds the admission events and scheduler
-// latency the engine cannot see. A nil recorder returns s unchanged.
+// A planner reports its own decisions and times its own passes (TAPS:
+// core.Scheduler); Observe hands such a scheduler the recorder instead of
+// wrapping it.
+type recorderUser interface{ SetRecorder(*obs.Recorder) }
+
+// Observe instruments s so its decisions and planning latency feed r.
+// Rejections, preemptions, deadline misses and link failures are already
+// reported by the engine at the kill site; the wrapper adds the admission
+// records and scheduler latency the engine cannot see. A nil recorder
+// returns s unchanged.
 func Observe(s sim.Scheduler, r *obs.Recorder) sim.Scheduler {
 	if r == nil {
 		return s
 	}
+	if u, ok := s.(recorderUser); ok {
+		u.SetRecorder(r)
+		return s
+	}
 	return &observed{Scheduler: s, rec: r}
 }
+
+// SetSink implements sim.SinkUser: the engine hands over the sink the
+// admission records go to.
+func (o *observed) SetSink(k *declog.Sink) { o.sink = k }
 
 // OnTaskArrival implements sim.Scheduler. A task the scheduler did not
 // kill during arrival handling counts as admitted — baselines admit
@@ -34,8 +50,7 @@ func Observe(s sim.Scheduler, r *obs.Recorder) sim.Scheduler {
 func (o *observed) OnTaskArrival(st *sim.State, task *sim.Task) {
 	o.Scheduler.OnTaskArrival(st, task)
 	if !task.Rejected {
-		o.rec.Record(obs.Event{Time: st.Now(), Kind: obs.KindTaskAdmitted,
-			Task: int64(task.ID)})
+		o.sink.Emit(&declog.Record{Kind: declog.KindAdmit, Time: st.Now(), Task: int64(task.ID)})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"taps/internal/obs"
+	"taps/internal/obs/declog"
 	"taps/internal/sched"
 	"taps/internal/sim"
 	"taps/internal/simtime"
@@ -39,17 +40,17 @@ func TestObserveRecordsAdmissionsAndLatency(t *testing.T) {
 		{Arrival: simtime.Millisecond, Deadline: simtime.Second,
 			Flows: []sim.FlowSpec{{Src: b, Dst: a, Size: 1000}}},
 	}
-	rec := obs.NewRecorder(obs.Options{})
+	rec := obs.NewRecorder()
 	wrapped := sched.Observe(lineSched{}, rec)
 	if wrapped.Name() != "line" {
 		t.Fatalf("name = %q", wrapped.Name())
 	}
-	eng := sim.New(g, r, wrapped, specs, sim.Config{Validate: true, Obs: rec})
+	eng := sim.New(g, r, wrapped, specs, sim.Config{Validate: true, Sink: declog.Sink{Obs: rec}})
 	if _, err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if n := rec.Count(obs.KindTaskAdmitted); n != 2 {
-		t.Fatalf("admitted events = %d, want 2", n)
+		t.Fatalf("admitted count = %d, want 2", n)
 	}
 	if rec.PlannerLatency().Count() == 0 {
 		t.Fatal("Rates calls must feed the planner-latency histogram")

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 
-	"taps/internal/obs"
 	"taps/internal/obs/declog"
 	"taps/internal/obs/span"
 	"taps/internal/simtime"
@@ -81,8 +80,8 @@ type State struct {
 	active  map[FlowID]*Flow
 	dead    map[topology.LinkID]bool
 
-	// onTaskEnd is the engine's kill notifier: it fires the scheduler's
-	// OnTaskRejected/OnTaskPreempted hooks and records obs events, at
+	// onTaskEnd is the engine's kill notifier: it records the task's end
+	// and fires the scheduler's OnTaskRejected/OnTaskPreempted hooks, at
 	// most once per task.
 	onTaskEnd func(t *Task, note string, preempted bool)
 }
@@ -249,15 +248,11 @@ type Config struct {
 	// rerouted over surviving equal-cost paths (or killed when none
 	// exists), and the scheduler's OnLinkDown hook fires.
 	LinkFailures []LinkFailure
-	// Obs, when non-nil, receives runtime events (task rejections and
-	// preemptions, deadline misses, link failures) and per-link
-	// utilization samples from every integration step. Nil disables
-	// recording with zero overhead on the hot path.
-	Obs *obs.Recorder
 	// Sink, when on, receives the records the engine owns — task arrivals
 	// (with flow identities), task/flow terminals, link failures and, when
 	// RecordSegments is also set, the transmission segments at the end of
-	// the run — for its decision log, its span recorder, or both. A
+	// the run — for its decision log, its span recorder, its decision
+	// counters, or any of them. A
 	// scheduler that is a SinkUser (TAPS) is handed the same sink, so its
 	// planning passes, commits and verdicts land in between: the log is
 	// then a complete flight recording that replays to the span tree and
@@ -291,8 +286,7 @@ type Engine struct {
 	failures []LinkFailure
 	events   int
 	segments map[FlowID][]Segment
-	linkLoad map[topology.LinkID]float64 // scratch for obs utilization sampling
-	flowBuf  []*Flow                     // scratch for per-event flow collections
+	flowBuf  []*Flow // scratch for per-event flow collections
 }
 
 // New builds an engine over the graph/routing for the given task specs.
@@ -318,26 +312,15 @@ func New(g *topology.Graph, r topology.Routing, sched Scheduler, specs []TaskSpe
 		failures: failures,
 	}
 	e.st.onTaskEnd = e.taskEnded
-	cfg.Obs.EnsureLinks(g.NumLinks())
 	if u, ok := sched.(SinkUser); ok {
 		u.SetSink(&e.cfg.Sink)
 	}
 	return e
 }
 
-// taskEnded dispatches a task kill to the matching scheduler hook and
-// records the obs event. Runs at most once per task (see State.endTask).
+// taskEnded records a task kill and dispatches it to the matching
+// scheduler hook. Runs at most once per task (see State.endTask).
 func (e *Engine) taskEnded(t *Task, note string, preempted bool) {
-	if r := e.cfg.Obs; r != nil {
-		ev := obs.Event{Time: e.st.now, Task: int64(t.ID), Reason: note}
-		if preempted {
-			ev.Kind = obs.KindTaskPreempted
-			ev.Fraction = e.st.TaskCompletionFraction(t.ID)
-		} else {
-			ev.Kind = obs.KindTaskRejected
-		}
-		r.Record(ev)
-	}
 	outcome := span.OutcomeRejected
 	if preempted {
 		outcome = span.OutcomePreempted
@@ -486,8 +469,6 @@ func (e *Engine) applyFailures() {
 				st.KillFlow(f, "disconnected by link failure")
 			}
 		}
-		e.cfg.Obs.Record(obs.Event{Time: st.now, Kind: obs.KindLinkDown,
-			Task: obs.NoTask, Link: int32(lf.Link)})
 		// Log the failure before the scheduler reacts, so replay sees the
 		// recovery re-plan after its cause.
 		e.cfg.Sink.Emit(&declog.Record{Kind: declog.KindLinkDown, Time: st.now, Link: int32(lf.Link)})
@@ -564,8 +545,6 @@ func (e *Engine) fireDeadlines() {
 	slices.SortFunc(expired, func(a, b *Flow) int { return cmp.Compare(a.ID, b.ID) })
 	e.flowBuf = expired[:0]
 	for _, f := range expired {
-		e.cfg.Obs.Record(obs.Event{Time: st.now, Kind: obs.KindDeadlineMissed,
-			Task: int64(f.Task), Flow: int64(f.ID)})
 		e.sched.OnDeadlineMissed(st, f)
 	}
 }
@@ -612,38 +591,6 @@ func (e *Engine) integrate(rates RateMap, dt simtime.Time) {
 		f.BytesSent += bytes
 		if e.cfg.RecordSegments {
 			e.recordSegment(id, simtime.Interval{Start: e.st.now, End: e.st.now + dt}, r)
-		}
-	}
-	if e.cfg.Obs != nil {
-		e.sampleLinkUtilization(rates, dt)
-	}
-}
-
-// sampleLinkUtilization folds this integration step's per-link load into
-// the obs gauges (only when recording is enabled).
-func (e *Engine) sampleLinkUtilization(rates RateMap, dt simtime.Time) {
-	if dt <= 0 {
-		return
-	}
-	if e.linkLoad == nil {
-		e.linkLoad = make(map[topology.LinkID]float64)
-	}
-	clear(e.linkLoad)
-	for id, r := range rates {
-		if r <= 0 {
-			continue
-		}
-		f, ok := e.st.active[id]
-		if !ok {
-			continue
-		}
-		for _, l := range f.Path {
-			e.linkLoad[l] += r
-		}
-	}
-	for l, load := range e.linkLoad {
-		if capac := e.st.graph.Link(l).Capacity; capac > 0 {
-			e.cfg.Obs.SampleLink(int32(l), load/capac, dt)
 		}
 	}
 }

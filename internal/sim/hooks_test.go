@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"taps/internal/obs"
+	"taps/internal/obs/declog"
+	"taps/internal/obs/span"
 	"taps/internal/sim"
 	"taps/internal/simtime"
 )
@@ -43,9 +45,9 @@ func TestTaskEndHooksFireOnce(t *testing.T) {
 		{Arrival: 5 * simtime.Millisecond, Deadline: 100 * simtime.Millisecond,
 			Flows: []sim.FlowSpec{{Src: a, Dst: b, Size: 10000}}},
 	}
-	rec := obs.NewRecorder(obs.Options{})
+	rec, spans := obs.NewRecorder(), span.NewRecorder()
 	s := &endSched{}
-	eng := sim.New(g, r, s, specs, sim.Config{Validate: true, Obs: rec})
+	eng := sim.New(g, r, s, specs, sim.Config{Validate: true, Sink: declog.Sink{Spans: spans, Obs: rec}})
 	if _, err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -57,35 +59,26 @@ func TestTaskEndHooksFireOnce(t *testing.T) {
 		t.Fatalf("rejected hooks = %v, want [1]", s.rejected)
 	}
 
-	// The engine records matching obs events, with the victim's
-	// completion fraction on the preemption.
+	// The engine records one terminal record per kill, with the first
+	// note, and the sink counts each once.
 	if n := rec.Count(obs.KindTaskPreempted); n != 1 {
-		t.Fatalf("preempted events = %d", n)
+		t.Fatalf("preempted count = %d", n)
 	}
 	if n := rec.Count(obs.KindTaskRejected); n != 1 {
-		t.Fatalf("rejected events = %d", n)
+		t.Fatalf("rejected count = %d", n)
 	}
-	for _, ev := range rec.Events(0, 0) {
-		switch ev.Kind {
-		case obs.KindTaskPreempted:
-			if ev.Task != 0 || ev.Reason != "test: preempted" {
-				t.Fatalf("preempt event = %+v", ev)
-			}
-			// Task 0 sent 5 ms × 1e6 B/s = 5000 of 10000 bytes.
-			if ev.Fraction <= 0 || ev.Fraction >= 1 {
-				t.Fatalf("fraction = %g, want partial completion", ev.Fraction)
-			}
-		case obs.KindTaskRejected:
-			if ev.Task != 1 || ev.Reason != "test: rejected" {
-				t.Fatalf("reject event = %+v", ev)
-			}
-		}
+	tree := spans.Snapshot()
+	if ts := tree.Tasks[0]; ts.Outcome != span.OutcomePreempted || ts.Reason != "test: preempted" {
+		t.Fatalf("task 0 span = %+v", ts)
+	}
+	if ts := tree.Tasks[1]; ts.Outcome != span.OutcomeRejected || ts.Reason != "test: rejected" {
+		t.Fatalf("task 1 span = %+v", ts)
 	}
 }
 
-// TestDeadlineAndLinkEventsRecorded covers the engine-side event emission
-// that doesn't involve task kills: deadline misses and link failures, plus
-// link-utilization gauges sampled from integration steps.
+// TestDeadlineAndLinkEventsRecorded covers the engine-side records that
+// don't involve task kills: a flow that finishes past its deadline counts
+// as a deadline miss (link failures: TestLinkDownEventRecorded).
 func TestDeadlineAndLinkEventsRecorded(t *testing.T) {
 	g, r, a, b := pair()
 	specs := []sim.TaskSpec{{
@@ -93,29 +86,17 @@ func TestDeadlineAndLinkEventsRecorded(t *testing.T) {
 		Deadline: 2 * simtime.Millisecond, // 10000 B at 1e6 B/s needs 10 ms
 		Flows:    []sim.FlowSpec{{Src: a, Dst: b, Size: 10000}},
 	}}
-	rec := obs.NewRecorder(obs.Options{})
-	eng := sim.New(g, r, serialSched{}, specs, sim.Config{Validate: true, Obs: rec})
-	if _, err := eng.Run(); err != nil {
+	rec := obs.NewRecorder()
+	eng := sim.New(g, r, serialSched{}, specs, sim.Config{Validate: true, Sink: declog.Sink{Obs: rec}})
+	res, err := eng.Run()
+	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	if f := res.Flows[0]; f.State != sim.FlowDone || f.Finish <= f.Deadline {
+		t.Fatalf("flow = %+v, want a late completion", f)
+	}
 	if n := rec.Count(obs.KindDeadlineMissed); n != 1 {
-		t.Fatalf("deadline-missed events = %d", n)
-	}
-	ev := rec.Events(0, 0)[0]
-	if ev.Kind != obs.KindDeadlineMissed || ev.Task != 0 || ev.Flow != 0 {
-		t.Fatalf("event = %+v", ev)
-	}
-
-	// The single a→s→b flow saturates both hops: some link must have
-	// peak utilization 1 and ~10 ms of busy time.
-	var sawBusy bool
-	for _, ls := range rec.LinkStats() {
-		if ls.Peak == 1.0 && ls.BusyTime >= 9*simtime.Millisecond {
-			sawBusy = true
-		}
-	}
-	if !sawBusy {
-		t.Fatalf("no saturated link in %+v", rec.LinkStats())
+		t.Fatalf("deadline-missed count = %d", n)
 	}
 }
 
@@ -126,22 +107,18 @@ func TestLinkDownEventRecorded(t *testing.T) {
 		Deadline: 100 * simtime.Millisecond,
 		Flows:    []sim.FlowSpec{{Src: a, Dst: b, Size: 10000}},
 	}}
-	rec := obs.NewRecorder(obs.Options{})
+	rec, spans := obs.NewRecorder(), span.NewRecorder()
 	eng := sim.New(g, r, serialSched{}, specs, sim.Config{
-		Validate: true, Obs: rec,
+		Validate: true, Sink: declog.Sink{Spans: spans, Obs: rec},
 		LinkFailures: []sim.LinkFailure{{At: simtime.Millisecond, Link: 0}},
 	})
 	if _, err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if n := rec.Count(obs.KindLinkDown); n != 1 {
-		t.Fatalf("link-down events = %d", n)
+		t.Fatalf("link-down count = %d", n)
 	}
-	for _, ev := range rec.Events(0, 0) {
-		if ev.Kind == obs.KindLinkDown {
-			if ev.Link != 0 || ev.Task != obs.NoTask || ev.Time != simtime.Millisecond {
-				t.Fatalf("link-down event = %+v", ev)
-			}
-		}
+	if downs := spans.Snapshot().LinkDowns; len(downs) != 1 || downs[0].Link != 0 || downs[0].Time != simtime.Millisecond {
+		t.Fatalf("link downs = %+v", downs)
 	}
 }

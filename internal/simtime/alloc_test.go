@@ -58,3 +58,24 @@ func TestAddInPlace(t *testing.T) {
 		t.Fatalf("Add allocates %.1f/op on a warm set, want 0", avg)
 	}
 }
+
+// TestUnionInPlaceZeroAllocs pins that a union into a set whose backing
+// array already has room for the result allocates nothing: the occupancy
+// union the kernel rebuilds per link reuses its storage.
+func TestUnionInPlaceZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	a, b := allocSet(rng, 128), allocSet(rng, 128)
+	var s IntervalSet
+	s.ivs = append(s.ivs, a.ivs...)
+	s.UnionInPlace(&b) // grow the backing array to the union's size
+	want := len(s.ivs)
+	if avg := testing.AllocsPerRun(100, func() {
+		s.ivs = append(s.ivs[:0], a.ivs...)
+		s.UnionInPlace(&b)
+	}); avg != 0 {
+		t.Fatalf("UnionInPlace allocates %.1f/op on a warm set, want 0", avg)
+	}
+	if len(s.ivs) != want {
+		t.Fatalf("union has %d intervals, want %d", len(s.ivs), want)
+	}
+}
