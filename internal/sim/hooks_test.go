@@ -1,6 +1,8 @@
 package sim_test
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"taps/internal/obs"
@@ -121,4 +123,150 @@ func TestLinkDownEventRecorded(t *testing.T) {
 	if downs := spans.Snapshot().LinkDowns; len(downs) != 1 || downs[0].Link != 0 || downs[0].Time != simtime.Millisecond {
 		t.Fatalf("link downs = %+v", downs)
 	}
+}
+
+// orderSched is shareSched (every active flow at an equal share, so
+// same-sized flows finish at the same instant) that records what each
+// hook sees of the active set. kill, when set, runs once, at the start of
+// the next Rates call.
+type orderSched struct {
+	shareSched
+	finished, missed []sim.FlowID
+	// ActiveFlows() during each flow's OnFlowFinished / OnDeadlineMissed
+	seen, seenMissed map[sim.FlowID][]sim.FlowID
+	killMissed       sim.FlowID // OnDeadlineMissed kills this flow
+	kill             func(st *sim.State)
+	afterKill        []sim.FlowID // ActiveFlows() right after the first kill
+}
+
+func newOrderSched(killMissed sim.FlowID) *orderSched {
+	return &orderSched{seen: map[sim.FlowID][]sim.FlowID{}, seenMissed: map[sim.FlowID][]sim.FlowID{}, killMissed: killMissed}
+}
+
+func activeIDs(st *sim.State) []sim.FlowID {
+	var ids []sim.FlowID
+	for _, f := range st.ActiveFlows() {
+		ids = append(ids, f.ID)
+	}
+	return ids
+}
+
+func (s *orderSched) OnFlowFinished(st *sim.State, f *sim.Flow) {
+	s.finished = append(s.finished, f.ID)
+	s.seen[f.ID] = activeIDs(st)
+}
+
+func (s *orderSched) OnDeadlineMissed(st *sim.State, f *sim.Flow) {
+	s.missed = append(s.missed, f.ID)
+	s.seenMissed[f.ID] = activeIDs(st)
+	if f.ID == s.killMissed {
+		st.KillFlow(f, "test: missed")
+	}
+}
+
+func (s *orderSched) Rates(st *sim.State) (sim.RateMap, simtime.Time) {
+	if s.kill != nil {
+		s.kill(st)
+		s.kill = nil
+		s.afterKill = activeIDs(st)
+	}
+	return s.shareSched.Rates(st)
+}
+
+// TestHooksSeeIDOrderedActiveSet pins the active set as the hooks see it:
+// flows that finish or miss their deadline at one instant reach their
+// hooks in ID order, each finish hook still sees the later finishers
+// active, a KillFlow from inside Rates leaves the rest in ID order, and an
+// out-of-range flow ID in a rate map is an error or ignored, never a panic.
+func TestHooksSeeIDOrderedActiveSet(t *testing.T) {
+	g, r, a, b := pair()
+	flows := func(sizes ...int64) []sim.FlowSpec {
+		var fs []sim.FlowSpec
+		for _, sz := range sizes {
+			fs = append(fs, sim.FlowSpec{Src: a, Dst: b, Size: sz})
+		}
+		return fs
+	}
+
+	t.Run("finish", func(t *testing.T) {
+		// Flows 0, 1, 3 and 4 finish together at 5 ms; flow 2 runs on.
+		s := newOrderSched(-1)
+		run(t, g, r, s, []sim.TaskSpec{
+			{Deadline: simtime.Second, Flows: flows(1000, 1000, 3000)},
+			{Deadline: simtime.Second, Flows: flows(1000, 1000)},
+		})
+		if want := []sim.FlowID{0, 1, 3, 4, 2}; !slices.Equal(s.finished, want) {
+			t.Fatalf("OnFlowFinished order = %v, want %v", s.finished, want)
+		}
+		for id, want := range map[sim.FlowID][]sim.FlowID{
+			0: {1, 2, 3, 4}, 1: {2, 3, 4}, 3: {2, 4}, 4: {2}, 2: nil,
+		} {
+			if !slices.Equal(s.seen[id], want) {
+				t.Fatalf("ActiveFlows() during OnFlowFinished(%d) = %v, want %v", id, s.seen[id], want)
+			}
+		}
+	})
+
+	t.Run("deadline", func(t *testing.T) {
+		// Both tasks' deadlines fall at 5 ms, long before any flow is done.
+		// The first hook kills its flow; the later hooks no longer see it.
+		s := newOrderSched(0)
+		run(t, g, r, s, []sim.TaskSpec{
+			{Deadline: 5 * simtime.Millisecond, Flows: flows(100000, 100000)},
+			{Arrival: simtime.Millisecond, Deadline: 4 * simtime.Millisecond, Flows: flows(100000, 100000)},
+		})
+		if want := []sim.FlowID{0, 1, 2, 3}; !slices.Equal(s.missed, want) {
+			t.Fatalf("OnDeadlineMissed order = %v, want %v", s.missed, want)
+		}
+		if want := []sim.FlowID{1, 2, 3}; !slices.Equal(s.seenMissed[1], want) {
+			t.Fatalf("ActiveFlows() during OnDeadlineMissed(1) = %v, want %v", s.seenMissed[1], want)
+		}
+	})
+
+	t.Run("kill in Rates", func(t *testing.T) {
+		s := newOrderSched(-1)
+		s.kill = func(st *sim.State) { st.KillFlow(st.Flow(2), "test: early termination") }
+		res := run(t, g, r, s, []sim.TaskSpec{{Deadline: simtime.Second, Flows: flows(1000, 2000, 1000, 3000, 1000)}})
+		if want := []sim.FlowID{0, 1, 3, 4}; !slices.Equal(s.afterKill, want) {
+			t.Fatalf("ActiveFlows() after killing flow 2 = %v, want %v", s.afterKill, want)
+		}
+		if want := []sim.FlowID{0, 4, 1, 3}; !slices.Equal(s.finished, want) {
+			t.Fatalf("OnFlowFinished order = %v, want %v", s.finished, want)
+		}
+		if f := res.Flows[2]; f.State != sim.FlowKilled || f.BytesSent != 0 {
+			t.Fatalf("flow 2 = %+v, want killed before sending", f)
+		}
+	})
+
+	t.Run("out-of-range ID", func(t *testing.T) {
+		specs := []sim.TaskSpec{{Deadline: simtime.Second, Flows: flows(1000)}}
+		for _, id := range []sim.FlowID{1, 99, -1} {
+			eng := sim.New(g, r, strayRateSched{id: id}, specs, sim.Config{Validate: true})
+			if _, err := eng.Run(); err == nil || !strings.Contains(err.Error(), "non-active flow") {
+				t.Fatalf("rate for flow %d: got %v, want a non-active flow error", id, err)
+			}
+			// Without validation the stray rate is skipped.
+			res, err := sim.New(g, r, strayRateSched{id: id}, specs, sim.Config{}).Run()
+			if err != nil || res.Flows[0].State != sim.FlowDone || len(res.Flows) != 1 {
+				t.Fatalf("rate for flow %d without validation: %v, %+v", id, err, res)
+			}
+		}
+	})
+}
+
+// strayRateSched is serialSched that also assigns a rate to a flow ID the
+// run does not have.
+type strayRateSched struct {
+	sim.NopHooks
+	id sim.FlowID
+}
+
+func (strayRateSched) Name() string { return "stray" }
+
+func (s strayRateSched) Rates(st *sim.State) (sim.RateMap, simtime.Time) {
+	m, h := serialSched{}.Rates(st)
+	if m != nil {
+		m[s.id] = 1
+	}
+	return m, h
 }
