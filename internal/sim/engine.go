@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"taps/internal/obs/declog"
 	"taps/internal/obs/span"
@@ -77,7 +76,7 @@ type State struct {
 	now     simtime.Time
 	flows   []*Flow
 	tasks   []*Task
-	active  map[FlowID]*Flow
+	active  []*Flow // the FlowActive flows, sorted by ID
 	dead    map[topology.LinkID]bool
 
 	// onTaskEnd is the engine's kill notifier: it records the task's end
@@ -149,12 +148,7 @@ func (st *State) ActiveFlows() []*Flow {
 //
 //taps:hotpath
 func (st *State) AppendActiveFlows(dst []*Flow) []*Flow {
-	n := len(dst)
-	for _, f := range st.active {
-		dst = append(dst, f)
-	}
-	slices.SortFunc(dst[n:], func(a, b *Flow) int { return cmp.Compare(a.ID, b.ID) })
-	return dst
+	return append(dst, st.active...)
 }
 
 // NumActive returns the number of active flows.
@@ -170,7 +164,24 @@ func (st *State) KillFlow(f *Flow, note string) {
 	f.State = FlowKilled
 	f.Finish = st.now
 	f.KillNote = note
-	delete(st.active, f.ID)
+	st.deactivate(f)
+}
+
+// deactivate removes f from the active set. Flow IDs are handed out in
+// arrival order, so the set only ever grows at its end and stays sorted.
+func (st *State) deactivate(f *Flow) {
+	if i, ok := slices.BinarySearchFunc(st.active, f.ID, func(a *Flow, id FlowID) int { return cmp.Compare(a.ID, id) }); ok {
+		st.active = slices.Delete(st.active, i, i+1)
+	}
+}
+
+// activeFlow returns the flow with the given ID if it is active, or nil
+// (also for an ID the run never handed out).
+func (st *State) activeFlow(id FlowID) *Flow {
+	if id < 0 || int(id) >= len(st.flows) || st.flows[id].State != FlowActive {
+		return nil
+	}
+	return st.flows[id]
 }
 
 // KillTask kills every still-active flow of the task and marks the task
@@ -292,18 +303,15 @@ type Engine struct {
 // New builds an engine over the graph/routing for the given task specs.
 // The specs may be in any arrival order.
 func New(g *topology.Graph, r topology.Routing, sched Scheduler, specs []TaskSpec, cfg Config) *Engine {
-	pending := make([]TaskSpec, len(specs))
-	copy(pending, specs)
-	sort.SliceStable(pending, func(i, j int) bool { return pending[i].Arrival < pending[j].Arrival })
-	failures := make([]LinkFailure, len(cfg.LinkFailures))
-	copy(failures, cfg.LinkFailures)
-	sort.SliceStable(failures, func(i, j int) bool { return failures[i].At < failures[j].At })
+	pending := slices.Clone(specs)
+	slices.SortStableFunc(pending, func(a, b TaskSpec) int { return cmp.Compare(a.Arrival, b.Arrival) })
+	failures := slices.Clone(cfg.LinkFailures)
+	slices.SortStableFunc(failures, func(a, b LinkFailure) int { return cmp.Compare(a.At, b.At) })
 	dead := make(map[topology.LinkID]bool)
 	e := &Engine{
 		st: &State{
 			graph:   g,
 			routing: &liveRouting{inner: r, dead: dead},
-			active:  make(map[FlowID]*Flow),
 			dead:    dead,
 		},
 		sched:    sched,
@@ -454,14 +462,10 @@ func (e *Engine) applyFailures() {
 		st.dead[lf.Link] = true
 		var affected []*Flow
 		for _, f := range st.active {
-			for _, l := range f.Path {
-				if l == lf.Link {
-					affected = append(affected, f)
-					break
-				}
+			if slices.Contains(f.Path, lf.Link) {
+				affected = append(affected, f)
 			}
 		}
-		sort.Slice(affected, func(i, j int) bool { return affected[i].ID < affected[j].ID })
 		for _, f := range affected {
 			if np := topology.ECMP(st.routing, f.Src, f.Dst, uint64(f.ID)); np != nil {
 				f.Path = np
@@ -523,7 +527,7 @@ func (e *Engine) admitArrivals() {
 				f.Finish = st.now
 				continue
 			}
-			st.active[f.ID] = f
+			st.active = append(st.active, f)
 		}
 		e.cfg.Sink.Emit(&declog.Record{Kind: declog.KindTask, Time: task.Arrival, Task: int64(task.ID),
 			Deadline: task.Deadline, Flows: infos})
@@ -531,8 +535,8 @@ func (e *Engine) admitArrivals() {
 	}
 }
 
-// fireDeadlines notifies the scheduler, exactly once per flow, that an
-// active flow has passed its deadline.
+// fireDeadlines notifies the scheduler, exactly once per flow and in ID
+// order, that an active flow has passed its deadline.
 func (e *Engine) fireDeadlines() {
 	st := e.st
 	expired := e.flowBuf[:0]
@@ -542,7 +546,6 @@ func (e *Engine) fireDeadlines() {
 			expired = append(expired, f)
 		}
 	}
-	slices.SortFunc(expired, func(a, b *Flow) int { return cmp.Compare(a.ID, b.ID) })
 	e.flowBuf = expired[:0]
 	for _, f := range expired {
 		e.sched.OnDeadlineMissed(st, f)
@@ -579,8 +582,8 @@ func (e *Engine) integrate(rates RateMap, dt simtime.Time) {
 		if r <= 0 {
 			continue
 		}
-		f, ok := e.st.active[id]
-		if !ok {
+		f := e.st.activeFlow(id)
+		if f == nil {
 			continue
 		}
 		bytes := r * float64(dt) / 1e6
@@ -610,7 +613,9 @@ func (e *Engine) recordSegment(id FlowID, iv simtime.Interval, rate float64) {
 	e.segments[id] = append(segs, Segment{Interval: iv, Rate: rate})
 }
 
-// completeFinished retires flows whose remaining bytes reached zero.
+// completeFinished retires flows whose remaining bytes reached zero, in ID
+// order, one at a time: each OnFlowFinished still sees the later ones of
+// the same instant active.
 func (e *Engine) completeFinished() {
 	st := e.st
 	done := e.flowBuf[:0]
@@ -619,13 +624,12 @@ func (e *Engine) completeFinished() {
 			done = append(done, f)
 		}
 	}
-	slices.SortFunc(done, func(a, b *Flow) int { return cmp.Compare(a.ID, b.ID) })
 	e.flowBuf = done[:0]
 	for _, f := range done {
 		f.remaining = 0
 		f.State = FlowDone
 		f.Finish = st.now
-		delete(st.active, f.ID)
+		st.deactivate(f)
 		e.sched.OnFlowFinished(st, f)
 	}
 }
@@ -650,8 +654,8 @@ func (e *Engine) validate(rates RateMap) error {
 		if r == 0 {
 			continue
 		}
-		f, ok := st.active[id]
-		if !ok {
+		f := st.activeFlow(id)
+		if f == nil {
 			return fmt.Errorf("sim: rate assigned to non-active flow %d", id)
 		}
 		if len(f.Path) == 0 && f.Src != f.Dst {
