@@ -15,7 +15,7 @@ import (
 //   - appends to a slice declared outside the loop (element order = map
 //     order) — exempt when a later statement in the same block sorts that
 //     slice, the collect-then-sort idiom;
-//   - calls a method named Record (an event emitter) or writes formatted
+//   - emits decision records (declog.Sink.Emit) or writes formatted
 //     output (fmt print family), which serializes in map order;
 //   - unconditionally assigns a range variable to an outer variable (the
 //     "pick an element" idiom — a map-order-dependent tie-break unless the
@@ -148,8 +148,8 @@ func (p *Pass) checkMapRange(rs *ast.RangeStmt, rest []ast.Stmt) {
 		case *ast.CallExpr:
 			// Trigger: event emission / formatted output inside the loop.
 			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-				if sel.Sel.Name == "Record" && p.pkgNameOf(sel.X) == nil {
-					diag = "emits events (Record) in map order"
+				if fn, ok := p.Info.Uses[sel.Sel].(*types.Func); ok && fn.FullName() == sinkEmit {
+					diag = "emits decision records (declog.Sink.Emit) in map order"
 				} else if pn := p.pkgNameOf(sel.X); pn != nil && pn.Imported().Path() == "fmt" &&
 					strings.HasPrefix(strings.TrimPrefix(sel.Sel.Name, "F"), "Print") {
 					diag = "writes output (fmt." + sel.Sel.Name + ") in map order"
@@ -162,6 +162,10 @@ func (p *Pass) checkMapRange(rs *ast.RangeStmt, rest []ast.Stmt) {
 		p.Reportf(rs.Pos(), "order-dependent iteration over map: %s", diag)
 	}
 }
+
+// sinkEmit is the one emitter of decision records: its records land in the
+// decision log, the span tree and the decision counters in call order.
+const sinkEmit = "(*taps/internal/obs/declog.Sink).Emit"
 
 // rangeVarObjs collects the objects of the range's key/value variables.
 func (p *Pass) rangeVarObjs(rs *ast.RangeStmt) map[types.Object]bool {

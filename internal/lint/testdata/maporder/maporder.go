@@ -5,6 +5,8 @@ package maporder
 import (
 	"fmt"
 	"sort"
+
+	"taps/internal/obs/declog"
 )
 
 // collectUnsorted appends in map order and never sorts — a violation.
@@ -54,14 +56,22 @@ func dump(m map[string]int) {
 	}
 }
 
-type recorder struct{}
+// emit logs decision records in map order — a violation.
+func emit(m map[int64]int64, sink *declog.Sink) {
+	for task, deadline := range m { // want "emits decision records"
+		sink.Emit(&declog.Record{Kind: declog.KindTask, Task: task, Deadline: deadline})
+	}
+}
 
-func (recorder) Record(v int) {}
+type counter struct{ n int }
 
-// emit records events in map order — a violation.
-func emit(m map[int]int, r recorder) {
-	for _, v := range m { // want "emits events"
-		r.Record(v)
+func (c *counter) Emit(*declog.Record) { c.n++ }
+
+// count calls an Emit that is not the sink's: it only counts, so the
+// order cannot show — legal.
+func count(m map[int]*declog.Record, c *counter) {
+	for _, r := range m {
+		c.Emit(r)
 	}
 }
 
