@@ -15,7 +15,7 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# lint runs the repo's own determinism/concurrency/hot-path analyzers
+# lint runs the repo's own determinism/concurrency analyzers
 # (DESIGN.md §8). Prints every finding across all packages and
 # exits non-zero if there is one; a clean run prints nothing.
 lint:

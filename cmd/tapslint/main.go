@@ -1,7 +1,7 @@
-// Command tapslint runs the repository's determinism, concurrency, and
-// hot-path lint pass (internal/lint) over module packages.
+// Command tapslint runs the repository's determinism and concurrency lint
+// pass (internal/lint) over module packages.
 //
-//	tapslint [-list] [-json] [packages...]
+//	tapslint [-list] [packages...]
 //
 // Packages are go list patterns relative to the working directory
 // (./internal/core, ./..., ./internal/...); the default is ./..., which
@@ -18,7 +18,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -27,25 +26,11 @@ import (
 	"taps/internal/lint"
 )
 
-// jsonFinding is one diagnostic in -json output.
-type jsonFinding struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Column  int    `json:"column"`
-	Check   string `json:"check"`
-	Message string `json:"message"`
-}
-
-type jsonReport struct {
-	Findings []jsonFinding `json:"findings"`
-}
-
 func main() {
 	list := flag.Bool("list", false, "print the registered analyzers and exit")
-	asJSON := flag.Bool("json", false, "emit findings as a JSON report on stdout")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: tapslint [-list] [-json] [packages...]\n")
+			"usage: tapslint [-list] [packages...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -85,28 +70,10 @@ func main() {
 		return filepath.ToSlash(abs)
 	}
 
-	findings := []jsonFinding{}
 	for _, d := range diags {
-		findings = append(findings, jsonFinding{
-			File: relName(d.Pos.Filename), Line: d.Pos.Line, Column: d.Pos.Column,
-			Check: d.Check, Message: d.Message,
-		})
+		fmt.Printf("%s:%d:%d: %s: %s\n", relName(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Check, d.Message)
 	}
-
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(jsonReport{Findings: findings}); err != nil {
-			fmt.Fprintln(os.Stderr, "tapslint:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Printf("%s:%d:%d: %s: %s\n", f.File, f.Line, f.Column, f.Check, f.Message)
-		}
-	}
-
-	if len(findings) > 0 {
+	if len(diags) > 0 {
 		os.Exit(1)
 	}
 }

@@ -69,8 +69,6 @@ type evalScratch struct {
 // and strictly before the best so far, and its sweep stops as soon as it
 // cannot: every candidate is still examined, ties still go to the lowest
 // index.
-//
-//taps:hotpath
 func (p *Planner) evalCandidates(now simtime.Time, r FlowReq, window simtime.Interval, paths []topology.Path, sc *evalScratch) {
 	sc.bestIdx, sc.bestFinish = -1, simtime.Infinity
 	before := min(window.End+1, simtime.Infinity)
@@ -113,13 +111,10 @@ func (o *occupancy) reset(n int) {
 	o.touched, o.end = o.touched[:0], 0
 }
 
-//taps:hotpath
 func (o *occupancy) get(l topology.LinkID) simtime.IntervalSet { return o.links[l] }
 
 // claim unions a flow's slices into the occupancy of every link of its
 // path.
-//
-//taps:hotpath
 func (o *occupancy) claim(path topology.Path, slices *simtime.IntervalSet, finish simtime.Time) {
 	o.end = max(o.end, finish)
 	for _, l := range path {
@@ -177,8 +172,6 @@ func (p *Planner) planAll(now simtime.Time, reqs []FlowReq) []PlanEntry {
 
 // planOne runs Alg. 2 lines 2-14 for a single flow and claims its slices
 // in the occupancy.
-//
-//taps:hotpath
 func (p *Planner) planOne(now simtime.Time, r FlowReq, window simtime.Interval) PlanEntry {
 	best := PlanEntry{Finish: simtime.Infinity, PathIndex: -1}
 	if r.Src == r.Dst || r.Bytes <= 0 {
@@ -206,8 +199,6 @@ func (p *Planner) planOne(now simtime.Time, r FlowReq, window simtime.Interval) 
 // over the occupancies of its links. It succeeds when the flow finishes
 // before `before`; the taken slices are then in sc.taken. Nothing is
 // allocated once sc is warm.
-//
-//taps:hotpath
 func (p *Planner) evalPath(now simtime.Time, r FlowReq, before simtime.Time, path topology.Path, sc *evalScratch) (simtime.Time, bool) {
 	e := durationFor(r.Bytes, p.Graph.MinCapacity(path))
 	sc.sets = sc.sets[:0]

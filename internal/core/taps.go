@@ -303,15 +303,13 @@ func (s *Scheduler) OnLinkDown(st *sim.State, link topology.LinkID) {
 // passes: a flow whose cached boundary is still ahead of now — in
 // particular one far past the current horizon minimum — is served from the
 // cache without re-searching its slice set. A commit invalidates the cache.
-//
-//taps:hotpath
 func (s *Scheduler) Rates(st *sim.State) (sim.RateMap, simtime.Time) {
 	now := st.Now()
 	if len(s.pending) > 0 && now >= s.flushAt {
 		s.flushPending(st)
 	}
 	if s.rates == nil {
-		s.rates = make(sim.RateMap) //taps:allow hotpathalloc one-time lazy init; cleared and reused every tick thereafter
+		s.rates = make(sim.RateMap) // one-time lazy init; cleared and reused every tick thereafter
 	}
 	clear(s.rates)
 	rates := s.rates

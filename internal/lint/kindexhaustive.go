@@ -15,35 +15,29 @@ import (
 // with an encoder case but no replayer case corrupts time-travel debugging
 // without failing a single test, because old logs still replay fine.
 //
-// Every switch whose tag is one of the registered closed enums (or a type
-// annotated //taps:enum in its declaring package) must either list every
-// exported constant of the type or carry a default clause annotated
-// //taps:allow kindexhaustive with a rationale (a corrupt-input guard in a
-// decoder is legitimate; a lazy catch-all in a replayer is not).
+// Every switch whose tag is one of the registered closed enums
+// (kindexRegistry) must either list every exported constant of the type or
+// carry a default clause annotated //taps:allow kindexhaustive with a
+// rationale (a corrupt-input guard in a decoder is legitimate; a lazy
+// catch-all in a replayer is not).
 var KindExhaustive = &Analyzer{
 	Name: "kindexhaustive",
 	Doc:  "switches over closed enums (declog.Kind, span outcomes, replan kinds) must cover every constant or annotate their default",
 	Run:  runKindExhaustive,
 }
 
-// kindexRegistry names the module's closed enum types. Fixture and future
-// enums opt in with a //taps:enum directive on the type declaration
-// instead (comments don't travel across package boundaries, so the
-// directive only works in the enum's declaring package).
+// kindexRegistry names the module's closed enum types, keyed
+// pkgpath.TypeName: the one way to mark an enum closed.
 var kindexRegistry = map[string]bool{
 	"taps/internal/obs/declog.Kind":     true,
 	"taps/internal/obs/span.Outcome":    true,
 	"taps/internal/obs/span.ReplanKind": true,
 	"taps/internal/core.Ordering":       true,
 	"taps/internal/core.Decision":       true,
+	"taps/internal/netctl.Stage":        true,
 }
 
-// enumDirective is the opt-in marker for closed enums declared in the
-// analyzed package itself.
-const enumDirective = "taps:enum"
-
 func runKindExhaustive(p *Pass) {
-	closed := p.localClosedEnums()
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sw, ok := n.(*ast.SwitchStmt)
@@ -55,44 +49,13 @@ func runKindExhaustive(p *Pass) {
 				return true
 			}
 			key := named.Obj().Pkg().Path() + "." + named.Obj().Name()
-			if !kindexRegistry[key] && !closed[key] {
+			if !kindexRegistry[key] {
 				return true
 			}
 			p.checkEnumSwitch(sw, named, key)
 			return true
 		})
 	}
-}
-
-// localClosedEnums collects //taps:enum-annotated type declarations of the
-// analyzed package, keyed pkgpath.TypeName.
-func (p *Pass) localClosedEnums() map[string]bool {
-	closed := make(map[string]bool)
-	for _, f := range p.Files {
-		directiveLines := make(map[int]bool)
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if strings.HasPrefix(c.Text, "//"+enumDirective) {
-					directiveLines[p.Fset.Position(c.Pos()).Line] = true
-				}
-			}
-		}
-		if len(directiveLines) == 0 {
-			continue
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			ts, ok := n.(*ast.TypeSpec)
-			if !ok {
-				return true
-			}
-			line := p.Fset.Position(ts.Pos()).Line
-			if directiveLines[line] || directiveLines[line-1] {
-				closed[p.Pkg.Path()+"."+ts.Name.Name] = true
-			}
-			return true
-		})
-	}
-	return closed
 }
 
 // namedTypeOf resolves an expression's type to its Named form, or nil.

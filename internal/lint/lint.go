@@ -1,13 +1,12 @@
 // Package lint is tapslint's analyzer framework: a small, stdlib-only
 // (go/ast + go/parser + go/types + go/importer) static-analysis layer that
 // machine-checks the determinism and simulated-time invariants the TAPS
-// reproduction depends on. The headline property of the planner — plans
-// that are bit-identical across runs and across the sequential/parallel
-// evaluation modes — only survives refactoring if nobody reintroduces
-// wall-clock reads, unseeded global randomness, order-dependent map
-// iteration, inconsistent lock order, unhandled record kinds, or
-// allocations into the hot paths. The analyzers registered here (see All)
-// turn those conventions into CI failures.
+// reproduction depends on. Plans, traces and decision logs are
+// bit-identical across runs and across GOMAXPROCS only as long as nobody
+// reintroduces wall-clock reads, unseeded global randomness,
+// order-dependent map iteration, inconsistent lock order, or unhandled
+// record kinds. The analyzers registered here (see All) turn those
+// conventions into CI failures.
 //
 // Individual findings are silenced with a directive comment on the
 // offending line (or the line directly above it):
@@ -189,8 +188,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 
 // All returns the registered analyzer set, in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Wallclock, GlobalRand, MapOrder, LockOrder,
-		KindExhaustive, HotPathAlloc}
+	return []*Analyzer{Wallclock, GlobalRand, MapOrder, LockOrder, KindExhaustive}
 }
 
 // testdataPrefix marks the lint fixtures: scoped analyzers always opt into

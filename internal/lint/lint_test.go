@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/token"
 	"go/types"
 	"os"
@@ -88,7 +89,6 @@ func TestGlobalRandFixture(t *testing.T)     { runFixture(t, GlobalRand, "global
 func TestMapOrderFixture(t *testing.T)       { runFixture(t, MapOrder, "maporder") }
 func TestLockOrderFixture(t *testing.T)      { runFixture(t, LockOrder, "lockorder") }
 func TestKindExhaustiveFixture(t *testing.T) { runFixture(t, KindExhaustive, "kindexhaustive") }
-func TestHotPathAllocFixture(t *testing.T)   { runFixture(t, HotPathAlloc, "hotpathalloc") }
 
 // TestKindExhaustiveCatchesNewKind proves the acceptance criterion: adding
 // a declog.Kind constant without replayer handling fails lint. The
@@ -132,6 +132,62 @@ func TestKindExhaustiveCleanWithoutTag(t *testing.T) {
 	if diags := Run(pkgs, []*Analyzer{KindExhaustive}); len(diags) != 0 {
 		t.Fatalf("kindexhaustive on production declog: %v", diags)
 	}
+}
+
+// TestKindRegistryResolves guards the registry against renames: it is the
+// only way to mark an enum closed, so a key that no longer names a type
+// would silently drop that type's switches out of checking. Every key must
+// name a type with at least two exported constants; a misspelled key must
+// be caught.
+func TestKindRegistryResolves(t *testing.T) {
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys, paths []string
+	for key := range kindexRegistry {
+		keys = append(keys, key)
+		paths = append(paths, key[:strings.LastIndex(key, ".")])
+	}
+	slices.Sort(keys)
+	pkgs, err := loader.Load(paths...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range keys {
+		if err := resolveEnum(pkgs, key); err != nil {
+			t.Error(err)
+		}
+	}
+	if err := resolveEnum(pkgs, "taps/internal/core.Decisoin"); err == nil {
+		t.Error("misspelled registry key resolved")
+	}
+}
+
+// resolveEnum checks that key (pkgpath.TypeName) names a type of one of
+// pkgs with at least two exported constants of that type.
+func resolveEnum(pkgs []*Package, key string) error {
+	i := strings.LastIndex(key, ".")
+	path, name := key[:i], key[i+1:]
+	j := slices.IndexFunc(pkgs, func(p *Package) bool { return p.Path == path })
+	if j < 0 {
+		return fmt.Errorf("registry key %s: package %s not loaded", key, path)
+	}
+	scope := pkgs[j].Types.Scope()
+	tn, ok := scope.Lookup(name).(*types.TypeName)
+	if !ok {
+		return fmt.Errorf("registry key %s: no type %s in %s", key, name, path)
+	}
+	consts := 0
+	for _, n := range scope.Names() {
+		if c, ok := scope.Lookup(n).(*types.Const); ok && c.Exported() && types.Identical(c.Type(), tn.Type()) {
+			consts++
+		}
+	}
+	if consts < 2 {
+		return fmt.Errorf("registry key %s: %d exported constants, want >= 2", key, consts)
+	}
+	return nil
 }
 
 // TestTreeExpansionSkipsTestdata guards the ./... contract: the fixture
@@ -270,7 +326,7 @@ func TestAnalyzerSetStable(t *testing.T) {
 		}
 	}
 	got := strings.Join(names, " ")
-	want := "wallclock globalrand maporder lockorder kindexhaustive hotpathalloc"
+	want := "wallclock globalrand maporder lockorder kindexhaustive"
 	if got != want {
 		t.Errorf("All() = %q, want %q", got, want)
 	}

@@ -3,35 +3,26 @@
 // corrupt-input-guard default, and the open-enum false-positive guard.
 package kindexhaustive
 
-import "taps/internal/obs/declog"
-
-// Mode is a fixture-local closed enum, opted in via the directive.
-//
-//taps:enum
-type Mode uint8
-
-// Fixture modes.
-const (
-	ModeA Mode = iota
-	ModeB
-	ModeC
+import (
+	"taps/internal/core"
+	"taps/internal/obs/declog"
 )
 
-// partial misses ModeC.
-func partial(m Mode) int {
-	switch m { // want "does not handle ModeC"
-	case ModeA:
+// partial misses core.Preempt.
+func partial(d core.Decision) int {
+	switch d { // want "does not handle Preempt"
+	case core.Accept:
 		return 1
-	case ModeB:
+	case core.RejectNew:
 		return 2
 	}
 	return 0
 }
 
-// swallow hides ModeB and ModeC behind an unannotated default.
-func swallow(m Mode) int {
-	switch m {
-	case ModeA:
+// swallow hides RejectNew and Preempt behind an unannotated default.
+func swallow(d core.Decision) int {
+	switch d {
+	case core.Accept:
 		return 1
 	default: // want "default clause"
 		return 0
@@ -39,9 +30,9 @@ func swallow(m Mode) int {
 }
 
 // guarded documents why its default exists: legal.
-func guarded(m Mode) int {
-	switch m {
-	case ModeA, ModeB, ModeC:
+func guarded(d core.Decision) int {
+	switch d {
+	case core.Accept, core.RejectNew, core.Preempt:
 		return 1
 	//taps:allow kindexhaustive corrupt-input guard for values decoded from disk
 	default:
@@ -50,19 +41,19 @@ func guarded(m Mode) int {
 }
 
 // full covers every constant: legal without a default.
-func full(m Mode) int {
-	switch m {
-	case ModeA:
+func full(d core.Decision) int {
+	switch d {
+	case core.Accept:
 		return 1
-	case ModeB:
+	case core.RejectNew:
 		return 2
-	case ModeC:
+	case core.Preempt:
 		return 3
 	}
 	return 0
 }
 
-// open is NOT annotated //taps:enum: switches over it are unconstrained.
+// open is not in the registry: switches over it are unconstrained.
 type open uint8
 
 // OpenA is open's only constant.
@@ -75,7 +66,7 @@ func openSwitch(o open) int {
 	}
 }
 
-// registry exercises the module registry path: declog.Kind is closed, and
+// registry exercises a second registered enum: declog.Kind is closed, and
 // this switch handles only one of its twelve kinds.
 func registry(k declog.Kind) string {
 	switch k { // want "does not handle .*KindCommit"

@@ -366,13 +366,13 @@ func (c *Controller) handle(cd *codec) {
 		}
 		switch env.Type {
 		case TypeProbe:
-			if env.Probe != nil {
+			if fault := c.probeFault(env.Probe); fault == "" {
 				c.onProbe(*env.Probe)
 			} else {
 				c.mu.Lock()
 				c.load.probesDropped++
 				c.mu.Unlock()
-				c.cfg.Logf("netctl: probe frame without payload from %s", hello.Agent)
+				c.cfg.Logf("netctl: dropped probe from %s: %s", hello.Agent, fault)
 			}
 		case TypeTerm:
 			if env.Term != nil {
@@ -382,6 +382,22 @@ func (c *Controller) handle(cd *codec) {
 			c.cfg.Logf("netctl: unexpected %s from %s", env.Type, hello.Agent)
 		}
 	}
+}
+
+// probeFault says why a probe cannot be decided, or "" when it can: a
+// frame without payload, or a flow whose endpoints are not nodes of the
+// graph. The graph is immutable, so the check runs outside mu.
+func (c *Controller) probeFault(p *ProbeMsg) string {
+	if p == nil {
+		return "frame without payload"
+	}
+	n := topology.NodeID(c.graph.NumNodes())
+	for _, fi := range p.Flows {
+		if fi.Src < 0 || fi.Src >= n || fi.Dst < 0 || fi.Dst >= n {
+			return fmt.Sprintf("task %d flow %d: %d->%d names a node outside the %d-node graph", p.Task, fi.ID, fi.Src, fi.Dst, n)
+		}
+	}
+	return ""
 }
 
 // observeDecode feeds one frame's unmarshal time to the decode-stage

@@ -3,6 +3,7 @@ package netctl
 import (
 	"encoding/json"
 	"expvar"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/pprof"
@@ -181,7 +182,7 @@ func (c *Controller) HTTPHandler() http.Handler {
 			http.Error(w, "decision log not enabled", http.StatusNotFound)
 			return
 		}
-		off, err := parseUintParam(r.URL.Query().Get("off"), 0)
+		off, err := parseOffset(r.URL.Query().Get("off"))
 		if err != nil {
 			http.Error(w, "bad off: "+err.Error(), http.StatusBadRequest)
 			return
@@ -199,7 +200,7 @@ func (c *Controller) HTTPHandler() http.Handler {
 		}
 		defer f.Close()
 		if off > 0 {
-			if _, err := f.Seek(int64(off), io.SeekStart); err != nil {
+			if _, err := f.Seek(off, io.SeekStart); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
 			}
@@ -216,10 +217,15 @@ func (c *Controller) HTTPHandler() http.Handler {
 	return mux
 }
 
-// parseUintParam parses an optional unsigned query parameter.
-func parseUintParam(s string, def uint64) (uint64, error) {
+// parseOffset parses the optional ?off= byte offset: a non-negative int64,
+// 0 when absent.
+func parseOffset(s string) (int64, error) {
 	if s == "" {
-		return def, nil
+		return 0, nil
 	}
-	return strconv.ParseUint(s, 10, 64)
+	off, err := strconv.ParseInt(s, 10, 64)
+	if err == nil && off < 0 {
+		err = fmt.Errorf("negative offset %d", off)
+	}
+	return off, err
 }

@@ -16,8 +16,6 @@ import (
 // decision latency climbs under load, which stage is the wall — the
 // planner, the write-ahead fsync, the grant broadcast fan-out, or just
 // contention for the decision lock.
-//
-//taps:enum
 type Stage uint8
 
 // Admission-path stages, in execution order within one probe.

@@ -154,6 +154,8 @@ func TestHTTPDeclogPaging(t *testing.T) {
 		t.Fatalf("cursor past the end returned %d bytes", len(page))
 	}
 	get("off=banana", 400)
+	get("off=-1", 400)
+	get("off=9223372036854775808", 400) // past MaxInt64: no offset, not a failed Seek
 }
 
 func TestHTTPDebugEndpoints(t *testing.T) {

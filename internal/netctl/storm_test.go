@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"math/rand"
 	"net"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"taps/internal/netctl"
+	"taps/internal/obs/declog"
 	"taps/internal/simtime"
 	"taps/internal/topology"
 )
@@ -161,5 +163,42 @@ func TestStormNeverOverlaps(t *testing.T) {
 	})
 	if rejects < ops/10 || accepts < ops/10 {
 		t.Fatalf("%d accepts, %d rejects: not a storm", accepts, rejects)
+	}
+}
+
+// TestMalformedProbeKeepsControllerUp sends probes whose flows name nodes
+// outside the graph, and one without a payload, over a live connection:
+// each is dropped and counted, none reaches the kernel or the decision log,
+// and the same connection's next valid probe is still decided.
+func TestMalformedProbeKeepsControllerUp(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "ctl.dlg")
+	ctl, d, hosts := startStorm(t, logPath)
+	g, _ := topology.FatTree(topology.FatTreeSpec{K: 4, LinkCapacity: topology.Gbps(1)}) // startStorm's graph
+	n := topology.NodeID(g.NumNodes())
+	bad := []netctl.FlowInfo{
+		{ID: 1, Src: -1, Dst: hosts[1], Size: 1e6},
+		{ID: 2, Src: hosts[0], Dst: 100000, Size: 1e6},
+		{ID: 3, Src: n, Dst: hosts[1], Size: 1e6},
+	}
+	for i, fi := range bad {
+		d.send(netctl.Envelope{Type: netctl.TypeProbe, Probe: &netctl.ProbeMsg{
+			Task: int64(100 + i), Deadline: simtime.Second, Flows: []netctl.FlowInfo{fi}}})
+	}
+	d.send(netctl.Envelope{Type: netctl.TypeProbe})
+	if !d.probe(netctl.ProbeMsg{Task: 1, Deadline: simtime.Second,
+		Flows: []netctl.FlowInfo{{ID: 4, Src: hosts[0], Dst: hosts[1], Size: 1e6}}}) {
+		t.Fatal("valid probe after the malformed ones was rejected")
+	}
+	if ld := ctl.Load(); ld.ProbesTotal != 1 || ld.ProbesDropped != uint64(len(bad)+1) {
+		t.Fatalf("probes: %d decided, %d dropped; want 1, %d", ld.ProbesTotal, ld.ProbesDropped, len(bad)+1)
+	}
+	recs, _, err := declog.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if r.Task >= 100 {
+			t.Errorf("decision log holds a %v record of dropped task %d", r.Kind, r.Task)
+		}
 	}
 }

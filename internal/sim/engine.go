@@ -145,8 +145,6 @@ func (st *State) ActiveFlows() []*Flow {
 // returns the extended slice. Schedulers that run on every event instant
 // pass a buffer they keep across calls (truncated to [:0]) so the per-tick
 // snapshot costs no allocation once the buffer has grown to fleet size.
-//
-//taps:hotpath
 func (st *State) AppendActiveFlows(dst []*Flow) []*Flow {
 	return append(dst, st.active...)
 }

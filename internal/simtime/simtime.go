@@ -246,8 +246,6 @@ func (s *IntervalSet) Remove(iv Interval) {
 }
 
 // UnionInPlace adds every interval of b into s.
-//
-//taps:hotpath
 func (s *IntervalSet) UnionInPlace(b *IntervalSet) {
 	for _, iv := range b.ivs {
 		s.Add(iv)
@@ -290,8 +288,6 @@ func Intersect(a, b IntervalSet) IntervalSet {
 // caller-owned scratch set makes the operation allocation-free. dst must
 // not alias any element of sets. Passing a pre-built slice as `sets...`
 // avoids the variadic allocation.
-//
-//taps:hotpath
 func FirstFit(dst *IntervalSet, from, units, before Time, sets ...IntervalSet) (finish Time, ok bool) {
 	if dst != nil {
 		dst.ivs = dst.ivs[:0]
@@ -306,7 +302,7 @@ func FirstFit(dst *IntervalSet, from, units, before Time, sets ...IntervalSet) (
 	if len(sets) <= len(cursBuf) {
 		curs = cursBuf[:len(sets)]
 	} else {
-		curs = make([]int, len(sets)) //taps:allow hotpathalloc spill path for more sets than the fixed cursor buffer; callers stay within it
+		curs = make([]int, len(sets)) // spill path for more sets than the fixed cursor buffer; callers stay within it
 	}
 	for i := range sets {
 		curs[i] = sets[i].firstEndAbove(from)
@@ -376,8 +372,6 @@ func (s IntervalSet) NextBoundaryAfter(t Time) Time {
 // GCBefore removes all instants strictly before t. Planners call this to
 // drop occupancy records that can no longer influence allocation. The trim
 // happens in place, without allocating.
-//
-//taps:hotpath
 func (s *IntervalSet) GCBefore(t Time) {
 	i := s.firstEndAbove(t)
 	if i > 0 {
