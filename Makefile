@@ -3,7 +3,8 @@ GO ?= go
 .PHONY: check fmt vet build test race lint bench bench-json netctl-soak-smoke tapsbench tapsbench-test
 
 # check is the full CI gate: formatting, vet, build, lint, tests with the
-# race detector. CI (.github/workflows/ci.yml) runs exactly this target.
+# race detector. CI (.github/workflows/ci.yml) runs the same commands as
+# steps of its check job, with lint in a job of its own.
 check: fmt vet build lint race
 
 fmt:

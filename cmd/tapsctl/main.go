@@ -40,7 +40,7 @@ func main() {
 		n       = flag.Int("n", 4, "bcube: n")
 		speedup = flag.Float64("speedup", 1, "virtual µs per real µs")
 		paths   = flag.Int("paths", 16, "candidate path cap")
-		httpAt  = flag.String("http", "", "serve GET /status, /metrics, /declog and /healthz on this address (empty: off)")
+		httpAt  = flag.String("http", "", "serve GET /status, /metrics, /declog, /trace, /why and /healthz on this address (empty: off)")
 		declogF = flag.String("declog", "", "write-ahead decision log file (reopening an existing log recovers controller state)")
 		replayF = flag.String("replay", "", "offline mode: replay this decision log instead of serving")
 		untilF  = flag.Int64("until", 0, "replay: materialize state as of this virtual time in µs (0: end of log)")

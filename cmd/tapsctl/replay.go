@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strconv"
 
 	"taps/internal/obs/declog"
 	"taps/internal/obs/span"
@@ -50,7 +49,7 @@ func runReplay(out io.Writer, path string, untilUs int64, whyArg, traceTo string
 			len(tree.Tasks), len(tree.Flows), len(tree.Replans), traceTo)
 	}
 	if whyArg != "" {
-		task, err := pickWhyTask(tree, whyArg)
+		task, err := span.WhyTask(tree, whyArg)
 		if err != nil {
 			return err
 		}
@@ -70,38 +69,6 @@ func replayLinkNamer(m *declog.Meta) func(int32) string {
 		}
 		return fmt.Sprintf("link %d", l)
 	}
-}
-
-// pickWhyTask resolves the -why argument: a task ID, or "rejected" for
-// the first discarded task of the log (preferring one whose attribution
-// chain names holders).
-func pickWhyTask(tree *span.Tree, arg string) (int64, error) {
-	if arg != "rejected" {
-		id, err := strconv.ParseInt(arg, 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("-why wants a task ID or \"rejected\": %w", err)
-		}
-		return id, nil
-	}
-	fallback := span.NoTask
-	for i := range tree.Tasks {
-		ts := &tree.Tasks[i]
-		if ts.Outcome != span.OutcomeRejected && ts.Outcome != span.OutcomePreempted {
-			continue
-		}
-		if fallback == span.NoTask {
-			fallback = ts.Task
-		}
-		for _, blk := range ts.Blocks {
-			if len(blk.Holders) > 0 {
-				return ts.Task, nil
-			}
-		}
-	}
-	if fallback == span.NoTask {
-		return 0, fmt.Errorf("-why rejected: the log holds no discarded task")
-	}
-	return fallback, nil
 }
 
 // writeReplaySummary prints the reconstructed world: decision totals from

@@ -13,23 +13,22 @@ import (
 )
 
 // genBenchDeclog runs the deterministic bench-scale simulation with the
-// flight recorder on and returns the log bytes plus the live span tree.
-func genBenchDeclog(t *testing.T) ([]byte, *span.Tree) {
+// flight recorder writing to a file and returns the file's bytes.
+func genBenchDeclog(t *testing.T) []byte {
 	t.Helper()
 	scale, err := experiments.ScaleByName("bench")
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "bench.dlg")
-	tree, _, err := spanRun(scale, path)
-	if err != nil {
+	if _, _, err := spanRun(scale, path); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data, tree
+	return data
 }
 
 // TestDeclogGoldenBench pins the decision log's binary encoding end to
@@ -41,7 +40,7 @@ func genBenchDeclog(t *testing.T) ([]byte, *span.Tree) {
 // after an intentional change to the workload, the scheduler's decisions,
 // or the record encoding.
 func TestDeclogGoldenBench(t *testing.T) {
-	data, _ := genBenchDeclog(t)
+	data := genBenchDeclog(t)
 	golden := filepath.Join("testdata", "declog_bench.bin")
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.WriteFile(golden, data, 0o644); err != nil {
@@ -63,9 +62,9 @@ func TestDeclogGoldenBench(t *testing.T) {
 
 // TestReplayGoldenReconstructsGoldenTrace is the cross-golden acceptance
 // check: replaying the checked-in decision log must reconstruct the exact
-// span tree the live run recorded — so its trace_event export is
-// byte-identical to testdata/trace_bench.json, which was produced by a
-// live run. The log alone carries the whole causal history.
+// span tree `tapsim -trace` exports — its trace_event export is
+// byte-identical to testdata/trace_bench.json. The log alone carries the
+// whole causal history.
 func TestReplayGoldenReconstructsGoldenTrace(t *testing.T) {
 	recs, truncated, err := declog.ReadFile(filepath.Join("testdata", "declog_bench.bin"))
 	if err != nil {
@@ -96,23 +95,31 @@ func TestReplayGoldenReconstructsGoldenTrace(t *testing.T) {
 		t.Fatalf("read golden trace: %v", err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("replayed trace deviates from the live-run golden: got %d bytes, want %d",
+		t.Fatalf("replayed trace deviates from the golden trace: got %d bytes, want %d",
 			buf.Len(), len(want))
 	}
 }
 
-// TestReplayTreeMatchesLiveTree re-runs the bench simulation and requires
-// the replayed span tree to be field-identical to the live recorder's —
-// the structural form of the byte-level golden check above.
-func TestReplayTreeMatchesLiveTree(t *testing.T) {
-	data, live := genBenchDeclog(t)
-	recs, _, err := declog.Read(bytes.NewReader(data))
+// TestMemoryLogReplaysLikeGoldenLog: the tree `tapsim -trace` and -why
+// serve when no -declog is given, replayed from the run's log in memory,
+// is field-identical to the one the checked-in file log replays into — the
+// structural form of the byte-level golden checks above.
+func TestMemoryLogReplaysLikeGoldenLog(t *testing.T) {
+	scale, err := experiments.ScaleByName("bench")
 	if err != nil {
 		t.Fatal(err)
 	}
+	fromMemory, _, err := spanRun(scale, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, truncated, err := declog.ReadFile(filepath.Join("testdata", "declog_bench.bin"))
+	if err != nil || truncated {
+		t.Fatalf("read golden log: truncated=%v err=%v", truncated, err)
+	}
 	rp := declog.NewReplayer()
 	rp.ApplyAll(recs)
-	if !reflect.DeepEqual(rp.Tree(), live) {
-		t.Fatal("replayed span tree differs from the live recorder's snapshot")
+	if len(fromMemory.Replans) == 0 || !reflect.DeepEqual(fromMemory, rp.Tree()) {
+		t.Fatal("the memory log's tree differs from the golden log's")
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"taps/internal/core"
 	"taps/internal/obs/declog"
-	"taps/internal/obs/span"
 	"taps/internal/sim"
 	"taps/internal/simtime"
 	"taps/internal/topology"
@@ -224,9 +223,10 @@ func BenchmarkTAPSFullRun(b *testing.B) {
 }
 
 // BenchmarkTAPSFullRunSpans is the span-tracing cost pair: the identical
-// simulation with span recording disabled (the default) and enabled. The
-// disabled side must match BenchmarkTAPSFullRun/replan-always — span
-// tracing is free until a recorder is attached (see
+// simulation with no decision log (the default) and with one in memory,
+// the record a span tree is replayed from. The off side must match
+// BenchmarkTAPSFullRun/replan-always — span tracing is free until a log
+// is attached (see
 // TestPlannerAllocsUnchangedWithSpansDisabled for the hard pin).
 func BenchmarkTAPSFullRunSpans(b *testing.B) {
 	g, r := topology.SingleRootedTree(topology.SingleRootedTreeSpec{
@@ -245,7 +245,7 @@ func BenchmarkTAPSFullRunSpans(b *testing.B) {
 				sched := core.New(core.DefaultConfig())
 				cfg := sim.Config{}
 				if spans {
-					cfg.Sink = declog.Sink{Spans: span.NewRecorder()}
+					cfg.Sink = declog.Sink{Log: &declog.Writer{}}
 				}
 				eng := sim.New(g, cr, sched, specs, cfg)
 				if _, err := eng.Run(); err != nil {

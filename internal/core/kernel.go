@@ -73,8 +73,8 @@ type DataPlane interface {
 type Kernel struct {
 	// Obs, when non-nil, receives what each planning pass cost in wall-clock
 	// time. Sink, when on, receives the decision records — Replan, Attr,
-	// Reject/Preempt/Admit, Commit — once each, for the durable log, the
-	// span tree and the decision counters alike; an adapter that reports
+	// Reject/Preempt/Admit, Commit — once each, for the decision log and
+	// the decision counters alike; an adapter that reports
 	// the lifecycle around them shares the same sink. Nil keeps the
 	// planning path free of recording work.
 	Obs  *obs.Recorder

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -28,16 +29,32 @@ func spanScenario() (*topology.Graph, topology.Routing, []sim.TaskSpec) {
 	return g, topology.NewCachedRouting(r), specs
 }
 
-// runWithSpans executes one TAPS run with span recording on both the
-// engine and the scheduler, returning the snapshot.
+// runWithSpans executes one TAPS run with its decision log in memory,
+// returning the span tree the log replays into.
 func runWithSpans(t testing.TB) *span.Tree {
 	g, r, specs := spanScenario()
-	rec := span.NewRecorder()
-	eng := sim.New(g, r, core.New(core.DefaultConfig()), specs, sim.Config{RecordSegments: true, Sink: declog.Sink{Spans: rec}})
+	log := &declog.Writer{}
+	eng := sim.New(g, r, core.New(core.DefaultConfig()), specs, sim.Config{RecordSegments: true, Sink: declog.Sink{Log: log}})
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return rec.Snapshot()
+	return replayed(t, log)
+}
+
+// replayed folds the decision log a run wrote into its span tree.
+func replayed(t testing.TB, log *declog.Writer) *span.Tree {
+	t.Helper()
+	b, err := log.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, truncated, err := declog.Read(bytes.NewReader(b))
+	if err != nil || truncated {
+		t.Fatalf("read back the decision log: truncated=%v err=%v", truncated, err)
+	}
+	rp := declog.NewReplayer()
+	rp.ApplyAll(recs)
+	return rp.Tree()
 }
 
 // TestSpanTreeFullRun checks the span tree a contended TAPS run produces:
@@ -142,12 +159,12 @@ func TestPreemptionSpans(t *testing.T) {
 		{Arrival: simtime.Millisecond, Deadline: 40 * simtime.Millisecond,
 			Flows: []sim.FlowSpec{{Src: hosts[0], Dst: hosts[1], Size: 2 * mb}}},
 	}
-	rec := span.NewRecorder()
-	eng := sim.New(g, topology.NewCachedRouting(r), core.New(core.DefaultConfig()), specs, sim.Config{Sink: declog.Sink{Spans: rec}})
+	log := &declog.Writer{}
+	eng := sim.New(g, topology.NewCachedRouting(r), core.New(core.DefaultConfig()), specs, sim.Config{Sink: declog.Sink{Log: log}})
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	tree := rec.Snapshot()
+	tree := replayed(t, log)
 	var discarded *span.TaskSpan
 	for i := range tree.Tasks {
 		ts := &tree.Tasks[i]
@@ -181,7 +198,7 @@ func TestPreemptionSpans(t *testing.T) {
 // recording-disabled allocation budget — the entries of the pass and one
 // clone of the winning slices per flow; the sweep and the occupancy it
 // reads and writes allocate nothing once warm — so that adding span tracing
-// costs nothing unless a recorder is attached.
+// costs nothing unless a decision log is attached.
 func TestPlannerAllocsUnchangedWithSpansDisabled(t *testing.T) {
 	g, r := topology.SingleRootedTree(topology.SingleRootedTreeSpec{
 		Pods: 4, RacksPerPod: 4, HostsPerRack: 10, LinkCapacity: topology.Gbps(1),

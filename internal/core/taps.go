@@ -184,7 +184,7 @@ func (s *Scheduler) SetRecorder(r *obs.Recorder) { s.k.Obs = r }
 // reports the task and flow lifecycle to, and every planning pass (per-flow
 // plans: candidates, winning path, granted slices, planned finish), commit,
 // admit, reject and preemption with its attribution chain joins it there —
-// one complete decision log and span tree per run. A nil sink (the default)
+// one complete decision log per run, which replays to the run's span tree. A nil sink (the default)
 // leaves the planning path free of recording work.
 func (s *Scheduler) SetSink(k *declog.Sink) { s.k.Sink = k }
 

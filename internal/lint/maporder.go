@@ -164,7 +164,7 @@ func (p *Pass) checkMapRange(rs *ast.RangeStmt, rest []ast.Stmt) {
 }
 
 // sinkEmit is the one emitter of decision records: its records land in the
-// decision log, the span tree and the decision counters in call order.
+// decision log and the decision counters in call order.
 const sinkEmit = "(*taps/internal/obs/declog.Sink).Emit"
 
 // rangeVarObjs collects the objects of the range's key/value variables.

@@ -21,8 +21,6 @@ type ControllerConfig struct {
 	Speedup float64
 	// MaxPaths caps the planner's candidate path set (default 16).
 	MaxPaths int
-	// NoPreemption disables the preemption branch of the reject rule.
-	NoPreemption bool
 	// Incremental is accepted and ignored: every planning pass is a full
 	// pass. The field remains for the benchmark harness, which sets it.
 	Incremental bool
@@ -82,8 +80,9 @@ type Controller struct {
 	epoch time.Time
 	obs   *obs.Recorder
 	// sink is where the controller and its kernel, which shares it, report
-	// every decision and lifecycle record: the span recorder and the obs
-	// tally are always on, the log is attached by EnableDecisionLog.
+	// every decision and lifecycle record. Both halves are always on: the
+	// log is in memory until EnableDecisionLog puts it in a file, and it
+	// is the only record — /trace and /why replay it.
 	sink declog.Sink
 
 	load *loadStats
@@ -120,48 +119,54 @@ func NewController(g *topology.Graph, r topology.Routing, cfg ControllerConfig) 
 		graph:    g,
 		epoch:    time.Now(), //taps:allow wallclock real controller: the virtual clock is anchored to a wall-clock epoch
 		obs:      rec,
-		sink:     declog.Sink{Spans: span.NewRecorder(), Obs: rec},
+		sink:     declog.Sink{Log: &declog.Writer{}, Obs: rec},
 		load:     newLoadStats(),
 		agents:   make(map[*codec]HelloMsg),
 		accepted: make(map[int64]bool),
 		decided:  make(map[int64]bool),
 		closed:   make(chan struct{}),
 	}
-	c.kernel = core.NewKernel(g, r, core.Config{
-		MaxPaths:     cfg.MaxPaths,
-		NoPreemption: cfg.NoPreemption,
-	}, ctlPlane{c})
+	c.kernel = core.NewKernel(g, r, core.Config{MaxPaths: cfg.MaxPaths}, ctlPlane{c})
 	c.kernel.Obs, c.kernel.Sink = c.obs, &c.sink
+	c.sink.Log.Append(c.metaRecord())
 	return c
 }
 
-// SpanRecorder returns the controller's always-on causal span recorder:
-// task/flow lifecycles, every planning pass with its grants, and the
-// attribution chains behind rejections and preemptions. This is the data
-// served by GET /trace and GET /why; snapshot it at any time while the
-// controller keeps recording.
-func (c *Controller) SpanRecorder() *span.Recorder { return c.sink.Spans }
+// metaRecord is the log's identity record: the virtual clock's epoch and
+// speed, and the link names a replay labels links with.
+func (c *Controller) metaRecord() *declog.Record {
+	names := make([]string, c.graph.NumLinks())
+	for i := range names {
+		names[i] = c.graph.Link(topology.LinkID(i)).Name
+	}
+	return &declog.Record{Kind: declog.KindMeta, Meta: &declog.Meta{
+		Source:        "netctl",
+		EpochUnixNano: c.epoch.UnixNano(),
+		Speedup:       c.cfg.Speedup,
+		LinkNames:     names,
+	}}
+}
 
 // Recorder returns the controller's always-on observability recorder:
 // decision counts, planner and fsync latency, and decision-log health —
 // the data behind /metrics.
 func (c *Controller) Recorder() *obs.Recorder { return c.obs }
 
-// DecisionLog returns the attached decision-log writer (nil unless
-// EnableDecisionLog was called).
+// DecisionLog returns the controller's decision log: the file
+// EnableDecisionLog attached, else the log in memory.
 func (c *Controller) DecisionLog() *declog.Writer {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.sink.Log
 }
 
-// EnableDecisionLog makes path the controller's durable flight recorder
-// and, when the file already holds records, recovers the controller's
-// world from it: the span forest, the in-flight flow table with paths and
-// slice grants, the accepted/decided ledgers, and the virtual-clock epoch
-// and speedup of the run that wrote the log — all without re-contacting
-// agents. A torn tail left by a crash mid-append is truncated away (and
-// counted on /metrics). Call before Serve.
+// EnableDecisionLog makes path the controller's durable flight recorder,
+// in place of the log in memory, and, when the file already holds records,
+// recovers the controller's world from it: the in-flight flow table with
+// paths and slice grants, the accepted/decided ledgers, and the
+// virtual-clock epoch and speedup of the run that wrote the log — all
+// without re-contacting agents. A torn tail left by a crash mid-append is
+// truncated away (and counted on /metrics). Call before Serve.
 func (c *Controller) EnableDecisionLog(path string) error {
 	w, recs, err := declog.OpenAppend(path, declog.Options{Health: c.obs})
 	if err != nil {
@@ -171,16 +176,7 @@ func (c *Controller) EnableDecisionLog(path string) error {
 	defer c.mu.Unlock()
 	c.sink.Log = w
 	if len(recs) == 0 {
-		names := make([]string, c.graph.NumLinks())
-		for i := range names {
-			names[i] = c.graph.Link(topology.LinkID(i)).Name
-		}
-		c.sink.Emit(&declog.Record{Kind: declog.KindMeta, Meta: &declog.Meta{
-			Source:        "netctl",
-			EpochUnixNano: c.epoch.UnixNano(),
-			Speedup:       c.cfg.Speedup,
-			LinkNames:     names,
-		}})
+		w.Append(c.metaRecord())
 		return w.Sync() //taps:allow lockorder one-time setup before Serve; the meta record must be durable before any decision
 	}
 	rp := declog.NewReplayer()
@@ -196,7 +192,6 @@ func (c *Controller) EnableDecisionLog(path string) error {
 			c.cfg.Speedup = m.Speedup
 		}
 	}
-	c.sink.Spans = rp.Spans()
 	flows := rp.Flows()
 	for _, fids := range rp.TaskFlows() {
 		for _, id := range fids {
@@ -484,10 +479,11 @@ func (c *Controller) decideLocked(input func()) {
 }
 
 // declogSyncLocked runs the write-ahead fsync of a decision, charging the
-// wait to the in-progress probe's declog_sync stage. Without a decision
-// log the stage stays empty rather than recording no-op timings.
+// wait to the in-progress probe's declog_sync stage. A log in memory has
+// nothing to sync: the stage stays empty rather than recording no-op
+// timings.
 func (c *Controller) declogSyncLocked() {
-	if c.sink.Log == nil {
+	if c.sink.Log.Path() == "" {
 		return
 	}
 	sw := obs.StartStopwatch()

@@ -1,18 +1,18 @@
 package netctl
 
 import (
+	"bytes"
 	"encoding/json"
 	"expvar"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"sort"
 	"strconv"
 	"time"
 
 	"taps/internal/obs"
+	"taps/internal/obs/declog"
 	"taps/internal/obs/sketch"
 	"taps/internal/obs/span"
 	"taps/internal/simtime"
@@ -106,11 +106,14 @@ func (c *Controller) status() Status {
 //	GET /why?task=N      -> plain-text causal explanation of task N's
 //	                        fate (attribution chain for rejections)
 //	GET /declog?off=N    -> the binary decision log from byte offset N
-//	                        (fsynced first, so the tail is complete;
-//	                        404 unless EnableDecisionLog was called).
+//	                        (fsynced first, so the tail is complete; the
+//	                        log in memory when no file is attached).
 //	                        Feed it to `tapsctl -replay` for time travel.
 //	GET /debug/vars      -> expvar JSON
 //	GET /debug/pprof/    -> runtime profiles
+//
+// /trace and /why replay the decision log on every request, so each costs
+// time and memory linear in the log.
 //
 // Mount it on any mux/server the operator runs alongside Serve:
 //
@@ -158,11 +161,15 @@ func (c *Controller) HTTPHandler() http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
+	linkName := func(l int32) string { return c.graph.Link(topology.LinkID(l)).Name }
 	mux.HandleFunc("GET /trace", func(w http.ResponseWriter, r *http.Request) {
+		tree, err := c.replay()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
 		w.Header().Set("Content-Type", "application/json")
-		linkName := func(l int32) string { return c.graph.Link(topology.LinkID(l)).Name }
-		if err := span.WriteTraceEvents(w, c.sink.Spans.Snapshot(),
-			span.ExportOptions{LinkName: linkName}); err != nil {
+		if err := span.WriteTraceEvents(w, tree, span.ExportOptions{LinkName: linkName}); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
@@ -172,41 +179,27 @@ func (c *Controller) HTTPHandler() http.Handler {
 			http.Error(w, "bad task: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		linkName := func(l int32) string { return c.graph.Link(topology.LinkID(l)).Name }
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write([]byte(span.WhyText(c.sink.Spans.Snapshot(), task, linkName)))
-	})
-	mux.HandleFunc("GET /declog", func(w http.ResponseWriter, r *http.Request) {
-		dl := c.DecisionLog()
-		if dl == nil {
-			http.Error(w, "decision log not enabled", http.StatusNotFound)
+		tree, err := c.replay()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		w.Write([]byte(span.WhyText(tree, task, linkName)))
+	})
+	mux.HandleFunc("GET /declog", func(w http.ResponseWriter, r *http.Request) {
 		off, err := parseOffset(r.URL.Query().Get("off"))
 		if err != nil {
 			http.Error(w, "bad off: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		// Flush buffered records so the served tail is complete up to the
-		// latest decision.
-		if err := dl.Sync(); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		f, err := os.Open(dl.Path())
+		log, err := c.DecisionLog().Bytes()
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		defer f.Close()
-		if off > 0 {
-			if _, err := f.Seek(off, io.SeekStart); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-		}
 		w.Header().Set("Content-Type", "application/octet-stream")
-		io.Copy(w, f)
+		w.Write(log[min(off, int64(len(log))):])
 	})
 	mux.Handle("GET /debug/vars", expvar.Handler())
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
@@ -215,6 +208,21 @@ func (c *Controller) HTTPHandler() http.Handler {
 	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+// replay folds the decision log, as written so far, into a span tree.
+func (c *Controller) replay() (*span.Tree, error) {
+	log, err := c.DecisionLog().Bytes()
+	if err != nil {
+		return nil, err
+	}
+	recs, _, err := declog.Read(bytes.NewReader(log))
+	if err != nil {
+		return nil, err
+	}
+	rp := declog.NewReplayer()
+	rp.ApplyAll(recs)
+	return rp.Tree(), nil
 }
 
 // parseOffset parses the optional ?off= byte offset: a non-negative int64,

@@ -184,7 +184,9 @@ func TestHTTPRejectionEventRecorded(t *testing.T) {
 	if n := ctl.Recorder().Count(obs.KindTaskRejected); n != 1 {
 		t.Fatalf("rejected count = %d", n)
 	}
-	if ts := ctl.SpanRecorder().Snapshot().Tasks; len(ts) != 1 || ts[0].Task != 9 ||
+	srv := httptest.NewServer(ctl.HTTPHandler())
+	defer srv.Close()
+	if ts := servedTree(t, srv.URL).Tasks; len(ts) != 1 || ts[0].Task != 9 ||
 		ts[0].Outcome != span.OutcomeRejected || ts[0].Reason != "reject rule" {
 		t.Fatalf("task spans = %+v, want task 9 rejected by the reject rule", ts)
 	}

@@ -8,14 +8,32 @@ import (
 	"testing"
 
 	"taps/internal/netctl"
+	"taps/internal/obs/declog"
 	"taps/internal/obs/span"
 	"taps/internal/simtime"
 )
 
+// servedTree fetches the decision log the controller serves on /declog and
+// replays it into a span tree.
+func servedTree(t *testing.T, url string) *span.Tree {
+	t.Helper()
+	recs, truncated, err := declog.Read(strings.NewReader(getText(t, url+"/declog")))
+	if err != nil || truncated {
+		t.Fatalf("GET /declog: truncated=%v err=%v", truncated, err)
+	}
+	rp := declog.NewReplayer()
+	rp.ApplyAll(recs)
+	if m := rp.Meta(); m == nil || m.Source != "netctl" || len(m.LinkNames) == 0 {
+		t.Fatalf("served log lacks the controller's meta record: %+v", m)
+	}
+	return rp.Tree()
+}
+
 // TestControllerSpanTreeAndTraceEndpoints drives an accept + a reject
-// through the networked controller and checks the causal span tree: the
-// rejected task carries an attribution chain naming the incumbent as
-// holder, /trace serves valid Chrome trace_event JSON, and /why renders
+// through a controller with no decision-log file and checks what it
+// serves from the log it keeps in memory: /declog replays into a span tree
+// whose rejected task carries an attribution chain naming the incumbent
+// as holder, /trace serves valid Chrome trace_event JSON, and /why renders
 // the chain as text.
 func TestControllerSpanTreeAndTraceEndpoints(t *testing.T) {
 	ctl, addr, g := startController(t)
@@ -38,7 +56,9 @@ func TestControllerSpanTreeAndTraceEndpoints(t *testing.T) {
 		t.Fatalf("oversized task: err = %v, want ErrRejected", err)
 	}
 
-	tree := ctl.SpanRecorder().Snapshot()
+	srv := httptest.NewServer(ctl.HTTPHandler())
+	defer srv.Close()
+	tree := servedTree(t, srv.URL)
 	rej := tree.Task(9)
 	if rej == nil || rej.Outcome != span.OutcomeRejected {
 		t.Fatalf("task 9 span = %+v, want rejected", rej)
@@ -65,9 +85,6 @@ func TestControllerSpanTreeAndTraceEndpoints(t *testing.T) {
 	if len(tree.Replans) < 2 {
 		t.Fatalf("replans = %d, want >= 2", len(tree.Replans))
 	}
-
-	srv := httptest.NewServer(ctl.HTTPHandler())
-	defer srv.Close()
 
 	resp, err := srv.Client().Get(srv.URL + "/trace")
 	if err != nil {

@@ -2,9 +2,14 @@ package netctl_test
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math/rand"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"testing"
 	"time"
@@ -163,6 +168,58 @@ func TestStormNeverOverlaps(t *testing.T) {
 	})
 	if rejects < ops/10 || accepts < ops/10 {
 		t.Fatalf("%d accepts, %d rejects: not a storm", accepts, rejects)
+	}
+}
+
+// TestScrapeDuringStorm reads /trace and /declog over and over while the
+// ctl_storm stream runs against a controller that keeps its log in memory:
+// each read replays or copies the log as the decisions append to it (run
+// it under -race), and every page parses whole.
+func TestScrapeDuringStorm(t *testing.T) {
+	const ops = 200
+	ctl, d, hosts := startStorm(t, "")
+	srv := httptest.NewServer(ctl.HTTPHandler())
+	defer srv.Close()
+	stop := make(chan struct{})
+	scraped := make(chan error, 1)
+	go func() {
+		scraped <- func() error {
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return nil
+				default:
+				}
+				path := "/declog"
+				if n%2 == 1 {
+					path = "/trace"
+				}
+				resp, err := http.Get(srv.URL + path)
+				if err != nil {
+					return err
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != 200 {
+					return fmt.Errorf("GET %s: HTTP %d, %v", path, resp.StatusCode, err)
+				}
+				if path == "/declog" {
+					if _, truncated, err := declog.Read(bytes.NewReader(body)); err != nil || truncated {
+						return fmt.Errorf("GET /declog: %d bytes, truncated=%v, err=%v", len(body), truncated, err)
+					}
+				} else if !json.Valid(body) {
+					return fmt.Errorf("GET /trace: %d bytes of invalid JSON", len(body))
+				}
+			}
+		}()
+	}()
+	accepts, rejects := driveStorm(t, d, hosts, ops, func(int, int, int) {})
+	close(stop)
+	if err := <-scraped; err != nil {
+		t.Fatal(err)
+	}
+	if tasks := len(servedTree(t, srv.URL).Tasks); tasks != accepts+rejects {
+		t.Fatalf("the served log replays %d tasks; the storm decided %d", tasks, accepts+rejects)
 	}
 }
 

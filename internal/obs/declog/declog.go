@@ -1,17 +1,17 @@
 // Package declog is the flight recorder: a compact append-only binary
 // decision log, and the one path (Sink) by which the decision kernel, the
 // simulator and the networked controller report what they decide — to
-// the log and, through the fold the Replayer shares, to the span
-// recorder. Every record is one controller decision or lifecycle event —
-// task arrival, planning pass (slice grants), admit, reject,
-// preempt, attribution chain, task/flow terminal, transmission segments,
-// link failure, and the plan-state commit markers — stamped with simulated
-// time and framed with a CRC so a torn tail (a crash mid-write) is
-// detected and truncated instead of poisoning recovery.
+// the log and to the decision counters. Every record is one controller
+// decision or lifecycle event — task arrival, planning pass (slice
+// grants), admit, reject, preempt, attribution chain, task/flow terminal,
+// transmission segments, link failure, and the plan-state commit markers
+// — stamped with simulated time and framed with a CRC so a torn tail (a
+// crash mid-write) is detected and truncated instead of poisoning
+// recovery.
 //
-// The log is authoritative: the Replayer reconstructs, from the records
-// alone, (a) the exact span tree the live run recorded — so a replayed
-// trace export is byte-identical to the live one — and (b) the
+// The log is the only record of a run: the Replayer reconstructs, from the
+// records alone, (a) the span tree every trace export and causal
+// explanation is rendered from — no tree is kept live — and (b) the
 // controller's plan state: per-flow slice grants, per-link occupancy, and
 // the in-flight flow table. A restarted netctl controller recovers its
 // world from the log without re-contacting agents, and `tapsctl -replay`
@@ -424,10 +424,6 @@ func decodePlan(d *dec, p *span.PlanSpan) {
 	}
 }
 
-// maxCount caps decoded element counts, so a corrupted length field fails
-// fast instead of attempting a huge allocation.
-const maxCount = 1 << 24
-
 func appendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
@@ -493,11 +489,12 @@ func (d *dec) uvarint() uint64 {
 	return v
 }
 
-// count reads an element count, bounding it so corrupt lengths cannot
-// drive huge allocations.
+// count reads an element count. Every element takes at least one byte, so
+// a count past the bytes left is corrupt: failing it here keeps a bad
+// length field from driving an allocation the payload cannot fill.
 func (d *dec) count() int {
 	v := d.uvarint()
-	if v > maxCount {
+	if v > uint64(len(d.b)) {
 		d.fail("count")
 		return 0
 	}
@@ -507,10 +504,6 @@ func (d *dec) count() int {
 func (d *dec) str() string {
 	n := d.count()
 	if d.err != nil {
-		return ""
-	}
-	if len(d.b) < n {
-		d.fail("string")
 		return ""
 	}
 	s := string(d.b[:n])

@@ -94,7 +94,7 @@ func OpenAppend(path string, opts Options) (*Writer, []Record, error) {
 			f.Close()
 			return nil, nil, fmt.Errorf("declog: write magic: %w", err)
 		}
-		return newWriter(f, path, opts), nil, nil
+		return newWriter(f, path, int64(len(Magic)), opts), nil, nil
 	}
 	recs, validEnd, err := parse(data)
 	if err != nil {
@@ -112,5 +112,5 @@ func OpenAppend(path string, opts Options) (*Writer, []Record, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("declog: seek: %w", err)
 	}
-	return newWriter(f, path, opts), recs, nil
+	return newWriter(f, path, validEnd, opts), recs, nil
 }

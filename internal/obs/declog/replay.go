@@ -33,11 +33,11 @@ type SentGrant struct {
 }
 
 // Replayer reconstructs controller state by folding decision records in
-// log order. It maintains two views simultaneously:
+// log order. It is the only builder of a span tree, and it keeps two
+// views at once:
 //
-//   - the span forest: every record goes through fold, the function a
-//     live Sink feeds its recorder with, so Tree() is field-identical to
-//     the live recorder's snapshot (and a trace export is byte-identical);
+//   - the span forest: task and flow lifecycles, every planning pass, the
+//     attribution chains and transmission segments (Tree);
 //   - the plan state: per-flow slice grants, per-link occupancy, and the
 //     in-flight flow table, rebuilt by applying each KindCommit with its
 //     recorded mode semantics — exactly the mutation the live scheduler
@@ -47,7 +47,9 @@ type SentGrant struct {
 // after the cutoff are ignored (segments are clipped), materializing the
 // world as of that simulated instant.
 type Replayer struct {
-	spans      *span.Recorder
+	tree       span.Tree
+	taskAt     map[int64]int // index into tree.Tasks
+	flowAt     map[int64]int // index into tree.Flows
 	meta       *Meta
 	slices     map[int64]simtime.IntervalSet
 	occ        map[int32]simtime.IntervalSet
@@ -64,7 +66,8 @@ type Replayer struct {
 // NewReplayer returns an empty replayer.
 func NewReplayer() *Replayer {
 	return &Replayer{
-		spans:     span.NewRecorder(),
+		taskAt:    make(map[int64]int),
+		flowAt:    make(map[int64]int),
 		slices:    make(map[int64]simtime.IntervalSet),
 		occ:       make(map[int32]simtime.IntervalSet),
 		flows:     make(map[int64]*FlowState),
@@ -89,8 +92,7 @@ func (r *Replayer) ApplyAll(recs []Record) {
 	}
 }
 
-// Apply folds one record: into the span forest with the function a live
-// Sink uses, and into the plan state kept here on top of it.
+// Apply folds one record into the span forest and the plan state.
 func (r *Replayer) Apply(rec *Record) {
 	if r.hasUntil && rec.Time > r.until {
 		// Past the cutoff. Segment records are the one exception: they are
@@ -106,7 +108,7 @@ func (r *Replayer) Apply(rec *Record) {
 		clipped.Segments = r.clipSegments(rec.Segments)
 		rec = &clipped
 	}
-	fold(r.spans, rec)
+	r.fold(rec)
 	switch rec.Kind {
 	case KindMeta:
 		r.meta = rec.Meta
@@ -139,6 +141,66 @@ func (r *Replayer) Apply(rec *Record) {
 		}
 	case KindAttr, KindTaskEnd, KindSegments, KindLinkDown:
 	}
+}
+
+// fold applies one record to the span forest. The tree takes what the
+// record points at (plans, chain, segments) without copying: whoever
+// replays a record leaves it alone afterwards. Kinds that change plan
+// state only leave the tree as it is.
+func (r *Replayer) fold(rec *Record) {
+	switch rec.Kind {
+	case KindTask:
+		t := r.task(rec.Task)
+		t.Arrival, t.Deadline = rec.Time, rec.Deadline
+		for i := range rec.Flows {
+			f := r.flow(rec.Flows[i].ID)
+			f.Task, f.Label, f.Arrival, f.Deadline = rec.Task, rec.Flows[i].Label, rec.Time, rec.Deadline
+			t.Flows = append(t.Flows, f.Flow)
+		}
+	case KindReplan:
+		rs := *rec.Replan
+		rs.Seq = len(r.tree.Replans) + 1
+		r.tree.Replans = append(r.tree.Replans, rs)
+	case KindPreempt:
+		r.task(rec.Task).PreemptedBy = rec.By
+	case KindAttr:
+		r.task(rec.Task).Blocks = rec.Blocks
+	case KindTaskEnd:
+		t := r.task(rec.Task)
+		t.End, t.Outcome, t.Reason = rec.Time, rec.Outcome, rec.Reason
+	case KindFlowEnd:
+		f := r.flow(rec.Flow)
+		f.End, f.Ended, f.Done, f.OnTime, f.Note = rec.Time, true, rec.Done, rec.OnTime, rec.Reason
+	case KindSegments:
+		r.flow(rec.Flow).Segments = rec.Segments
+	case KindLinkDown:
+		r.tree.LinkDowns = append(r.tree.LinkDowns, span.LinkDown{Time: rec.Time, Link: rec.Link})
+	case KindMeta, KindAdmit, KindReject, KindCommit:
+	}
+}
+
+// task returns the span of a task, opening it on first sight. The pointer
+// is good until the next task opens.
+func (r *Replayer) task(id int64) *span.TaskSpan {
+	i, ok := r.taskAt[id]
+	if !ok {
+		i = len(r.tree.Tasks)
+		r.taskAt[id] = i
+		r.tree.Tasks = append(r.tree.Tasks, span.TaskSpan{Task: id, PreemptedBy: span.NoTask})
+	}
+	return &r.tree.Tasks[i]
+}
+
+// flow returns the span of a flow, opening it on first sight. The pointer
+// is good until the next flow opens.
+func (r *Replayer) flow(id int64) *span.FlowSpan {
+	i, ok := r.flowAt[id]
+	if !ok {
+		i = len(r.tree.Flows)
+		r.flowAt[id] = i
+		r.tree.Flows = append(r.tree.Flows, span.FlowSpan{Flow: id, Task: span.NoTask})
+	}
+	return &r.tree.Flows[i]
 }
 
 func (r *Replayer) clipSegments(segs []span.Segment) []span.Segment {
@@ -219,13 +281,9 @@ func (f *FlowState) supersede(now simtime.Time) {
 	f.Path, f.Slices = nil, simtime.IntervalSet{}
 }
 
-// Tree materializes the reconstructed span forest (identical to the live
-// recorder's snapshot at the same point in the record stream).
-func (r *Replayer) Tree() *span.Tree { return r.spans.Snapshot() }
-
-// Spans exposes the reconstructed span recorder — a restarted controller
-// adopts it to continue recording where the log left off.
-func (r *Replayer) Spans() *span.Recorder { return r.spans }
+// Tree returns the span forest folded so far. It is the replayer's own:
+// records applied later extend it in place.
+func (r *Replayer) Tree() *span.Tree { return &r.tree }
 
 // Meta returns the log's identity record, or nil if none was seen.
 func (r *Replayer) Meta() *Meta { return r.meta }

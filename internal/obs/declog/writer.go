@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"sync"
 
@@ -39,18 +40,26 @@ func (o Options) syncEvery() int {
 	return o.SyncEvery
 }
 
-// Writer appends CRC-framed records to a decision log file. All methods
-// are safe for concurrent use and no-ops on a nil *Writer, so a Sink with
-// no log attached needs no conditionals. Write errors are sticky: the
-// first one is retained (see Err) and subsequent appends are dropped,
-// matching the crash-only recovery model — a torn or short tail is
-// truncated on the next open.
+// Writer appends CRC-framed records to a decision log: a file (Create,
+// OpenAppend), or — the zero Writer — a byte slice in memory, which has no
+// fsync and reports no health counters. All methods are safe for
+// concurrent use and no-ops on a nil *Writer, so a Sink with no log
+// attached needs no conditionals. Write errors are sticky: the first one
+// is retained (see Err) and subsequent appends are dropped, matching the
+// crash-only recovery model — a torn or short tail is truncated on the
+// next open.
 type Writer struct {
-	mu        sync.Mutex
-	f         *os.File
-	path      string
-	buf       []byte // frame scratch, reused across appends
-	pending   int    // records appended since the last fsync
+	mu sync.Mutex
+	f  *os.File
+	// path names the file; empty for a log in memory.
+	path string
+	// buf is the frame scratch of a file log, reused across appends, and
+	// the whole log of a memory one. Appends never rewrite bytes already
+	// in it, so a slice of it taken under mu may be read outside.
+	buf []byte
+	// end is the length of a file log: the offset after its last frame.
+	end       int64
+	pending   int // records appended since the last fsync
 	syncEvery int
 	health    *obs.Recorder
 	err       error
@@ -67,14 +76,14 @@ func Create(path string, opts Options) (*Writer, error) {
 		f.Close()
 		return nil, fmt.Errorf("declog: write magic: %w", err)
 	}
-	return newWriter(f, path, opts), nil
+	return newWriter(f, path, int64(len(Magic)), opts), nil
 }
 
-func newWriter(f *os.File, path string, opts Options) *Writer {
-	return &Writer{f: f, path: path, syncEvery: opts.syncEvery(), health: opts.Health}
+func newWriter(f *os.File, path string, end int64, opts Options) *Writer {
+	return &Writer{f: f, path: path, end: end, syncEvery: opts.syncEvery(), health: opts.Health}
 }
 
-// Path returns the log file's path (empty on a nil writer).
+// Path returns the log file's path (empty on a nil or memory writer).
 func (w *Writer) Path() string {
 	if w == nil {
 		return ""
@@ -104,10 +113,11 @@ func (w *Writer) Err() error {
 	return w.err
 }
 
-// Append frames and writes one record. The frame reaches the OS in a
+// Append frames and writes one record. A file log gets the frame in a
 // single write; durability is batched — every SyncEvery records the file
 // is fsynced (and Sync forces it, which the networked controller does
-// before broadcasting a decision: write-ahead).
+// before broadcasting a decision: write-ahead). A memory log keeps the
+// frame.
 func (w *Writer) Append(r *Record) error {
 	if w == nil {
 		return nil
@@ -117,22 +127,71 @@ func (w *Writer) Append(r *Record) error {
 	if w.err != nil {
 		return w.err
 	}
-	w.buf = w.buf[:0]
+	if w.path != "" {
+		w.buf = w.buf[:0]
+	} else if len(w.buf) == 0 {
+		w.buf = append(w.buf, Magic...)
+	}
+	start := len(w.buf)
 	w.buf = append(w.buf, make([]byte, frameHeaderSize)...)
 	w.buf = encodeRecord(w.buf, r)
-	payload := w.buf[frameHeaderSize:]
-	binary.LittleEndian.PutUint32(w.buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(w.buf[4:8], crc32.Checksum(payload, castagnoli))
-	if _, err := w.f.Write(w.buf); err != nil { //taps:allow lockorder Writer.mu IS the append serializer: the write must happen under it to keep frames contiguous
+	frame := w.buf[start:]
+	payload := frame[frameHeaderSize:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
+	if w.path == "" {
+		return nil
+	}
+	if _, err := w.f.Write(frame); err != nil { //taps:allow lockorder Writer.mu IS the append serializer: the write must happen under it to keep frames contiguous
 		w.err = fmt.Errorf("declog: append: %w", err)
 		return w.err
 	}
-	w.health.DeclogAppended(1, len(w.buf))
+	w.end += int64(len(frame))
+	w.health.DeclogAppended(1, len(frame))
 	w.pending++
 	if w.syncEvery > 0 && w.pending >= w.syncEvery {
 		return w.syncLocked()
 	}
 	return nil
+}
+
+// Bytes reads the log back as written so far: the magic and every
+// appended frame, never a partial one. A file log is synced first and
+// read outside the lock up to the length it had then; a memory log hands
+// out the bytes it holds without copying — the caller must not modify
+// them. /declog, /trace and /why serve from here, and tapsim replays it.
+func (w *Writer) Bytes() ([]byte, error) {
+	if w == nil {
+		return nil, nil
+	}
+	w.mu.Lock()
+	if w.path == "" {
+		b := w.buf[:len(w.buf):len(w.buf)]
+		w.mu.Unlock()
+		if len(b) == 0 {
+			return []byte(Magic), nil
+		}
+		return b, nil
+	}
+	err := w.err
+	if err == nil {
+		err = w.syncLocked()
+	}
+	end := w.end
+	w.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	f, err := os.Open(w.path)
+	if err != nil {
+		return nil, fmt.Errorf("declog: %w", err)
+	}
+	defer f.Close()
+	b := make([]byte, end)
+	if _, err := io.ReadFull(f, b); err != nil {
+		return nil, fmt.Errorf("declog: read back: %w", err)
+	}
+	return b, nil
 }
 
 // Sync fsyncs any buffered records to stable storage. Call it before

@@ -54,7 +54,7 @@ type traceFile struct {
 	TraceEvents     []traceEvent `json:"traceEvents"`
 }
 
-// WriteTraceEvents renders the snapshot as Chrome trace_event JSON,
+// WriteTraceEvents renders the tree as Chrome trace_event JSON,
 // loadable in chrome://tracing and Perfetto: the "tasks" process has one
 // track per task (lifecycle span, terminal instant with the attribution
 // chain in its args, replan instants on the controller track), the

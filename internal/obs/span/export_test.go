@@ -9,40 +9,43 @@ import (
 	"taps/internal/simtime"
 )
 
-// sampleTree builds a small forest exercising every exporter feature:
-// a completed task, a rejected task with an attribution chain, a
-// preempted task whose flow was killed mid-plan, and a link failure.
+// sampleTree is a small forest exercising every exporter feature, as a
+// replay of its records would build it: a completed task, a rejected task
+// with an attribution chain, a preempted task whose flow was killed
+// mid-plan, and a link failure.
 func sampleTree() *Tree {
-	r := NewRecorder()
-	r.TaskArrived(1, 0, 100)
-	r.FlowArrived(10, 1, 0, 100, "h0->h1")
-	r.Replan(ReplanSpan{Time: 0, Kind: ReplanArrival, Trigger: 1, Flows: 1, PathsTried: 2,
-		Plans: []PlanSpan{{Flow: 10, Task: 1, Candidates: 2, PathIndex: 1,
-			Path: []int32{3, 4}, Slices: []simtime.Interval{{Start: 0, End: 30}},
-			Finish: 30, Deadline: 100}}})
-	r.ImportSegments(10, []Segment{{Interval: simtime.Interval{Start: 0, End: 30}, Rate: 1e9}})
-	r.FlowEnded(10, 30, true, true, "")
-	r.TaskEnded(1, 30, OutcomeCompleted, "")
-
-	r.TaskArrived(2, 5, 40)
-	r.FlowArrived(20, 2, 5, 40, "h2->h3")
-	r.Attribute(2, []LinkBlock{{Link: 3, Window: simtime.Interval{Start: 5, End: 40},
-		Busy: 25, Holders: []Holder{{Task: 1, Busy: 25}}}})
-	r.TaskEnded(2, 5, OutcomeRejected, "reject rule: keep incumbents")
-	r.FlowEnded(20, 5, false, false, "rejected")
-
-	r.TaskArrived(4, 10, 200)
-	r.FlowArrived(40, 4, 10, 200, "h4->h5")
-	r.Replan(ReplanSpan{Time: 10, Kind: ReplanArrival, Trigger: 4, Flows: 1, PathsTried: 1,
-		Plans: []PlanSpan{{Flow: 40, Task: 4, Candidates: 1, PathIndex: 0,
-			Path: []int32{7}, Slices: []simtime.Interval{{Start: 30, End: 90}},
-			Finish: 90, Deadline: 200}}})
-	r.PreemptedBy(4, 5)
-	r.TaskEnded(4, 50, OutcomePreempted, "preempted")
-	r.FlowEnded(40, 50, false, false, "preempted")
-
-	r.LinkWentDown(4, 60)
-	return r.Snapshot()
+	return &Tree{
+		Tasks: []TaskSpan{
+			{Task: 1, Arrival: 0, Deadline: 100, End: 30, Outcome: OutcomeCompleted,
+				PreemptedBy: NoTask, Flows: []int64{10}},
+			{Task: 2, Arrival: 5, Deadline: 40, End: 5, Outcome: OutcomeRejected,
+				Reason: "reject rule: keep incumbents", PreemptedBy: NoTask, Flows: []int64{20},
+				Blocks: []LinkBlock{{Link: 3, Window: iv(5, 40), Busy: 25,
+					Holders: []Holder{{Task: 1, Busy: 25}}}}},
+			{Task: 4, Arrival: 10, Deadline: 200, End: 50, Outcome: OutcomePreempted,
+				Reason: "preempted", PreemptedBy: 5, Flows: []int64{40}},
+		},
+		Flows: []FlowSpan{
+			{Flow: 10, Task: 1, Label: "h0->h1", Arrival: 0, Deadline: 100, End: 30,
+				Ended: true, Done: true, OnTime: true,
+				Segments: []Segment{{Interval: iv(0, 30), Rate: 1e9}}},
+			{Flow: 20, Task: 2, Label: "h2->h3", Arrival: 5, Deadline: 40, End: 5,
+				Ended: true, Note: "rejected"},
+			{Flow: 40, Task: 4, Label: "h4->h5", Arrival: 10, Deadline: 200, End: 50,
+				Ended: true, Note: "preempted"},
+		},
+		Replans: []ReplanSpan{
+			{Seq: 1, Time: 0, Kind: ReplanArrival, Trigger: 1, Flows: 1, PathsTried: 2,
+				Plans: []PlanSpan{{Flow: 10, Task: 1, Candidates: 2, PathIndex: 1,
+					Path: []int32{3, 4}, Slices: []simtime.Interval{iv(0, 30)},
+					Finish: 30, Deadline: 100}}},
+			{Seq: 2, Time: 10, Kind: ReplanArrival, Trigger: 4, Flows: 1, PathsTried: 1,
+				Plans: []PlanSpan{{Flow: 40, Task: 4, Candidates: 1, PathIndex: 0,
+					Path: []int32{7}, Slices: []simtime.Interval{iv(30, 90)},
+					Finish: 90, Deadline: 200}}},
+		},
+		LinkDowns: []LinkDown{{Time: 60, Link: 4}},
+	}
 }
 
 func TestWriteTraceEventsValidAndDeterministic(t *testing.T) {
@@ -135,12 +138,13 @@ func TestLinkNameOption(t *testing.T) {
 }
 
 func TestHorizonClosesOpenSpans(t *testing.T) {
-	r := NewRecorder()
-	r.TaskArrived(1, 0, 100)
-	r.FlowArrived(10, 1, 0, 100, "")
-	r.ImportSegments(10, []Segment{{Interval: simtime.Interval{Start: 0, End: 75}, Rate: 1e9}})
+	tree := &Tree{
+		Tasks: []TaskSpan{{Task: 1, Deadline: 100, PreemptedBy: NoTask, Flows: []int64{10}}},
+		Flows: []FlowSpan{{Flow: 10, Task: 1, Deadline: 100,
+			Segments: []Segment{{Interval: iv(0, 75), Rate: 1e9}}}},
+	}
 	var buf bytes.Buffer
-	if err := WriteTraceEvents(&buf, r.Snapshot(), ExportOptions{}); err != nil {
+	if err := WriteTraceEvents(&buf, tree, ExportOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	var f traceFile

@@ -21,23 +21,17 @@
 // prints the chain, and the Chrome trace_event export (export.go) renders
 // one track per link and per task in chrome://tracing / Perfetto.
 //
-// Design constraints match internal/obs: every method on a nil *Recorder
-// is a no-op, so recording defaults off with zero cost on the planning hot
-// path (emitters guard the *construction* of a record's payload behind
-// declog.Sink.On, and the planner alloc pins in internal/core verify
-// nothing leaks in). The mutators have one caller: the fold in
-// internal/obs/declog, which a live declog.Sink and the Replayer share —
-// nothing else writes to a tree. A Recorder may be read (Snapshot) by HTTP
-// exporters while recording continues.
-// The recorder stores only simulated time — never the wall clock — so a
-// trace of a deterministic run is itself deterministic.
+// A tree is never kept live: the decision log (internal/obs/declog) is the
+// one record of a run, and declog.Replayer is the one thing that builds a
+// Tree, by folding the log's records in order. Emitters guard the
+// *construction* of a record's payload behind declog.Sink.On, so tracing
+// costs nothing on the planning hot path when no log is attached (the
+// planner alloc pins in internal/core verify nothing leaks in).
+// A tree holds only simulated time — never the wall clock — so a trace of
+// a deterministic run is itself deterministic.
 package span
 
-import (
-	"sync"
-
-	"taps/internal/simtime"
-)
+import "taps/internal/simtime"
 
 // NoTask marks task fields that name no task.
 const NoTask int64 = -1
@@ -124,7 +118,7 @@ type PlanSpan struct {
 
 // ReplanSpan is one planning pass over a set of flows.
 type ReplanSpan struct {
-	Seq        int // 1-based pass number, assigned by Record
+	Seq        int // 1-based pass number, assigned by the replay
 	Time       simtime.Time
 	Kind       ReplanKind
 	Trigger    int64 // task that caused the pass (NoTask for recovery)
@@ -183,9 +177,8 @@ type TaskSpan struct {
 	Blocks      []LinkBlock // attribution chain (rejected / preempted tasks)
 }
 
-// Tree is a point-in-time snapshot of the recorded span forest, safe to
-// read while recording continues. Tasks and Flows are in first-seen order;
-// Replans in pass order.
+// Tree is the span forest a decision log replays into. Tasks and Flows are
+// in first-seen order; Replans in pass order.
 type Tree struct {
 	Tasks     []TaskSpan
 	Flows     []FlowSpan
@@ -199,202 +192,7 @@ type LinkDown struct {
 	Link int32
 }
 
-// Recorder collects span trees. Create with NewRecorder; a nil *Recorder
-// is a valid disabled recorder on which every method no-ops.
-type Recorder struct {
-	mu        sync.Mutex
-	tasks     map[int64]*TaskSpan
-	taskOrder []int64
-	flows     map[int64]*FlowSpan
-	flowOrder []int64
-	replans   []ReplanSpan
-	downs     []LinkDown
-}
-
-// NewRecorder returns an enabled span recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{
-		tasks: make(map[int64]*TaskSpan),
-		flows: make(map[int64]*FlowSpan),
-	}
-}
-
-// task returns (creating if needed) the span of a task. Caller holds mu.
-func (r *Recorder) task(id int64) *TaskSpan {
-	t, ok := r.tasks[id]
-	if !ok {
-		t = &TaskSpan{Task: id, PreemptedBy: NoTask}
-		r.tasks[id] = t
-		r.taskOrder = append(r.taskOrder, id)
-	}
-	return t
-}
-
-// flow returns (creating if needed) the span of a flow. Caller holds mu.
-func (r *Recorder) flow(id int64) *FlowSpan {
-	f, ok := r.flows[id]
-	if !ok {
-		f = &FlowSpan{Flow: id, Task: NoTask}
-		r.flows[id] = f
-		r.flowOrder = append(r.flowOrder, id)
-	}
-	return f
-}
-
-// TaskArrived opens a task span.
-func (r *Recorder) TaskArrived(task int64, arrival, deadline simtime.Time) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	t := r.task(task)
-	t.Arrival, t.Deadline = arrival, deadline
-	r.mu.Unlock()
-}
-
-// FlowArrived opens a flow span under its task. label is a human route
-// description ("h3->h17"); empty is fine.
-func (r *Recorder) FlowArrived(flow, task int64, arrival, deadline simtime.Time, label string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	f := r.flow(flow)
-	f.Task, f.Label, f.Arrival, f.Deadline = task, label, arrival, deadline
-	t := r.task(task)
-	t.Flows = append(t.Flows, flow)
-	r.mu.Unlock()
-}
-
-// Replan records one planning pass. The recorder takes ownership of rs and
-// its Plans slice; Seq is assigned here.
-func (r *Recorder) Replan(rs ReplanSpan) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	rs.Seq = len(r.replans) + 1
-	r.replans = append(r.replans, rs)
-	r.mu.Unlock()
-}
-
-// TaskEnded closes a task span with its terminal outcome. Attribution and
-// PreemptedBy, when any, are recorded separately (Attribute, PreemptedBy)
-// in whichever order the control flow reaches them.
-func (r *Recorder) TaskEnded(task int64, at simtime.Time, outcome Outcome, reason string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	t := r.task(task)
-	t.End, t.Outcome, t.Reason = at, outcome, reason
-	r.mu.Unlock()
-}
-
-// PreemptedBy names the newcomer whose admission displaced the victim.
-func (r *Recorder) PreemptedBy(victim, newcomer int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.task(victim).PreemptedBy = newcomer
-	r.mu.Unlock()
-}
-
-// Attribute attaches the attribution chain of a rejection or preemption:
-// the links whose occupancy left no feasible window, busiest first.
-func (r *Recorder) Attribute(task int64, blocks []LinkBlock) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.task(task).Blocks = blocks
-	r.mu.Unlock()
-}
-
-// FlowEnded closes a flow span.
-func (r *Recorder) FlowEnded(flow int64, at simtime.Time, done, onTime bool, note string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	f := r.flow(flow)
-	f.End, f.Ended, f.Done, f.OnTime, f.Note = at, true, done, onTime, note
-	r.mu.Unlock()
-}
-
-// ImportSegments replaces a flow's transmission segments wholesale (bulk
-// import from sim.Result.Segments at the end of a run).
-func (r *Recorder) ImportSegments(flow int64, segs []Segment) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.flow(flow).Segments = segs
-	r.mu.Unlock()
-}
-
-// LinkWentDown marks an injected link failure.
-func (r *Recorder) LinkWentDown(link int32, at simtime.Time) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.downs = append(r.downs, LinkDown{Time: at, Link: link})
-	r.mu.Unlock()
-}
-
-// Snapshot returns a deep copy of the recorded forest, in deterministic
-// (first-seen / pass) order. Safe to call while recording continues; nil
-// recorders return an empty tree.
-func (r *Recorder) Snapshot() *Tree {
-	t := &Tree{}
-	if r == nil {
-		return t
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t.Tasks = make([]TaskSpan, 0, len(r.taskOrder))
-	for _, id := range r.taskOrder {
-		ts := *r.tasks[id]
-		ts.Flows = append([]int64(nil), ts.Flows...)
-		ts.Blocks = cloneBlocks(ts.Blocks)
-		t.Tasks = append(t.Tasks, ts)
-	}
-	t.Flows = make([]FlowSpan, 0, len(r.flowOrder))
-	for _, id := range r.flowOrder {
-		fs := *r.flows[id]
-		fs.Segments = append([]Segment(nil), fs.Segments...)
-		t.Flows = append(t.Flows, fs)
-	}
-	t.Replans = make([]ReplanSpan, 0, len(r.replans))
-	for _, rs := range r.replans {
-		c := rs
-		c.Plans = make([]PlanSpan, len(rs.Plans))
-		for i, p := range rs.Plans {
-			c.Plans[i] = p
-			c.Plans[i].Path = append([]int32(nil), p.Path...)
-			c.Plans[i].Slices = append([]simtime.Interval(nil), p.Slices...)
-		}
-		t.Replans = append(t.Replans, c)
-	}
-	t.LinkDowns = append([]LinkDown(nil), r.downs...)
-	return t
-}
-
-func cloneBlocks(blocks []LinkBlock) []LinkBlock {
-	if blocks == nil {
-		return nil
-	}
-	out := make([]LinkBlock, len(blocks))
-	for i, b := range blocks {
-		out[i] = b
-		out[i].Holders = append([]Holder(nil), b.Holders...)
-	}
-	return out
-}
-
-// Task returns the snapshot's span for a task, or nil.
+// Task returns the tree's span for a task, or nil.
 func (t *Tree) Task(id int64) *TaskSpan {
 	for i := range t.Tasks {
 		if t.Tasks[i].Task == id {
@@ -404,7 +202,7 @@ func (t *Tree) Task(id int64) *TaskSpan {
 	return nil
 }
 
-// Flow returns the snapshot's span for a flow, or nil.
+// Flow returns the tree's span for a flow, or nil.
 func (t *Tree) Flow(id int64) *FlowSpan {
 	for i := range t.Flows {
 		if t.Flows[i].Flow == id {

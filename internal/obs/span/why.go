@@ -2,6 +2,7 @@ package span
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"taps/internal/simtime"
@@ -15,7 +16,7 @@ import (
 func WhyText(t *Tree, task int64, linkName func(int32) string) string {
 	ts := t.Task(task)
 	if ts == nil {
-		return fmt.Sprintf("task %d: no span recorded (was span tracing enabled for the run?)\n", task)
+		return fmt.Sprintf("task %d: no span recorded (the decision log holds no record of it)\n", task)
 	}
 	name := func(l int32) string {
 		if linkName != nil {
@@ -101,4 +102,37 @@ func WhyText(t *Tree, task int64, linkName func(int32) string) string {
 			label, p.Candidates, p.PathIndex, len(p.Path), ms(p.Finish), ms(p.Deadline), verdict)
 	}
 	return b.String()
+}
+
+// WhyTask resolves a -why argument to a task: a task ID, or "rejected" for
+// the first discarded task of the tree — the first whose attribution chain
+// names holders (occupancy by other tasks), else the first discarded at
+// all, one doomed purely by its own infeasible flows.
+func WhyTask(t *Tree, arg string) (int64, error) {
+	if arg != "rejected" {
+		id, err := strconv.ParseInt(arg, 10, 64)
+		if err != nil {
+			return 0, fmt.Errorf("-why wants a task ID or \"rejected\": %w", err)
+		}
+		return id, nil
+	}
+	fallback := NoTask
+	for i := range t.Tasks {
+		ts := &t.Tasks[i]
+		if ts.Outcome != OutcomeRejected && ts.Outcome != OutcomePreempted {
+			continue
+		}
+		if fallback == NoTask {
+			fallback = ts.Task
+		}
+		for _, blk := range ts.Blocks {
+			if len(blk.Holders) > 0 {
+				return ts.Task, nil
+			}
+		}
+	}
+	if fallback == NoTask {
+		return 0, fmt.Errorf("-why rejected: no task was discarded")
+	}
+	return fallback, nil
 }

@@ -260,12 +260,11 @@ type Config struct {
 	// Sink, when on, receives the records the engine owns — task arrivals
 	// (with flow identities), task/flow terminals, link failures and, when
 	// RecordSegments is also set, the transmission segments at the end of
-	// the run — for its decision log, its span recorder, its decision
-	// counters, or any of them. A
+	// the run — for its decision log, its decision counters, or both. A
 	// scheduler that is a SinkUser (TAPS) is handed the same sink, so its
 	// planning passes, commits and verdicts land in between: the log is
 	// then a complete flight recording that replays to the span tree and
-	// plan state of the live run. The zero value is off, with zero
+	// plan state of the run. The zero value is off, with zero
 	// overhead on the hot path.
 	Sink declog.Sink
 }
@@ -395,9 +394,9 @@ func (e *Engine) Run() (*Result, error) {
 	}, nil
 }
 
-// finishSpans closes the span tree at the end of a run: every flow's
-// terminal event (its Finish instant and kill note are authoritative on
-// the Flow itself), the terminal outcome of tasks the reject rule never
+// finishSpans emits the records that close the span tree at the end of a
+// run: every flow's terminal event (its Finish instant and kill note are
+// authoritative on the Flow itself), the terminal outcome of tasks the reject rule never
 // touched (completed, or killed mid-flight by deadline misses / link
 // failures — rejections and preemptions were already recorded live by
 // taskEnded), and the transmission segments when the run recorded them.

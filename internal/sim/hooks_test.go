@@ -47,9 +47,9 @@ func TestTaskEndHooksFireOnce(t *testing.T) {
 		{Arrival: 5 * simtime.Millisecond, Deadline: 100 * simtime.Millisecond,
 			Flows: []sim.FlowSpec{{Src: a, Dst: b, Size: 10000}}},
 	}
-	rec, spans := obs.NewRecorder(), span.NewRecorder()
+	rec, log := obs.NewRecorder(), &declog.Writer{}
 	s := &endSched{}
-	eng := sim.New(g, r, s, specs, sim.Config{Validate: true, Sink: declog.Sink{Spans: spans, Obs: rec}})
+	eng := sim.New(g, r, s, specs, sim.Config{Validate: true, Sink: declog.Sink{Log: log, Obs: rec}})
 	if _, err := eng.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -69,7 +69,7 @@ func TestTaskEndHooksFireOnce(t *testing.T) {
 	if n := rec.Count(obs.KindTaskRejected); n != 1 {
 		t.Fatalf("rejected count = %d", n)
 	}
-	tree := spans.Snapshot()
+	tree := replayed(t, log)
 	if ts := tree.Tasks[0]; ts.Outcome != span.OutcomePreempted || ts.Reason != "test: preempted" {
 		t.Fatalf("task 0 span = %+v", ts)
 	}
@@ -109,9 +109,9 @@ func TestLinkDownEventRecorded(t *testing.T) {
 		Deadline: 100 * simtime.Millisecond,
 		Flows:    []sim.FlowSpec{{Src: a, Dst: b, Size: 10000}},
 	}}
-	rec, spans := obs.NewRecorder(), span.NewRecorder()
+	rec, log := obs.NewRecorder(), &declog.Writer{}
 	eng := sim.New(g, r, serialSched{}, specs, sim.Config{
-		Validate: true, Sink: declog.Sink{Spans: spans, Obs: rec},
+		Validate: true, Sink: declog.Sink{Log: log, Obs: rec},
 		LinkFailures: []sim.LinkFailure{{At: simtime.Millisecond, Link: 0}},
 	})
 	if _, err := eng.Run(); err != nil {
@@ -120,7 +120,7 @@ func TestLinkDownEventRecorded(t *testing.T) {
 	if n := rec.Count(obs.KindLinkDown); n != 1 {
 		t.Fatalf("link-down count = %d", n)
 	}
-	if downs := spans.Snapshot().LinkDowns; len(downs) != 1 || downs[0].Link != 0 || downs[0].Time != simtime.Millisecond {
+	if downs := replayed(t, log).LinkDowns; len(downs) != 1 || downs[0].Link != 0 || downs[0].Time != simtime.Millisecond {
 		t.Fatalf("link downs = %+v", downs)
 	}
 }

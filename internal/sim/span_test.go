@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"bytes"
 	"testing"
 
 	"taps/internal/obs/declog"
@@ -8,6 +9,22 @@ import (
 	"taps/internal/sim"
 	"taps/internal/simtime"
 )
+
+// replayed folds the decision log a run wrote into its span tree.
+func replayed(t *testing.T, log *declog.Writer) *span.Tree {
+	t.Helper()
+	b, err := log.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, truncated, err := declog.Read(bytes.NewReader(b))
+	if err != nil || truncated {
+		t.Fatalf("read back the decision log: truncated=%v err=%v", truncated, err)
+	}
+	rp := declog.NewReplayer()
+	rp.ApplyAll(recs)
+	return rp.Tree()
+}
 
 // TestEngineSpanLifecycle checks the engine-side span wiring: arrivals
 // open task/flow spans with route labels, completions close them with
@@ -23,14 +40,14 @@ func TestEngineSpanLifecycle(t *testing.T) {
 		{Arrival: 2 * simtime.Millisecond, Deadline: simtime.Millisecond,
 			Flows: []sim.FlowSpec{{Src: b, Dst: a, Size: 50000}}}, // will miss
 	}
-	rec := span.NewRecorder()
+	log := &declog.Writer{}
 	eng := sim.New(g, r, killOnMiss{}, specs, sim.Config{
-		RecordSegments: true, Sink: declog.Sink{Spans: rec}, MaxTime: simtime.Time(1e12),
+		RecordSegments: true, Sink: declog.Sink{Log: log}, MaxTime: simtime.Time(1e12),
 	})
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	tree := rec.Snapshot()
+	tree := replayed(t, log)
 
 	if len(tree.Tasks) != 2 || len(tree.Flows) != 3 {
 		t.Fatalf("tree has %d tasks, %d flows; want 2, 3", len(tree.Tasks), len(tree.Flows))
@@ -79,9 +96,9 @@ func TestEngineSpanLinkFailure(t *testing.T) {
 	g, r, a, b := pair()
 	specs := []sim.TaskSpec{{Arrival: 0, Deadline: 50 * simtime.Millisecond,
 		Flows: []sim.FlowSpec{{Src: a, Dst: b, Size: 5000}}}}
-	rec := span.NewRecorder()
+	log := &declog.Writer{}
 	eng := sim.New(g, r, serialSched{}, specs, sim.Config{
-		Sink: declog.Sink{Spans: rec},
+		Sink: declog.Sink{Log: log},
 		LinkFailures: []sim.LinkFailure{
 			{At: simtime.Millisecond, Link: g.Out(a)[0]},
 		},
@@ -90,7 +107,7 @@ func TestEngineSpanLinkFailure(t *testing.T) {
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	tree := rec.Snapshot()
+	tree := replayed(t, log)
 	if len(tree.LinkDowns) != 1 || tree.LinkDowns[0].Time != simtime.Millisecond {
 		t.Fatalf("link downs = %+v", tree.LinkDowns)
 	}

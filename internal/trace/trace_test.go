@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"taps/internal/core"
-	"taps/internal/obs/declog"
 	"taps/internal/obs/span"
 	"taps/internal/sched/fairshare"
 	"taps/internal/sim"
@@ -110,9 +109,9 @@ func TestGanttKilledFlowMarker(t *testing.T) {
 	}
 }
 
-// spanTrackedRun runs TAPS with a span recorder on both the engine and
-// the scheduler, returning result + tree for span-enriched rendering.
-func spanTrackedRun(t *testing.T, specs []sim.TaskSpec) (*sim.Result, *span.Tree) {
+// tapsRun runs TAPS on a two-host star, with segments recorded, for the
+// span-enriched rendering tests to overlay a span tree on.
+func tapsRun(t *testing.T, specs []sim.TaskSpec) *sim.Result {
 	t.Helper()
 	g := topology.NewGraph()
 	sw := g.AddNode(topology.ToR, "s", 1, 0)
@@ -120,16 +119,14 @@ func spanTrackedRun(t *testing.T, specs []sim.TaskSpec) (*sim.Result, *span.Tree
 	b := g.AddNode(topology.Host, "b", 0, 0)
 	g.AddDuplex(a, sw, 1e6)
 	g.AddDuplex(b, sw, 1e6)
-	sched := core.New(core.DefaultConfig())
-	rec := span.NewRecorder()
-	eng := sim.New(g, topology.NewBFSRouting(g), sched, specs, sim.Config{
-		Validate: true, RecordSegments: true, Sink: declog.Sink{Spans: rec}, MaxTime: simtime.Time(1e10),
+	eng := sim.New(g, topology.NewBFSRouting(g), core.New(core.DefaultConfig()), specs, sim.Config{
+		Validate: true, RecordSegments: true, MaxTime: simtime.Time(1e10),
 	})
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, rec.Snapshot()
+	return res
 }
 
 // TestGanttPreemptionMarks checks the span-enriched chart for a preempted
@@ -145,23 +142,22 @@ func TestGanttPreemptionMarks(t *testing.T) {
 	// it at arrival and the engine kills flow 0 at t=0 (FlowKilled).
 	specs := []sim.TaskSpec{{Arrival: 0, Deadline: 1 * simtime.Millisecond,
 		Flows: []sim.FlowSpec{{Src: 1, Dst: 2, Size: 50_000}}}}
-	res, _ := spanTrackedRun(t, specs)
+	res := tapsRun(t, specs)
 	if res.Flows[0].State != sim.FlowKilled {
 		t.Fatalf("flow 0 state = %v, want killed", res.Flows[0].State)
 	}
 
 	// Span overlay: the task was granted [200,800) µs, then preempted for
 	// task 1 and killed at t=0, revoking the whole window.
-	rec := span.NewRecorder()
-	rec.TaskArrived(0, 0, simtime.Millisecond)
-	rec.FlowArrived(0, 0, 0, simtime.Millisecond, "a->b")
-	rec.Replan(span.ReplanSpan{Time: 0, Kind: span.ReplanArrival, Trigger: 0,
-		Plans: []span.PlanSpan{{Flow: 0, Task: 0, Path: []int32{0},
-			Slices: []simtime.Interval{{Start: 200, End: 800}}}}})
-	rec.FlowEnded(0, 0, false, false, "preempted by task 1")
-	rec.TaskEnded(0, 0, span.OutcomePreempted, "preempted by task 1")
-	rec.PreemptedBy(0, 1)
-	tree := rec.Snapshot()
+	tree := &span.Tree{
+		Tasks: []span.TaskSpan{{Task: 0, Deadline: simtime.Millisecond, Outcome: span.OutcomePreempted,
+			Reason: "preempted by task 1", PreemptedBy: 1, Flows: []int64{0}}},
+		Flows: []span.FlowSpan{{Flow: 0, Task: 0, Label: "a->b", Deadline: simtime.Millisecond,
+			Ended: true, Note: "preempted by task 1"}},
+		Replans: []span.ReplanSpan{{Seq: 1, Kind: span.ReplanArrival, Trigger: 0,
+			Plans: []span.PlanSpan{{Flow: 0, Task: 0, Path: []int32{0},
+				Slices: []simtime.Interval{{Start: 200, End: 800}}}}}},
+	}
 	if got := tree.RevokedWindows(0); len(got) != 1 ||
 		got[0] != (simtime.Interval{Start: 200, End: 800}) {
 		t.Fatalf("revoked windows = %v", got)
@@ -197,21 +193,23 @@ func TestGanttPreemptionMarks(t *testing.T) {
 // data: zero-duration granted windows (Start == End) must render nothing
 // rather than a stray mark or a panic.
 func TestGanttZeroDurationWindow(t *testing.T) {
-	res, _ := spanTrackedRun(t, specsAB())
-	rec := span.NewRecorder()
-	rec.TaskArrived(0, 0, 10*simtime.Millisecond)
-	rec.FlowArrived(0, 0, 0, 10*simtime.Millisecond, "a->b")
-	rec.Replan(span.ReplanSpan{Time: 0, Kind: span.ReplanArrival, Trigger: 0,
-		Plans: []span.PlanSpan{{Flow: 0, Task: 0, Path: []int32{0},
-			Slices: []simtime.Interval{
-				{Start: 1000, End: 1000}, // zero-duration grant
-				{Start: 2000, End: 4000},
-			}}}})
-	// Supersede immediately at t=0: every non-empty window is revoked.
-	rec.Replan(span.ReplanSpan{Time: 0, Kind: span.ReplanArrival, Trigger: 0,
-		Plans: []span.PlanSpan{{Flow: 0, Task: 0, Path: []int32{0},
-			Slices: []simtime.Interval{{Start: 5000, End: 5000}}}}})
-	tree := rec.Snapshot()
+	res := tapsRun(t, specsAB())
+	tree := &span.Tree{
+		Tasks: []span.TaskSpan{{Task: 0, Deadline: 10 * simtime.Millisecond, PreemptedBy: span.NoTask, Flows: []int64{0}}},
+		Flows: []span.FlowSpan{{Flow: 0, Task: 0, Label: "a->b", Deadline: 10 * simtime.Millisecond}},
+		Replans: []span.ReplanSpan{
+			{Seq: 1, Kind: span.ReplanArrival, Trigger: 0,
+				Plans: []span.PlanSpan{{Flow: 0, Task: 0, Path: []int32{0},
+					Slices: []simtime.Interval{
+						{Start: 1000, End: 1000}, // zero-duration grant
+						{Start: 2000, End: 4000},
+					}}}},
+			// Supersede immediately at t=0: every non-empty window is revoked.
+			{Seq: 2, Kind: span.ReplanArrival, Trigger: 0,
+				Plans: []span.PlanSpan{{Flow: 0, Task: 0, Path: []int32{0},
+					Slices: []simtime.Interval{{Start: 5000, End: 5000}}}}},
+		},
+	}
 	out := trace.Gantt(res, trace.Options{Width: 40, Spans: tree})
 	if !strings.Contains(out, "~") {
 		t.Fatalf("revoked non-empty window missing:\n%s", out)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -215,17 +214,37 @@ func TestFacadeVarysCCT(t *testing.T) {
 	}
 }
 
+// replayTree reads back the decision log at path and replays it into the
+// run's span tree.
+func replayTree(t *testing.T, path string) *taps.SpanTree {
+	t.Helper()
+	recs, truncated, err := taps.ReadDecisionLog(path)
+	if err != nil || truncated {
+		t.Fatalf("read log: err=%v truncated=%v", err, truncated)
+	}
+	rp := taps.NewDecisionReplayer()
+	rp.ApplyAll(recs)
+	return rp.Tree()
+}
+
 func TestFacadeSpanTracing(t *testing.T) {
 	net := smallNet()
 	tasks := smallWorkload(net)
-	rec := taps.NewSpanRecorder()
+	path := filepath.Join(t.TempDir(), "run.dlg")
+	w, err := taps.CreateDecisionLog(path, net)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := taps.RunWithOptions(net, taps.NewTAPS(), tasks, taps.RunOptions{
-		RecordSegments: true, Spans: rec,
+		RecordSegments: true, DecLog: w,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree := rec.Snapshot()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tree := replayTree(t, path)
 	if len(tree.Tasks) != 8 || len(tree.Replans) == 0 {
 		t.Fatalf("span tree: %d tasks, %d replans", len(tree.Tasks), len(tree.Replans))
 	}
@@ -245,11 +264,11 @@ func TestFacadeSpanTracing(t *testing.T) {
 	}
 }
 
-// TestFacadeDecisionLogReplaysToLiveTree: naming the recorder and the log
-// once, in RunOptions, is all it takes — TAPS's planning passes and
-// attribution chains reach both, and the log replays into the tree the
-// recorder holds.
-func TestFacadeDecisionLogReplaysToLiveTree(t *testing.T) {
+// TestFacadeDecisionLogReplaysToTree: naming the log once, in RunOptions,
+// is all it takes — TAPS's planning passes and attribution chains reach
+// it, and it replays into a tree whose discarded tasks are exactly the
+// ones the run rejected or preempted.
+func TestFacadeDecisionLogReplaysToTree(t *testing.T) {
 	net := smallNet()
 	tasks := taps.GenerateWorkload(net, taps.WorkloadSpec{
 		Tasks: 24, MeanFlowsPerTask: 6, MeanDeadline: 4 * taps.Millisecond,
@@ -260,32 +279,33 @@ func TestFacadeDecisionLogReplaysToLiveTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := taps.NewSpanRecorder()
-	if _, err := taps.RunWithOptions(net, taps.NewTAPS(), tasks, taps.RunOptions{
-		RecordSegments: true, Spans: rec, DecLog: w,
-	}); err != nil {
+	res, err := taps.RunWithOptions(net, taps.NewTAPS(), tasks, taps.RunOptions{
+		RecordSegments: true, DecLog: w,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	live := rec.Snapshot()
+	tree := replayTree(t, path)
 	chains := 0
-	for i := range live.Tasks {
-		if len(live.Tasks[i].Blocks) > 0 {
+	for i := range tree.Tasks {
+		if len(tree.Tasks[i].Blocks) > 0 {
 			chains++
 		}
 	}
-	if len(live.Replans) == 0 || chains == 0 {
-		t.Fatalf("live tree has %d planning passes and %d attribution chains; the scheduler half is missing", len(live.Replans), chains)
+	if len(tree.Replans) == 0 || chains == 0 {
+		t.Fatalf("replayed tree has %d planning passes and %d attribution chains; the scheduler half is missing", len(tree.Replans), chains)
 	}
-	recs, truncated, err := taps.ReadDecisionLog(path)
-	if err != nil || truncated {
-		t.Fatalf("read log: err=%v truncated=%v", err, truncated)
+	if len(tree.Tasks) != len(res.Tasks) {
+		t.Fatalf("replayed tree has %d tasks, the run %d", len(tree.Tasks), len(res.Tasks))
 	}
-	rp := taps.NewDecisionReplayer()
-	rp.ApplyAll(recs)
-	if !reflect.DeepEqual(live, rp.Tree()) {
-		t.Fatal("the decision log does not replay into the live span tree")
+	for _, task := range res.Tasks {
+		ts := tree.Task(int64(task.ID))
+		discarded := ts != nil && (ts.Outcome.String() == "rejected" || ts.Outcome.String() == "preempted")
+		if discarded != task.Rejected {
+			t.Fatalf("task %d: span %+v, run rejected=%v", task.ID, ts, task.Rejected)
+		}
 	}
 }
