@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race lint bench bench-json netctl-soak-smoke tapsbench tapsbench-test
+.PHONY: check fmt vet build test race lint goldens bench bench-json netctl-soak-smoke tapsbench tapsbench-test
 
 # check is the full CI gate: formatting, vet, build, lint, tests with the
-# race detector. CI (.github/workflows/ci.yml) runs the same commands as
-# steps of its check job, with lint in a job of its own.
-check: fmt vet build lint race
+# race detector, the benchmark harness's tests and the golden outputs. CI
+# (.github/workflows/ci.yml) runs the same commands as steps of its check
+# job, with lint in a job of its own.
+check: fmt vet build lint race tapsbench-test goldens
 
 fmt:
 	@out="$$(gofmt -s -l .)"; \
@@ -30,6 +31,18 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# goldens regenerates the bench-scale trace and decision log, and replays
+# the checked-in log into a trace, and compares each byte for byte with
+# its checked-in golden.
+goldens:
+	$(GO) run ./cmd/tapsim -scale bench -trace /tmp/trace_bench.json
+	cmp /tmp/trace_bench.json cmd/tapsim/testdata/trace_bench.json
+	$(GO) run ./cmd/tapsim -scale bench -declog /tmp/declog_bench.bin
+	cmp /tmp/declog_bench.bin cmd/tapsim/testdata/declog_bench.bin
+	$(GO) run ./cmd/tapsctl -replay cmd/tapsim/testdata/declog_bench.bin \
+		-trace /tmp/replayed_trace.json
+	cmp /tmp/replayed_trace.json cmd/tapsim/testdata/trace_bench.json
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

@@ -30,14 +30,15 @@ import (
 )
 
 func main() {
+	sizes := topology.DefaultSizes()
+	flag.IntVar(&sizes.Pods, "pods", sizes.Pods, "tree: pods")
+	flag.IntVar(&sizes.Racks, "racks", sizes.Racks, "tree: racks per pod")
+	flag.IntVar(&sizes.Hosts, "hosts", sizes.Hosts, "tree: hosts per rack")
+	flag.IntVar(&sizes.K, "k", sizes.K, "fattree: k / bcube, ficonn: k")
+	flag.IntVar(&sizes.N, "n", sizes.N, "bcube, ficonn: n")
 	var (
 		listen  = flag.String("listen", "127.0.0.1:7474", "address to listen on")
 		topo    = flag.String("topo", "testbed", "topology: testbed, tree, fattree, bcube, ficonn")
-		pods    = flag.Int("pods", 4, "tree: pods")
-		racks   = flag.Int("racks", 4, "tree: racks per pod")
-		hosts   = flag.Int("hosts", 10, "tree: hosts per rack")
-		k       = flag.Int("k", 4, "fattree: k / bcube: k")
-		n       = flag.Int("n", 4, "bcube: n")
 		speedup = flag.Float64("speedup", 1, "virtual µs per real µs")
 		paths   = flag.Int("paths", 16, "candidate path cap")
 		httpAt  = flag.String("http", "", "serve GET /status, /metrics, /declog, /trace, /why and /healthz on this address (empty: off)")
@@ -57,7 +58,7 @@ func main() {
 		return
 	}
 
-	g, r, err := buildTopology(*topo, *pods, *racks, *hosts, *k, *n)
+	g, r, err := topology.ByName(*topo, sizes)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tapsctl:", err)
 		os.Exit(1)
@@ -102,28 +103,4 @@ func main() {
 	}
 	fmt.Fprint(os.Stderr, ctl.Recorder().SummaryText())
 	fmt.Fprint(os.Stderr, ctl.LoadSummaryText())
-}
-
-func buildTopology(topo string, pods, racks, hosts, k, n int) (*topology.Graph, topology.Routing, error) {
-	switch topo {
-	case "testbed":
-		g, r := topology.PartialFatTree(topology.PaperTestbed())
-		return g, r, nil
-	case "tree":
-		g, r := topology.SingleRootedTree(topology.SingleRootedTreeSpec{
-			Pods: pods, RacksPerPod: racks, HostsPerRack: hosts,
-			LinkCapacity: topology.Gbps(1),
-		})
-		return g, r, nil
-	case "fattree":
-		g, r := topology.FatTree(topology.FatTreeSpec{K: k, LinkCapacity: topology.Gbps(1)})
-		return g, topology.NewCachedRouting(r), nil
-	case "bcube":
-		g, r := topology.BCube(topology.BCubeSpec{N: n, K: k, LinkCapacity: topology.Gbps(1)})
-		return g, topology.NewCachedRouting(r), nil
-	case "ficonn":
-		g, r := topology.FiConn(topology.FiConnSpec{N: n, K: k, LinkCapacity: topology.Gbps(1)})
-		return g, topology.NewCachedRouting(r), nil
-	}
-	return nil, nil, fmt.Errorf("unknown topology %q", topo)
 }

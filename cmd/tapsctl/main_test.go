@@ -15,8 +15,12 @@ import (
 
 	"taps/internal/netctl"
 	"taps/internal/simtime"
+	"taps/internal/topology"
 )
 
+// TestBuildTopology pins the graphs tapsctl builds at its flag defaults,
+// which tapsload and tapstopo share: a tapsload started with the same
+// -topo claims the controller's hosts.
 func TestBuildTopology(t *testing.T) {
 	cases := []struct {
 		topo  string
@@ -24,16 +28,11 @@ func TestBuildTopology(t *testing.T) {
 	}{
 		{"testbed", 8},
 		{"tree", 4 * 4 * 10},
-		{"fattree", 16},  // k=4
-		{"bcube", 4 * 4}, // n=4, k=1: n^(k+1)
+		{"fattree", 16},              // k=4: k^3/4
+		{"bcube", 4 * 4 * 4 * 4 * 4}, // n=4, k=4: n^(k+1)
 	}
 	for _, c := range cases {
-		g, r, err := buildTopology(c.topo, 4, 4, 10, func() int {
-			if c.topo == "bcube" {
-				return 1
-			}
-			return 4
-		}(), 4)
+		g, r, err := topology.ByName(c.topo, topology.DefaultSizes())
 		if err != nil {
 			t.Fatalf("%s: %v", c.topo, err)
 		}
@@ -44,16 +43,13 @@ func TestBuildTopology(t *testing.T) {
 			t.Errorf("%s: nil routing", c.topo)
 		}
 	}
-	if _, _, err := buildTopology("nope", 1, 1, 1, 1, 1); err == nil {
-		t.Error("unknown topology must error")
-	}
 }
 
 // TestReplayReadsServedLog: a controller started without -declog still
 // serves its decision log on GET /declog, and `tapsctl -replay` reads
 // those bytes: the summary, the trace and -why rejected all come back.
 func TestReplayReadsServedLog(t *testing.T) {
-	g, r, err := buildTopology("testbed", 0, 0, 0, 0, 0)
+	g, r, err := topology.ByName("testbed", topology.DefaultSizes())
 	if err != nil {
 		t.Fatal(err)
 	}

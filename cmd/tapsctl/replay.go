@@ -31,14 +31,13 @@ func runReplay(out io.Writer, path string, untilUs int64, whyArg, traceTo string
 	}
 	rp.ApplyAll(recs)
 	tree := rp.Tree()
-	linkName := replayLinkNamer(rp.Meta())
 
 	if traceTo != "" {
 		f, err := os.Create(traceTo)
 		if err != nil {
 			return err
 		}
-		if err := span.WriteTraceEvents(f, tree, span.ExportOptions{LinkName: linkName}); err != nil {
+		if err := span.WriteTraceEvents(f, tree); err != nil {
 			f.Close()
 			return err
 		}
@@ -53,22 +52,13 @@ func runReplay(out io.Writer, path string, untilUs int64, whyArg, traceTo string
 		if err != nil {
 			return err
 		}
-		_, err = io.WriteString(out, span.WhyText(tree, task, linkName))
+		_, err = io.WriteString(out, span.WhyText(tree, task))
 		return err
 	}
 	if traceTo == "" {
 		writeReplaySummary(out, path, rp, tree, untilUs)
 	}
 	return nil
-}
-
-func replayLinkNamer(m *declog.Meta) func(int32) string {
-	return func(l int32) string {
-		if m != nil && int(l) >= 0 && int(l) < len(m.LinkNames) {
-			return m.LinkNames[l]
-		}
-		return fmt.Sprintf("link %d", l)
-	}
 }
 
 // writeReplaySummary prints the reconstructed world: decision totals from

@@ -21,7 +21,7 @@ func genBenchDeclog(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "bench.dlg")
-	if _, _, err := spanRun(scale, path); err != nil {
+	if _, err := spanRun(scale, path); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -80,14 +80,7 @@ func TestReplayGoldenReconstructsGoldenTrace(t *testing.T) {
 		t.Fatalf("golden log lacks a usable meta record: %+v", m)
 	}
 	var buf bytes.Buffer
-	if err := span.WriteTraceEvents(&buf, rp.Tree(), span.ExportOptions{
-		LinkName: func(l int32) string {
-			if int(l) < len(m.LinkNames) {
-				return m.LinkNames[l]
-			}
-			return "?"
-		},
-	}); err != nil {
+	if err := span.WriteTraceEvents(&buf, rp.Tree()); err != nil {
 		t.Fatal(err)
 	}
 	want, err := os.ReadFile(filepath.Join("testdata", "trace_bench.json"))
@@ -109,7 +102,7 @@ func TestMemoryLogReplaysLikeGoldenLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromMemory, _, err := spanRun(scale, "")
+	fromMemory, err := spanRun(scale, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,6 +24,7 @@ import (
 	"taps/internal/metrics"
 	"taps/internal/obs"
 	"taps/internal/obs/declog"
+	"taps/internal/obs/span"
 	"taps/internal/sim"
 	"taps/internal/simtime"
 	"taps/internal/topology"
@@ -81,7 +82,7 @@ func main() {
 	}
 
 	if *traceF != "" || *whyF != "" || *declogF != "" {
-		tree, g, err := spanRun(scale, *declogF)
+		tree, err := spanRun(scale, *declogF)
 		if err != nil {
 			fatal(err)
 		}
@@ -94,7 +95,7 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			if err := writeTrace(f, tree, g); err != nil {
+			if err := span.WriteTraceEvents(f, tree); err != nil {
 				f.Close()
 				fatal(err)
 			}
@@ -105,7 +106,7 @@ func main() {
 				len(tree.Tasks), len(tree.Flows), len(tree.Replans), *traceF)
 		}
 		if *whyF != "" {
-			if err := printWhy(out, tree, g, *whyF); err != nil {
+			if err := printWhy(out, tree, *whyF); err != nil {
 				fatal(err)
 			}
 		}

@@ -21,7 +21,7 @@ import (
 // flight recording `tapsctl -replay` consumes — and stays in memory
 // otherwise. The run is fully deterministic for a given scale+seed — the
 // golden-trace and golden-declog tests depend on that.
-func spanRun(scale experiments.Scale, declogPath string) (*span.Tree, *topology.Graph, error) {
+func spanRun(scale experiments.Scale, declogPath string) (*span.Tree, error) {
 	g, r := topology.SingleRootedTree(scale.Tree)
 	specs := workload.Generate(g, workload.Spec{
 		Tasks:            scale.Tasks,
@@ -34,53 +34,40 @@ func spanRun(scale experiments.Scale, declogPath string) (*span.Tree, *topology.
 		var err error
 		dl, err = declog.Create(declogPath, declog.Options{})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	names := make([]string, g.NumLinks())
-	for i := range names {
-		names[i] = g.Link(topology.LinkID(i)).Name
-	}
-	dl.Append(&declog.Record{Kind: declog.KindMeta, Meta: &declog.Meta{Source: "tapsim", LinkNames: names}})
+	dl.Append(&declog.Record{Kind: declog.KindMeta, Meta: &declog.Meta{Source: "tapsim", LinkNames: g.LinkNames()}})
 	eng := sim.New(g, topology.NewCachedRouting(r), core.New(core.DefaultConfig()), specs, sim.Config{
 		RecordSegments: true, Sink: declog.Sink{Log: dl}, MaxTime: simtime.Time(4e12),
 	})
 	if _, err := eng.Run(); err != nil {
 		dl.Close()
-		return nil, nil, err
+		return nil, err
 	}
 	if err := dl.Close(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	log, err := dl.Bytes()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	recs, _, err := declog.Read(bytes.NewReader(log))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	rp := declog.NewReplayer()
 	rp.ApplyAll(recs)
-	return rp.Tree(), g, nil
-}
-
-// writeTrace exports the tree as Chrome trace_event JSON with topology
-// link names on the link tracks.
-func writeTrace(w io.Writer, tree *span.Tree, g *topology.Graph) error {
-	return span.WriteTraceEvents(w, tree, span.ExportOptions{
-		LinkName: func(l int32) string { return g.Link(topology.LinkID(l)).Name },
-	})
+	return rp.Tree(), nil
 }
 
 // printWhy renders the causal explanation of one task's fate: a task ID,
 // or "rejected" for the run's first discarded task (span.WhyTask).
-func printWhy(out io.Writer, tree *span.Tree, g *topology.Graph, arg string) error {
+func printWhy(out io.Writer, tree *span.Tree, arg string) error {
 	task, err := span.WhyTask(tree, arg)
 	if err != nil {
 		return err
 	}
-	linkName := func(l int32) string { return g.Link(topology.LinkID(l)).Name }
-	_, err = io.WriteString(out, span.WhyText(tree, task, linkName))
+	_, err = io.WriteString(out, span.WhyText(tree, task))
 	return err
 }

@@ -47,8 +47,8 @@ func main() {
 		addr      = flag.String("addr", "", "controller address (empty with -selfhost)")
 		httpAt    = flag.String("http", "", "controller monitoring URL (e.g. http://127.0.0.1:8080) to pull per-stage telemetry from; implied by -selfhost")
 		selfhost  = flag.Bool("selfhost", false, "run an in-process controller instead of dialing one")
-		topo      = flag.String("topo", "testbed", "selfhost topology: testbed, fattree")
-		k         = flag.Int("k", 8, "selfhost fattree: k")
+		topo      = flag.String("topo", "testbed", "topology: testbed, tree, fattree, bcube, ficonn (with -addr: the controller's -topo)")
+		k         = flag.Int("k", topology.DefaultSizes().K, "fattree: k / bcube, ficonn: k (with -addr: the controller's -k)")
 		speedup   = flag.Float64("speedup", 20, "selfhost: virtual µs per real µs")
 		conns     = flag.Int("conns", 1000, "concurrent agent connections")
 		rate      = flag.Float64("rate", 1000, "task arrivals per second (Poisson, open-loop)")
@@ -111,21 +111,16 @@ type Report struct {
 
 func run(cfg config) error {
 	raiseFDLimit()
-	var g *topology.Graph
-	var r topology.Routing
-	switch cfg.topo {
-	case "testbed":
-		g, r = topology.PartialFatTree(topology.PaperTestbed())
-	case "fattree":
-		var fr topology.Routing
-		g, fr = topology.FatTree(topology.FatTreeSpec{K: cfg.k, LinkCapacity: topology.Gbps(1)})
-		r = topology.NewCachedRouting(fr)
-	default:
-		return fmt.Errorf("unknown topology %q", cfg.topo)
+	sizes := topology.DefaultSizes()
+	sizes.K = cfg.k
+	g, r, err := topology.ByName(cfg.topo, sizes)
+	if err != nil {
+		return err
 	}
 	// Hosts the agent fleet claims: the selfhost graph, or (remote) the
 	// same -topo/-k the operator started the controller with — agents only
-	// need valid host IDs to register and place flows.
+	// need valid host IDs to register and place flows. The other size
+	// flags keep tapsctl's defaults.
 	hosts := g.Hosts()
 
 	var ctl *netctl.Controller

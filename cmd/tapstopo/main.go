@@ -17,38 +17,22 @@ import (
 )
 
 func main() {
+	sizes := topology.DefaultSizes()
+	flag.IntVar(&sizes.Pods, "pods", sizes.Pods, "tree: pods")
+	flag.IntVar(&sizes.Racks, "racks", sizes.Racks, "tree: racks per pod")
+	flag.IntVar(&sizes.Hosts, "hosts", sizes.Hosts, "tree: hosts per rack")
+	flag.IntVar(&sizes.K, "k", sizes.K, "fattree: k / bcube, ficonn: k")
+	flag.IntVar(&sizes.N, "n", sizes.N, "bcube, ficonn: n")
 	var (
 		topoFlag = flag.String("topo", "tree", "topology: tree, fattree, testbed, bcube, ficonn")
-		pods     = flag.Int("pods", 4, "tree: pods")
-		racks    = flag.Int("racks", 4, "tree: racks per pod")
-		hosts    = flag.Int("hosts", 10, "tree: hosts per rack")
-		k        = flag.Int("k", 8, "fattree: k / bcube,ficonn: k")
-		n        = flag.Int("n", 4, "bcube, ficonn: n")
 		paths    = flag.Int("paths", 4, "sample paths to print per pair")
 		dotFlag  = flag.Bool("dot", false, "emit Graphviz DOT instead of the summary")
 	)
 	flag.Parse()
 
-	var (
-		g *topology.Graph
-		r topology.Routing
-	)
-	switch *topoFlag {
-	case "tree":
-		g, r = topology.SingleRootedTree(topology.SingleRootedTreeSpec{
-			Pods: *pods, RacksPerPod: *racks, HostsPerRack: *hosts,
-			LinkCapacity: topology.Gbps(1),
-		})
-	case "fattree":
-		g, r = topology.FatTree(topology.FatTreeSpec{K: *k, LinkCapacity: topology.Gbps(1)})
-	case "testbed":
-		g, r = topology.PartialFatTree(topology.PaperTestbed())
-	case "bcube":
-		g, r = topology.BCube(topology.BCubeSpec{N: *n, K: *k, LinkCapacity: topology.Gbps(1)})
-	case "ficonn":
-		g, r = topology.FiConn(topology.FiConnSpec{N: *n, K: *k, LinkCapacity: topology.Gbps(1)})
-	default:
-		fmt.Fprintf(os.Stderr, "tapstopo: unknown topology %q\n", *topoFlag)
+	g, r, err := topology.ByName(*topoFlag, sizes)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tapstopo:", err)
 		os.Exit(1)
 	}
 

@@ -89,7 +89,7 @@ func TestSpanTreeFullRun(t *testing.T) {
 					}
 				}
 			}
-			why := span.WhyText(tree, ts.Task, nil)
+			why := span.WhyText(tree, ts.Task)
 			if why == "" {
 				t.Errorf("task %d: empty why text", ts.Task)
 			}

@@ -64,11 +64,12 @@ type Config struct {
 	// rejected instead (Varys-like behaviour; ablation).
 	NoPreemption bool
 	// BatchWindow is Alg. 1's "wait time T": a newly arrived task is
-	// held for up to this long so that tasks arriving close together are
-	// decided in one planning pass (fewer global re-plans). Zero decides
-	// every task immediately, which is what the evaluation uses — in the
-	// simulated workloads all flows of a task arrive together, so T only
-	// matters across tasks.
+	// held until the window opened by the first parked task closes. It
+	// only defers decisions: when the window closes every parked task is
+	// still decided in its own planning pass, so the number of passes is
+	// unchanged. Zero decides every task immediately, which is what the
+	// evaluation uses — in the simulated workloads all flows of a task
+	// arrive together, so T only matters across tasks.
 	BatchWindow simtime.Time
 }
 

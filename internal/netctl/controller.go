@@ -135,15 +135,11 @@ func NewController(g *topology.Graph, r topology.Routing, cfg ControllerConfig) 
 // metaRecord is the log's identity record: the virtual clock's epoch and
 // speed, and the link names a replay labels links with.
 func (c *Controller) metaRecord() *declog.Record {
-	names := make([]string, c.graph.NumLinks())
-	for i := range names {
-		names[i] = c.graph.Link(topology.LinkID(i)).Name
-	}
 	return &declog.Record{Kind: declog.KindMeta, Meta: &declog.Meta{
 		Source:        "netctl",
 		EpochUnixNano: c.epoch.UnixNano(),
 		Speedup:       c.cfg.Speedup,
-		LinkNames:     names,
+		LinkNames:     c.graph.LinkNames(),
 	}}
 }
 

@@ -16,7 +16,6 @@ import (
 	"taps/internal/obs/sketch"
 	"taps/internal/obs/span"
 	"taps/internal/simtime"
-	"taps/internal/topology"
 )
 
 // StatusLink is one link's planned occupancy in the status document.
@@ -161,7 +160,6 @@ func (c *Controller) HTTPHandler() http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	linkName := func(l int32) string { return c.graph.Link(topology.LinkID(l)).Name }
 	mux.HandleFunc("GET /trace", func(w http.ResponseWriter, r *http.Request) {
 		tree, err := c.replay()
 		if err != nil {
@@ -169,7 +167,7 @@ func (c *Controller) HTTPHandler() http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		if err := span.WriteTraceEvents(w, tree, span.ExportOptions{LinkName: linkName}); err != nil {
+		if err := span.WriteTraceEvents(w, tree); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
@@ -185,7 +183,7 @@ func (c *Controller) HTTPHandler() http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write([]byte(span.WhyText(tree, task, linkName)))
+		w.Write([]byte(span.WhyText(tree, task)))
 	})
 	mux.HandleFunc("GET /declog", func(w http.ResponseWriter, r *http.Request) {
 		off, err := parseOffset(r.URL.Query().Get("off"))

@@ -247,16 +247,19 @@ func TestSubmitTraceOverTCP(t *testing.T) {
 		agents = append(agents, dial(t, addr, fmt.Sprintf("h%d", i), h))
 	}
 	// A generated workload, exactly as the simulator consumes it —
-	// small flows and slack deadlines so the run is timing-robust.
+	// small flows and slack deadlines (at least 500 ms) so the run is
+	// timing-robust.
 	tasks := workload.Generate(g, workload.Spec{
 		Tasks:            6,
 		MeanFlowsPerTask: 3,
 		ArrivalRate:      2000,
 		MeanDeadline:     800 * simtime.Millisecond,
 		MeanFlowSize:     60 * 1024,
-		MinDeadline:      500 * simtime.Millisecond,
 		Seed:             31,
 	})
+	for i := range tasks {
+		tasks[i].Deadline = max(tasks[i].Deadline, 500*simtime.Millisecond)
+	}
 	accepted, rejected, err := agents[0].SubmitTrace(tasks, 5000)
 	if err != nil {
 		t.Fatal(err)

@@ -234,24 +234,25 @@ func TestOpenAppendFreshFile(t *testing.T) {
 func TestHealthCountersAndSyncBatching(t *testing.T) {
 	health := obs.NewRecorder()
 	path := filepath.Join(t.TempDir(), "log.dlg")
-	w, err := Create(path, Options{SyncEvery: 2, Health: health})
+	w, err := Create(path, Options{Health: health})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
+	const n = 2*syncEvery + 1
+	for i := 0; i < n; i++ {
 		w.Append(&Record{Kind: KindAdmit, Time: simtime.Time(i), Task: int64(i)})
 	}
 	ds := health.DeclogStats()
-	if ds.Records != 5 {
-		t.Fatalf("records counter = %d, want 5", ds.Records)
+	if ds.Records != n {
+		t.Fatalf("records counter = %d, want %d", ds.Records, n)
 	}
 	if ds.Bytes == 0 {
 		t.Fatal("bytes counter stayed zero")
 	}
-	// SyncEvery=2 over 5 appends fires the batched fsync twice; Close
-	// flushes the odd record out for a third.
+	// 2*syncEvery+1 appends fire the batched fsync twice; Close flushes
+	// the odd record out for a third.
 	if n := health.DeclogSyncLatency().Count(); n != 2 {
-		t.Fatalf("fsync count after 5 appends = %d, want 2", n)
+		t.Fatalf("fsync count after %d appends = %d, want 2", ds.Records, n)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -394,6 +395,7 @@ func TestSinkLogsReplayToOneTree(t *testing.T) {
 		},
 		Replans:   []span.ReplanSpan{pass},
 		LinkDowns: []span.LinkDown{{Time: 1500, Link: 9}},
+		LinkNames: in[0].Meta.LinkNames,
 	}
 	if got := rp.Tree(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("replayed tree:\n got %+v\nwant %+v", got, want)

@@ -175,7 +175,9 @@ func (r *Replayer) fold(rec *Record) {
 		r.flow(rec.Flow).Segments = rec.Segments
 	case KindLinkDown:
 		r.tree.LinkDowns = append(r.tree.LinkDowns, span.LinkDown{Time: rec.Time, Link: rec.Link})
-	case KindMeta, KindAdmit, KindReject, KindCommit:
+	case KindMeta:
+		r.tree.LinkNames = rec.Meta.LinkNames
+	case KindAdmit, KindReject, KindCommit:
 	}
 }
 

@@ -19,25 +19,15 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // length + u32le CRC-32C.
 const frameHeaderSize = 8
 
+// syncEvery batches fsyncs: a file log is synced after this many
+// appended records (and always on Sync/Close).
+const syncEvery = 64
+
 // Options tunes a Writer.
 type Options struct {
-	// SyncEvery batches fsyncs: the file is synced after this many
-	// appended records (and always on Sync/Close). 0 takes the default
-	// (64); negative disables automatic syncing entirely.
-	SyncEvery int
 	// Health, when non-nil, receives writer health metrics: records
 	// appended, bytes written, fsync latency, torn-tail truncations.
 	Health *obs.Recorder
-}
-
-func (o Options) syncEvery() int {
-	switch {
-	case o.SyncEvery == 0:
-		return 64
-	case o.SyncEvery < 0:
-		return 0
-	}
-	return o.SyncEvery
 }
 
 // Writer appends CRC-framed records to a decision log: a file (Create,
@@ -58,11 +48,10 @@ type Writer struct {
 	// in it, so a slice of it taken under mu may be read outside.
 	buf []byte
 	// end is the length of a file log: the offset after its last frame.
-	end       int64
-	pending   int // records appended since the last fsync
-	syncEvery int
-	health    *obs.Recorder
-	err       error
+	end     int64
+	pending int // records appended since the last fsync
+	health  *obs.Recorder
+	err     error
 }
 
 // Create creates (or truncates) a decision log at path and writes the
@@ -80,7 +69,7 @@ func Create(path string, opts Options) (*Writer, error) {
 }
 
 func newWriter(f *os.File, path string, end int64, opts Options) *Writer {
-	return &Writer{f: f, path: path, end: end, syncEvery: opts.syncEvery(), health: opts.Health}
+	return &Writer{f: f, path: path, end: end, health: opts.Health}
 }
 
 // Path returns the log file's path (empty on a nil or memory writer).
@@ -114,7 +103,7 @@ func (w *Writer) Err() error {
 }
 
 // Append frames and writes one record. A file log gets the frame in a
-// single write; durability is batched — every SyncEvery records the file
+// single write; durability is batched — every syncEvery records the file
 // is fsynced (and Sync forces it, which the networked controller does
 // before broadcasting a decision: write-ahead). A memory log keeps the
 // frame.
@@ -149,7 +138,7 @@ func (w *Writer) Append(r *Record) error {
 	w.end += int64(len(frame))
 	w.health.DeclogAppended(1, len(frame))
 	w.pending++
-	if w.syncEvery > 0 && w.pending >= w.syncEvery {
+	if w.pending >= syncEvery {
 		return w.syncLocked()
 	}
 	return nil

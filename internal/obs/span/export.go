@@ -9,20 +9,6 @@ import (
 	"taps/internal/simtime"
 )
 
-// ExportOptions tunes the trace exporters.
-type ExportOptions struct {
-	// LinkName labels link tracks and attribution chains; the numeric ID
-	// is used when nil.
-	LinkName func(int32) string
-}
-
-func (o ExportOptions) linkName(l int32) string {
-	if o.LinkName != nil {
-		return o.LinkName(l)
-	}
-	return fmt.Sprintf("link %d", l)
-}
-
 // Process IDs of the trace_event layout: one process per span dimension,
 // so chrome://tracing / Perfetto group the tracks.
 const (
@@ -61,8 +47,8 @@ type traceFile struct {
 // "links" process one track per link (slice occupancy, with revoked
 // windows flagged), and the "flows" process one track per flow (lifetime
 // and transmission segments). Output is deterministic for a given tree.
-func WriteTraceEvents(w io.Writer, t *Tree, opts ExportOptions) error {
-	evs := buildTraceEvents(t, opts)
+func WriteTraceEvents(w io.Writer, t *Tree) error {
+	evs := buildTraceEvents(t)
 	raw, err := json.MarshalIndent(traceFile{DisplayTimeUnit: "ms", TraceEvents: evs}, "", " ")
 	if err != nil {
 		return err
@@ -91,7 +77,7 @@ func (t *Tree) horizon() simtime.Time {
 	return end
 }
 
-func buildTraceEvents(t *Tree, opts ExportOptions) []traceEvent {
+func buildTraceEvents(t *Tree) []traceEvent {
 	var evs []traceEvent
 	meta := func(pid int, tid int64, kind, name string) {
 		evs = append(evs, traceEvent{Name: kind, Ph: "M", Pid: pid, Tid: tid,
@@ -140,7 +126,7 @@ func buildTraceEvents(t *Tree, opts ExportOptions) []traceEvent {
 				name = fmt.Sprintf("preempted by task %d", ts.PreemptedBy)
 			}
 			if len(ts.Blocks) > 0 {
-				iargs["blocking"] = blocksArg(ts.Blocks, opts)
+				iargs["blocking"] = t.blocksArg(ts.Blocks)
 			}
 			evs = append(evs, traceEvent{
 				Name: name, Ph: "i", S: "t",
@@ -206,12 +192,12 @@ func buildTraceEvents(t *Tree, opts ExportOptions) []traceEvent {
 
 	// Links: granted slice windows clipped to their plan's validity, with
 	// the revoked tails flagged, plus failure instants.
-	evs = append(evs, linkEvents(t, opts)...)
+	evs = append(evs, linkEvents(t)...)
 	return evs
 }
 
 // blocksArg renders an attribution chain as structured trace args.
-func blocksArg(blocks []LinkBlock, opts ExportOptions) []map[string]any {
+func (t *Tree) blocksArg(blocks []LinkBlock) []map[string]any {
 	out := make([]map[string]any, 0, len(blocks))
 	for _, b := range blocks {
 		holders := make([]map[string]any, 0, len(b.Holders))
@@ -221,7 +207,7 @@ func blocksArg(blocks []LinkBlock, opts ExportOptions) []map[string]any {
 			})
 		}
 		out = append(out, map[string]any{
-			"link":      opts.linkName(b.Link),
+			"link":      t.LinkName(b.Link),
 			"window_us": []int64{int64(b.Window.Start), int64(b.Window.End)},
 			"busy_us":   int64(b.Busy),
 			"holders":   holders,
@@ -276,7 +262,7 @@ func linkSlices(t *Tree) []linkSlice {
 }
 
 // linkEvents renders the per-link occupancy tracks.
-func linkEvents(t *Tree, opts ExportOptions) []traceEvent {
+func linkEvents(t *Tree) []traceEvent {
 	slices := linkSlices(t)
 	links := make(map[int32]bool)
 	for _, s := range slices {
@@ -305,7 +291,7 @@ func linkEvents(t *Tree, opts ExportOptions) []traceEvent {
 	for _, l := range ids {
 		evs = append(evs, traceEvent{Name: "thread_name", Ph: "M",
 			Pid: pidLinks, Tid: int64(l),
-			Args: map[string]any{"name": opts.linkName(l)}})
+			Args: map[string]any{"name": t.LinkName(l)}})
 	}
 	for _, s := range slices {
 		name := fmt.Sprintf("f%d/t%d", s.flow, s.task)

@@ -51,10 +51,10 @@ func sampleTree() *Tree {
 func TestWriteTraceEventsValidAndDeterministic(t *testing.T) {
 	tree := sampleTree()
 	var a, b bytes.Buffer
-	if err := WriteTraceEvents(&a, tree, ExportOptions{}); err != nil {
+	if err := WriteTraceEvents(&a, tree); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteTraceEvents(&b, tree, ExportOptions{}); err != nil {
+	if err := WriteTraceEvents(&b, tree); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -120,20 +120,16 @@ func TestWriteTraceEventsValidAndDeterministic(t *testing.T) {
 
 func TestLinkNameOption(t *testing.T) {
 	tree := sampleTree()
+	tree.LinkNames = []string{"x", "x", "x", "tor0-agg0"}
 	var buf bytes.Buffer
-	err := WriteTraceEvents(&buf, tree, ExportOptions{
-		LinkName: func(l int32) string {
-			if l == 3 {
-				return "tor0-agg0"
-			}
-			return "x"
-		},
-	})
-	if err != nil {
+	if err := WriteTraceEvents(&buf, tree); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "tor0-agg0") {
-		t.Fatal("LinkName labels not applied to link tracks")
+		t.Fatal("LinkNames labels not applied to link tracks")
+	}
+	if !strings.Contains(buf.String(), `"link 7"`) {
+		t.Fatal("a link past the name table is not labelled by its ID")
 	}
 }
 
@@ -144,7 +140,7 @@ func TestHorizonClosesOpenSpans(t *testing.T) {
 			Segments: []Segment{{Interval: iv(0, 75), Rate: 1e9}}}},
 	}
 	var buf bytes.Buffer
-	if err := WriteTraceEvents(&buf, tree, ExportOptions{}); err != nil {
+	if err := WriteTraceEvents(&buf, tree); err != nil {
 		t.Fatal(err)
 	}
 	var f traceFile

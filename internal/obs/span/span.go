@@ -31,7 +31,11 @@
 // a deterministic run is itself deterministic.
 package span
 
-import "taps/internal/simtime"
+import (
+	"fmt"
+
+	"taps/internal/simtime"
+)
 
 // NoTask marks task fields that name no task.
 const NoTask int64 = -1
@@ -178,12 +182,23 @@ type TaskSpan struct {
 }
 
 // Tree is the span forest a decision log replays into. Tasks and Flows are
-// in first-seen order; Replans in pass order.
+// in first-seen order; Replans in pass order. LinkNames is the log's
+// link-name table (Meta record), indexed by link ID.
 type Tree struct {
 	Tasks     []TaskSpan
 	Flows     []FlowSpan
 	Replans   []ReplanSpan
 	LinkDowns []LinkDown
+	LinkNames []string
+}
+
+// LinkName labels a link for the exporters: its name from the log, or
+// "link N" when the log names none.
+func (t *Tree) LinkName(l int32) string {
+	if l >= 0 && int(l) < len(t.LinkNames) {
+		return t.LinkNames[l]
+	}
+	return fmt.Sprintf("link %d", l)
 }
 
 // LinkDown marks an injected link failure.

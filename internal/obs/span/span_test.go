@@ -12,19 +12,20 @@ func iv(s, e simtime.Time) simtime.Interval { return simtime.Interval{Start: s, 
 
 func TestAttributionAndPreemption(t *testing.T) {
 	tree := sampleTree()
-	why := WhyText(tree, 2, func(l int32) string { return "agg0-core0" })
+	tree.LinkNames = []string{3: "agg0-core0"}
+	why := WhyText(tree, 2)
 	for _, want := range []string{"REJECTED", "agg0-core0", "task 1", "blocking links", "f20 h2->h3: never planned"} {
 		if !strings.Contains(why, want) {
 			t.Errorf("WhyText missing %q:\n%s", want, why)
 		}
 	}
-	why = WhyText(tree, 4, nil)
+	why = WhyText(sampleTree(), 4)
 	for _, want := range []string{"PREEMPTED at 0.050ms by task 5", "pass #2 (arrival)", "link"} {
 		if !strings.Contains(why, want) {
 			t.Errorf("WhyText missing %q:\n%s", want, why)
 		}
 	}
-	if got := WhyText(&Tree{}, 7, nil); !strings.Contains(got, "no span recorded") {
+	if got := WhyText(&Tree{}, 7); !strings.Contains(got, "no span recorded") {
 		t.Fatalf("WhyText on an empty tree should explain the absence, got %q", got)
 	}
 }

@@ -11,18 +11,11 @@ import (
 // WhyText renders a human-readable causal explanation of one task's fate:
 // its lifecycle, every planning pass that decided it, and — for rejected
 // or preempted tasks — the attribution chain naming the blocking links and
-// the accepted tasks holding their slices. linkName labels links when
-// non-nil.
-func WhyText(t *Tree, task int64, linkName func(int32) string) string {
+// the accepted tasks holding their slices.
+func WhyText(t *Tree, task int64) string {
 	ts := t.Task(task)
 	if ts == nil {
 		return fmt.Sprintf("task %d: no span recorded (the decision log holds no record of it)\n", task)
-	}
-	name := func(l int32) string {
-		if linkName != nil {
-			return linkName(l)
-		}
-		return fmt.Sprintf("link %d", l)
 	}
 	ms := func(v simtime.Time) string {
 		if v >= simtime.Infinity {
@@ -66,7 +59,7 @@ func WhyText(t *Tree, task int64, linkName func(int32) string) string {
 		fmt.Fprintf(&b, "  blocking links (no feasible window before the deadline):\n")
 		for _, blk := range ts.Blocks {
 			fmt.Fprintf(&b, "    %s: busy %s of %s in [%s, %s)",
-				name(blk.Link), ms(blk.Busy), ms(blk.Window.Len()),
+				t.LinkName(blk.Link), ms(blk.Busy), ms(blk.Window.Len()),
 				ms(blk.Window.Start), ms(blk.Window.End))
 			if len(blk.Holders) > 0 {
 				b.WriteString(" held by")

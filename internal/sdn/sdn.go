@@ -53,45 +53,36 @@ func (m Mode) String() string {
 	return "FairSharing"
 }
 
+// The testbed's virtual-time quantum, and how many ticks a sender waits
+// for an admission decision before re-sending its probe.
+const (
+	tickDuration    = 100 * simtime.Microsecond
+	probeRetryTicks = 20
+)
+
 // Config tunes the testbed.
 type Config struct {
-	// TickDuration is the virtual-time quantum (default 100 µs).
-	TickDuration simtime.Time
 	// ControlLatencyTicks delays every control message (default 1).
 	ControlLatencyTicks int
 	// FlowTableCapacity bounds per-switch flow tables (default 1000,
 	// the "first 1k entries" rule of §IV-C).
 	FlowTableCapacity int
-	// MaxPaths caps the controller's candidate path set (default 16).
-	MaxPaths int
 	// DropEveryN injects control-plane faults: on average one in N
 	// control messages is lost in flight (0 disables), chosen by a
 	// deterministic hash of the send counter so the loss pattern is
 	// reproducible but aperiodic (a strict every-Nth rule can phase-lock
 	// with the request/reply alternation and drop every reply forever).
-	// Senders re-probe after ProbeRetryTicks and controller replies are
+	// Senders re-probe after probeRetryTicks and controller replies are
 	// idempotent, so the protocol must converge despite the loss.
 	DropEveryN int
-	// ProbeRetryTicks is how long a sender waits for an admission
-	// decision before re-sending its probe (default 20 ticks).
-	ProbeRetryTicks int
 }
 
 func (c Config) withDefaults() Config {
-	if c.TickDuration == 0 {
-		c.TickDuration = 100 * simtime.Microsecond
-	}
 	if c.ControlLatencyTicks == 0 {
 		c.ControlLatencyTicks = 1
 	}
 	if c.FlowTableCapacity == 0 {
 		c.FlowTableCapacity = 1000
-	}
-	if c.MaxPaths == 0 {
-		c.MaxPaths = 16
-	}
-	if c.ProbeRetryTicks == 0 {
-		c.ProbeRetryTicks = 20
 	}
 	return c
 }
@@ -290,7 +281,7 @@ func New(g *topology.Graph, r topology.Routing, mode Mode, cfg Config, tasks []s
 		resolved:  make(map[int]bool),
 		res:       &Result{Mode: mode},
 	}
-	tb.kernel = core.NewKernel(g, r, core.Config{MaxPaths: cfg.MaxPaths}, ctlPlane{tb})
+	tb.kernel = core.NewKernel(g, r, core.DefaultConfig(), ctlPlane{tb})
 	for i := 0; i < g.NumNodes(); i++ {
 		n := g.Node(topology.NodeID(i))
 		if n.Kind != topology.Host {
@@ -336,7 +327,7 @@ func New(g *topology.Graph, r topology.Routing, mode Mode, cfg Config, tasks []s
 	return tb
 }
 
-func (tb *Testbed) now() simtime.Time { return simtime.Time(tb.tick) * tb.cfg.TickDuration }
+func (tb *Testbed) now() simtime.Time { return simtime.Time(tb.tick) * tickDuration }
 
 func (tb *Testbed) send(kind msgKind, task int, flow flowID) {
 	tb.res.ControlMessages++
@@ -381,11 +372,11 @@ func (tb *Testbed) horizonTicks() int {
 			work += sim.DurationFor(float64(f.size), tb.graph.Link(out[0]).Capacity)
 		}
 	}
-	return int((last+work)/tb.cfg.TickDuration) + 100*tb.cfg.ControlLatencyTicks + 16
+	return int((last+work)/tickDuration) + 100*tb.cfg.ControlLatencyTicks + 16
 }
 
 // hostArrivals makes senders emit probes (TAPS) the tick a task arrives,
-// and re-probe if no decision has come back within ProbeRetryTicks (lost
+// and re-probe if no decision has come back within probeRetryTicks (lost
 // probes or lost replies are retried until the senders hear a verdict).
 func (tb *Testbed) hostArrivals() {
 	if tb.mode != ModeTAPS {
@@ -396,7 +387,7 @@ func (tb *Testbed) hostArrivals() {
 		if tb.resolved[ti] || at > now {
 			continue
 		}
-		if last, probed := tb.lastProbe[ti]; probed && tb.tick-last < tb.cfg.ProbeRetryTicks {
+		if last, probed := tb.lastProbe[ti]; probed && tb.tick-last < probeRetryTicks {
 			continue
 		}
 		tb.lastProbe[ti] = tb.tick
@@ -467,7 +458,7 @@ func (p ctlPlane) Discard(_ simtime.Time, task, by int64) {
 // reject rule) and carries out its decision.
 func (tb *Testbed) controllerAdmit(task int) {
 	// Slices are planned from the instant the reply reaches the senders.
-	now := tb.now() + simtime.Time(tb.cfg.ControlLatencyTicks)*tb.cfg.TickDuration
+	now := tb.now() + simtime.Time(tb.cfg.ControlLatencyTicks)*tickDuration
 	if tb.decided[task] {
 		// Duplicate probe: the previous reply was lost. The verdict is
 		// idempotent, but a lost grant means the senders missed their
@@ -578,7 +569,7 @@ func (tb *Testbed) forwardable(f *tbFlow) bool {
 // dataPlane moves bytes for the current tick.
 func (tb *Testbed) dataPlane() {
 	now := tb.now()
-	tickIv := simtime.Interval{Start: now, End: now + tb.cfg.TickDuration}
+	tickIv := simtime.Interval{Start: now, End: now + tickDuration}
 	stat := TickStat{Time: now}
 	tb.cur = nil
 
@@ -601,7 +592,7 @@ func (tb *Testbed) dataPlane() {
 			bytes := min(budget, f.remaining)
 			for _, l := range f.path {
 				usage[l] += bytes
-				if usage[l] > tb.graph.Link(l).Capacity*float64(tb.cfg.TickDuration)/1e6+1 {
+				if usage[l] > tb.graph.Link(l).Capacity*float64(tickDuration)/1e6+1 {
 					// Exclusivity violated: planner bug.
 					panic(fmt.Sprintf("sdn: link %s over budget", tb.graph.Link(l).Name))
 				}
@@ -639,7 +630,7 @@ func (tb *Testbed) fairShareTick(tickIv simtime.Interval, stat *TickStat) {
 	for _, f := range active {
 		for _, l := range f.path {
 			if _, ok := budget[l]; !ok {
-				budget[l] = tb.graph.Link(l).Capacity * float64(tb.cfg.TickDuration) / 1e6
+				budget[l] = tb.graph.Link(l).Capacity * float64(tickDuration) / 1e6
 			}
 			count[l]++
 		}
@@ -698,7 +689,7 @@ func (tb *Testbed) deliver(f *tbFlow, bytes float64, stat *TickStat) {
 	if f.remaining <= 1e-9 {
 		f.remaining = 0
 		f.done = true
-		f.doneAt = tb.now() + tb.cfg.TickDuration
+		f.doneAt = tb.now() + tickDuration
 		if tb.mode == ModeTAPS {
 			tb.send(msgTerm, f.task, f.id)
 		}

@@ -244,10 +244,6 @@ type Config struct {
 	Validate bool
 	// MaxTime aborts runaway simulations; 0 means no limit.
 	MaxTime simtime.Time
-	// NoDefaultPaths disables the engine's automatic ECMP path
-	// assignment at flow arrival; the scheduler must then set paths
-	// itself before any flow transmits.
-	NoDefaultPaths bool
 	// RecordSegments stores every flow's transmission segments
 	// (time interval + rate) in Result.Segments, for Gantt rendering
 	// and schedule debugging. Costs memory proportional to rate changes.
@@ -505,7 +501,7 @@ func (e *Engine) admitArrivals() {
 				State:     FlowActive,
 				remaining: float64(fs.Size),
 			}
-			if !e.cfg.NoDefaultPaths && fs.Src != fs.Dst {
+			if fs.Src != fs.Dst {
 				f.Path = topology.ECMP(st.routing, fs.Src, fs.Dst, uint64(f.ID))
 			}
 			st.flows = append(st.flows, f)

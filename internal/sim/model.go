@@ -93,13 +93,6 @@ func (f *Flow) Remaining() float64 { return f.remaining }
 // deadline.
 func (f *Flow) OnTime() bool { return f.State == FlowDone && f.Finish <= f.Deadline }
 
-// ExpectedTransmission returns the paper's E(i,j): the time needed to send
-// the remaining bytes at the given rate (bytes/second), rounded up to a
-// whole microsecond.
-func (f *Flow) ExpectedTransmission(rate float64) simtime.Time {
-	return DurationFor(f.remaining, rate)
-}
-
 // DurationFor returns the ceil time to move `bytes` at `rate` bytes/second.
 func DurationFor(bytes, rate float64) simtime.Time {
 	if bytes <= 0 {

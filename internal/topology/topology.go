@@ -133,14 +133,14 @@ func (g *Graph) Out(n NodeID) []LinkID { return g.out[n] }
 // The slice must not be mutated.
 func (g *Graph) Hosts() []NodeID { return g.hosts }
 
-// FindNode returns the node with the given name, if any.
-func (g *Graph) FindNode(name string) (Node, bool) {
-	for _, n := range g.nodes {
-		if n.Name == name {
-			return n, true
-		}
+// LinkNames returns every link's name, indexed by link ID: the table a
+// decision log's Meta record carries so a replay can label links.
+func (g *Graph) LinkNames() []string {
+	names := make([]string, len(g.links))
+	for i, l := range g.links {
+		names[i] = l.Name
 	}
-	return Node{}, false
+	return names
 }
 
 // LinkBetween returns the directed link from src to dst, if one exists.

@@ -27,8 +27,6 @@ type Options struct {
 	// LineRate is the capacity used to scale rate marks; 0 derives it
 	// from the maximum recorded rate.
 	LineRate float64
-	// MaxFlows caps the number of rows (default all).
-	MaxFlows int
 	// Spans, when non-nil, enriches the chart from the run's span tree:
 	// slice windows that were granted and then revoked by a re-plan (or a
 	// kill) render as '~', and flows killed because their task was
@@ -72,9 +70,6 @@ func Gantt(res *sim.Result, opts Options) string {
 
 	flows := append([]*sim.Flow(nil), res.Flows...)
 	sort.Slice(flows, func(i, j int) bool { return flows[i].ID < flows[j].ID })
-	if opts.MaxFlows > 0 && len(flows) > opts.MaxFlows {
-		flows = flows[:opts.MaxFlows]
-	}
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "time 0 .. %s ms, one row per flow (%s)\n",

@@ -222,12 +222,3 @@ func TestGanttZeroDurationWindow(t *testing.T) {
 		t.Fatalf("revoked windows = %v", got)
 	}
 }
-
-func TestGanttMaxFlows(t *testing.T) {
-	res := runTraced(t, core.New(core.DefaultConfig()), specsAB())
-	out := trace.Gantt(res, trace.Options{Width: 30, MaxFlows: 1})
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 { // header + 1 flow + legend
-		t.Fatalf("MaxFlows not applied:\n%s", out)
-	}
-}

@@ -31,14 +31,10 @@ type Spec struct {
 	ArrivalRate float64
 	// MeanDeadline is the mean of the exponential deadline distribution.
 	MeanDeadline simtime.Time
-	// MinDeadline floors generated deadlines (0 keeps the 1µs floor).
-	MinDeadline simtime.Time
 	// MeanFlowSize is the mean flow size in bytes. The shape is set by
 	// SizeDist (default: truncated normal with sigma = mean/4, §V-A);
-	// sizes are clamped to at least MinFlowSize.
+	// sizes are clamped to at least minFlowSize.
 	MeanFlowSize int64
-	// MinFlowSize clamps flow sizes (default 1 KB).
-	MinFlowSize int64
 	// SizeDist selects the flow-size distribution (default DistNormal,
 	// the paper's choice; DistUniform and DistPareto exist for
 	// sensitivity analysis — measured DC traffic is heavy-tailed).
@@ -48,18 +44,23 @@ type Spec struct {
 	DeadlineDist Dist
 	// BackgroundTasks adds that many single-flow background transfers
 	// (§III-B's "dynamic" cross traffic): they share the deadline-task
-	// arrival horizon, carry BackgroundSizeFactor x MeanFlowSize bytes,
-	// and get deliberately slack deadlines (BackgroundSlackFactor x
+	// arrival horizon, carry backgroundSizeFactor x MeanFlowSize bytes,
+	// and get deliberately slack deadlines (backgroundSlackFactor x
 	// MeanDeadline) so deadline-aware schedulers can yield to urgent
 	// traffic while deadline-agnostic ones let them interfere.
 	BackgroundTasks int
-	// BackgroundSizeFactor scales background flow sizes (default 4).
-	BackgroundSizeFactor float64
-	// BackgroundSlackFactor scales background deadlines (default 10).
-	BackgroundSlackFactor float64
 	// Seed drives all randomness.
 	Seed int64
 }
+
+// Generated flows carry at least minFlowSize bytes; a background flow
+// carries backgroundSizeFactor times the mean flow size, with
+// backgroundSlackFactor times the mean deadline.
+const (
+	minFlowSize           = 1024
+	backgroundSizeFactor  = 4
+	backgroundSlackFactor = 10
+)
 
 // Dist selects a probability distribution shape for generated quantities.
 type Dist uint8
@@ -126,7 +127,6 @@ func Default() Spec {
 		ArrivalRate:      100,
 		MeanDeadline:     40 * simtime.Millisecond,
 		MeanFlowSize:     200 * 1024,
-		MinFlowSize:      1024,
 		Seed:             1,
 	}
 }
@@ -148,15 +148,6 @@ func (s Spec) normalized() Spec {
 	}
 	if s.MeanFlowSize == 0 {
 		s.MeanFlowSize = d.MeanFlowSize
-	}
-	if s.MinFlowSize == 0 {
-		s.MinFlowSize = d.MinFlowSize
-	}
-	if s.BackgroundSizeFactor == 0 {
-		s.BackgroundSizeFactor = 4
-	}
-	if s.BackgroundSlackFactor == 0 {
-		s.BackgroundSlackFactor = 10
 	}
 	return s
 }
@@ -184,17 +175,14 @@ func Generate(g *topology.Graph, spec Spec) []sim.TaskSpec {
 			}
 		}
 		deadline := simtime.Time(math.Round(draw(rng, spec.DeadlineDist, DistExponential, float64(spec.MeanDeadline))))
-		if deadline < spec.MinDeadline {
-			deadline = spec.MinDeadline
-		}
 		if deadline < 1 {
 			deadline = 1
 		}
 		t := sim.TaskSpec{Arrival: arrival, Deadline: deadline}
 		for j := 0; j < nFlows; j++ {
 			size := int64(math.Round(draw(rng, spec.SizeDist, DistNormal, float64(spec.MeanFlowSize))))
-			if size < spec.MinFlowSize {
-				size = spec.MinFlowSize
+			if size < minFlowSize {
+				size = minFlowSize
 			}
 			src := hosts[rng.Intn(len(hosts))]
 			dst := hosts[rng.Intn(len(hosts))]
@@ -212,8 +200,8 @@ func Generate(g *topology.Graph, spec Spec) []sim.TaskSpec {
 		horizon = 1
 	}
 	for i := 0; i < spec.BackgroundTasks; i++ {
-		size := int64(float64(spec.MeanFlowSize) * spec.BackgroundSizeFactor)
-		deadline := simtime.Time(float64(spec.MeanDeadline) * spec.BackgroundSlackFactor)
+		size := int64(float64(spec.MeanFlowSize) * backgroundSizeFactor)
+		deadline := simtime.Time(float64(spec.MeanDeadline) * backgroundSlackFactor)
 		src := hosts[rng.Intn(len(hosts))]
 		dst := hosts[rng.Intn(len(hosts))]
 		for dst == src {

@@ -249,13 +249,13 @@ func TestFacadeSpanTracing(t *testing.T) {
 		t.Fatalf("span tree: %d tasks, %d replans", len(tree.Tasks), len(tree.Replans))
 	}
 	var buf bytes.Buffer
-	if err := taps.WriteTrace(&buf, net, tree); err != nil {
+	if err := taps.WriteTrace(&buf, tree); err != nil {
 		t.Fatal(err)
 	}
 	if !json.Valid(buf.Bytes()) || !bytes.Contains(buf.Bytes(), []byte("traceEvents")) {
 		t.Fatal("WriteTrace did not emit trace_event JSON")
 	}
-	why := taps.Why(net, tree, tree.Tasks[0].Task)
+	why := taps.Why(tree, tree.Tasks[0].Task)
 	if why == "" || !strings.Contains(why, "task 0") {
 		t.Fatalf("Why output: %q", why)
 	}
