@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race lint goldens bench bench-json netctl-soak-smoke tapsbench tapsbench-test
+.PHONY: check fmt vet build test race lint goldens examples bench bench-json netctl-soak-smoke tapsbench tapsbench-test
 
 # check is the full CI gate: formatting, vet, build, lint, tests with the
-# race detector, the benchmark harness's tests and the golden outputs. CI
-# (.github/workflows/ci.yml) runs the same commands as steps of its check
-# job, with lint in a job of its own.
-check: fmt vet build lint race tapsbench-test goldens
+# race detector, the benchmark harness's tests, the golden outputs and the
+# examples. CI (.github/workflows/ci.yml) runs the same commands as steps
+# of its check job, with lint in a job of its own.
+check: fmt vet build lint race tapsbench-test goldens examples
 
 fmt:
 	@out="$$(gofmt -s -l .)"; \
@@ -43,6 +43,17 @@ goldens:
 	$(GO) run ./cmd/tapsctl -replay cmd/tapsim/testdata/declog_bench.bin \
 		-trace /tmp/replayed_trace.json
 	cmp /tmp/replayed_trace.json cmd/tapsim/testdata/trace_bench.json
+
+# examples builds every program under examples/ once and runs it; a
+# non-zero exit fails the target. They document the public API, so this
+# keeps them running, not just compiling. Their output is discarded.
+examples:
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/" ./examples/... || exit 1; \
+	for ex in "$$dir"/*; do \
+		name="$$(basename "$$ex")"; echo "example $$name"; \
+		"$$ex" >/dev/null || { echo "example $$name failed"; exit 1; }; \
+	done
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

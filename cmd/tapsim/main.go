@@ -77,7 +77,9 @@ func main() {
 	if *schedFlag != "" {
 		schedulers = strings.Split(*schedFlag, ",")
 		for _, s := range schedulers {
-			experiments.NewScheduler(s) // panics early on typos
+			if _, err := experiments.NewScheduler(s); err != nil {
+				fatal(err)
+			}
 		}
 	}
 
@@ -212,7 +214,11 @@ func writeReports(out io.Writer, scale experiments.Scale, schedulers []string, r
 		Seed:             scale.Seed,
 	})
 	for _, name := range schedulers {
-		eng := sim.New(g, cr, experiments.NewScheduler(name), specs, sim.Config{
+		s, err := experiments.NewScheduler(name)
+		if err != nil {
+			return err
+		}
+		eng := sim.New(g, cr, s, specs, sim.Config{
 			RecordSegments: true, MaxTime: simtime.Time(4e12), Sink: declog.Sink{Obs: rec},
 		})
 		res, err := eng.Run()

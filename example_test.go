@@ -63,3 +63,26 @@ func ExampleGenerateWorkload() {
 	// Output:
 	// 3 tasks, 5 flows each
 }
+
+// ExampleRunWithOptions records two schedulers through RunOptions.Obs
+// alone: the engine counts every scheduler's admissions and times its
+// planner — each Rates call of a baseline, each planning pass of TAPS.
+func ExampleRunWithOptions() {
+	net := taps.NewFatTree(4)
+	tasks := taps.GenerateWorkload(net, taps.WorkloadSpec{Tasks: 20, MeanFlowsPerTask: 5, Seed: 1})
+	for _, s := range []taps.Scheduler{taps.NewFairSharing(), taps.NewTAPS()} {
+		rec := taps.NewRecorder()
+		if _, err := taps.RunWithOptions(net, s, tasks, taps.RunOptions{Obs: rec}); err != nil {
+			panic(err)
+		}
+		sum := rec.Summarize()
+		fmt.Printf("%s: %d admitted, planner timed: %v", s.Name(), sum.Admitted, sum.PlannerSamples > 0)
+		if s.Name() == "TAPS" {
+			fmt.Printf(", one sample per replan: %v", sum.PlannerSamples == sum.Replans)
+		}
+		fmt.Println()
+	}
+	// Output:
+	// FairSharing: 20 admitted, planner timed: true
+	// TAPS: 16 admitted, planner timed: true, one sample per replan: true
+}

@@ -71,13 +71,12 @@ type DataPlane interface {
 //
 // A Kernel is not safe for concurrent use.
 type Kernel struct {
-	// Obs, when non-nil, receives what each planning pass cost in wall-clock
-	// time. Sink, when on, receives the decision records — Replan, Attr,
+	// Sink, when on, receives the decision records — Replan, Attr,
 	// Reject/Preempt/Admit, Commit — once each, for the decision log and
-	// the decision counters alike; an adapter that reports
-	// the lifecycle around them shares the same sink. Nil keeps the
-	// planning path free of recording work.
-	Obs  *obs.Recorder
+	// the decision counters alike, and its recorder (Sink.Obs) what each
+	// planning pass cost in wall-clock time; an adapter that reports the
+	// lifecycle around them shares the same sink. Nil keeps the planning
+	// path free of recording work.
 	Sink *declog.Sink
 
 	cfg     Config
@@ -332,14 +331,15 @@ func (k *Kernel) fillReqs() {
 func (k *Kernel) plan(now simtime.Time, kind span.ReplanKind, trigger int64) []PlanEntry {
 	k.replans++
 	paths := k.planner.PathsTried()
-	var sw obs.Stopwatch // read only when an obs recorder is attached
-	if k.Obs != nil {
+	timed := k.Sink != nil && k.Sink.Obs != nil
+	var sw obs.Stopwatch // read only when the sink has a recorder
+	if timed {
 		sw = obs.StartStopwatch()
 	}
 	entries := k.planner.PlanAll(now, k.reqs)
 	tried := k.planner.PathsTried() - paths
-	if k.Obs != nil {
-		k.Obs.ObservePlanner(sw.Elapsed())
+	if timed {
+		k.Sink.Obs.ObservePlanner(sw.Elapsed())
 	}
 	if k.Sink.On() {
 		k.Sink.Emit(&declog.Record{Kind: declog.KindReplan, Time: now, Replan: &span.ReplanSpan{

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"taps/internal/sim"
 	"taps/internal/simtime"
 	"taps/internal/topology"
 )
@@ -153,7 +154,7 @@ func (p *Planner) planWindow(now simtime.Time, reqs []FlowReq) simtime.Interval 
 	maxDeadline := max(now, p.occ.end)
 	for _, r := range reqs {
 		if c := p.hostCapacity(r.Src); c > 0 {
-			sumE += durationFor(r.Bytes, c)
+			sumE += sim.DurationFor(r.Bytes, c)
 		}
 		maxDeadline = max(maxDeadline, r.Deadline)
 	}
@@ -200,7 +201,7 @@ func (p *Planner) planOne(now simtime.Time, r FlowReq, window simtime.Interval) 
 // before `before`; the taken slices are then in sc.taken. Nothing is
 // allocated once sc is warm.
 func (p *Planner) evalPath(now simtime.Time, r FlowReq, before simtime.Time, path topology.Path, sc *evalScratch) (simtime.Time, bool) {
-	e := durationFor(r.Bytes, p.Graph.MinCapacity(path))
+	e := sim.DurationFor(r.Bytes, p.Graph.MinCapacity(path))
 	sc.sets = sc.sets[:0]
 	for _, l := range path {
 		if set := p.occ.get(l); !set.Empty() {
@@ -208,24 +209,4 @@ func (p *Planner) evalPath(now simtime.Time, r FlowReq, before simtime.Time, pat
 		}
 	}
 	return simtime.FirstFit(&sc.taken, now, e, before, sc.sets...)
-}
-
-// durationFor mirrors sim.DurationFor without importing sim (core must stay
-// importable from both the simulator and the SDN control plane).
-func durationFor(bytes, rate float64) simtime.Time {
-	if bytes <= 0 {
-		return 0
-	}
-	if rate <= 0 {
-		return simtime.Infinity
-	}
-	us := bytes * 1e6 / rate
-	d := simtime.Time(us)
-	if float64(d) < us {
-		d++
-	}
-	if d < 1 {
-		d = 1
-	}
-	return d
 }

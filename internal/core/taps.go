@@ -18,7 +18,6 @@
 package core
 
 import (
-	"taps/internal/obs"
 	"taps/internal/obs/declog"
 	"taps/internal/obs/span"
 	"taps/internal/sim"
@@ -174,12 +173,6 @@ func (s *Scheduler) Replans() int { return s.k.Replans() }
 // FastAdmits is always 0: every admission is a global re-plan. The method
 // stays until the benchmark harness stops reading it.
 func (s *Scheduler) FastAdmits() int { return 0 }
-
-// SetRecorder attaches an observability recorder for the wall-clock
-// latency of every planning pass; the decisions themselves are counted by
-// the sink (SetSink). A nil recorder (the default) disables timing and
-// restores the uninstrumented hot path.
-func (s *Scheduler) SetRecorder(r *obs.Recorder) { s.k.Obs = r }
 
 // SetSink implements sim.SinkUser: the engine hands over the sink it
 // reports the task and flow lifecycle to, and every planning pass (per-flow

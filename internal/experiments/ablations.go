@@ -40,7 +40,7 @@ type variant struct {
 func runVariants(g *topology.Graph, r topology.Routing, specs []sim.TaskSpec, variants []variant) ([]AblationResult, error) {
 	return runCells(len(variants), r, func(cr topology.Routing, i int) (AblationResult, error) {
 		v := variants[i]
-		eng := sim.New(g, cr, instrument(core.New(v.cfg)), specs, simConfig(sim.Config{MaxTime: simtime.Time(4e12)}))
+		eng := sim.New(g, cr, core.New(v.cfg), specs, simConfig(sim.Config{MaxTime: simtime.Time(4e12)}))
 		res, err := eng.Run()
 		if err != nil {
 			return AblationResult{}, fmt.Errorf("%s: %w", v.name, err)
@@ -150,7 +150,7 @@ func AblationVsOptimal(trials int, seed int64) (OptimalComparison, error) {
 		best, _ := opt.MaxTasks(tasks)
 		cmp.OptTotal += best
 
-		eng := sim.New(g, r, instrument(core.New(core.DefaultConfig())), specs, simConfig(sim.Config{MaxTime: simtime.Time(1e12)}))
+		eng := sim.New(g, r, core.New(core.DefaultConfig()), specs, simConfig(sim.Config{MaxTime: simtime.Time(1e12)}))
 		res, err := eng.Run()
 		if err != nil {
 			return cmp, fmt.Errorf("trial %d: %w", trial, err)

@@ -59,7 +59,7 @@ func TestCrossSchedulerInvariants(t *testing.T) {
 			Seed:             rng.Int63(),
 		})
 		for _, name := range ExtendedSchedulers() {
-			eng := sim.New(topo.g, topo.r, NewScheduler(name), specs, sim.Config{
+			eng := sim.New(topo.g, topo.r, mustScheduler(t, name), specs, sim.Config{
 				Validate: true, MaxTime: simtime.Time(1e11),
 			})
 			res, err := eng.Run()

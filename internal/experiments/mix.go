@@ -40,7 +40,11 @@ func ExtMix(scale Scale, schedulers []string) (*MixResult, error) {
 	})
 	perClass, err := runCells(len(schedulers), r, func(cr topology.Routing, i int) (map[workload.Preset][2]int, error) {
 		name := schedulers[i]
-		eng := sim.New(g, cr, NewScheduler(name), tasks, simConfig(sim.Config{MaxTime: simtime.Time(4e12)}))
+		s, err := NewScheduler(name)
+		if err != nil {
+			return nil, err
+		}
+		eng := sim.New(g, cr, s, tasks, simConfig(sim.Config{MaxTime: simtime.Time(4e12)}))
 		res, err := eng.Run()
 		if err != nil {
 			return nil, fmt.Errorf("mix %s: %w", name, err)

@@ -6,6 +6,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"taps/internal/core"
 	"taps/internal/metrics"
@@ -36,32 +37,28 @@ type MotivationResult struct {
 	Summary        metrics.Summary
 }
 
-// NewScheduler builds a fresh scheduler instance by name. Names:
-// FairSharing, D3, PDQ, Baraat, Varys, TAPS.
-func NewScheduler(name string) sim.Scheduler {
-	return instrument(newScheduler(name))
-}
-
-func newScheduler(name string) sim.Scheduler {
+// NewScheduler builds a fresh scheduler instance by name, one of
+// ExtendedSchedulers. An unknown name is an error that lists the known ones.
+func NewScheduler(name string) (sim.Scheduler, error) {
 	switch name {
 	case "FairSharing":
-		return fairshare.New()
+		return fairshare.New(), nil
 	case "D3":
-		return d3.New()
+		return d3.New(), nil
 	case "PDQ":
-		return pdq.New()
+		return pdq.New(), nil
 	case "Baraat":
-		return baraat.New()
+		return baraat.New(), nil
 	case "Varys":
-		return varys.New()
+		return varys.New(), nil
 	case "Varys-CCT":
-		return varys.NewCCT()
+		return varys.NewCCT(), nil
 	case "D2TCP":
-		return d2tcp.New()
+		return d2tcp.New(), nil
 	case "TAPS":
-		return core.New(core.DefaultConfig())
+		return core.New(core.DefaultConfig()), nil
 	}
-	panic(fmt.Sprintf("experiments: unknown scheduler %q", name))
+	return nil, fmt.Errorf("unknown scheduler %q (known: %s)", name, strings.Join(ExtendedSchedulers(), ", "))
 }
 
 // AllSchedulers lists the evaluated schedulers in the paper's legend order.
@@ -118,7 +115,11 @@ func fig2Tasks(a, b topology.NodeID) []sim.TaskSpec {
 
 // runMotivation executes one scheduler on one instance.
 func runMotivation(g *topology.Graph, r topology.Routing, name string, specs []sim.TaskSpec) (MotivationResult, error) {
-	eng := sim.New(g, r, NewScheduler(name), specs, simConfig(sim.Config{Validate: true, MaxTime: simtime.Time(1e10)}))
+	s, err := NewScheduler(name)
+	if err != nil {
+		return MotivationResult{}, err
+	}
+	eng := sim.New(g, r, s, specs, simConfig(sim.Config{Validate: true, MaxTime: simtime.Time(1e10)}))
 	res, err := eng.Run()
 	if err != nil {
 		return MotivationResult{}, fmt.Errorf("%s: %w", name, err)
@@ -208,7 +209,7 @@ func Fig3() (map[string]MotivationResult, error) {
 	// in S3 is full" assumption).
 	p := pdq.New()
 	p.MaxList = 1
-	eng := sim.New(g, r, instrument(p), specs, simConfig(sim.Config{Validate: true, MaxTime: simtime.Time(1e10)}))
+	eng := sim.New(g, r, p, specs, simConfig(sim.Config{Validate: true, MaxTime: simtime.Time(1e10)}))
 	res, err := eng.Run()
 	if err != nil {
 		return nil, fmt.Errorf("pdq: %w", err)
@@ -217,7 +218,7 @@ func Fig3() (map[string]MotivationResult, error) {
 	out["PDQ"] = MotivationResult{Scheduler: "PDQ", FlowsOnTime: sum.FlowsOnTime, TasksCompleted: sum.TasksCompleted, Summary: sum}
 
 	taps := core.New(core.DefaultConfig())
-	eng = sim.New(g, r, instrument(taps), specs, simConfig(sim.Config{Validate: true, MaxTime: simtime.Time(1e10)}))
+	eng = sim.New(g, r, taps, specs, simConfig(sim.Config{Validate: true, MaxTime: simtime.Time(1e10)}))
 	res, err = eng.Run()
 	if err != nil {
 		return nil, fmt.Errorf("taps: %w", err)

@@ -1,6 +1,11 @@
 package experiments
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"taps/internal/sim"
+)
 
 func byName(t *testing.T, rs []MotivationResult, name string) MotivationResult {
 	t.Helper()
@@ -87,18 +92,31 @@ func TestFig3(t *testing.T) {
 	}
 }
 
-func TestNewSchedulerUnknownPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+// mustScheduler is NewScheduler for a name the test knows is valid.
+func mustScheduler(t *testing.T, name string) sim.Scheduler {
+	t.Helper()
+	s, err := NewScheduler(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func TestNewSchedulerUnknownIsError(t *testing.T) {
+	s, err := NewScheduler("Bogus")
+	if err == nil {
+		t.Fatalf("NewScheduler(%q) = %v, want an error", "Bogus", s)
+	}
+	for _, want := range append([]string{`"Bogus"`}, ExtendedSchedulers()...) {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
 		}
-	}()
-	NewScheduler("nope")
+	}
 }
 
 func TestAllSchedulersConstructible(t *testing.T) {
 	for _, name := range AllSchedulers() {
-		s := NewScheduler(name)
+		s := mustScheduler(t, name)
 		if s.Name() != name {
 			t.Errorf("NewScheduler(%q).Name() = %q", name, s.Name())
 		}
@@ -107,7 +125,7 @@ func TestAllSchedulersConstructible(t *testing.T) {
 
 func TestExtendedSchedulersConstructible(t *testing.T) {
 	for _, name := range ExtendedSchedulers() {
-		s := NewScheduler(name)
+		s := mustScheduler(t, name)
 		if s.Name() != name {
 			t.Errorf("NewScheduler(%q).Name() = %q", name, s.Name())
 		}

@@ -148,7 +148,10 @@ type SweepResult struct {
 
 // runPoint executes one (scheduler, workload, topology) cell.
 func runPoint(g *topology.Graph, r topology.Routing, schedName string, specs []sim.TaskSpec) (metrics.Summary, error) {
-	s := NewScheduler(schedName)
+	s, err := NewScheduler(schedName)
+	if err != nil {
+		return metrics.Summary{}, err
+	}
 	eng := sim.New(g, r, s, specs, simConfig(sim.Config{MaxTime: simtime.Time(4e12)}))
 	res, err := eng.Run()
 	if err != nil {

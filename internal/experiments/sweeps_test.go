@@ -307,7 +307,7 @@ func TestPaperScaleTopologySmoke(t *testing.T) {
 		ArrivalRate:      scale.ArrivalRate,
 		Seed:             1,
 	})
-	eng := sim.New(g, topology.NewCachedRouting(r), NewScheduler("TAPS"), specs,
+	eng := sim.New(g, topology.NewCachedRouting(r), mustScheduler(t, "TAPS"), specs,
 		sim.Config{MaxTime: simtime.Time(4e12)})
 	res, err := eng.Run()
 	if err != nil {

@@ -127,7 +127,7 @@ func NewController(g *topology.Graph, r topology.Routing, cfg ControllerConfig) 
 		closed:   make(chan struct{}),
 	}
 	c.kernel = core.NewKernel(g, r, core.Config{MaxPaths: cfg.MaxPaths}, ctlPlane{c})
-	c.kernel.Obs, c.kernel.Sink = c.obs, &c.sink
+	c.kernel.Sink = &c.sink
 	c.sink.Log.Append(c.metaRecord())
 	return c
 }

@@ -146,11 +146,11 @@ type LinkBlock struct {
 	Holders []Holder         // busiest first
 }
 
-// Segment is one constant-rate stretch of a flow's transmission (mirrors
-// sim.Segment without importing sim).
+// Segment is one constant-rate stretch of a flow's transmission; the
+// simulator records its runs in this type (sim.Segment is an alias).
 type Segment struct {
 	Interval simtime.Interval
-	Rate     float64
+	Rate     float64 // bytes/second
 }
 
 // FlowSpan is one flow's lifecycle.

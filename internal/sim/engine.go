@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"taps/internal/obs"
 	"taps/internal/obs/declog"
 	"taps/internal/obs/span"
 	"taps/internal/simtime"
@@ -253,20 +254,25 @@ type Config struct {
 	// rerouted over surviving equal-cost paths (or killed when none
 	// exists), and the scheduler's OnLinkDown hook fires.
 	LinkFailures []LinkFailure
-	// Sink, when on, receives the records the engine owns — task arrivals
-	// (with flow identities), task/flow terminals, link failures and, when
-	// RecordSegments is also set, the transmission segments at the end of
-	// the run — for its decision log, its decision counters, or both. A
-	// scheduler that is a SinkUser (TAPS) is handed the same sink, so its
-	// planning passes, commits and verdicts land in between: the log is
-	// then a complete flight recording that replays to the span tree and
-	// plan state of the run. The zero value is off, with zero
-	// overhead on the hot path.
+	// Sink, when on, is the one place a run is recorded. It receives the
+	// records the engine owns — task arrivals (with flow identities),
+	// task/flow terminals, link failures and, when RecordSegments is also
+	// set, the transmission segments at the end of the run — for its
+	// decision log, its decision counters, or both. A scheduler that is a
+	// SinkUser (TAPS) is handed the same sink, so its planning passes,
+	// commits and verdicts land in between: the log is then a complete
+	// flight recording that replays to the span tree and plan state of the
+	// run. For any other scheduler the engine reports on its behalf: an
+	// arrival the scheduler leaves alive is an admission, and every Rates
+	// call is timed into Sink.Obs as a planner sample, so all schedulers
+	// are recorded alike. The zero value is off, with zero overhead on the
+	// hot path.
 	Sink declog.Sink
 }
 
-// SinkUser is a Scheduler with decisions of its own to report. New hands
-// it the engine's Config.Sink.
+// SinkUser is a Scheduler that reports its own decisions and times its own
+// planning passes. New hands it the engine's Config.Sink, and the engine
+// then neither reports its admissions nor times its Rates calls.
 type SinkUser interface{ SetSink(*declog.Sink) }
 
 // LinkFailure kills one directed link at an instant.
@@ -275,11 +281,9 @@ type LinkFailure struct {
 	Link topology.LinkID
 }
 
-// Segment is one constant-rate stretch of a flow's transmission.
-type Segment struct {
-	Interval simtime.Interval
-	Rate     float64 // bytes/second
-}
+// Segment is one constant-rate stretch of a flow's transmission. It is the
+// span tree's segment, so a run's segments go to the decision log as they are.
+type Segment = span.Segment
 
 // Engine drives one simulation run.
 type Engine struct {
@@ -291,6 +295,9 @@ type Engine struct {
 	events   int
 	segments map[FlowID][]Segment
 	flowBuf  []*Flow // scratch for per-event flow collections
+	// proxy is set when the sink is on and the scheduler is not a
+	// SinkUser: the engine then reports its admissions and times its Rates.
+	proxy bool
 }
 
 // New builds an engine over the graph/routing for the given task specs.
@@ -315,6 +322,8 @@ func New(g *topology.Graph, r topology.Routing, sched Scheduler, specs []TaskSpe
 	e.st.onTaskEnd = e.taskEnded
 	if u, ok := sched.(SinkUser); ok {
 		u.SetSink(&e.cfg.Sink)
+	} else {
+		e.proxy = e.cfg.Sink.On()
 	}
 	return e
 }
@@ -350,7 +359,7 @@ func (e *Engine) Run() (*Result, error) {
 			st.now = e.pending[0].Arrival
 			continue
 		}
-		rates, horizon := e.sched.Rates(st)
+		rates, horizon := e.rates()
 		if len(st.active) == 0 {
 			// The scheduler killed the last active flows inside Rates (PDQ's
 			// Early Termination does): the run is over, or idle until the
@@ -390,6 +399,18 @@ func (e *Engine) Run() (*Result, error) {
 	}, nil
 }
 
+// rates asks the scheduler for its allocation. The call is timed into the
+// sink's recorder when the engine reports for the scheduler (proxy).
+func (e *Engine) rates() (RateMap, simtime.Time) {
+	if !e.proxy || e.cfg.Sink.Obs == nil {
+		return e.sched.Rates(e.st)
+	}
+	sw := obs.StartStopwatch()
+	rates, horizon := e.sched.Rates(e.st)
+	e.cfg.Sink.Obs.ObservePlanner(sw.Elapsed())
+	return rates, horizon
+}
+
 // finishSpans emits the records that close the span tree at the end of a
 // run: every flow's terminal event (its Finish instant and kill note are
 // authoritative on the Flow itself), the terminal outcome of tasks the reject rule never
@@ -411,11 +432,7 @@ func (e *Engine) finishSpans() {
 			sink.Emit(&declog.Record{Kind: declog.KindFlowEnd, Time: f.Finish, Flow: int64(f.ID), Reason: f.KillNote})
 		}
 		if segs := e.segments[f.ID]; len(segs) > 0 {
-			out := make([]span.Segment, len(segs))
-			for i, s := range segs {
-				out[i] = span.Segment{Interval: s.Interval, Rate: s.Rate}
-			}
-			sink.Emit(&declog.Record{Kind: declog.KindSegments, Time: st.now, Flow: int64(f.ID), Segments: out})
+			sink.Emit(&declog.Record{Kind: declog.KindSegments, Time: st.now, Flow: int64(f.ID), Segments: segs})
 		}
 	}
 	for _, t := range st.tasks {
@@ -525,6 +542,11 @@ func (e *Engine) admitArrivals() {
 		e.cfg.Sink.Emit(&declog.Record{Kind: declog.KindTask, Time: task.Arrival, Task: int64(task.ID),
 			Deadline: task.Deadline, Flows: infos})
 		e.sched.OnTaskArrival(st, task)
+		// A scheduler that rejects marks the task before returning;
+		// one that admits everything leaves every task alive.
+		if e.proxy && !task.Rejected {
+			e.cfg.Sink.Emit(&declog.Record{Kind: declog.KindAdmit, Time: st.now, Task: int64(task.ID)})
+		}
 	}
 }
 

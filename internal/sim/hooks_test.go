@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"bytes"
 	"slices"
 	"strings"
 	"testing"
@@ -76,6 +77,77 @@ func TestTaskEndHooksFireOnce(t *testing.T) {
 	if ts := tree.Tasks[1]; ts.Outcome != span.OutcomeRejected || ts.Reason != "test: rejected" {
 		t.Fatalf("task 1 span = %+v", ts)
 	}
+}
+
+// lineSched sends every active flow at full path rate (the pair topology
+// gives each direction a private path, so this is feasible) and counts its
+// Rates calls.
+type lineSched struct {
+	sim.NopHooks
+	calls uint64
+}
+
+func (*lineSched) Name() string { return "line" }
+
+func (s *lineSched) Rates(st *sim.State) (sim.RateMap, simtime.Time) {
+	s.calls++
+	m := make(sim.RateMap)
+	for _, f := range st.ActiveFlows() {
+		m[f.ID] = st.Graph().MinCapacity(f.Path)
+	}
+	return m, simtime.Infinity
+}
+
+// TestObserveRecordsAdmissionsAndLatency checks that the run's sink alone
+// records a scheduler that reports nothing itself: the engine tallies
+// every arrival it leaves alive as an admission and times every Rates call
+// as a planner sample.
+func TestObserveRecordsAdmissionsAndLatency(t *testing.T) {
+	g, r, a, b := pair()
+	specs := []sim.TaskSpec{
+		{Arrival: 0, Deadline: simtime.Second,
+			Flows: []sim.FlowSpec{{Src: a, Dst: b, Size: 1000}}},
+		{Arrival: simtime.Millisecond, Deadline: simtime.Second,
+			Flows: []sim.FlowSpec{{Src: b, Dst: a, Size: 1000}}},
+	}
+	rec, s := obs.NewRecorder(), &lineSched{}
+	eng := sim.New(g, r, s, specs, sim.Config{Validate: true, Sink: declog.Sink{Obs: rec}})
+	if _, err := eng.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if n := rec.Count(obs.KindTaskAdmitted); n != 2 {
+		t.Fatalf("admitted count = %d, want 2", n)
+	}
+	if n := rec.PlannerLatency().Count(); n == 0 || n != s.calls {
+		t.Fatalf("planner samples = %d, want one per Rates call (%d)", n, s.calls)
+	}
+
+	t.Run("log without recorder", func(t *testing.T) {
+		specs := append(specs, sim.TaskSpec{Arrival: 2 * simtime.Millisecond, Deadline: simtime.Second,
+			Flows: []sim.FlowSpec{{Src: a, Dst: b, Size: 1000}}})
+		log := &declog.Writer{}
+		eng := sim.New(g, r, rejectSecondTask{}, specs, sim.Config{Validate: true, Sink: declog.Sink{Log: log}})
+		if _, err := eng.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		b, err := log.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, _, err := declog.Read(bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var admitted []int64
+		for _, rc := range recs {
+			if rc.Kind == declog.KindAdmit {
+				admitted = append(admitted, rc.Task)
+			}
+		}
+		if want := []int64{0, 2}; !slices.Equal(admitted, want) {
+			t.Fatalf("admit records for tasks %v, want %v (task 1 is rejected)", admitted, want)
+		}
+	})
 }
 
 // TestDeadlineAndLinkEventsRecorded covers the engine-side records that
