@@ -34,19 +34,22 @@ race:
 
 # goldens regenerates the bench-scale trace and decision log, and replays
 # the checked-in log into a trace, and compares each byte for byte with
-# its checked-in golden.
+# its checked-in golden. The outputs go to a directory of their own, so
+# two runs at once do not overwrite each other's files.
 goldens:
-	$(GO) run ./cmd/tapsim -scale bench -trace /tmp/trace_bench.json
-	cmp /tmp/trace_bench.json cmd/tapsim/testdata/trace_bench.json
-	$(GO) run ./cmd/tapsim -scale bench -declog /tmp/declog_bench.bin
-	cmp /tmp/declog_bench.bin cmd/tapsim/testdata/declog_bench.bin
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; set -x; \
+	$(GO) run ./cmd/tapsim -scale bench -trace "$$dir/trace_bench.json" && \
+	cmp "$$dir/trace_bench.json" cmd/tapsim/testdata/trace_bench.json && \
+	$(GO) run ./cmd/tapsim -scale bench -declog "$$dir/declog_bench.bin" && \
+	cmp "$$dir/declog_bench.bin" cmd/tapsim/testdata/declog_bench.bin && \
 	$(GO) run ./cmd/tapsctl -replay cmd/tapsim/testdata/declog_bench.bin \
-		-trace /tmp/replayed_trace.json
-	cmp /tmp/replayed_trace.json cmd/tapsim/testdata/trace_bench.json
+		-trace "$$dir/replayed_trace.json" && \
+	cmp "$$dir/replayed_trace.json" cmd/tapsim/testdata/trace_bench.json
 
 # examples builds every program under examples/ once and runs it; a
-# non-zero exit fails the target. They document the public API, so this
-# keeps them running, not just compiling. Their output is discarded.
+# non-zero exit fails the target. They document the public API (all but
+# gantt, which draws its chart from internal packages), so this keeps them
+# running, not just compiling. Their output is discarded.
 examples:
 	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/" ./examples/... || exit 1; \

@@ -5,8 +5,7 @@
 //
 //	go test -bench=. -benchmem
 //
-// and use cmd/tapsim / cmd/tapsbed for the full laptop- or paper-scale
-// tables.
+// and use cmd/tapsim for the full laptop- or paper-scale tables.
 package taps_test
 
 import (
@@ -62,10 +61,6 @@ func BenchmarkFig6DeadlineSweepSingleRooted(b *testing.B) {
 
 func BenchmarkFig7DeadlineSweepFatTree(b *testing.B) {
 	benchSweep(b, experiments.Fig7)
-}
-
-func BenchmarkFig8WastedBandwidth(b *testing.B) {
-	benchSweep(b, experiments.Fig8)
 }
 
 func BenchmarkFig9SizeSweep(b *testing.B) {

@@ -1,21 +1,26 @@
-// Command tapsim regenerates the paper's simulation figures (Figs. 1-3 and
-// 6-12) as text tables.
+// Command tapsim regenerates the paper's figures (Figs. 1-3, 6-12 and the
+// §VI testbed's Fig. 14) and the extensions as text tables; it is the one
+// program that does.
 //
 // Usage:
 //
 //	tapsim -fig 6 -scale laptop
 //	tapsim -fig all -scale bench
 //	tapsim -fig 9 -schedulers TAPS,PDQ,FairSharing -seed 7
+//	tapsim -fig 14 -scale paper
 //
 // Scales: "laptop" (default, minutes for all figures), "bench" (seconds),
-// "paper" (§V-A full scale: 36,000-host tree; expect very long runs).
+// "paper" (§V-A full scale: 36,000-host tree; expect very long runs; Fig.
+// 14 runs the literal §VI load).
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -31,9 +36,23 @@ import (
 	"taps/internal/workload"
 )
 
+// allFigures is what -fig all draws, in order. "report" is drawn only when
+// named.
+var allFigures = []string{"1", "2", "3", "6", "7", "8", "9", "10", "11", "12", "14", "bcube", "ficonn", "mix", "overhead"}
+
+// formats are the values of -format.
+var formats = []string{"table", "csv", "json", "chart"}
+
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "tapsim:", err)
+		os.Exit(1)
+	}
+}
+
+func run() error {
 	var (
-		figFlag   = flag.String("fig", "all", "figure to regenerate: 1,2,3,6,7,8,9,10,11,12,14, bcube, ficonn, mix, overhead (extensions), report, or all")
+		figFlag   = flag.String("fig", "all", "comma-separated figures to regenerate: 1,2,3,6,7,8,9,10,11,12,14 (paper), bcube, ficonn, mix, overhead (extensions), report, or all (every one but report)")
 		scaleFlag = flag.String("scale", "laptop", "experiment scale: paper, laptop, bench")
 		schedFlag = flag.String("schedulers", "", "comma-separated scheduler subset (default: all six)")
 		seedFlag  = flag.Int64("seed", 0, "override the workload seed (0 keeps the scale default)")
@@ -47,25 +66,9 @@ func main() {
 	)
 	flag.Parse()
 
-	out := io.Writer(os.Stdout)
-	if *outFlag != "" {
-		f, err := os.Create(*outFlag)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		out = f
-	}
-
-	var rec *obs.Recorder
-	if *obsFlag {
-		rec = obs.NewRecorder()
-		experiments.Observe(rec)
-	}
-
 	scale, err := experiments.ScaleByName(*scaleFlag)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *seedFlag != 0 {
 		scale.Seed = *seedFlag
@@ -78,63 +81,102 @@ func main() {
 		schedulers = strings.Split(*schedFlag, ",")
 		for _, s := range schedulers {
 			if _, err := experiments.NewScheduler(s); err != nil {
-				fatal(err)
+				return err
 			}
 		}
 	}
-
-	if *traceF != "" || *whyF != "" || *declogF != "" {
-		tree, err := spanRun(scale, *declogF)
-		if err != nil {
-			fatal(err)
-		}
-		if *declogF != "" {
-			fmt.Fprintf(out, "# declog: %d tasks, %d flows, %d planning passes -> %s\n",
-				len(tree.Tasks), len(tree.Flows), len(tree.Replans), *declogF)
-		}
-		if *traceF != "" {
-			f, err := os.Create(*traceF)
-			if err != nil {
-				fatal(err)
-			}
-			if err := span.WriteTraceEvents(f, tree); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(out, "# trace: %d tasks, %d flows, %d planning passes -> %s\n",
-				len(tree.Tasks), len(tree.Flows), len(tree.Replans), *traceF)
-		}
-		if *whyF != "" {
-			if err := printWhy(out, tree, *whyF); err != nil {
-				fatal(err)
-			}
-		}
-		return
-	}
-
 	figs := strings.Split(*figFlag, ",")
 	if *figFlag == "all" {
-		figs = []string{"1", "2", "3", "6", "7", "8", "9", "10", "11", "12", "14", "bcube", "ficonn", "mix", "overhead"}
+		figs = allFigures
+	}
+	for _, fig := range figs {
+		if fig != "report" && !slices.Contains(allFigures, fig) {
+			return fmt.Errorf("unknown figure %q (known: %s, report, all)", fig, strings.Join(allFigures, ", "))
+		}
+	}
+	if !slices.Contains(formats, *formatF) {
+		return fmt.Errorf("unknown format %q (known: %s)", *formatF, strings.Join(formats, ", "))
+	}
+
+	dst := os.Stdout
+	if *outFlag != "" {
+		if dst, err = os.Create(*outFlag); err != nil {
+			return err
+		}
+	}
+	out := bufio.NewWriter(dst)
+	if *traceF != "" || *whyF != "" || *declogF != "" {
+		err = runSpan(out, scale, *traceF, *whyF, *declogF)
+	} else {
+		err = runFigures(out, figs, scale, schedulers, *formatF, *obsFlag)
+	}
+	if ferr := out.Flush(); err == nil {
+		err = ferr
+	}
+	if dst != os.Stdout {
+		if cerr := dst.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
+
+// runSpan runs the one TAPS simulation behind -trace, -why and -declog and
+// writes what each asks for.
+func runSpan(out io.Writer, scale experiments.Scale, tracePath, why, declogPath string) error {
+	tree, err := spanRun(scale, declogPath)
+	if err != nil {
+		return err
+	}
+	if declogPath != "" {
+		fmt.Fprintf(out, "# declog: %d tasks, %d flows, %d planning passes -> %s\n",
+			len(tree.Tasks), len(tree.Flows), len(tree.Replans), declogPath)
+	}
+	if tracePath != "" {
+		f, err := os.Create(tracePath)
+		if err != nil {
+			return err
+		}
+		if err := span.WriteTraceEvents(f, tree); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "# trace: %d tasks, %d flows, %d planning passes -> %s\n",
+			len(tree.Tasks), len(tree.Flows), len(tree.Replans), tracePath)
+	}
+	if why != "" {
+		return printWhy(out, tree, why)
+	}
+	return nil
+}
+
+// runFigures draws figs in order, each followed by its timing line. The
+// output is flushed after every figure, so a long run shows its progress
+// and a failed write stops it.
+func runFigures(out *bufio.Writer, figs []string, scale experiments.Scale, schedulers []string, format string, observe bool) error {
+	var rec *obs.Recorder
+	if observe {
+		rec = obs.NewRecorder()
+		experiments.Observe(rec)
 	}
 	for _, fig := range figs {
 		start := time.Now()
-		if err := runFigure(out, fig, scale, schedulers, *formatF, rec); err != nil {
-			fatal(err)
+		if err := runFigure(out, fig, scale, schedulers, format, rec); err != nil {
+			return err
 		}
 		fmt.Fprintf(out, "# fig %s done in %v (scale=%s, seed=%d)\n\n",
 			fig, time.Since(start).Round(time.Millisecond), scale.Name, scale.Seed)
+		if err := out.Flush(); err != nil {
+			return err
+		}
 	}
 	if rec != nil {
 		fmt.Fprint(out, rec.SummaryText())
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tapsim:", err)
-	os.Exit(1)
+	return nil
 }
 
 func runFigure(out io.Writer, fig string, scale experiments.Scale, schedulers []string, format string, rec *obs.Recorder) error {
@@ -181,7 +223,7 @@ func runFigure(out io.Writer, fig string, scale experiments.Scale, schedulers []
 		}
 		fmt.Fprint(out, res.Table(schedulers))
 	case "14":
-		res, err := experiments.Fig14(experiments.StressTestbedSpec())
+		res, err := experiments.Fig14(testbedSpec(scale))
 		if err != nil {
 			return err
 		}
@@ -199,6 +241,17 @@ func runFigure(out io.Writer, fig string, scale experiments.Scale, schedulers []
 		return fmt.Errorf("unknown figure %q", fig)
 	}
 	return nil
+}
+
+// testbedSpec is Fig. 14's load at scale: the literal §VI spec at the paper
+// scale, the stress spec at every other, drawn with the scale's seed.
+func testbedSpec(scale experiments.Scale) experiments.TestbedSpec {
+	spec := experiments.StressTestbedSpec()
+	if scale.Name == "paper" {
+		spec = experiments.PaperTestbedSpec()
+	}
+	spec.Seed = scale.Seed
+	return spec
 }
 
 // writeReports runs the default §V-A point for every scheduler with
@@ -308,7 +361,7 @@ func writeSweep(out io.Writer, fig string, res *experiments.SweepResult, format 
 	titles, groups, stds := figPanels(fig, res)
 	for i, group := range groups {
 		switch format {
-		case "table", "":
+		case "table":
 			if seeds > 1 {
 				fmt.Fprint(out, metrics.TableWithError(titles[i], res.XLabel, group, stds[i]))
 			} else {

@@ -265,17 +265,6 @@ func Fig7(scale Scale, schedulers []string) (*SweepResult, error) {
 		})
 }
 
-// Fig8 is the wasted-bandwidth view of the Fig. 6 run (the paper plots it
-// from the same sweep).
-func Fig8(scale Scale, schedulers []string) (*SweepResult, error) {
-	res, err := Fig6(scale, schedulers)
-	if err != nil {
-		return nil, err
-	}
-	res.Figure = "fig8"
-	return res, nil
-}
-
 // ExtBCube is an extension experiment beyond the paper's figures: the
 // Fig. 7 deadline sweep on a BCube(n,1) server-centric topology, showing
 // TAPS (and the baselines) running unchanged on a third architecture —

@@ -26,10 +26,11 @@ type TestbedSpec struct {
 }
 
 // PaperTestbedSpec is the literal §VI configuration (100 flows, 100 KB
-// average size, 40 ms average deadline). On our lossless emulated fabric
-// this load is too light to separate the transports — both complete nearly
-// everything (the physical testbed had real-stack overheads) — so Fig. 14
-// defaults to StressTestbedSpec; see EXPERIMENTS.md.
+// average size, 40 ms average deadline); `tapsim -scale paper -fig 14`
+// runs it. On our lossless emulated fabric this load is too light to
+// separate the transports — both complete nearly everything (the physical
+// testbed had real-stack overheads) — so Fig. 14 at every other scale runs
+// StressTestbedSpec; see EXPERIMENTS.md.
 func PaperTestbedSpec() TestbedSpec {
 	return TestbedSpec{
 		Tasks:        20,
@@ -43,7 +44,8 @@ func PaperTestbedSpec() TestbedSpec {
 
 // StressTestbedSpec loads the testbed into the regime Fig. 14 depicts:
 // Fair Sharing loses a large share of its bytes to deadline misses while
-// TAPS's admitted tasks complete cleanly.
+// TAPS's admitted tasks complete cleanly. tapsim runs it for Fig. 14 at
+// the laptop and bench scales.
 func StressTestbedSpec() TestbedSpec {
 	return TestbedSpec{
 		Tasks:        20,

@@ -307,9 +307,6 @@ func (r *Replayer) TaskFlows() map[int64][]int64 { return r.taskFlows }
 // Accepted reports whether task was admitted (and not later dropped).
 func (r *Replayer) Accepted(task int64) bool { return r.accepted[task] }
 
-// Decided reports whether task's admission decision was made.
-func (r *Replayer) Decided(task int64) bool { return r.decided[task] }
-
 // AcceptedSet exposes the accepted-task table for recovery.
 func (r *Replayer) AcceptedSet() map[int64]bool { return r.accepted }
 

@@ -231,28 +231,22 @@ type linkSlice struct {
 // pass that re-planned the flow) or the flow was killed: the part before
 // is occupancy, the tail is a revoked grant.
 func linkSlices(t *Tree) []linkSlice {
+	grants := t.grants()
 	var out []linkSlice
 	for i := range t.Flows {
 		fs := &t.Flows[i]
-		plans := t.plansOf(fs.Flow)
-		for j, pr := range plans {
-			cutoff := simtime.Infinity
-			if j+1 < len(plans) {
-				cutoff = plans[j+1].at
-			} else if fs.Ended && !fs.Done {
-				cutoff = fs.End
-			}
-			for _, iv := range pr.plan.Slices {
-				valid := simtime.Interval{Start: iv.Start, End: min(iv.End, cutoff)}
-				rest := simtime.Interval{Start: max(iv.Start, cutoff), End: iv.End}
-				for _, l := range pr.plan.Path {
+		for _, g := range grants[fs.Flow] {
+			for _, iv := range g.plan.Slices {
+				valid := simtime.Interval{Start: iv.Start, End: min(iv.End, g.cutoff)}
+				rest := simtime.Interval{Start: max(iv.Start, g.cutoff), End: iv.End}
+				for _, l := range g.plan.Path {
 					if !valid.Empty() {
 						out = append(out, linkSlice{link: l, iv: valid,
-							flow: fs.Flow, task: pr.plan.Task, seq: pr.seq})
+							flow: fs.Flow, task: g.plan.Task, seq: g.seq})
 					}
 					if !rest.Empty() {
 						out = append(out, linkSlice{link: l, iv: rest,
-							flow: fs.Flow, task: pr.plan.Task, seq: pr.seq, revoked: true})
+							flow: fs.Flow, task: g.plan.Task, seq: g.seq, revoked: true})
 					}
 				}
 			}

@@ -3,6 +3,8 @@ package span
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -151,5 +153,62 @@ func TestHorizonClosesOpenSpans(t *testing.T) {
 		if ev.Ph == "X" && ev.Pid == pidTasks && ev.Dur != 75 {
 			t.Fatalf("open task span dur = %d, want horizon 75", ev.Dur)
 		}
+	}
+}
+
+// synthTree is a tree of flows flows re-planned plansPerFlow times each:
+// pass p re-plans plansPerFlow flows spread over the whole table, every
+// plan granting two windows on a three-link path, and every fifth flow is
+// killed mid-run.
+func synthTree(flows, plansPerFlow int) *Tree {
+	t := &Tree{}
+	for f := 0; f < flows; f++ {
+		t.Tasks = append(t.Tasks, TaskSpan{Task: int64(f), Deadline: 1e9, PreemptedBy: NoTask, Flows: []int64{int64(f)}})
+		fs := FlowSpan{Flow: int64(f), Task: int64(f), Deadline: 1e9}
+		if f%5 == 0 {
+			fs.Ended, fs.End = true, simtime.Time(f*10+5)
+		}
+		t.Flows = append(t.Flows, fs)
+	}
+	for p := 0; p < flows; p++ {
+		rs := ReplanSpan{Seq: p + 1, Time: simtime.Time(p * 10), Kind: ReplanArrival, Trigger: int64(p)}
+		for k := 0; k < plansPerFlow; k++ {
+			f := (p + k*flows/plansPerFlow) % flows
+			at := simtime.Time(p * 10)
+			rs.Plans = append(rs.Plans, PlanSpan{Flow: int64(f), Task: int64(f),
+				Path:   []int32{int32(f % 64), int32(64 + f%8), int32(72 + k%64)},
+				Slices: []simtime.Interval{iv(at, at+20), iv(at+40, at+60)}})
+		}
+		t.Replans = append(t.Replans, rs)
+	}
+	return t
+}
+
+// BenchmarkLinkSlices projects every grant onto its links: at twice the
+// flows and twice the plans it should take twice the time.
+func BenchmarkLinkSlices(b *testing.B) {
+	for _, flows := range []int{2000, 4000} {
+		tree := synthTree(flows, 20)
+		b.Run(fmt.Sprintf("flows=%d", flows), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				linkSlices(tree)
+			}
+		})
+	}
+}
+
+// BenchmarkWriteTraceEvents is the whole export of smaller trees of the
+// same shape; it builds every event in memory, ~0.25 GB per op at 1000
+// flows.
+func BenchmarkWriteTraceEvents(b *testing.B) {
+	for _, flows := range []int{500, 1000} {
+		tree := synthTree(flows, 20)
+		b.Run(fmt.Sprintf("flows=%d", flows), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := WriteTraceEvents(io.Discard, tree); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -227,53 +227,73 @@ func (t *Tree) Flow(id int64) *FlowSpan {
 	return nil
 }
 
-// planRef is one plan of a flow plus the pass that produced it.
-type planRef struct {
-	at   simtime.Time
-	seq  int
-	plan *PlanSpan
+// grant is one plan of a flow and the instant its windows stop being the
+// flow's (cutoff): where the next pass re-plans the flow, else where the
+// flow is killed, else never (simtime.Infinity). The part of a window past
+// the cutoff is a revoked grant.
+type grant struct {
+	seq    int
+	plan   *PlanSpan
+	cutoff simtime.Time
 }
 
-// plansOf collects a flow's plans in pass order.
-func (t *Tree) plansOf(flow int64) []planRef {
-	var out []planRef
+// grants groups the tree's plans by flow, in pass order, with their
+// cutoffs. It is one pass over the tree, so a caller that visits every
+// flow looks each one up instead of scanning every plan per flow.
+func (t *Tree) grants() map[int64][]grant {
+	byFlow := make(map[int64][]grant)
 	for i := range t.Replans {
 		rs := &t.Replans[i]
 		for j := range rs.Plans {
-			if rs.Plans[j].Flow == flow {
-				out = append(out, planRef{at: rs.Time, seq: rs.Seq, plan: &rs.Plans[j]})
+			p := &rs.Plans[j]
+			gs := byFlow[p.Flow]
+			if n := len(gs); n > 0 {
+				gs[n-1].cutoff = rs.Time
+			}
+			byFlow[p.Flow] = append(gs, grant{seq: rs.Seq, plan: p, cutoff: simtime.Infinity})
+		}
+	}
+	for i := range t.Flows {
+		fs := &t.Flows[i]
+		if gs := byFlow[fs.Flow]; len(gs) > 0 && fs.Ended && !fs.Done {
+			gs[len(gs)-1].cutoff = fs.End
+		}
+	}
+	return byFlow
+}
+
+// revoked merges the parts of a flow's grants past their cutoffs.
+func revoked(gs []grant) []simtime.Interval {
+	var set simtime.IntervalSet
+	for _, g := range gs {
+		for _, iv := range g.plan.Slices {
+			if iv.End > g.cutoff {
+				set.Add(simtime.Interval{Start: max(iv.Start, g.cutoff), End: iv.End})
 			}
 		}
 	}
-	return out
+	return set.Intervals()
 }
 
 // RevokedWindows returns the slice windows that were granted to the flow
 // and later revoked before use: the tail of a superseded plan's slices
 // past the instant the next pass re-planned the flow, plus — for killed
 // flows — the final plan's slices past the kill instant. This is what the
-// Gantt renderer marks '~' and the trace exporter flags revoked=true.
+// Gantt renderer marks '~' and the trace exporter flags revoked=true. It
+// scans the whole tree; a caller that visits every flow uses
+// RevokedByFlow.
 func (t *Tree) RevokedWindows(flow int64) []simtime.Interval {
-	plans := t.plansOf(flow)
-	if len(plans) == 0 {
-		return nil
-	}
-	var revoked simtime.IntervalSet
-	for i, pr := range plans {
-		var cutoff simtime.Time = -1
-		if i+1 < len(plans) {
-			cutoff = plans[i+1].at
-		} else if f := t.Flow(flow); f != nil && f.Ended && !f.Done {
-			cutoff = f.End
-		}
-		if cutoff < 0 {
-			continue
-		}
-		for _, iv := range pr.plan.Slices {
-			if iv.End > cutoff {
-				revoked.Add(simtime.Interval{Start: max(iv.Start, cutoff), End: iv.End})
-			}
+	return revoked(t.grants()[flow])
+}
+
+// RevokedByFlow is RevokedWindows of every flow with a revoked window,
+// keyed by flow ID, in one pass over the tree.
+func (t *Tree) RevokedByFlow() map[int64][]simtime.Interval {
+	out := make(map[int64][]simtime.Interval)
+	for flow, gs := range t.grants() {
+		if ivs := revoked(gs); len(ivs) > 0 {
+			out[flow] = ivs
 		}
 	}
-	return revoked.Intervals()
+	return out
 }

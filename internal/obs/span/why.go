@@ -75,18 +75,19 @@ func WhyText(t *Tree, task int64) string {
 	}
 
 	// Per-flow final plan: what the planner last decided for each flow.
+	grants := t.grants()
 	for _, fid := range ts.Flows {
-		plans := t.plansOf(fid)
+		gs := grants[fid]
 		fs := t.Flow(fid)
 		label := fmt.Sprintf("f%d", fid)
 		if fs != nil && fs.Label != "" {
 			label += " " + fs.Label
 		}
-		if len(plans) == 0 {
+		if len(gs) == 0 {
 			fmt.Fprintf(&b, "  %s: never planned\n", label)
 			continue
 		}
-		p := plans[len(plans)-1].plan
+		p := gs[len(gs)-1].plan
 		verdict := "fits"
 		if p.Missed {
 			verdict = "MISSES"

@@ -106,9 +106,6 @@ type FatTreeSpec struct {
 	LinkCapacity float64
 }
 
-// PaperFatTree is the 32-pod fat-tree of §V-A: 8,192 servers, 1 Gbps links.
-func PaperFatTree() FatTreeSpec { return FatTreeSpec{K: 32, LinkCapacity: Gbps(1)} }
-
 // fatTree holds the structured wiring used for algebraic path enumeration.
 type fatTree struct {
 	g    *Graph

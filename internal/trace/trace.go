@@ -68,6 +68,18 @@ func Gantt(res *sim.Result, opts Options) string {
 		return min(max(c, 0), width-1)
 	}
 
+	// What the span tree adds, gathered once for all rows.
+	var revoked map[int64][]simtime.Interval
+	preempted := make(map[sim.TaskID]bool)
+	if opts.Spans != nil {
+		revoked = opts.Spans.RevokedByFlow()
+		for _, ts := range opts.Spans.Tasks {
+			if ts.Outcome == span.OutcomePreempted {
+				preempted[sim.TaskID(ts.Task)] = true
+			}
+		}
+	}
+
 	flows := append([]*sim.Flow(nil), res.Flows...)
 	sort.Slice(flows, func(i, j int) bool { return flows[i].ID < flows[j].ID })
 
@@ -90,10 +102,8 @@ func Gantt(res *sim.Result, opts Options) string {
 		// Revoked slice windows (granted by a plan, taken back by a
 		// re-plan or kill) under the actual transmissions, which
 		// overwrite them where bytes really moved.
-		if opts.Spans != nil {
-			for _, iv := range opts.Spans.RevokedWindows(int64(f.ID)) {
-				fill(iv.Start, iv.End, '~')
-			}
+		for _, iv := range revoked[int64(f.ID)] {
+			fill(iv.Start, iv.End, '~')
 		}
 		// Transmission segments.
 		for _, s := range res.Segments[f.ID] {
@@ -106,7 +116,7 @@ func Gantt(res *sim.Result, opts Options) string {
 		switch {
 		case f.OnTime():
 			row[col(f.Finish)] = '$'
-		case f.State == sim.FlowKilled && preemptedTask(opts.Spans, f.Task):
+		case f.State == sim.FlowKilled && preempted[f.Task]:
 			row[col(f.Finish)] = 'P'
 		case f.State == sim.FlowKilled, f.State == sim.FlowDone:
 			row[col(f.Finish)] = 'x'
@@ -118,16 +128,6 @@ func Gantt(res *sim.Result, opts Options) string {
 		b.WriteString("        ~ granted then revoked by re-plan/kill, P killed by preemption\n")
 	}
 	return b.String()
-}
-
-// preemptedTask reports whether the span tree records the flow's task as
-// preempted (sacrificed for a newcomer by the reject rule).
-func preemptedTask(t *span.Tree, task sim.TaskID) bool {
-	if t == nil {
-		return false
-	}
-	ts := t.Task(int64(task))
-	return ts != nil && ts.Outcome == span.OutcomePreempted
 }
 
 // rateMark maps a rate to '#' (full) or a digit for partial rates.
