@@ -3,6 +3,7 @@ package netctl
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -98,6 +99,9 @@ type Controller struct {
 	// onProbe holds mu; helpers called from the critical section charge
 	// their elapsed time to it via stageAdd.
 	stageAcc *[stageCount]time.Duration
+	// frame is the buffer broadcastGrantsLocked encodes each grant into,
+	// reused from one grant and one decision to the next.
+	frame []byte
 	// closing is set under mu before Close tears anything down, so
 	// ServeListener can refuse late conns instead of racing wg.Add against
 	// wg.Wait (which would let a handle goroutine append to a closed log).
@@ -424,7 +428,7 @@ func (c *Controller) onProbe(p ProbeMsg) {
 			c.declogSyncLocked()
 			c.broadcastGrantsLocked()
 		} else {
-			c.broadcastLocked(Envelope{Type: TypeReject, Reject: &RejectMsg{Task: p.Task, Reason: "already rejected"}})
+			c.broadcastRejectLocked(p.Task, "already rejected")
 		}
 		return
 	}
@@ -455,10 +459,10 @@ func (c *Controller) onProbe(p ProbeMsg) {
 	c.declogSyncLocked()
 	switch decision {
 	case core.RejectNew:
-		c.broadcastLocked(Envelope{Type: TypeReject, Reject: &RejectMsg{Task: p.Task, Reason: "reject rule"}})
+		c.broadcastRejectLocked(p.Task, "reject rule")
 		c.cfg.Logf("netctl: task %d rejected", p.Task)
 	case core.Preempt:
-		c.broadcastLocked(Envelope{Type: TypeReject, Reject: &RejectMsg{Task: victim, Reason: "preempted"}})
+		c.broadcastRejectLocked(victim, "preempted")
 		c.cfg.Logf("netctl: task %d accepted, task %d preempted", p.Task, victim)
 	case core.Accept:
 		c.cfg.Logf("netctl: task %d accepted", p.Task)
@@ -497,38 +501,45 @@ func linkPath(links []int32) topology.Path {
 }
 
 // broadcastGrantsLocked sends the current schedule of every accepted task.
+// Each grant frame is encoded once, straight from the kernel's flows into
+// the controller's frame buffer, and the same bytes are written to every
+// agent. All of it — collecting, sorting, encoding, writing — is the
+// decision's broadcast stage.
 func (c *Controller) broadcastGrantsLocked() {
+	sw := obs.StartStopwatch()
 	tasks := make([]int64, 0, len(c.accepted))
 	for t, ok := range c.accepted {
 		if ok {
 			tasks = append(tasks, t)
 		}
 	}
-	sort.Slice(tasks, func(i, j int) bool { return tasks[i] < tasks[j] })
+	slices.Sort(tasks)
 	for _, t := range tasks {
-		grant := GrantMsg{Task: t}
-		for _, f := range c.kernel.Flows(t) {
-			if f.Done {
-				continue
-			}
-			fg := FlowGrant{ID: f.Key, Src: f.Src, Deadline: f.Deadline, Path: f.Path}
-			for _, iv := range f.Slices.Intervals() {
-				fg.Slices = append(fg.Slices, SliceWire{Start: iv.Start, End: iv.End})
-			}
-			grant.Flows = append(grant.Flows, fg)
-		}
-		c.broadcastLocked(Envelope{Type: TypeGrant, Grant: &grant})
-	}
-}
-
-func (c *Controller) broadcastLocked(env Envelope) {
-	sw := obs.StartStopwatch()
-	for cd := range c.agents {
-		if err := cd.send(env); err != nil { //taps:allow lockorder grants must serialize under the decision lock so agents observe monotone schedules
-			c.cfg.Logf("netctl: broadcast to agent failed: %v", err)
-		}
+		c.frame = appendGrantFrame(c.frame[:0], t, c.kernel.Flows(t))
+		c.writeAllLocked(c.frame)
 	}
 	c.stageAdd(StageBroadcast, sw.Elapsed())
+}
+
+// broadcastRejectLocked tells every agent that task is discarded.
+func (c *Controller) broadcastRejectLocked(task int64, reason string) {
+	sw := obs.StartStopwatch()
+	// A reject holds an integer and a string: it always encodes.
+	frame, _ := encodeFrame(Envelope{Type: TypeReject, Reject: &RejectMsg{Task: task, Reason: reason}})
+	c.writeAllLocked(frame)
+	c.stageAdd(StageBroadcast, sw.Elapsed())
+}
+
+// writeAllLocked writes one encoded frame to every agent. An agent whose
+// write fails is dropped at once: its codec has closed the connection, on
+// which a torn frame may already sit, so no later frame goes to it.
+func (c *Controller) writeAllLocked(frame []byte) {
+	for cd, hello := range c.agents {
+		if err := cd.write(frame); err != nil { //taps:allow lockorder grants must serialize under the decision lock so agents observe monotone schedules
+			delete(c.agents, cd)
+			c.cfg.Logf("netctl: dropped agent %s (host %d): %v", hello.Agent, hello.Host, err)
+		}
+	}
 }
 
 // onTerm marks a flow finished and releases its future occupancy.

@@ -32,8 +32,10 @@ const (
 	// StageDeclogSync: write-ahead decision-log fsync before any agent
 	// hears the outcome.
 	StageDeclogSync
-	// StageBroadcast: serializing grant/reject frames onto every agent
-	// socket. Scales with connected agents times accepted tasks.
+	// StageBroadcast: telling the agents the outcome — collecting and
+	// sorting the accepted tasks, encoding each grant or reject frame once,
+	// and writing it to every agent socket. Encoding scales with accepted
+	// tasks, writing with agents times accepted tasks.
 	StageBroadcast
 	// StageOther: what is left of the decision once the four stages above
 	// are taken out — building the kernel's input, recording the task,

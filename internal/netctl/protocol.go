@@ -24,9 +24,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
+	"taps/internal/core"
 	"taps/internal/obs"
 	"taps/internal/simtime"
 	"taps/internal/topology"
@@ -121,13 +123,92 @@ type TermMsg struct {
 	Finish simtime.Time `json:"finish"`
 }
 
-// codec frames envelopes over a connection; writes are serialized so
-// multiple goroutines may send.
+// appendGrantFrame appends to buf the grant frame of task, built straight
+// from the kernel's flows: byte for byte what encodeFrame writes for the
+// Envelope whose GrantMsg lists every flow not yet Done with its slices and
+// path, null standing for a nil list as in encoding/json. A grant holds
+// only numbers, so nothing in it needs escaping.
+func appendGrantFrame(buf []byte, task int64, flows []*core.Flow) []byte {
+	buf = append(buf, `{"type":"grant","grant":{"task":`...)
+	buf = strconv.AppendInt(buf, task, 10)
+	buf = append(buf, `,"flows":`...)
+	open := false
+	for _, f := range flows {
+		if f.Done {
+			continue
+		}
+		if open {
+			buf = append(buf, ',')
+		} else {
+			buf = append(buf, '[')
+			open = true
+		}
+		buf = append(buf, `{"id":`...)
+		buf = strconv.AppendUint(buf, f.Key, 10)
+		buf = append(buf, `,"src":`...)
+		buf = strconv.AppendInt(buf, int64(f.Src), 10)
+		buf = append(buf, `,"deadline":`...)
+		buf = strconv.AppendInt(buf, f.Deadline, 10)
+		buf = append(buf, `,"slices":`...)
+		if ivs := f.Slices.Intervals(); len(ivs) == 0 {
+			buf = append(buf, "null"...)
+		} else {
+			buf = append(buf, '[')
+			for i, iv := range ivs {
+				if i > 0 {
+					buf = append(buf, ',')
+				}
+				buf = append(buf, `{"start":`...)
+				buf = strconv.AppendInt(buf, iv.Start, 10)
+				buf = append(buf, `,"end":`...)
+				buf = strconv.AppendInt(buf, iv.End, 10)
+				buf = append(buf, '}')
+			}
+			buf = append(buf, ']')
+		}
+		buf = append(buf, `,"path":`...)
+		if f.Path == nil {
+			buf = append(buf, "null"...)
+		} else {
+			buf = append(buf, '[')
+			for i, l := range f.Path {
+				if i > 0 {
+					buf = append(buf, ',')
+				}
+				buf = strconv.AppendInt(buf, int64(l), 10)
+			}
+			buf = append(buf, ']')
+		}
+		buf = append(buf, '}')
+	}
+	if open {
+		buf = append(buf, ']')
+	} else {
+		buf = append(buf, "null"...)
+	}
+	return append(buf, "}}\n"...)
+}
+
+// encodeFrame is env as one wire frame, exactly what json.Encoder.Encode
+// writes: the JSON document and a newline.
+func encodeFrame(env Envelope) ([]byte, error) {
+	b, err := json.Marshal(env)
+	if err != nil {
+		return nil, fmt.Errorf("netctl: encode %s: %w", env.Type, err)
+	}
+	return append(b, '\n'), nil
+}
+
+// codec frames envelopes over a connection. Every outbound frame reaches
+// the connection through write, whole, in one conn.Write, so several
+// goroutines may send and their frames never interleave; the controller
+// encodes each frame once and writes the same bytes to every agent. A
+// failed write closes the connection: once a frame is torn, nothing that
+// follows it can be read.
 type codec struct {
 	conn net.Conn
 	r    *bufio.Reader
 	wmu  sync.Mutex
-	enc  *json.Encoder
 	// onDecode, when set, receives the CPU time spent unmarshalling each
 	// inbound frame (excludes time blocked waiting for bytes) and the
 	// instant it ended. The controller hooks it to feed the StageDecode
@@ -136,14 +217,26 @@ type codec struct {
 }
 
 func newCodec(conn net.Conn) *codec {
-	return &codec{conn: conn, r: bufio.NewReader(conn), enc: json.NewEncoder(conn)}
+	return &codec{conn: conn, r: bufio.NewReader(conn)}
 }
 
 func (c *codec) send(env Envelope) error {
+	frame, err := encodeFrame(env)
+	if err != nil {
+		return err
+	}
+	return c.write(frame)
+}
+
+// write puts one encoded frame on the connection, closing it if the write
+// fails.
+func (c *codec) write(frame []byte) error {
 	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if err := c.enc.Encode(env); err != nil { //taps:allow lockorder wmu exists only to serialize whole frames onto this socket; no other lock is ever taken with it
-		return fmt.Errorf("netctl: send %s: %w", env.Type, err)
+	_, err := c.conn.Write(frame) //taps:allow lockorder wmu exists only to serialize whole frames onto this socket; no other lock is ever taken with it
+	c.wmu.Unlock()
+	if err != nil {
+		c.conn.Close()
+		return fmt.Errorf("netctl: write frame: %w", err)
 	}
 	return nil
 }
