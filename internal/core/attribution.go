@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"taps/internal/obs/declog"
@@ -12,12 +13,21 @@ import (
 // spanPlans converts one planning pass's entries into span records: one
 // PlanSpan per flow, capturing the Alg. 2 search (candidates, winning
 // path) and the Alg. 3 grant (slice windows, planned finish). Only called
-// when span recording is enabled, so the copies here never touch the
-// recording-disabled hot path.
-func spanPlans(flows []*Flow, entries []PlanEntry) []span.PlanSpan {
-	plans := make([]span.PlanSpan, len(entries))
-	for i, f := range flows {
-		e := entries[i]
+// when span recording is enabled. The records live in buffers the kernel
+// reuses from pass to pass, and each Slices aliases its entry's slices,
+// which nothing mutates once planOne has cloned them. That is safe because
+// Sink.Emit encodes a record before it returns: no record outlives the
+// pass that built it.
+func (k *Kernel) spanPlans(entries []PlanEntry) []span.PlanSpan {
+	links := 0
+	for i := range entries {
+		links += len(entries[i].Path)
+	}
+	// Sized up front: every Path below aliases this one array.
+	k.spanPaths = slices.Grow(k.spanPaths[:0], links)
+	k.spans = k.spans[:0]
+	for i, f := range k.order {
+		e := &entries[i]
 		ps := span.PlanSpan{
 			Flow: int64(f.Key), Task: f.Task,
 			Candidates: e.Candidates, PathIndex: e.PathIndex,
@@ -25,15 +35,16 @@ func spanPlans(flows []*Flow, entries []PlanEntry) []span.PlanSpan {
 			Missed: e.Finish > f.Deadline,
 		}
 		if e.Path != nil {
-			ps.Path = make([]int32, len(e.Path))
-			for j, l := range e.Path {
-				ps.Path[j] = int32(l)
+			start := len(k.spanPaths)
+			for _, l := range e.Path {
+				k.spanPaths = append(k.spanPaths, int32(l))
 			}
-			ps.Slices = append([]simtime.Interval(nil), e.Slices.Intervals()...)
+			ps.Path = k.spanPaths[start:len(k.spanPaths):len(k.spanPaths)]
+			ps.Slices = e.Slices.Intervals()
 		}
-		plans[i] = ps
+		k.spans = append(k.spans, ps)
 	}
-	return plans
+	return k.spans
 }
 
 // attributionLimit caps an attribution chain: only the busiest links (and

@@ -95,6 +95,10 @@ type Kernel struct {
 	spent   []*Flow
 	missing map[int64]bool
 
+	// The span records of the pass last emitted (spanPlans).
+	spans     []span.PlanSpan
+	spanPaths []int32
+
 	replans int
 }
 
@@ -344,7 +348,7 @@ func (k *Kernel) plan(now simtime.Time, kind span.ReplanKind, trigger int64) []P
 	if k.Sink.On() {
 		k.Sink.Emit(&declog.Record{Kind: declog.KindReplan, Time: now, Replan: &span.ReplanSpan{
 			Time: now, Kind: kind, Trigger: trigger,
-			Flows: len(k.order), PathsTried: tried, Plans: spanPlans(k.order, entries),
+			Flows: len(k.order), PathsTried: tried, Plans: k.spanPlans(entries),
 		}})
 	}
 	return entries

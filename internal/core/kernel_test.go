@@ -10,6 +10,8 @@ import (
 	"reflect"
 	"testing"
 
+	"taps/internal/obs/declog"
+	"taps/internal/obs/span"
 	"taps/internal/sim"
 	"taps/internal/simtime"
 	"taps/internal/topology"
@@ -311,5 +313,38 @@ func TestKernelFractionMatchesEngineCounters(t *testing.T) {
 	}
 	if commits == 0 || cut == 0 {
 		t.Fatalf("%d commits, %d sightings of a flow cut short in a live task; property untested", commits, cut)
+	}
+}
+
+// TestReplanRecordAllocsPerPass pins what a warm planning pass costs with
+// an in-memory decision log on: the planner's own budget (the entries and
+// one clone of the winning slices per flow) and a few allocations for the
+// record itself, but nothing per flow for the record's plans — their paths
+// and slices live in buffers the kernel reuses.
+func TestReplanRecordAllocsPerPass(t *testing.T) {
+	k, _, hosts := newTestKernel(DefaultConfig())
+	k.Sink = &declog.Sink{Log: &declog.Writer{}}
+	rng := rand.New(rand.NewSource(1))
+	for task := int64(0); task < 20; task++ {
+		specs := make([]FlowSpec, 5)
+		for i := range specs {
+			src, dst := rng.Intn(len(hosts)), rng.Intn(len(hosts)-1)
+			if dst >= src {
+				dst++
+			}
+			specs[i] = FlowSpec{Key: uint64(task*10) + uint64(i), Src: hosts[src], Dst: hosts[dst], Size: 10e3}
+		}
+		if d, _ := k.TaskArrived(0, task, 10*simtime.Second, specs); d != Accept {
+			t.Fatalf("task %d: %v", task, d)
+		}
+	}
+	flows := len(k.order)
+	if flows != 100 {
+		t.Fatalf("%d flows in the pass, want 100", flows)
+	}
+	k.plan(0, span.ReplanArrival, 0) // warm the span buffers
+	got := testing.AllocsPerRun(20, func() { k.plan(0, span.ReplanArrival, 0) })
+	if budget := float64(flows + 1 + 4); got > budget {
+		t.Fatalf("%.0f allocs per pass over %d flows, budget %.0f", got, flows, budget)
 	}
 }

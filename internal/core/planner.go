@@ -41,8 +41,9 @@ type Planner struct {
 	Routing  topology.Routing
 	MaxPaths int
 
-	// pathsTried counts candidate paths examined across all PlanAll
-	// calls; observability instrumentation reads deltas around a pass.
+	// pathsTried counts candidate paths examined, or dismissed by the
+	// shared-hop bound, across all PlanAll calls; observability
+	// instrumentation reads deltas around a pass.
 	pathsTried int64
 
 	occ     occupancy
@@ -57,27 +58,39 @@ type Planner struct {
 // next evaluation, so planOne publishes a Clone of best;
 // TestPlanSlicesSurviveNextPass guards that.
 type evalScratch struct {
-	sets  []simtime.IntervalSet // per-link occupancy views of one path
-	taken simtime.IntervalSet   // first-E-units allocation of the last sweep
-	best  simtime.IntervalSet   // slices of the best candidate so far
+	sets   []simtime.IntervalSet // per-link occupancy views of one path
+	shared topology.Path         // hops every candidate of the flow crosses
+	taken  simtime.IntervalSet   // first-E-units allocation of the last sweep
+	best   simtime.IntervalSet   // slices of the best candidate so far
 
 	bestIdx    int // candidate index of best, -1 if none fit
 	bestFinish simtime.Time
 }
 
-// evalCandidates sweeps each candidate path, tracking the (finish,
-// index)-lowest winner in sc. A candidate has to finish inside the window
-// and strictly before the best so far, and its sweep stops as soon as it
-// cannot: every candidate is still examined, ties still go to the lowest
-// index.
+// evalCandidates sweeps the candidate paths in order, tracking the
+// (finish, index)-lowest winner in sc. A candidate has to finish inside the
+// window and strictly before the best so far, and its sweep stops as soon
+// as it cannot. Before the first sweep, one more sweep over the links that
+// every candidate shares (on a fat-tree, the first and last hop) gives a
+// lower bound on any candidate's finish: a candidate's idle time is a
+// subset of theirs and its units are no fewer than theirs. Once the bound
+// is not before the finish to beat — the best so far, or the window's end
+// — no later candidate can win, because ties go to the lowest index, and
+// the rest are dismissed unswept. The winner is the one a sweep of every
+// candidate would pick, and every non-empty candidate, swept or dismissed,
+// counts as tried.
 func (p *Planner) evalCandidates(now simtime.Time, r FlowReq, window simtime.Interval, paths []topology.Path, sc *evalScratch) {
 	sc.bestIdx, sc.bestFinish = -1, simtime.Infinity
 	before := min(window.End+1, simtime.Infinity)
+	bound := p.sharedBound(now, r, before, paths, sc)
 	for i := range paths {
 		if len(paths[i]) == 0 {
 			continue
 		}
 		p.pathsTried++
+		if bound >= before {
+			continue
+		}
 		if finish, ok := p.evalPath(now, r, before, paths[i], sc); ok {
 			sc.bestIdx, sc.bestFinish, before = i, finish, finish
 			sc.taken, sc.best = sc.best, sc.taken
@@ -85,7 +98,44 @@ func (p *Planner) evalCandidates(now simtime.Time, r FlowReq, window simtime.Int
 	}
 }
 
-// PathsTried returns the cumulative number of candidate paths examined.
+// sharedBound returns a lower bound on the finish of every candidate: the
+// first-fit finish, at the shared links' capacity, over the busy sets of
+// the first and the last hop, each when every non-empty candidate has it.
+// Checking only those two may miss a shared link in the middle, which only
+// loosens the bound. The sweep is worth it only for two candidates or more
+// that share a hop; otherwise sharedBound returns now, which dismisses
+// nothing. A bound at or past before means no candidate fits.
+func (p *Planner) sharedBound(now simtime.Time, r FlowReq, before simtime.Time, paths []topology.Path, sc *evalScratch) simtime.Time {
+	var ref topology.Path
+	n, firstShared, lastShared := 0, true, true
+	for _, path := range paths {
+		if len(path) == 0 {
+			continue
+		}
+		if n++; n == 1 {
+			ref = path
+			continue
+		}
+		firstShared = firstShared && path[0] == ref[0]
+		lastShared = lastShared && path[len(path)-1] == ref[len(ref)-1]
+	}
+	if n < 2 || !firstShared && !lastShared {
+		return now
+	}
+	sc.shared = sc.shared[:0]
+	if firstShared {
+		sc.shared = append(sc.shared, ref[0])
+	}
+	if lastShared && (len(ref) > 1 || !firstShared) {
+		sc.shared = append(sc.shared, ref[len(ref)-1])
+	}
+	e := sim.DurationFor(r.Bytes, p.Graph.MinCapacity(sc.shared))
+	bound, _ := simtime.FirstFit(nil, now, e, before, p.busySets(sc.shared, sc)...)
+	return bound
+}
+
+// PathsTried returns the cumulative number of non-empty candidate paths
+// examined, or dismissed by the shared-hop bound.
 func (p *Planner) PathsTried() int64 { return p.pathsTried }
 
 // occupancy is the planner's per-link busy calendar: the union of the
@@ -197,16 +247,22 @@ func (p *Planner) planOne(now simtime.Time, r FlowReq, window simtime.Interval) 
 }
 
 // evalPath runs Alg. 3 for one candidate path: one bounded first-fit sweep
-// over the occupancies of its links. It succeeds when the flow finishes
-// before `before`; the taken slices are then in sc.taken. Nothing is
-// allocated once sc is warm.
+// over the occupancies of its links, at the path's bottleneck capacity,
+// which is only worked out for a candidate that is swept. It succeeds when
+// the flow finishes before `before`; the taken slices are then in sc.taken.
+// Nothing is allocated once sc is warm.
 func (p *Planner) evalPath(now simtime.Time, r FlowReq, before simtime.Time, path topology.Path, sc *evalScratch) (simtime.Time, bool) {
 	e := sim.DurationFor(r.Bytes, p.Graph.MinCapacity(path))
+	return simtime.FirstFit(&sc.taken, now, e, before, p.busySets(path, sc)...)
+}
+
+// busySets gathers the non-empty occupancies of links into sc.sets.
+func (p *Planner) busySets(links []topology.LinkID, sc *evalScratch) []simtime.IntervalSet {
 	sc.sets = sc.sets[:0]
-	for _, l := range path {
+	for _, l := range links {
 		if set := p.occ.get(l); !set.Empty() {
 			sc.sets = append(sc.sets, set)
 		}
 	}
-	return simtime.FirstFit(&sc.taken, now, e, before, sc.sets...)
+	return sc.sets
 }

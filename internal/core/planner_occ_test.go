@@ -167,3 +167,115 @@ func TestEvalCandidatesMatchesExhaustiveSearch(t *testing.T) {
 		}
 	}
 }
+
+// reweighted copies g, giving every link between two switches a capacity
+// drawn from caps; host links keep theirs. Node and link IDs are g's, so
+// g's routing routes over the copy.
+func reweighted(g *topology.Graph, rng *rand.Rand, caps []float64) *topology.Graph {
+	c := topology.NewGraph()
+	for n := 0; n < g.NumNodes(); n++ {
+		nd := g.Node(topology.NodeID(n))
+		c.AddNode(nd.Kind, nd.Name, nd.Level, nd.Pod)
+	}
+	for l := 0; l < g.NumLinks(); l++ {
+		lk := g.Link(topology.LinkID(l))
+		capacity := lk.Capacity
+		if g.Node(lk.Src).Kind != topology.Host && g.Node(lk.Dst).Kind != topology.Host {
+			capacity = caps[rng.Intn(len(caps))]
+		}
+		c.AddLink(lk.Src, lk.Dst, capacity)
+	}
+	return c
+}
+
+// TestPrunedSearchMatchesFullSearch: the candidate search that dismisses
+// every candidate after the best so far reaches the shared-hop bound picks
+// the same index, finish and slices as sweeping every candidate to the
+// window's end. The occupancy is drawn on the flow's own candidate links,
+// dense enough that the bound is often met before the last candidate, on a
+// fat-tree whose switch links run at mixed capacities (so candidates differ
+// in units and the shared hops are the fastest), on BCube (whose
+// candidates share no hop, so nothing is dismissed) and on uniform k=4 and
+// k=8 fat-trees.
+func TestPrunedSearchMatchesFullSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	ft4, ft4R := topology.FatTree(topology.FatTreeSpec{K: 4, LinkCapacity: 1e6}) // 1 byte = 1 µs
+	ft8, ft8R := topology.FatTree(topology.FatTreeSpec{K: 8, LinkCapacity: 1e6})
+	bc, bcR := topology.BCube(topology.BCubeSpec{N: 4, K: 2, LinkCapacity: 1e6})
+	for _, c := range []struct {
+		name      string
+		g         *topology.Graph
+		r         topology.Routing
+		wantBound bool
+	}{
+		{"fattree4-mixed", reweighted(ft4, rng, []float64{1e6, 1e6, 1e6, 1e6, 5e5, 2.5e5}), ft4R, true},
+		{"fattree8-mixed", reweighted(ft8, rng, []float64{1e6, 1e6, 1e6, 5e5}), ft8R, true},
+		{"bcube", bc, bcR, false},
+		{"fattree4", ft4, ft4R, true},
+		{"fattree8", ft8, ft8R, true},
+	} {
+		p := &Planner{Graph: c.g, Routing: topology.NewCachedRouting(c.r), MaxPaths: 16}
+		hosts := c.g.Hosts()
+		met, fits := 0, 0
+		for round := 0; round < 1500; round++ {
+			src, dst := hosts[rng.Intn(len(hosts))], hosts[rng.Intn(len(hosts))]
+			if src == dst {
+				continue
+			}
+			req := FlowReq{Key: rng.Uint64(), Src: src, Dst: dst, Bytes: float64(1 + rng.Intn(60))}
+			paths := p.Routing.Paths(src, dst, p.MaxPaths, req.Key)
+			p.occ.reset(c.g.NumLinks())
+			for _, path := range paths {
+				for j, l := range path {
+					n := rng.Intn(2) // a switch link: busy less often than a host's
+					if j == 0 || j == len(path)-1 {
+						n = rng.Intn(3)
+					}
+					for ; n > 0; n-- {
+						start := simtime.Time(rng.Intn(300))
+						busy := simtime.NewIntervalSet(simtime.Interval{Start: start, End: start + simtime.Time(1+rng.Intn(40))})
+						p.occ.claim(topology.Path{l}, &busy, 0)
+					}
+				}
+			}
+			now := simtime.Time(rng.Intn(100))
+			window := simtime.Interval{Start: now, End: now + simtime.Time(rng.Intn(600))}
+
+			// Every candidate swept to the window's end.
+			sc := &p.scratch
+			wantIdx, wantFinish, wantSlices := -1, simtime.Infinity, ""
+			for i, path := range paths {
+				if finish, ok := p.evalPath(now, req, window.End+1, path, sc); ok && finish < wantFinish {
+					wantIdx, wantFinish, wantSlices = i, finish, sc.taken.String()
+				}
+			}
+
+			p.evalCandidates(now, req, window, paths, sc)
+			if sc.bestIdx != wantIdx {
+				t.Fatalf("%s round %d: pruned search picked candidate %d, full search %d", c.name, round, sc.bestIdx, wantIdx)
+			}
+			if wantIdx >= 0 && (sc.bestFinish != wantFinish || sc.best.String() != wantSlices) {
+				t.Fatalf("%s round %d: candidate %d got %v finish %d, full search %v finish %d",
+					c.name, round, wantIdx, sc.best, sc.bestFinish, wantSlices, wantFinish)
+			}
+
+			bound := p.sharedBound(now, req, window.End+1, paths, sc)
+			if !c.wantBound && len(paths) > 1 && bound != now {
+				t.Fatalf("%s round %d: candidates share no hop, yet the bound is %d (now %d)", c.name, round, bound, now)
+			}
+			if wantIdx >= 0 {
+				fits++
+				if bound > wantFinish {
+					t.Fatalf("%s round %d: bound %d above the winner's finish %d", c.name, round, bound, wantFinish)
+				}
+				if bound == wantFinish && wantIdx < len(paths)-1 {
+					met++
+				}
+			}
+		}
+		t.Logf("%s: %d rounds fit, %d met the bound before the last candidate", c.name, fits, met)
+		if fits < 500 || c.wantBound && met < 100 {
+			t.Fatalf("%s: %d rounds fit, %d met the bound before the last candidate; the comparison lost its teeth", c.name, fits, met)
+		}
+	}
+}

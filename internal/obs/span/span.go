@@ -111,7 +111,7 @@ func (k ReplanKind) String() string {
 type PlanSpan struct {
 	Flow       int64
 	Task       int64
-	Candidates int                // candidate paths evaluated (Alg. 2 line 3)
+	Candidates int                // candidate paths of the search (Alg. 2 line 3), swept or dismissed
 	PathIndex  int                // winning candidate index, -1 if none fit
 	Path       []int32            // link IDs of the winning path
 	Slices     []simtime.Interval // granted transmission windows
@@ -127,7 +127,7 @@ type ReplanSpan struct {
 	Kind       ReplanKind
 	Trigger    int64 // task that caused the pass (NoTask for recovery)
 	Flows      int   // flows handed to the planner
-	PathsTried int64 // candidate paths examined across the pass
+	PathsTried int64 // candidates examined, or dismissed by the shared-hop bound, across the pass
 	Plans      []PlanSpan
 }
 

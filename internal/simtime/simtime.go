@@ -274,13 +274,16 @@ func Intersect(a, b IntervalSet) IntervalSet {
 // it returns the instant at which `units` microseconds that are idle on
 // every set, taken as early as possible at or after `from`, have all
 // elapsed. ok is false when that instant is not strictly before `before`;
-// finish is then only a lower bound on it. The path's occupied union
-// (Alg. 3's Tocp) and its complement are never built: one cursor per set
-// walks the busy intervals in start order, the gaps between them are taken
-// as they pass, and the sweep is abandoned at the first busy interval that
-// leaves the remaining units no room before the bound — a planner that
-// passes the best finish so far pays for a beaten candidate only up to
-// there.
+// finish is then only a lower bound on it, and not before `before`. The
+// path's occupied union (Alg. 3's Tocp) and its complement are never
+// built: one cursor per set walks its busy intervals in start order, and
+// the sweep leap-frogs: while some set covers the sweep position t, t
+// jumps to the end of the interval that covers it, so busy time that
+// overlaps across links costs one step per interval crossed. Once no set
+// covers t, the idle time up to the earliest next start is taken. The
+// sweep is abandoned as soon as the remaining units can no longer finish
+// before the bound — a planner that passes the best finish so far pays for
+// a beaten candidate only up to there.
 //
 // dst, when non-nil, receives the taken slices: its previous contents are
 // discarded (also by a call that fails, which leaves a partial result the
@@ -308,41 +311,50 @@ func FirstFit(dst *IntervalSet, from, units, before Time, sets ...IntervalSet) (
 		curs[i] = sets[i].firstEndAbove(from)
 	}
 	// t is the sweep position, remaining what is still to take: the finish
-	// can be no earlier than t + remaining, which only a busy interval
-	// starting before then pushes out.
+	// can be no earlier than t + remaining.
 	t, remaining := from, units
-	for t+remaining < before {
-		// Pick the set whose next interval starts earliest, leaving behind
-		// the intervals the sweep has already passed the end of.
-		next := -1
-		var iv Interval
-		for i := range sets {
+	if t+remaining >= before {
+		return t + remaining, false
+	}
+	for {
+		// Leap over busy time: visit the sets in turn, moving each cursor
+		// past the intervals that start at or before t and pushing t to
+		// the end of any that covers it. Once every set has been visited
+		// since t last moved, no set covers t, and next — the earliest
+		// start those visits saw — is where the idle time ends.
+		next := Infinity
+		for i, quiet := 0, 0; quiet < len(sets); i++ {
+			if i == len(sets) {
+				i = 0
+			}
 			ivs, c := sets[i].ivs, curs[i]
-			for c < len(ivs) && ivs[c].End <= t {
-				c++
+			for ; c < len(ivs) && ivs[c].Start <= t; c++ {
+				if ivs[c].End > t {
+					t, quiet, next = ivs[c].End, 0, Infinity
+					if t+remaining >= before {
+						return t + remaining, false
+					}
+				}
 			}
 			curs[i] = c
-			if c < len(ivs) && (next < 0 || ivs[c].Start < iv.Start) {
-				next, iv = i, ivs[c]
+			if c < len(ivs) {
+				next = min(next, ivs[c].Start)
 			}
+			quiet++
 		}
-		if next < 0 || iv.Start >= t+remaining {
-			// Idle from t for as long as it takes.
+		// t is idle on every set until next.
+		if next >= t+remaining {
 			if dst != nil {
 				dst.ivs = append(dst.ivs, Interval{t, t + remaining})
 			}
 			return t + remaining, true
 		}
-		curs[next]++
-		if iv.Start > t {
-			if dst != nil {
-				dst.ivs = append(dst.ivs, Interval{t, iv.Start})
-			}
-			remaining -= iv.Start - t
+		if dst != nil {
+			dst.ivs = append(dst.ivs, Interval{t, next})
 		}
-		t = iv.End
+		remaining -= next - t
+		t = next
 	}
-	return t + remaining, false
 }
 
 // NextInstantIn returns the earliest instant >= from contained in the set,

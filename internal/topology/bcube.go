@@ -99,6 +99,26 @@ func (b *bcube) addrOf(id NodeID) (int, bool) {
 	return 0, false
 }
 
+// count is the number of differing address digits: Paths enumerates one
+// path per rotation of them.
+func (b *bcube) count(src, dst NodeID) int {
+	if src == dst {
+		return 1
+	}
+	sa, ok1 := b.addrOf(src)
+	da, ok2 := b.addrOf(dst)
+	if !ok1 || !ok2 {
+		return 0
+	}
+	n := 0
+	for i := 0; i <= b.k; i++ {
+		if b.digit(sa, i) != b.digit(da, i) {
+			n++
+		}
+	}
+	return n
+}
+
 // Paths enumerates BCubeRouting paths: for each rotation of the sequence
 // of differing digits, correct one digit per hop through the level's
 // switch. Rotations yield up to |differing digits| internally disjoint
@@ -121,7 +141,7 @@ func (b *bcube) Paths(src, dst NodeID, max int, key uint64) []Path {
 	total := len(diff)
 	paths := make([]Path, 0, capPaths(total, max))
 	for r := 0; r < total && (max <= 0 || len(paths) < max); r++ {
-		rot := int((key + uint64(r)) % uint64(total))
+		rot := int((key%uint64(total) + uint64(r)) % uint64(total))
 		var p Path
 		cur := sa
 		ok := true

@@ -59,6 +59,9 @@ type treeRouting struct {
 	parent []NodeID
 }
 
+// count is 1: a tree has one path between any two nodes.
+func (t *treeRouting) count(src, dst NodeID) int { return 1 }
+
 func (t *treeRouting) Paths(src, dst NodeID, max int, key uint64) []Path {
 	if src == dst {
 		return []Path{nil}
@@ -178,6 +181,23 @@ func (f *fatTree) link(a, b NodeID) LinkID {
 	return l
 }
 
+// count is the number of paths Paths enumerates in full: one within an
+// edge switch, one per aggregation switch within a pod, one per core
+// switch between pods, none unless both ends are hosts.
+func (f *fatTree) count(src, dst NodeID) int {
+	switch srcN, dstN := f.g.Node(src), f.g.Node(dst); {
+	case src == dst:
+		return 1
+	case srcN.Kind != Host || dstN.Kind != Host:
+		return 0
+	case f.hostE[src] == f.hostE[dst]:
+		return 1
+	case srcN.Pod == dstN.Pod:
+		return f.half
+	}
+	return f.half * f.half
+}
+
 func (f *fatTree) Paths(src, dst NodeID, max int, key uint64) []Path {
 	if src == dst {
 		return []Path{nil}
@@ -198,7 +218,7 @@ func (f *fatTree) Paths(src, dst NodeID, max int, key uint64) []Path {
 		total := f.half
 		paths := make([]Path, 0, capPaths(total, max))
 		for i := 0; i < total && (max <= 0 || len(paths) < max); i++ {
-			a := int((key + uint64(i)) % uint64(total))
+			a := int((key%uint64(total) + uint64(i)) % uint64(total))
 			agg := f.aggs[p1][a]
 			paths = append(paths, Path{up, f.link(e1, agg), f.link(agg, e2), down})
 		}
@@ -208,7 +228,7 @@ func (f *fatTree) Paths(src, dst NodeID, max int, key uint64) []Path {
 	total := f.half * f.half
 	paths := make([]Path, 0, capPaths(total, max))
 	for i := 0; i < total && (max <= 0 || len(paths) < max); i++ {
-		c := int((key + uint64(i)) % uint64(total))
+		c := int((key%uint64(total) + uint64(i)) % uint64(total))
 		a := c / f.half
 		core := f.cores[c]
 		agg1, agg2 := f.aggs[p1][a], f.aggs[p2][a]

@@ -7,7 +7,9 @@ import "sort"
 // Paths returns up to max equal-cost shortest paths from src to dst (all of
 // them when max <= 0). Implementations rotate or offset the enumeration by
 // key so that different flows between the same pair see a diverse candidate
-// set; the same (src, dst, max, key) always yields the same paths.
+// set; the same (src, dst, max, key) always yields the same paths. The
+// routings this package builds rotate by key mod n, n the pair's full
+// candidate count, which is what NewCachedRouting relies on.
 type Routing interface {
 	Paths(src, dst NodeID, max int, key uint64) []Path
 }
@@ -45,9 +47,10 @@ func (b *bfsRouting) Paths(src, dst NodeID, max int, key uint64) []Path {
 		// Full set, canonical order.
 		return all
 	}
+	n := uint64(len(all))
 	out := make([]Path, 0, max)
 	for i := 0; i < max; i++ {
-		out = append(out, all[(int(key)+i)%len(all)])
+		out = append(out, all[(key%n+uint64(i))%n])
 	}
 	return out
 }
@@ -115,27 +118,56 @@ func ShortestPaths(g *Graph, src, dst NodeID, max int) []Path {
 
 // cachedRouting memoizes Paths calls. TAPS re-plans all in-flight flows on
 // every task arrival, so the same (src, dst) pairs are queried repeatedly.
+//
+// Every routing in this package rotates a pair's candidates by key mod n,
+// where n is the pair's full candidate count (len(Paths(src, dst, 0, 0))),
+// so Paths(src, dst, max, key) equals Paths(src, dst, max, key mod n). The
+// memo keys on that residue: a pair holds at most n candidate sets per max,
+// however many flows are ever routed over it.
 type cachedRouting struct {
 	inner Routing
 	cache map[cacheKey][]Path
+	// counter is inner's own candidate count, when it has one that needs
+	// no enumeration; otherwise the count of each pair is memoized here.
+	counter counter
+	counts  map[[2]NodeID]int
 }
 
 type cacheKey struct {
 	src, dst NodeID
 	max      int
-	key      uint64
+	key      uint64 // mod the pair's candidate count
 }
 
-// NewCachedRouting wraps a Routing with an unbounded memo table. Not safe
-// for concurrent use: a cache belongs to one goroutine at a time (one
-// simulation, one controller under its lock, one experiments worker). The
-// routings this package builds keep no state of their own, so any number of
-// caches may wrap the same inner Routing concurrently.
+// counter is implemented by the routings of this package that can count a
+// pair's candidates without enumerating them.
+type counter interface {
+	count(src, dst NodeID) int
+}
+
+// NewCachedRouting wraps a Routing with a memo table that grows with the
+// (src, dst) pairs asked for, not with the flow keys. inner must rotate by
+// key mod n as this package's routings do. Not safe for concurrent use: a
+// cache belongs to one goroutine at a time (one simulation, one controller
+// under its lock, one experiments worker). The routings this package builds
+// keep no state of their own, so any number of caches may wrap the same
+// inner Routing concurrently.
 func NewCachedRouting(inner Routing) Routing {
-	return &cachedRouting{inner: inner, cache: make(map[cacheKey][]Path)}
+	c := &cachedRouting{inner: inner, cache: make(map[cacheKey][]Path)}
+	if ct, ok := inner.(counter); ok {
+		c.counter = ct
+	} else {
+		c.counts = make(map[[2]NodeID]int)
+	}
+	return c
 }
 
 func (c *cachedRouting) Paths(src, dst NodeID, max int, key uint64) []Path {
+	if n := c.count(src, dst); n > 0 {
+		key %= uint64(n)
+	} else {
+		key = 0
+	}
 	k := cacheKey{src, dst, max, key}
 	if ps, ok := c.cache[k]; ok {
 		return ps
@@ -143,4 +175,18 @@ func (c *cachedRouting) Paths(src, dst NodeID, max int, key uint64) []Path {
 	ps := c.inner.Paths(src, dst, max, key)
 	c.cache[k] = ps
 	return ps
+}
+
+// count is the pair's full candidate count.
+func (c *cachedRouting) count(src, dst NodeID) int {
+	if c.counter != nil {
+		return c.counter.count(src, dst)
+	}
+	pair := [2]NodeID{src, dst}
+	n, ok := c.counts[pair]
+	if !ok {
+		n = len(c.inner.Paths(src, dst, 0, 0))
+		c.counts[pair] = n
+	}
+	return n
 }

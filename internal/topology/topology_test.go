@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -360,6 +361,67 @@ func TestCachedRouting(t *testing.T) {
 	}
 	if len(a) != 4 {
 		t.Fatalf("paths = %d", len(a))
+	}
+}
+
+// TestCachedRoutingMatchesInner: over every kind of routing this package
+// builds, the memo — which keys on key mod n — answers exactly what the
+// routing it wraps answers for the full key, including keys at the top of
+// the uint64 range, where key + i would wrap.
+func TestCachedRoutingMatchesInner(t *testing.T) {
+	tree, treeR := smallTree()
+	ft4, ft4R := FatTree(FatTreeSpec{K: 4, LinkCapacity: Gbps(1)})
+	ft6, ft6R := FatTree(FatTreeSpec{K: 6, LinkCapacity: Gbps(1)})
+	bc, bcR := BCube(BCubeSpec{N: 3, K: 2, LinkCapacity: Gbps(1)})
+	pft, pftR := PartialFatTree(PaperTestbed())
+	fc, _ := FiConn(FiConnSpec{N: 4, K: 1, LinkCapacity: Gbps(1)})
+	rng := rand.New(rand.NewSource(7))
+	for _, c := range []struct {
+		name string
+		g    *Graph
+		r    Routing
+	}{
+		{"tree", tree, treeR}, {"fattree4", ft4, ft4R}, {"fattree6", ft6, ft6R},
+		{"bcube", bc, bcR}, {"bfs-testbed", pft, pftR}, {"bfs-ficonn", fc, NewBFSRouting(fc)},
+	} {
+		cr := NewCachedRouting(c.r)
+		hosts := c.g.Hosts()
+		for round := 0; round < 400; round++ {
+			src, dst := hosts[rng.Intn(len(hosts))], hosts[rng.Intn(len(hosts))]
+			max := rng.Intn(6)
+			key := rng.Uint64()
+			switch round % 4 {
+			case 0:
+				key = math.MaxUint64 - uint64(rng.Intn(70))
+			case 1:
+				key = uint64(rng.Intn(100))
+			}
+			want, got := c.r.Paths(src, dst, max, key), cr.Paths(src, dst, max, key)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s: Paths(%d, %d, %d, %d): memo %v, routing %v", c.name, src, dst, max, key, got, want)
+			}
+			if ct, ok := c.r.(counter); ok {
+				if got, want := ct.count(src, dst), len(c.r.Paths(src, dst, 0, 0)); got != want {
+					t.Fatalf("%s: count(%d, %d) = %d, Paths enumerates %d", c.name, src, dst, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestCachedRoutingBoundedByCandidates: however many flow keys ask for one
+// pair, the memo holds no more candidate sets than the pair has candidates.
+func TestCachedRoutingBoundedByCandidates(t *testing.T) {
+	g, r := FatTree(FatTreeSpec{K: 8, LinkCapacity: Gbps(1)})
+	cr := NewCachedRouting(r).(*cachedRouting)
+	hosts := g.Hosts()
+	src, dst := hosts[0], hosts[len(hosts)-1]
+	n := len(r.Paths(src, dst, 0, 0))
+	for key := uint64(0); key < 10_000; key++ {
+		cr.Paths(src, dst, 4, key*7919)
+	}
+	if entries := len(cr.cache); n != 16 || entries > n {
+		t.Fatalf("%d memo entries for one pair with %d candidates, want at most %d", entries, n, n)
 	}
 }
 
