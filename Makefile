@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race lint goldens examples bench bench-json netctl-soak-smoke tapsbench tapsbench-test
+.PHONY: check fmt vet build test race lint goldens examples bench bench-json bench-wire netctl-soak-smoke tapsbench tapsbench-test
 
 # check is the full CI gate: formatting, vet, build, lint, tests with the
 # race detector, the benchmark harness's tests, the golden outputs and the
@@ -79,6 +79,20 @@ bench-json:
 	@$(GO) test -run '^$$' -bench '$(SWEEP_BENCH)' -benchmem -cpu 1,2 . \
 		| $(GO) run ./cmd/benchjson -o BENCH_planner.json -label sweep-parallel \
 			-note "experiments.runCells: Fig6/Fig7 at BenchScale, GOMAXPROCS 1 (NAME) vs 2 (NAME-2), one go test run"
+
+# bench-wire writes the section LABEL of BENCH_wire.json: the controller's
+# grant broadcast and codec write benchmarks, ten rows each, kept by
+# benchjson as medians with the row count and the interquartile range of
+# ns/op; NOTE says how they were taken. A change to the send path records
+# its "-after" section here, and its "-parent" section from the same
+# `go test` command run in a checkout of its parent commit, piped into
+# `benchjson -o <this checkout>/BENCH_wire.json`. See EXPERIMENTS.md.
+WIRE_BENCH = BenchmarkBroadcastGrants|BenchmarkCodecWrite
+LABEL ?= after
+NOTE ?=
+bench-wire:
+	$(GO) test -run '^$$' -bench '$(WIRE_BENCH)' -count 10 -benchmem ./internal/netctl \
+		| $(GO) run ./cmd/benchjson -o BENCH_wire.json -label '$(LABEL)' -note '$(NOTE)'
 
 # netctl-soak-smoke is the CI gate: a short open-loop soak of an
 # in-process controller under the race detector, write-ahead declog on.

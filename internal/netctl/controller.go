@@ -1,10 +1,10 @@
 package netctl
 
 import (
+	"cmp"
 	"fmt"
 	"net"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -58,7 +58,8 @@ func (p ctlPlane) Remaining(f *core.Flow, now simtime.Time) float64 {
 }
 
 // Discard closes the books on a task the reject rule discarded: terminal
-// records for the task and its flows, the ledger. Runs inside a decision,
+// records for the task and its flows, and its entry in the grant ledger,
+// if it has one (a rejected newcomer has none). Runs inside a decision,
 // so c.mu is held.
 func (p ctlPlane) Discard(now simtime.Time, task, by int64) {
 	c := p.c
@@ -70,7 +71,20 @@ func (p ctlPlane) Discard(now simtime.Time, task, by int64) {
 	for _, f := range c.kernel.Flows(task) {
 		c.sink.Emit(&declog.Record{Kind: declog.KindFlowEnd, Time: now, Flow: int64(f.Key), Reason: note})
 	}
-	c.accepted[task] = false
+	if i, ok := c.ledgerIndex(task); ok {
+		c.ledger = slices.Delete(c.ledger, i, i+1)
+	}
+}
+
+// grantEntry is one accepted task in the controller's grant ledger: the
+// task's flows in the kernel and, once every one of them is Done, the
+// task's grant frame. A grant lists the flows not yet Done, and a flow
+// never stops being Done, so a settled task's frame — its ID and no
+// flows — can no longer change: it is encoded once and re-sent as is.
+type grantEntry struct {
+	task    int64
+	flows   []*core.Flow
+	settled []byte
 }
 
 // Controller is the networked TAPS controller. Create with NewController,
@@ -90,11 +104,18 @@ type Controller struct {
 
 	mu     sync.Mutex
 	agents map[*codec]HelloMsg
-	// kernel decides: it owns the flow table and the plan. accepted and
-	// decided are the controller's ledger of what it told the agents.
-	kernel   *core.Kernel
-	accepted map[int64]bool
-	decided  map[int64]bool
+	// conns is the recipients of the broadcast in progress, collected from
+	// agents before its first frame; an agent whose write fails leaves a
+	// nil slot. Reused from one broadcast to the next.
+	conns []*codec
+	// kernel decides: it owns the flow table and the plan.
+	kernel *core.Kernel
+	// ledger is what the agents were told to send: every task accepted and
+	// not since discarded, sorted by task ID, in the order its grants are
+	// broadcast. decided holds every task a probe was decided for; those
+	// decided and not in the ledger were rejected or preempted.
+	ledger  []grantEntry
+	decided map[int64]bool
 	// stageAcc points at the in-progress probe's stage accumulator while
 	// onProbe holds mu; helpers called from the critical section charge
 	// their elapsed time to it via stageAdd.
@@ -119,16 +140,15 @@ func NewController(g *topology.Graph, r topology.Routing, cfg ControllerConfig) 
 	cfg = cfg.withDefaults()
 	rec := obs.NewRecorder()
 	c := &Controller{
-		cfg:      cfg,
-		graph:    g,
-		epoch:    time.Now(), //taps:allow wallclock real controller: the virtual clock is anchored to a wall-clock epoch
-		obs:      rec,
-		sink:     declog.Sink{Log: &declog.Writer{}, Obs: rec},
-		load:     newLoadStats(),
-		agents:   make(map[*codec]HelloMsg),
-		accepted: make(map[int64]bool),
-		decided:  make(map[int64]bool),
-		closed:   make(chan struct{}),
+		cfg:     cfg,
+		graph:   g,
+		epoch:   time.Now(), //taps:allow wallclock real controller: the virtual clock is anchored to a wall-clock epoch
+		obs:     rec,
+		sink:    declog.Sink{Log: &declog.Writer{}, Obs: rec},
+		load:    newLoadStats(),
+		agents:  make(map[*codec]HelloMsg),
+		decided: make(map[int64]bool),
+		closed:  make(chan struct{}),
 	}
 	c.kernel = core.NewKernel(g, r, core.Config{MaxPaths: cfg.MaxPaths}, ctlPlane{c})
 	c.kernel.Sink = &c.sink
@@ -163,7 +183,7 @@ func (c *Controller) DecisionLog() *declog.Writer {
 // EnableDecisionLog makes path the controller's durable flight recorder,
 // in place of the log in memory, and, when the file already holds records,
 // recovers the controller's world from it: the in-flight flow table with
-// paths and slice grants, the accepted/decided ledgers, and the
+// paths and slice grants, the grant ledger and the decided set, and the
 // virtual-clock epoch and speedup of the run that wrote the log — all
 // without re-contacting agents. A torn tail left by a crash mid-append is
 // truncated away (and counted on /metrics). Call before Serve.
@@ -213,7 +233,12 @@ func (c *Controller) EnableDecisionLog(path string) error {
 			c.kernel.Restore(f)
 		}
 	}
-	c.accepted = rp.AcceptedSet()
+	for task, ok := range rp.AcceptedSet() {
+		if ok {
+			c.ledger = append(c.ledger, grantEntry{task: task, flows: c.kernel.Flows(task)})
+		}
+	}
+	slices.SortFunc(c.ledger, func(a, b grantEntry) int { return cmp.Compare(a.task, b.task) })
 	c.decided = rp.DecidedSet()
 	c.cfg.Logf("netctl: recovered %d records from %s: %d flows, %d tasks in flight",
 		len(recs), path, len(flows), len(rp.TaskFlows()))
@@ -423,7 +448,7 @@ func (c *Controller) onProbe(p ProbeMsg) {
 	}()
 	if c.decided[p.Task] {
 		// Duplicate probe (agent retry): replan and re-broadcast.
-		if c.accepted[p.Task] {
+		if _, ok := c.ledgerIndex(p.Task); ok {
 			c.decideLocked(func() { c.kernel.Replan(c.now(), p.Task) })
 			c.declogSyncLocked()
 			c.broadcastGrantsLocked()
@@ -447,7 +472,7 @@ func (c *Controller) onProbe(p ProbeMsg) {
 	var victim int64
 	c.decideLocked(func() { decision, victim = c.kernel.TaskArrived(now, p.Task, p.Deadline, specs) })
 	if decision != core.RejectNew {
-		c.accepted[p.Task] = true
+		c.acceptLocked(p.Task)
 		// Flows the kernel found finished on arrival (a local transfer,
 		// nothing to send) end here: no agent will ever report them.
 		for _, f := range c.kernel.Flows(p.Task) {
@@ -500,23 +525,41 @@ func linkPath(links []int32) topology.Path {
 	return p
 }
 
-// broadcastGrantsLocked sends the current schedule of every accepted task.
-// Each grant frame is encoded once, straight from the kernel's flows into
-// the controller's frame buffer, and the same bytes are written to every
-// agent. All of it — collecting, sorting, encoding, writing — is the
-// decision's broadcast stage.
+// ledgerIndex is the position of task in the grant ledger, or where it
+// would go, and whether it is there.
+func (c *Controller) ledgerIndex(task int64) (int, bool) {
+	return slices.BinarySearchFunc(c.ledger, task, func(e grantEntry, t int64) int { return cmp.Compare(e.task, t) })
+}
+
+// acceptLocked enters an accepted task in the grant ledger. Task IDs
+// almost always arrive in increasing order, which makes it an append.
+func (c *Controller) acceptLocked(task int64) {
+	if i, ok := c.ledgerIndex(task); !ok {
+		c.ledger = slices.Insert(c.ledger, i, grantEntry{task: task, flows: c.kernel.Flows(task)})
+	}
+}
+
+// broadcastGrantsLocked sends the current schedule of every accepted task,
+// in task order. A live task's grant frame is encoded straight from the
+// kernel's flows into the controller's frame buffer; the first broadcast
+// that finds all its flows Done keeps those bytes as the settled frame,
+// which every later broadcast re-sends as they are. Each frame is written
+// to every agent. All of it — encoding and writing — is the decision's
+// broadcast stage.
 func (c *Controller) broadcastGrantsLocked() {
 	sw := obs.StartStopwatch()
-	tasks := make([]int64, 0, len(c.accepted))
-	for t, ok := range c.accepted {
-		if ok {
-			tasks = append(tasks, t)
+	c.collectAgentsLocked()
+	for i := range c.ledger {
+		e := &c.ledger[i]
+		frame := e.settled
+		if frame == nil {
+			c.frame = appendGrantFrame(c.frame[:0], e.task, e.flows)
+			frame = c.frame
+			if !slices.ContainsFunc(e.flows, func(f *core.Flow) bool { return !f.Done }) {
+				e.settled = slices.Clone(frame)
+			}
 		}
-	}
-	slices.Sort(tasks)
-	for _, t := range tasks {
-		c.frame = appendGrantFrame(c.frame[:0], t, c.kernel.Flows(t))
-		c.writeAllLocked(c.frame)
+		c.writeAllLocked(frame)
 	}
 	c.stageAdd(StageBroadcast, sw.Elapsed())
 }
@@ -526,17 +569,33 @@ func (c *Controller) broadcastRejectLocked(task int64, reason string) {
 	sw := obs.StartStopwatch()
 	// A reject holds an integer and a string: it always encodes.
 	frame, _ := encodeFrame(Envelope{Type: TypeReject, Reject: &RejectMsg{Task: task, Reason: reason}})
+	c.collectAgentsLocked()
 	c.writeAllLocked(frame)
 	c.stageAdd(StageBroadcast, sw.Elapsed())
 }
 
-// writeAllLocked writes one encoded frame to every agent. An agent whose
-// write fails is dropped at once: its codec has closed the connection, on
-// which a torn frame may already sit, so no later frame goes to it.
+// collectAgentsLocked makes the registered agents the recipients of the
+// broadcast about to start.
+func (c *Controller) collectAgentsLocked() {
+	c.conns = c.conns[:0]
+	for cd := range c.agents {
+		c.conns = append(c.conns, cd)
+	}
+}
+
+// writeAllLocked writes one encoded frame to every recipient of the
+// broadcast in progress. An agent whose write fails is dropped at once:
+// its codec has closed the connection, on which a torn frame may already
+// sit, so no later frame goes to it.
 func (c *Controller) writeAllLocked(frame []byte) {
-	for cd, hello := range c.agents {
+	for i, cd := range c.conns {
+		if cd == nil {
+			continue
+		}
 		if err := cd.write(frame); err != nil { //taps:allow lockorder grants must serialize under the decision lock so agents observe monotone schedules
+			hello := c.agents[cd]
 			delete(c.agents, cd)
+			c.conns[i] = nil
 			c.cfg.Logf("netctl: dropped agent %s (host %d): %v", hello.Agent, hello.Host, err)
 		}
 	}
@@ -587,12 +646,9 @@ func (c *Controller) Snapshot() Snapshot {
 	defer c.mu.Unlock()
 	var s Snapshot
 	s.Agents = len(c.agents)
-	for t, ok := range c.accepted {
-		if ok {
-			s.AcceptedTasks = append(s.AcceptedTasks, t)
-		}
+	for _, e := range c.ledger {
+		s.AcceptedTasks = append(s.AcceptedTasks, e.task)
 	}
-	sort.Slice(s.AcceptedTasks, func(i, j int) bool { return s.AcceptedTasks[i] < s.AcceptedTasks[j] })
 	s.LinkBusy, s.PendingFlows, s.OverlapViolations = c.kernel.LinkBusy()
 	return s
 }

@@ -190,7 +190,7 @@ func broadcastFixture(tb testing.TB, agents, accepted int) *Controller {
 			}
 			c.kernel.Restore(f)
 		}
-		c.accepted[task] = true
+		c.acceptLocked(task)
 	}
 	for i := range agents {
 		near, far := net.Pipe()
@@ -230,19 +230,83 @@ func TestBroadcastAllocsIndependentOfAgents(t *testing.T) {
 	}
 }
 
-func BenchmarkBroadcastGrants(b *testing.B) {
-	for _, agents := range []int{1, 16} {
-		for _, accepted := range []int{32, 750} {
-			b.Run(fmt.Sprintf("agents=%d/accepted=%d", agents, accepted), func(b *testing.B) {
-				c := broadcastFixture(b, agents, accepted)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for range b.N {
-					c.broadcastGrants()
-				}
-			})
+// settle reports every flow of the oldest share of a broadcastFixture's
+// accepted tasks finished, as ctl_storm's agents do, leaving the newest
+// tasks live.
+func settle(c *Controller, accepted int, share float64) {
+	for task := int64(1); task <= int64(share*float64(accepted)); task++ {
+		for _, f := range c.kernel.Flows(task) {
+			c.onTerm(TermMsg{Flow: f.Key})
 		}
 	}
+}
+
+// TestSettledBroadcastDoesNotAllocate: a ctl_storm-shaped decision — one
+// agent, 1 500 accepted tasks, 98 % of them settled — broadcasts without
+// allocating once the settled frames are stored: those are re-sent as
+// they are, the live ones encoded into the reused frame buffer, and the
+// recipients collected into a reused slice.
+func TestSettledBroadcastDoesNotAllocate(t *testing.T) {
+	c := broadcastFixture(t, 1, 1500)
+	settle(c, 1500, 0.98)
+	if n := testing.AllocsPerRun(10, c.broadcastGrants); n != 0 {
+		t.Fatalf("one decision's broadcast allocates %v times", n)
+	}
+}
+
+func BenchmarkBroadcastGrants(b *testing.B) {
+	run := func(name string, agents, accepted int, settled float64) {
+		b.Run(name, func(b *testing.B) {
+			c := broadcastFixture(b, agents, accepted)
+			settle(c, accepted, settled)
+			c.broadcastGrants() // stores the settled frames
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				c.broadcastGrants()
+			}
+		})
+	}
+	for _, agents := range []int{1, 16} {
+		for _, accepted := range []int{32, 750} {
+			run(fmt.Sprintf("agents=%d/accepted=%d", agents, accepted), agents, accepted, 0)
+		}
+	}
+	for _, settled := range []float64{0, 0.98} {
+		run(fmt.Sprintf("agents=1/accepted=1500/settled=%v", settled), 1, 1500, settled)
+	}
+}
+
+// BenchmarkCodecWrite is one 54-byte frame, a settled grant, written by
+// the codec to a drained net.Pipe: what a broadcast pays per frame and
+// agent.
+func BenchmarkCodecWrite(b *testing.B) {
+	c := broadcastFixture(b, 1, 0)
+	c.collectAgentsLocked()
+	cd := c.conns[0]
+	frame := appendGrantFrame(nil, 100000, nil)
+	b.SetBytes(int64(len(frame)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if err := cd.write(frame); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// FreshGrantFrames is, read under the decision lock, the grant frames of
+// tasks in the order given, each encoded by appendGrantFrame from the
+// kernel's flows: what a grant broadcast to those tasks writes, whatever
+// the ledger holds.
+func (c *Controller) FreshGrantFrames(tasks []int64) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var frames []byte
+	for _, t := range tasks {
+		frames = appendGrantFrame(frames, t, c.kernel.Flows(t))
+	}
+	return frames
 }
 
 // pendingDecisions counts the submissions waiting for a decision.

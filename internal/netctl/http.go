@@ -56,8 +56,8 @@ func (c *Controller) status() Status {
 		SpeedupFactor: c.cfg.Speedup,
 		DecidedTasks:  len(c.decided),
 	}
-	for t, ok := range c.accepted {
-		if !ok && c.decided[t] {
+	for t := range c.decided {
+		if _, ok := c.ledgerIndex(t); !ok {
 			st.RejectedTasks = append(st.RejectedTasks, t)
 		}
 	}

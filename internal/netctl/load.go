@@ -32,10 +32,12 @@ const (
 	// StageDeclogSync: write-ahead decision-log fsync before any agent
 	// hears the outcome.
 	StageDeclogSync
-	// StageBroadcast: telling the agents the outcome — collecting and
-	// sorting the accepted tasks, encoding each grant or reject frame once,
-	// and writing it to every agent socket. Encoding scales with accepted
-	// tasks, writing with agents times accepted tasks.
+	// StageBroadcast: telling the agents the outcome — walking the grant
+	// ledger in task order, encoding each live task's grant and each
+	// reject frame once, and writing every frame to every agent socket. A
+	// settled task's grant is stored by the first broadcast after it
+	// settles and re-sent as is. Encoding scales with live accepted tasks,
+	// writing with agents times accepted tasks.
 	StageBroadcast
 	// StageOther: what is left of the decision once the four stages above
 	// are taken out — building the kernel's input, recording the task,
