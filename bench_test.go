@@ -99,10 +99,6 @@ func BenchmarkExtBCube(b *testing.B) {
 	benchSweep(b, experiments.ExtBCube)
 }
 
-func BenchmarkExtFiConn(b *testing.B) {
-	benchSweep(b, experiments.ExtFiConn)
-}
-
 func BenchmarkAblationNoRejectRule(b *testing.B) {
 	scale := experiments.BenchScale()
 	b.ReportAllocs()

@@ -31,14 +31,14 @@ import (
 
 func main() {
 	sizes := topology.DefaultSizes()
-	flag.IntVar(&sizes.Pods, "pods", sizes.Pods, "tree: pods")
-	flag.IntVar(&sizes.Racks, "racks", sizes.Racks, "tree: racks per pod")
-	flag.IntVar(&sizes.Hosts, "hosts", sizes.Hosts, "tree: hosts per rack")
-	flag.IntVar(&sizes.K, "k", sizes.K, "fattree: k / bcube, ficonn: k")
-	flag.IntVar(&sizes.N, "n", sizes.N, "bcube, ficonn: n")
+	flag.IntVar(&sizes.Pods, "pods", sizes.Pods, topology.SizeUsage("pods"))
+	flag.IntVar(&sizes.Racks, "racks", sizes.Racks, topology.SizeUsage("racks"))
+	flag.IntVar(&sizes.Hosts, "hosts", sizes.Hosts, topology.SizeUsage("hosts"))
+	flag.IntVar(&sizes.K, "k", sizes.K, topology.SizeUsage("k"))
+	flag.IntVar(&sizes.N, "n", sizes.N, topology.SizeUsage("n"))
 	var (
 		listen  = flag.String("listen", "127.0.0.1:7474", "address to listen on")
-		topo    = flag.String("topo", "testbed", "topology: testbed, tree, fattree, bcube, ficonn")
+		topo    = flag.String("topo", "testbed", topology.TopoUsage())
 		speedup = flag.Float64("speedup", 1, "virtual µs per real µs")
 		paths   = flag.Int("paths", 16, "candidate path cap")
 		httpAt  = flag.String("http", "", "serve GET /status, /metrics, /declog, /trace, /why and /healthz on this address (empty: off)")

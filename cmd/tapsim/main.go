@@ -38,7 +38,7 @@ import (
 
 // allFigures is what -fig all draws, in order. "report" is drawn only when
 // named.
-var allFigures = []string{"1", "2", "3", "6", "7", "8", "9", "10", "11", "12", "14", "bcube", "ficonn", "mix", "overhead"}
+var allFigures = []string{"1", "2", "3", "6", "7", "8", "9", "10", "11", "12", "14", "bcube", "mix", "overhead"}
 
 // formats are the values of -format.
 var formats = []string{"table", "csv", "json", "chart"}
@@ -52,7 +52,7 @@ func main() {
 
 func run() error {
 	var (
-		figFlag   = flag.String("fig", "all", "comma-separated figures to regenerate: 1,2,3,6,7,8,9,10,11,12,14 (paper), bcube, ficonn, mix, overhead (extensions), report, or all (every one but report)")
+		figFlag   = flag.String("fig", "all", "comma-separated figures to regenerate: 1,2,3,6,7,8,9,10,11,12,14 (paper), bcube, mix, overhead (extensions), report, or all (every one but report)")
 		scaleFlag = flag.String("scale", "laptop", "experiment scale: paper, laptop, bench")
 		schedFlag = flag.String("schedulers", "", "comma-separated scheduler subset (default: all six)")
 		seedFlag  = flag.Int64("seed", 0, "override the workload seed (0 keeps the scale default)")
@@ -206,7 +206,7 @@ func runFigure(out io.Writer, fig string, scale experiments.Scale, schedulers []
 		for _, name := range []string{"PDQ", "TAPS"} {
 			fmt.Fprintf(out, "%-14s flows_on_time=%d\n", name, rs[name].FlowsOnTime)
 		}
-	case "6", "7", "8", "9", "10", "11", "12", "bcube", "ficonn":
+	case "6", "7", "8", "9", "10", "11", "12", "bcube":
 		res, err := sweepFigure(fig, scale, schedulers)
 		if err != nil {
 			return err
@@ -318,8 +318,6 @@ func sweepFigure(fig string, scale experiments.Scale, schedulers []string) (*exp
 		return experiments.Fig11(scale, schedulers)
 	case "bcube":
 		return experiments.ExtBCube(scale, schedulers)
-	case "ficonn":
-		return experiments.ExtFiConn(scale, schedulers)
 	}
 	return experiments.Fig12(scale, schedulers)
 }
@@ -345,10 +343,6 @@ func figPanels(fig string, res *experiments.SweepResult) (titles []string, group
 			[][]metrics.Series{res.FlowCompletionStd}
 	case "bcube":
 		return []string{"Extension: BCube task completion ratio"},
-			[][]metrics.Series{res.TaskCompletion},
-			[][]metrics.Series{res.TaskCompletionStd}
-	case "ficonn":
-		return []string{"Extension: FiConn task completion ratio"},
 			[][]metrics.Series{res.TaskCompletion},
 			[][]metrics.Series{res.TaskCompletionStd}
 	}

@@ -62,9 +62,9 @@ func TestUnknownSchedulerIsAnError(t *testing.T) {
 	}
 }
 
-// TestUnknownFigureOrFormatIsAnError: a misspelt -fig name or -format must
-// fail with one line listing the known values before any figure runs, even
-// when a valid figure comes first.
+// TestUnknownFigureOrFormatIsAnError: a misspelt or removed -fig name,
+// -format or -schedulers name must fail with one line listing the known
+// values before any figure runs, even when a valid one comes first.
 func TestUnknownFigureOrFormatIsAnError(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -72,6 +72,9 @@ func TestUnknownFigureOrFormatIsAnError(t *testing.T) {
 	}{
 		{[]string{"-fig", "1,nope"}, `tapsim: unknown figure "nope" (known: 1, 2, 3, `},
 		{[]string{"-fig", "1,6", "-format", "bogus"}, `tapsim: unknown format "bogus" (known: table, csv, json, chart)`},
+		{[]string{"-fig", "ficonn"}, `tapsim: unknown figure "ficonn" (known: 1, 2, 3, `},
+		{[]string{"-fig", "6", "-schedulers", "TAPS,D2TCP"}, `tapsim: unknown scheduler "D2TCP" (known: FairSharing, D3, PDQ, Baraat, Varys, TAPS)`},
+		{[]string{"-fig", "6", "-schedulers", "Varys-CCT"}, `tapsim: unknown scheduler "Varys-CCT" (known: FairSharing, D3, PDQ, Baraat, Varys, TAPS)`},
 	} {
 		var stdout bytes.Buffer
 		code, stderr := runTapsim(t, &stdout, append([]string{"-scale", "bench"}, tc.args...)...)

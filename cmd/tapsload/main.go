@@ -47,8 +47,8 @@ func main() {
 		addr      = flag.String("addr", "", "controller address (empty with -selfhost)")
 		httpAt    = flag.String("http", "", "controller monitoring URL (e.g. http://127.0.0.1:8080) to pull per-stage telemetry from; implied by -selfhost")
 		selfhost  = flag.Bool("selfhost", false, "run an in-process controller instead of dialing one")
-		topo      = flag.String("topo", "testbed", "topology: testbed, tree, fattree, bcube, ficonn (with -addr: the controller's -topo)")
-		k         = flag.Int("k", topology.DefaultSizes().K, "fattree: k / bcube, ficonn: k (with -addr: the controller's -k)")
+		topo      = flag.String("topo", "testbed", topology.TopoUsage()+" (with -addr: the controller's -topo)")
+		k         = flag.Int("k", topology.DefaultSizes().K, topology.SizeUsage("k")+" (with -addr: the controller's -k)")
 		speedup   = flag.Float64("speedup", 20, "selfhost: virtual µs per real µs")
 		conns     = flag.Int("conns", 1000, "concurrent agent connections")
 		rate      = flag.Float64("rate", 1000, "task arrivals per second (Poisson, open-loop)")

@@ -18,13 +18,13 @@ import (
 
 func main() {
 	sizes := topology.DefaultSizes()
-	flag.IntVar(&sizes.Pods, "pods", sizes.Pods, "tree: pods")
-	flag.IntVar(&sizes.Racks, "racks", sizes.Racks, "tree: racks per pod")
-	flag.IntVar(&sizes.Hosts, "hosts", sizes.Hosts, "tree: hosts per rack")
-	flag.IntVar(&sizes.K, "k", sizes.K, "fattree: k / bcube, ficonn: k")
-	flag.IntVar(&sizes.N, "n", sizes.N, "bcube, ficonn: n")
+	flag.IntVar(&sizes.Pods, "pods", sizes.Pods, topology.SizeUsage("pods"))
+	flag.IntVar(&sizes.Racks, "racks", sizes.Racks, topology.SizeUsage("racks"))
+	flag.IntVar(&sizes.Hosts, "hosts", sizes.Hosts, topology.SizeUsage("hosts"))
+	flag.IntVar(&sizes.K, "k", sizes.K, topology.SizeUsage("k"))
+	flag.IntVar(&sizes.N, "n", sizes.N, topology.SizeUsage("n"))
 	var (
-		topoFlag = flag.String("topo", "tree", "topology: tree, fattree, testbed, bcube, ficonn")
+		topoFlag = flag.String("topo", "tree", topology.TopoUsage())
 		paths    = flag.Int("paths", 4, "sample paths to print per pair")
 		dotFlag  = flag.Bool("dot", false, "emit Graphviz DOT instead of the summary")
 	)

@@ -11,10 +11,9 @@ import (
 	"taps/internal/workload"
 )
 
-// TestCrossSchedulerInvariants runs every scheduler (paper set plus
-// extensions) over randomized workloads with per-event validation on and
-// checks the engine- and accounting-level invariants that must hold for
-// ANY policy:
+// TestCrossSchedulerInvariants runs every scheduler over randomized
+// workloads with per-event validation on and checks the engine- and
+// accounting-level invariants that must hold for ANY policy:
 //
 //   - the run terminates without engine errors and within MaxTime;
 //   - no link is ever oversubscribed (enforced per event by Validate);
@@ -58,7 +57,7 @@ func TestCrossSchedulerInvariants(t *testing.T) {
 			BackgroundTasks:  rng.Intn(3),
 			Seed:             rng.Int63(),
 		})
-		for _, name := range ExtendedSchedulers() {
+		for _, name := range AllSchedulers() {
 			eng := sim.New(topo.g, topo.r, mustScheduler(t, name), specs, sim.Config{
 				Validate: true, MaxTime: simtime.Time(1e11),
 			})

@@ -11,7 +11,6 @@ import (
 	"taps/internal/core"
 	"taps/internal/metrics"
 	"taps/internal/sched/baraat"
-	"taps/internal/sched/d2tcp"
 	"taps/internal/sched/d3"
 	"taps/internal/sched/fairshare"
 	"taps/internal/sched/pdq"
@@ -38,7 +37,7 @@ type MotivationResult struct {
 }
 
 // NewScheduler builds a fresh scheduler instance by name, one of
-// ExtendedSchedulers. An unknown name is an error that lists the known ones.
+// AllSchedulers. An unknown name is an error that lists the known ones.
 func NewScheduler(name string) (sim.Scheduler, error) {
 	switch name {
 	case "FairSharing":
@@ -51,25 +50,15 @@ func NewScheduler(name string) (sim.Scheduler, error) {
 		return baraat.New(), nil
 	case "Varys":
 		return varys.New(), nil
-	case "Varys-CCT":
-		return varys.NewCCT(), nil
-	case "D2TCP":
-		return d2tcp.New(), nil
 	case "TAPS":
 		return core.New(core.DefaultConfig()), nil
 	}
-	return nil, fmt.Errorf("unknown scheduler %q (known: %s)", name, strings.Join(ExtendedSchedulers(), ", "))
+	return nil, fmt.Errorf("unknown scheduler %q (known: %s)", name, strings.Join(AllSchedulers(), ", "))
 }
 
 // AllSchedulers lists the evaluated schedulers in the paper's legend order.
 func AllSchedulers() []string {
 	return []string{"FairSharing", "D3", "PDQ", "Baraat", "Varys", "TAPS"}
-}
-
-// ExtendedSchedulers adds the extension baselines (D2TCP and Varys's
-// primary SEBF+MADD mode) to the paper's six.
-func ExtendedSchedulers() []string {
-	return []string{"FairSharing", "D3", "D2TCP", "PDQ", "Baraat", "Varys", "Varys-CCT", "TAPS"}
 }
 
 // bottleneck builds the single-bottleneck-link topology of Figs. 1-2: two

@@ -107,7 +107,7 @@ func TestNewSchedulerUnknownIsError(t *testing.T) {
 	if err == nil {
 		t.Fatalf("NewScheduler(%q) = %v, want an error", "Bogus", s)
 	}
-	for _, want := range append([]string{`"Bogus"`}, ExtendedSchedulers()...) {
+	for _, want := range append([]string{`"Bogus"`}, AllSchedulers()...) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not name %s", err, want)
 		}
@@ -116,15 +116,6 @@ func TestNewSchedulerUnknownIsError(t *testing.T) {
 
 func TestAllSchedulersConstructible(t *testing.T) {
 	for _, name := range AllSchedulers() {
-		s := mustScheduler(t, name)
-		if s.Name() != name {
-			t.Errorf("NewScheduler(%q).Name() = %q", name, s.Name())
-		}
-	}
-}
-
-func TestExtendedSchedulersConstructible(t *testing.T) {
-	for _, name := range ExtendedSchedulers() {
 		s := mustScheduler(t, name)
 		if s.Name() != name {
 			t.Errorf("NewScheduler(%q).Name() = %q", name, s.Name())

@@ -291,30 +291,6 @@ func ExtBCube(scale Scale, schedulers []string) (*SweepResult, error) {
 		})
 }
 
-// ExtFiConn is the deadline sweep on a FiConn(n,1) server-centric network
-// (the second §II-cited architecture): laptop FiConn(6,1) = 24 servers,
-// bench FiConn(4,1) = 12.
-func ExtFiConn(scale Scale, schedulers []string) (*SweepResult, error) {
-	n := 6
-	if scale.Name == "bench" {
-		n = 4
-	}
-	if scale.Name == "paper" {
-		n = 16
-	}
-	g, r := topology.FiConn(topology.FiConnSpec{N: n, K: 1, LinkCapacity: topology.Gbps(1)})
-	return sweep(g, r, schedulers,
-		"ficonn", "deadline_ms", DeadlineSweepPoints, scale.seedList(), func(i int, seed int64) []sim.TaskSpec {
-			return workload.Generate(g, workload.Spec{
-				Tasks:            scale.Tasks,
-				MeanFlowsPerTask: scale.FatFlowsPerTask,
-				ArrivalRate:      scale.ArrivalRate,
-				MeanDeadline:     simtime.FromMillis(DeadlineSweepPoints[i]),
-				Seed:             seed,
-			})
-		})
-}
-
 // SizeSweepPointsKB is the Fig. 9/10 x axis: mean flow size 60..300 KB.
 var SizeSweepPointsKB = []float64{60, 120, 180, 240, 300}
 

@@ -475,10 +475,15 @@ func (c *Controller) onProbe(p ProbeMsg) {
 		c.acceptLocked(p.Task)
 		// Flows the kernel found finished on arrival (a local transfer,
 		// nothing to send) end here: no agent will ever report them.
+		ended := false
 		for _, f := range c.kernel.Flows(p.Task) {
 			if f.Done {
 				c.flowEndedLocked(f, now)
+				ended = true
 			}
+		}
+		if ended {
+			c.taskEndedLocked(p.Task, now)
 		}
 	}
 	c.declogSyncLocked()
@@ -613,19 +618,25 @@ func (c *Controller) onTerm(t TermMsg) {
 	now := c.now()
 	c.kernel.FlowFinished(now, f.Key, 0)
 	c.flowEndedLocked(f, now)
+	c.taskEndedLocked(f.Task, now)
 }
 
-// flowEndedLocked closes a finished flow's span; when it was the last flow
-// of its task, the task's span closes as completed.
+// flowEndedLocked closes a finished flow's span.
 func (c *Controller) flowEndedLocked(f *core.Flow, now simtime.Time) {
 	c.sink.Emit(&declog.Record{Kind: declog.KindFlowEnd, Time: now, Flow: int64(f.Key),
 		Done: true, OnTime: now <= f.Deadline})
-	for _, g := range c.kernel.Flows(f.Task) {
-		if !g.Done {
+}
+
+// taskEndedLocked closes the task's span as completed once every one of
+// its flows is done. Callers end all the flows a decision finished first,
+// so a task ends once however many of its flows finish together.
+func (c *Controller) taskEndedLocked(task int64, now simtime.Time) {
+	for _, f := range c.kernel.Flows(task) {
+		if !f.Done {
 			return
 		}
 	}
-	c.sink.Emit(&declog.Record{Kind: declog.KindTaskEnd, Time: now, Task: f.Task, Outcome: span.OutcomeCompleted})
+	c.sink.Emit(&declog.Record{Kind: declog.KindTaskEnd, Time: now, Task: task, Outcome: span.OutcomeCompleted})
 }
 
 // Snapshot is introspection for tests and operators.

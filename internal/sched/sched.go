@@ -196,17 +196,6 @@ func MaxMinFair(g *topology.Graph, flows []*sim.Flow) sim.RateMap {
 // MaxMinFair is the arena form: grants are written into rates (allocated
 // when nil) and the scratch is reused across calls.
 func (a *FairAllocator) MaxMinFair(g *topology.Graph, flows []*sim.Flow, rates sim.RateMap) sim.RateMap {
-	return a.run(g, flows, nil, rates)
-}
-
-// WeightedMaxMin is progressive filling where flow i receives weights[i]
-// shares of each bottleneck (weights aligned by index with flows). A nil
-// weights slice means all-ones, i.e. plain max-min fairness.
-func (a *FairAllocator) WeightedMaxMin(g *topology.Graph, flows []*sim.Flow, weights []float64, rates sim.RateMap) sim.RateMap {
-	return a.run(g, flows, weights, rates)
-}
-
-func (a *FairAllocator) run(g *topology.Graph, flows []*sim.Flow, weights []float64, rates sim.RateMap) sim.RateMap {
 	if rates == nil {
 		rates = make(sim.RateMap, len(flows))
 	}
@@ -219,12 +208,6 @@ func (a *FairAllocator) run(g *topology.Graph, flows []*sim.Flow, weights []floa
 		a.frozen = make([]bool, len(flows))
 	}
 	a.frozen = a.frozen[:len(flows)]
-	weightOf := func(i int32) float64 {
-		if weights == nil {
-			return 1
-		}
-		return weights[i]
-	}
 
 	unfrozen := 0
 	for i, f := range flows {
@@ -243,7 +226,7 @@ func (a *FairAllocator) run(g *topology.Graph, flows []*sim.Flow, weights []floa
 		}
 	}
 	for unfrozen > 0 {
-		// Find the bottleneck link: smallest fair share per weight unit,
+		// Find the bottleneck link: smallest fair share per unfrozen flow,
 		// ties broken by lowest link ID.
 		var bottleneck topology.LinkID
 		share := -1.0
@@ -252,7 +235,7 @@ func (a *FairAllocator) run(g *topology.Graph, flows []*sim.Flow, weights []floa
 			var w float64
 			for _, fi := range a.flowsOn[l] {
 				if !a.frozen[fi] {
-					w += weightOf(fi)
+					w++
 				}
 			}
 			if w == 0 {
@@ -272,12 +255,11 @@ func (a *FairAllocator) run(g *topology.Graph, flows []*sim.Flow, weights []floa
 				continue
 			}
 			f := flows[fi]
-			r := share * weightOf(fi)
-			rates[f.ID] = r
+			rates[f.ID] = share
 			a.frozen[fi] = true
 			unfrozen--
 			for _, l := range f.Path {
-				a.remainingCap[l] -= r
+				a.remainingCap[l] -= share
 				if a.remainingCap[l] < 0 {
 					a.remainingCap[l] = 0
 				}

@@ -1,6 +1,9 @@
 package topology
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestByName builds every topology a -topo flag can name and rejects an
 // unknown one.
@@ -15,7 +18,6 @@ func TestByName(t *testing.T) {
 		{"tree", sizes, 2 * 3 * 4},
 		{"fattree", Sizes{K: 4}, 16}, // k^3/4
 		{"bcube", sizes, 4 * 4},      // n^(k+1)
-		{"ficonn", sizes, 12},        // n * (n/2 + 1)
 	}
 	for _, c := range cases {
 		g, r, err := ByName(c.name, c.sizes)
@@ -34,7 +36,16 @@ func TestByName(t *testing.T) {
 			t.Errorf("%s: LinkNames = %d names for %d links", c.name, len(names), g.NumLinks())
 		}
 	}
-	if _, _, err := ByName("nope", DefaultSizes()); err == nil {
-		t.Error("an unknown topology must be an error")
+	if len(cases) != len(Names()) {
+		t.Errorf("cases cover %d topologies, Names lists %v", len(cases), Names())
+	}
+	for _, name := range []string{"nope", "ficonn"} {
+		_, _, err := ByName(name, DefaultSizes())
+		if err == nil || !strings.Contains(err.Error(), strings.Join(Names(), ", ")) {
+			t.Errorf("ByName(%q): err = %v, want an error listing %v", name, err, Names())
+		}
+	}
+	if got, want := SizeUsage("k"), "fattree: k / bcube: levels"; got != want {
+		t.Errorf("SizeUsage(k) = %q, want %q", got, want)
 	}
 }

@@ -374,7 +374,6 @@ func TestCachedRoutingMatchesInner(t *testing.T) {
 	ft6, ft6R := FatTree(FatTreeSpec{K: 6, LinkCapacity: Gbps(1)})
 	bc, bcR := BCube(BCubeSpec{N: 3, K: 2, LinkCapacity: Gbps(1)})
 	pft, pftR := PartialFatTree(PaperTestbed())
-	fc, _ := FiConn(FiConnSpec{N: 4, K: 1, LinkCapacity: Gbps(1)})
 	rng := rand.New(rand.NewSource(7))
 	for _, c := range []struct {
 		name string
@@ -382,7 +381,7 @@ func TestCachedRoutingMatchesInner(t *testing.T) {
 		r    Routing
 	}{
 		{"tree", tree, treeR}, {"fattree4", ft4, ft4R}, {"fattree6", ft6, ft6R},
-		{"bcube", bc, bcR}, {"bfs-testbed", pft, pftR}, {"bfs-ficonn", fc, NewBFSRouting(fc)},
+		{"bcube", bc, bcR}, {"bfs-testbed", pft, pftR}, {"bfs-bcube", bc, NewBFSRouting(bc)},
 	} {
 		cr := NewCachedRouting(c.r)
 		hosts := c.g.Hosts()

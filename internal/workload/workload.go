@@ -31,17 +31,9 @@ type Spec struct {
 	ArrivalRate float64
 	// MeanDeadline is the mean of the exponential deadline distribution.
 	MeanDeadline simtime.Time
-	// MeanFlowSize is the mean flow size in bytes. The shape is set by
-	// SizeDist (default: truncated normal with sigma = mean/4, §V-A);
-	// sizes are clamped to at least minFlowSize.
+	// MeanFlowSize is the mean flow size in bytes: sizes are normal with
+	// sigma = mean/4 (§V-A), clamped to at least minFlowSize.
 	MeanFlowSize int64
-	// SizeDist selects the flow-size distribution (default DistNormal,
-	// the paper's choice; DistUniform and DistPareto exist for
-	// sensitivity analysis — measured DC traffic is heavy-tailed).
-	SizeDist Dist
-	// DeadlineDist selects the deadline distribution (default
-	// DistExponential, the paper's choice).
-	DeadlineDist Dist
 	// BackgroundTasks adds that many single-flow background transfers
 	// (§III-B's "dynamic" cross traffic): they share the deadline-task
 	// arrival horizon, carry backgroundSizeFactor x MeanFlowSize bytes,
@@ -61,62 +53,6 @@ const (
 	backgroundSizeFactor  = 4
 	backgroundSlackFactor = 10
 )
-
-// Dist selects a probability distribution shape for generated quantities.
-type Dist uint8
-
-// Distribution shapes. The zero value picks each field's paper default.
-const (
-	// DistDefault uses the §V-A choice for the field (normal sizes,
-	// exponential deadlines).
-	DistDefault Dist = iota
-	// DistNormal draws N(mean, mean/4), truncated at the field floor.
-	DistNormal
-	// DistExponential draws Exp(mean).
-	DistExponential
-	// DistUniform draws U(mean/2, 3*mean/2).
-	DistUniform
-	// DistPareto draws a Pareto with alpha=1.5 scaled so the mean
-	// matches (heavy tail: many mice, a few elephants).
-	DistPareto
-)
-
-func (d Dist) String() string {
-	switch d {
-	case DistDefault:
-		return "default"
-	case DistNormal:
-		return "normal"
-	case DistExponential:
-		return "exponential"
-	case DistUniform:
-		return "uniform"
-	case DistPareto:
-		return "pareto"
-	}
-	return fmt.Sprintf("dist(%d)", uint8(d))
-}
-
-// draw samples a positive value with the given mean under the shape,
-// defaulting to def when d is DistDefault.
-func draw(rng *rand.Rand, d, def Dist, mean float64) float64 {
-	if d == DistDefault {
-		d = def
-	}
-	switch d {
-	case DistExponential:
-		return rng.ExpFloat64() * mean
-	case DistUniform:
-		return mean/2 + rng.Float64()*mean
-	case DistPareto:
-		// Pareto(alpha=1.5): mean = xm * alpha/(alpha-1) = 3*xm.
-		const alpha = 1.5
-		xm := mean * (alpha - 1) / alpha
-		return xm / math.Pow(1-rng.Float64(), 1/alpha)
-	default: // DistNormal
-		return rng.NormFloat64()*mean/4 + mean
-	}
-}
 
 // Default returns the §V-A single-rooted defaults: 30 tasks, 1200 flows per
 // task on average, λ=100 tasks/s, 40 ms mean deadline, 200 KB mean size.
@@ -162,6 +98,7 @@ func Generate(g *topology.Graph, spec Spec) []sim.TaskSpec {
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
 	tasks := make([]sim.TaskSpec, 0, spec.Tasks)
+	meanSize := float64(spec.MeanFlowSize)
 	var arrival simtime.Time
 	for i := 0; i < spec.Tasks; i++ {
 		if i > 0 {
@@ -174,13 +111,13 @@ func Generate(g *topology.Graph, spec Spec) []sim.TaskSpec {
 				nFlows = 1
 			}
 		}
-		deadline := simtime.Time(math.Round(draw(rng, spec.DeadlineDist, DistExponential, float64(spec.MeanDeadline))))
+		deadline := simtime.Time(math.Round(rng.ExpFloat64() * float64(spec.MeanDeadline)))
 		if deadline < 1 {
 			deadline = 1
 		}
 		t := sim.TaskSpec{Arrival: arrival, Deadline: deadline}
 		for j := 0; j < nFlows; j++ {
-			size := int64(math.Round(draw(rng, spec.SizeDist, DistNormal, float64(spec.MeanFlowSize))))
+			size := int64(math.Round(rng.NormFloat64()*meanSize/4 + meanSize))
 			if size < minFlowSize {
 				size = minFlowSize
 			}

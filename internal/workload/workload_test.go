@@ -254,73 +254,3 @@ func TestPropGeneratedWorkloadsAlwaysWellFormed(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestDistString(t *testing.T) {
-	for d, want := range map[workload.Dist]string{
-		workload.DistDefault: "default", workload.DistNormal: "normal",
-		workload.DistExponential: "exponential", workload.DistUniform: "uniform",
-		workload.DistPareto: "pareto",
-	} {
-		if d.String() != want {
-			t.Errorf("%v", d)
-		}
-	}
-}
-
-func TestUniformSizesBounded(t *testing.T) {
-	g := tree()
-	tasks := workload.Generate(g, workload.Spec{
-		Tasks: 20, MeanFlowsPerTask: 10, MeanFlowSize: 100_000,
-		SizeDist: workload.DistUniform, Seed: 41,
-	})
-	for _, task := range tasks {
-		for _, f := range task.Flows {
-			if f.Size < 50_000 || f.Size > 150_000 {
-				t.Fatalf("uniform size %d outside [mean/2, 3mean/2]", f.Size)
-			}
-		}
-	}
-}
-
-func TestParetoSizesHeavyTailed(t *testing.T) {
-	g := tree()
-	tasks := workload.Generate(g, workload.Spec{
-		Tasks: 40, MeanFlowsPerTask: 40, MeanFlowSize: 100_000,
-		SizeDist: workload.DistPareto, Seed: 43,
-	})
-	var sum float64
-	var maxSize, n int64
-	for _, task := range tasks {
-		for _, f := range task.Flows {
-			sum += float64(f.Size)
-			n++
-			if f.Size > maxSize {
-				maxSize = f.Size
-			}
-		}
-	}
-	mean := sum / float64(n)
-	// Pareto mean should land in the right ballpark (wide tolerance:
-	// alpha=1.5 means slow convergence).
-	if mean < 50_000 || mean > 300_000 {
-		t.Fatalf("pareto mean = %g", mean)
-	}
-	// Heavy tail: the max should dwarf the mean.
-	if float64(maxSize) < 4*mean {
-		t.Fatalf("max %d vs mean %g: no heavy tail", maxSize, mean)
-	}
-}
-
-func TestUniformDeadlinesBounded(t *testing.T) {
-	g := tree()
-	mean := 40 * simtime.Millisecond
-	tasks := workload.Generate(g, workload.Spec{
-		Tasks: 30, MeanFlowsPerTask: 1, MeanDeadline: mean,
-		DeadlineDist: workload.DistUniform, Seed: 47,
-	})
-	for _, task := range tasks {
-		if task.Deadline < mean/2 || task.Deadline > 3*mean/2 {
-			t.Fatalf("uniform deadline %d out of bounds", task.Deadline)
-		}
-	}
-}

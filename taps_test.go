@@ -104,7 +104,7 @@ func TestFacadeBackgroundTraffic(t *testing.T) {
 	})
 	for _, mk := range []func() taps.Scheduler{
 		taps.NewTAPS, taps.NewFairSharing, taps.NewD3,
-		taps.NewPDQ, taps.NewBaraat, taps.NewVarys, taps.NewD2TCP,
+		taps.NewPDQ, taps.NewBaraat, taps.NewVarys,
 	} {
 		s := mk()
 		res, err := taps.RunValidated(net, s, tasks)
@@ -169,7 +169,7 @@ func TestFacadeLinkFailure(t *testing.T) {
 }
 
 func TestFacadeServerCentricNetworks(t *testing.T) {
-	for _, net := range []taps.Network{taps.NewBCube(4, 1), taps.NewFiConn(4, 1)} {
+	for _, net := range []taps.Network{taps.NewBCube(4, 1)} {
 		tasks := taps.GenerateWorkload(net, taps.WorkloadSpec{
 			Tasks: 5, MeanFlowsPerTask: 3, Seed: 4,
 		})
@@ -199,18 +199,6 @@ func TestFacadeHeadline(t *testing.T) {
 	if taps.Summarize(rt).TasksCompleted < taps.Summarize(rf).TasksCompleted {
 		t.Fatalf("TAPS %d < FairSharing %d tasks",
 			taps.Summarize(rt).TasksCompleted, taps.Summarize(rf).TasksCompleted)
-	}
-}
-
-func TestFacadeVarysCCT(t *testing.T) {
-	net := smallNet()
-	tasks := smallWorkload(net)
-	res, err := taps.RunValidated(net, taps.NewVarysCCT(), tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Scheduler != "Varys-CCT" {
-		t.Fatalf("scheduler = %q", res.Scheduler)
 	}
 }
 
