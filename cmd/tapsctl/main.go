@@ -12,9 +12,9 @@
 // Agents connect with cmd/tapsagent (or the netctl.Agent API), submit
 // tasks, and receive pre-allocated transmission slices. With -declog the
 // controller writes every decision to an append-only log before agents
-// hear of it, and a restarted controller pointed at the same log recovers
-// its plan state without re-contacting anyone. -replay works offline on
-// any such log (including one fetched from a live GET /declog).
+// hear of it, and a restarted controller pointed at the same log decides
+// its inputs again, without re-contacting anyone, and refuses a log it does
+// not reproduce. -replay works offline on any such log (or a GET /declog).
 package main
 
 import (

@@ -95,15 +95,15 @@ func writeReplaySummary(out io.Writer, path string, rp *declog.Replayer, tree *s
 		len(tree.Flows), len(tree.Replans), len(tree.LinkDowns))
 
 	var accepted []int64
-	for t := range rp.TaskFlows() {
-		if rp.Accepted(t) {
-			accepted = append(accepted, t)
+	for _, t := range tree.Tasks {
+		if rp.Accepted(t.Task) {
+			accepted = append(accepted, t.Task)
 		}
 	}
 	sort.Slice(accepted, func(i, j int) bool { return accepted[i] < accepted[j] })
 	pending := 0
-	for _, f := range rp.Flows() {
-		if !f.Done {
+	for _, done := range rp.Flows() {
+		if !done {
 			pending++
 		}
 	}

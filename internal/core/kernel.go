@@ -252,18 +252,6 @@ func (k *Kernel) Replan(now simtime.Time, task int64) {
 	k.commit(now, k.plan(now, span.ReplanArrival, task))
 }
 
-// Restore re-creates one flow record — identity, committed grant, bytes
-// that grant was sized for — from a decision log, so that a restarted
-// controller resumes with the plan state it crashed with. Call it for a
-// task's flows in their arrival order.
-func (k *Kernel) Restore(f Flow) {
-	k.flows[f.Key] = &f
-	k.tasks[f.Task] = append(k.tasks[f.Task], &f)
-	if !f.Done {
-		k.live = append(k.live, &f)
-	}
-}
-
 // EachInFlight calls fn for every flow in flight. fn may report the flow
 // finished.
 func (k *Kernel) EachInFlight(fn func(*Flow)) {

@@ -2,6 +2,7 @@ package netctl
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"net"
 	"slices"
@@ -181,12 +182,13 @@ func (c *Controller) DecisionLog() *declog.Writer {
 }
 
 // EnableDecisionLog makes path the controller's durable flight recorder,
-// in place of the log in memory, and, when the file already holds records,
-// recovers the controller's world from it: the in-flight flow table with
-// paths and slice grants, the grant ledger and the decided set, and the
-// virtual-clock epoch and speedup of the run that wrote the log — all
-// without re-contacting agents. A torn tail left by a crash mid-append is
-// truncated away (and counted on /metrics). Call before Serve.
+// in place of the log in memory. A file that holds records is recovered
+// from without re-contacting agents: every logged input is decided again at
+// its logged time, and must emit the log's records byte for byte, or the
+// log is refused and the controller must not serve. Records past the end
+// finish a decision a crash cut short; they are appended and synced. The
+// virtual clock resumes the writing run's epoch and speedup. A torn tail
+// is truncated away (and counted on /metrics). Call before Serve.
 func (c *Controller) EnableDecisionLog(path string) error {
 	w, recs, err := declog.OpenAppend(path, declog.Options{Health: c.obs})
 	if err != nil {
@@ -199,49 +201,74 @@ func (c *Controller) EnableDecisionLog(path string) error {
 		w.Append(c.metaRecord())
 		return w.Sync() //taps:allow lockorder one-time setup before Serve; the meta record must be durable before any decision
 	}
-	rp := declog.NewReplayer()
-	rp.ApplyAll(recs)
-	if m := rp.Meta(); m != nil {
-		if m.EpochUnixNano != 0 {
-			// Resume the previous run's virtual clock: scaled time since
-			// the original epoch keeps ticking monotonically across the
-			// restart instead of restarting from zero.
-			c.epoch = time.Unix(0, m.EpochUnixNano)
-		}
-		if m.Speedup > 0 {
-			c.cfg.Speedup = m.Speedup
-		}
+	inputs, err := c.redoLocked(w, recs)
+	if err != nil {
+		w.Close()
+		return fmt.Errorf("netctl: %s: %w", path, err)
 	}
-	flows := rp.Flows()
-	for _, fids := range rp.TaskFlows() {
-		for _, id := range fids {
-			fs := flows[id]
-			f := core.Flow{
-				FlowReq: core.FlowReq{Key: uint64(id), Src: topology.NodeID(fs.Src),
-					Dst: topology.NodeID(fs.Dst), Bytes: float64(fs.Size), Deadline: fs.Deadline},
-				Task: fs.Task, Size: fs.Size, Path: linkPath(fs.Path), Slices: fs.Slices, Done: fs.Done,
-			}
-			// Every pass sized the next grant for what the flow had left
-			// once the grant before it had done its part, at the line rate
-			// of that grant's own route. A finished flow left nothing.
-			for _, g := range fs.Sent {
-				f.Bytes = max(f.Bytes-c.graph.MinCapacity(linkPath(g.Path))*float64(g.Time)/1e6, 0)
-			}
-			if f.Done {
-				f.Bytes = 0
-			}
-			c.kernel.Restore(f)
-		}
+	// The health counters have seen only the appends past the log's end.
+	c.cfg.Logf("netctl: recovered %d records from %s: %d inputs re-decided, %d records appended",
+		len(recs), path, inputs, c.obs.DeclogStats().Records)
+	return w.Sync() //taps:allow lockorder one-time setup before Serve; a cut decision must be durable before any agent hears of it
+}
+
+// redoLocked decides the inputs of recs again, in order, through w in redo
+// mode, and returns how many: the first record not yet reproduced opens the
+// next input. The sink's recorder counted them the first time, so is off.
+func (c *Controller) redoLocked(w *declog.Writer, recs []declog.Record) (inputs int, err error) {
+	if err := w.Redo(); err != nil {
+		return 0, err
 	}
-	for task, ok := range rp.AcceptedSet() {
-		if ok {
-			c.ledger = append(c.ledger, grantEntry{task: task, flows: c.kernel.Flows(task)})
+	c.sink.Obs = nil
+	defer func() { c.sink.Obs = c.obs }()
+	for i := 0; i < len(recs); {
+		r := &recs[i]
+		if err := c.redecide(r); err != nil {
+			return inputs, fmt.Errorf("record %d: %w", i, err)
 		}
+		if r.Kind != declog.KindMeta {
+			inputs++
+		}
+		next, err := w.Redone()
+		if err == nil && next == i {
+			err = fmt.Errorf("record %d: deciding its %s again wrote nothing", i, r.Kind)
+		}
+		if err != nil {
+			return inputs, err
+		}
+		i = next
 	}
-	slices.SortFunc(c.ledger, func(a, b grantEntry) int { return cmp.Compare(a.task, b.task) })
-	c.decided = rp.DecidedSet()
-	c.cfg.Logf("netctl: recovered %d records from %s: %d flows, %d tasks in flight",
-		len(recs), path, len(flows), len(rp.TaskFlows()))
+	return inputs, nil
+}
+
+// redecide runs the input a logged record opens — a probe for a Task
+// record, a re-issue for a Replan of its own, a TERM for a FlowEnd — at the
+// record's time. A Meta record opens none: the clock resumes the epoch and
+// speed it names, and it is carried over as it is.
+func (c *Controller) redecide(r *declog.Record) error {
+	switch r.Kind {
+	case declog.KindMeta:
+		if m := r.Meta; m.Speedup > 0 {
+			c.epoch, c.cfg.Speedup = time.Unix(0, m.EpochUnixNano), m.Speedup
+		}
+		c.sink.Log.Append(r)
+	case declog.KindTask:
+		p := ProbeMsg{Task: r.Task, Deadline: r.Deadline, Flows: make([]FlowInfo, len(r.Flows))}
+		for i, fi := range r.Flows {
+			p.Flows[i] = FlowInfo{ID: uint64(fi.ID), Src: topology.NodeID(fi.Src), Dst: topology.NodeID(fi.Dst), Size: fi.Size}
+		}
+		if fault := c.probeFault(&p); fault != "" {
+			return errors.New(fault)
+		}
+		c.probe(r.Time, p)
+	case declog.KindReplan:
+		c.reissue(r.Time, r.Replan.Trigger)
+	case declog.KindFlowEnd:
+		c.term(r.Time, uint64(r.Flow))
+	case declog.KindAdmit, declog.KindReject, declog.KindPreempt, declog.KindAttr,
+		declog.KindTaskEnd, declog.KindSegments, declog.KindLinkDown, declog.KindCommit:
+		return fmt.Errorf("a %s record opens no input", r.Kind)
+	}
 	return nil
 }
 
@@ -449,7 +476,7 @@ func (c *Controller) onProbe(p ProbeMsg) {
 	if c.decided[p.Task] {
 		// Duplicate probe (agent retry): replan and re-broadcast.
 		if _, ok := c.ledgerIndex(p.Task); ok {
-			c.decideLocked(func() { c.kernel.Replan(c.now(), p.Task) })
+			c.reissue(c.now(), p.Task)
 			c.declogSyncLocked()
 			c.broadcastGrantsLocked()
 		} else {
@@ -457,9 +484,27 @@ func (c *Controller) onProbe(p ProbeMsg) {
 		}
 		return
 	}
-	c.decided[p.Task] = true
-	now := c.now()
+	decision, victim := c.probe(c.now(), p)
+	c.declogSyncLocked()
+	switch decision {
+	case core.RejectNew:
+		c.broadcastRejectLocked(p.Task, "reject rule")
+		c.cfg.Logf("netctl: task %d rejected", p.Task)
+	case core.Preempt:
+		c.broadcastRejectLocked(victim, "preempted")
+		c.cfg.Logf("netctl: task %d accepted, task %d preempted", p.Task, victim)
+	case core.Accept:
+		c.cfg.Logf("netctl: task %d accepted", p.Task)
+	}
+	c.broadcastGrantsLocked()
+}
 
+// probe decides a task's first probe at now (Alg. 1, the reject rule) and
+// records it: the Task record, the kernel's records, the ledger entry of an
+// admitted task and the ends of its flows finished on arrival. It returns
+// the rule's decision and, for Preempt, the victim.
+func (c *Controller) probe(now simtime.Time, p ProbeMsg) (core.Decision, int64) {
+	c.decided[p.Task] = true
 	specs := make([]core.FlowSpec, len(p.Flows))
 	infos := make([]declog.FlowInfo, len(p.Flows))
 	for i, fi := range p.Flows {
@@ -486,18 +531,13 @@ func (c *Controller) onProbe(p ProbeMsg) {
 			c.taskEndedLocked(p.Task, now)
 		}
 	}
-	c.declogSyncLocked()
-	switch decision {
-	case core.RejectNew:
-		c.broadcastRejectLocked(p.Task, "reject rule")
-		c.cfg.Logf("netctl: task %d rejected", p.Task)
-	case core.Preempt:
-		c.broadcastRejectLocked(victim, "preempted")
-		c.cfg.Logf("netctl: task %d accepted, task %d preempted", p.Task, victim)
-	case core.Accept:
-		c.cfg.Logf("netctl: task %d accepted", p.Task)
-	}
-	c.broadcastGrantsLocked()
+	return decision, victim
+}
+
+// reissue re-plans everything in flight at now for an admitted task whose
+// probe came again (an agent's retry), so that its grant is issued anew.
+func (c *Controller) reissue(now simtime.Time, task int64) {
+	c.decideLocked(func() { c.kernel.Replan(now, task) })
 }
 
 // decideLocked runs one kernel input, charging its time to the
@@ -519,15 +559,6 @@ func (c *Controller) declogSyncLocked() {
 	sw := obs.StartStopwatch()
 	c.sink.Log.Sync() //taps:allow lockorder write-ahead contract: the decision must be durable before any agent hears it, so the fsync sits inside the critical section
 	c.stageAdd(StageDeclogSync, sw.Elapsed())
-}
-
-// linkPath converts a logged route back to the topology's link IDs.
-func linkPath(links []int32) topology.Path {
-	var p topology.Path
-	for _, l := range links {
-		p = append(p, topology.LinkID(l))
-	}
-	return p
 }
 
 // ledgerIndex is the position of task in the grant ledger, or where it
@@ -611,11 +642,16 @@ func (c *Controller) onTerm(t TermMsg) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.load.termsTotal++
-	f := c.kernel.Flow(t.Flow)
+	c.term(c.now(), t.Flow)
+}
+
+// term marks a flow finished at now and closes its span, and its task's
+// once all its flows are done. Unknown and finished flows are ignored.
+func (c *Controller) term(now simtime.Time, flow uint64) {
+	f := c.kernel.Flow(flow)
 	if f == nil || f.Done {
 		return
 	}
-	now := c.now()
 	c.kernel.FlowFinished(now, f.Key, 0)
 	c.flowEndedLocked(f, now)
 	c.taskEndedLocked(f.Task, now)

@@ -2,15 +2,18 @@ package netctl_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"taps/internal/netctl"
+	"taps/internal/obs/declog"
 	"taps/internal/simtime"
 	"taps/internal/topology"
 )
@@ -241,4 +244,185 @@ func fileSize(t *testing.T, path string) int64 {
 		t.Fatal(err)
 	}
 	return fi.Size()
+}
+
+// recoveryLog runs submitRecoveryWorkload against a controller logging to
+// a fresh file, closes it and returns the file's path and bytes.
+func recoveryLog(t *testing.T) (string, []byte) {
+	t.Helper()
+	logPath := filepath.Join(t.TempDir(), "ctl.dlg")
+	ctl, addr, g := startControllerWithLog(t, logPath)
+	submitRecoveryWorkload(t, addr, g)
+	if err := ctl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return logPath, b
+}
+
+// frameEnds decodes a whole decision log and returns its records and, for
+// each, the offset of the byte after it: a record boundary.
+func frameEnds(t *testing.T, log []byte) ([]declog.Record, []int) {
+	t.Helper()
+	recs, truncated, err := declog.Read(bytes.NewReader(log))
+	if err != nil || truncated {
+		t.Fatalf("decision log: truncated=%v, err=%v", truncated, err)
+	}
+	ends := make([]int, len(recs))
+	off := len(declog.Magic)
+	for i := range recs {
+		off += 8 + int(binary.LittleEndian.Uint32(log[off:]))
+		ends[i] = off
+	}
+	return recs, ends
+}
+
+// TestRestartCompletesACutDecision restarts on the recovery workload's log
+// cut right after task 2's Task record — a crash in the middle of writing
+// a decision. The restart decides task 2 again and writes the rest of its
+// decision, exactly as the uncut log has it, so task 2 is admitted and a
+// retry of its probe gets its grant.
+func TestRestartCompletesACutDecision(t *testing.T) {
+	logPath, uncut := recoveryLog(t)
+	recs, ends := frameEnds(t, uncut)
+	task2, admit2 := -1, -1
+	for i, r := range recs {
+		switch {
+		case r.Kind == declog.KindTask && r.Task == 2:
+			task2 = i
+		case r.Kind == declog.KindAdmit && r.Task == 2:
+			admit2 = i
+		}
+	}
+	if task2 < 0 || admit2 < task2 {
+		t.Fatalf("task 2: Task record %d, Admit record %d", task2, admit2)
+	}
+	if err := os.WriteFile(logPath, uncut[:ends[task2]], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctl, addr, g := startControllerWithLog(t, logPath)
+	if snap := ctl.Snapshot(); !reflect.DeepEqual(snap.AcceptedTasks, []int64{1, 2}) {
+		t.Errorf("restart holds tasks %v with %d pending flows, want [1 2]", snap.AcceptedTasks, snap.PendingFlows)
+	}
+	got, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ends[admit2]; len(got) < n || !bytes.Equal(got[:n], uncut[:n]) {
+		t.Errorf("the restarted log differs from the uncut one before task 2's Admit (%d of %d bytes written)", len(got), n)
+	}
+	hosts := g.Hosts()
+	b := dial(t, addr, "b", hosts[1])
+	if err := b.SubmitTask(2, 20*simtime.Second, []netctl.FlowInfo{
+		{ID: 21, Src: hosts[1], Dst: hosts[7], Size: 12_500_000},
+	}); err != nil {
+		t.Errorf("re-probe of task 2: %v", err)
+	}
+}
+
+// TestRestartRefusesForeignLog restarts the recovery workload's log on
+// controllers that decide differently — another topology, a narrower path
+// set — and requires each to refuse it, naming the first record it does
+// not reproduce, and to leave the file as it was. The first input is task
+// 1's probe, record 1: its Task record names its flows by the hosts of the
+// topology, and its Replan, record 2, lists the candidate paths.
+func TestRestartRefusesForeignLog(t *testing.T) {
+	logPath, log := recoveryLog(t)
+	for _, tc := range []struct {
+		name  string
+		graph func() (*topology.Graph, topology.Routing)
+		cfg   netctl.ControllerConfig
+		first string
+	}{
+		{"k=4 fat-tree", func() (*topology.Graph, topology.Routing) {
+			return topology.FatTree(topology.FatTreeSpec{K: 4, LinkCapacity: topology.Gbps(1)})
+		}, netctl.ControllerConfig{Speedup: 5}, "record 1 differs"},
+		{"MaxPaths 1", func() (*topology.Graph, topology.Routing) {
+			return topology.PartialFatTree(topology.PaperTestbed())
+		}, netctl.ControllerConfig{Speedup: 5, MaxPaths: 1}, "record 2 differs"},
+	} {
+		g, r := tc.graph()
+		ctl := netctl.NewController(g, r, tc.cfg)
+		err := ctl.EnableDecisionLog(logPath)
+		ctl.Close()
+		if err == nil || !strings.Contains(err.Error(), tc.first) {
+			t.Errorf("%s: restart error %v, want one naming %q", tc.name, err, tc.first)
+		}
+		if got, err := os.ReadFile(logPath); err != nil || !bytes.Equal(got, log) {
+			t.Errorf("%s: the refused log changed (%d -> %d bytes, %v)", tc.name, len(log), len(got), err)
+		}
+	}
+}
+
+// TestRestartAtEveryRecordBoundary cuts a log at every record boundary,
+// restarts on the cut, and feeds the controller the inputs of the rest of
+// the log through the handlers recovery uses: the file it ends with must
+// be the uncut log, byte for byte. The logs are the recovery workload's,
+// written by a live controller, and a 60-probe recipe log (RecipeLog).
+// With -short, every seventh boundary.
+func TestRestartAtEveryRecordBoundary(t *testing.T) {
+	stride := 1
+	if testing.Short() {
+		stride = 7
+	}
+	_, live := recoveryLog(t)
+	testbed := func() *netctl.Controller {
+		g, r := topology.PartialFatTree(topology.PaperTestbed())
+		return netctl.NewController(g, r, netctl.ControllerConfig{Speedup: 5})
+	}
+	fatTree := func() *netctl.Controller {
+		g, r := topology.FatTree(topology.FatTreeSpec{K: 4, LinkCapacity: topology.Gbps(1)})
+		return netctl.NewController(g, topology.NewCachedRouting(r), netctl.ControllerConfig{})
+	}
+	for _, tc := range []struct {
+		name string
+		log  []byte
+		ctl  func() *netctl.Controller
+	}{
+		{"recovery workload", live, testbed},
+		{"recipe", netctl.RecipeLog(t, 60), fatTree},
+	} {
+		recs, ends := frameEnds(t, tc.log)
+		if tc.name == "recipe" && len(recs) < 200 {
+			t.Fatalf("the recipe log holds %d records, want 200 or more", len(recs))
+		}
+		path := filepath.Join(t.TempDir(), "ctl.dlg")
+		// Boundary 0 is a log without its Meta record: a restart writes a
+		// Meta of its own, so only the boundaries after it are crash
+		// points a log can be recovered from.
+		for k := 1; k <= len(recs); k += stride {
+			if err := os.WriteFile(path, tc.log[:ends[k-1]], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			ctl := tc.ctl()
+			if err := ctl.EnableDecisionLog(path); err != nil {
+				t.Fatalf("%s cut after record %d: %v", tc.name, k-1, err)
+			}
+			// The log holds the cut plus what the controller has appended.
+			for next := k + int(ctl.Recorder().DeclogStats().Records); next < len(recs); {
+				if err := ctl.Redecide(&recs[next]); err != nil {
+					t.Fatalf("%s cut after record %d: record %d: %v", tc.name, k-1, next, err)
+				}
+				n := k + int(ctl.Recorder().DeclogStats().Records)
+				if n == next {
+					t.Fatalf("%s cut after record %d: record %d's input wrote nothing", tc.name, k-1, next)
+				}
+				next = n
+			}
+			if err := ctl.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, tc.log) {
+				t.Fatalf("%s cut after record %d: the log ends as %d bytes, the uncut one is %d", tc.name, k-1, len(got), len(tc.log))
+			}
+		}
+		t.Logf("%s: %d records, a restart at every boundary (stride %d)", tc.name, len(recs), stride)
+	}
 }

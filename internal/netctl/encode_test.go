@@ -167,9 +167,9 @@ func FuzzGrantFrame(f *testing.F) {
 	})
 }
 
-// broadcastFixture is a controller with accepted tasks in its kernel —
-// one to three flows each, with committed slices and paths — and agents
-// connected over in-memory pipes whose far ends are drained.
+// broadcastFixture is a controller whose grant ledger holds accepted
+// tasks — one to three flows each, with committed slices and paths — and
+// agents connected over in-memory pipes whose far ends are drained.
 func broadcastFixture(tb testing.TB, agents, accepted int) *Controller {
 	tb.Helper()
 	g, r := topology.FatTree(topology.FatTreeSpec{K: 4, LinkCapacity: topology.Gbps(1)})
@@ -177,8 +177,9 @@ func broadcastFixture(tb testing.TB, agents, accepted int) *Controller {
 	hosts := g.Hosts()
 	rng := rand.New(rand.NewSource(1))
 	for task := int64(1); task <= int64(accepted); task++ {
+		e := grantEntry{task: task}
 		for j := range 1 + rng.Intn(3) {
-			f := core.Flow{FlowReq: core.FlowReq{Key: uint64(task)<<8 | uint64(j),
+			f := &core.Flow{FlowReq: core.FlowReq{Key: uint64(task)<<8 | uint64(j),
 				Src: hosts[rng.Intn(len(hosts))], Deadline: 20*simtime.Millisecond + rng.Int63n(40*simtime.Millisecond)},
 				Task: task}
 			for range 1 + rng.Intn(3) {
@@ -188,9 +189,9 @@ func broadcastFixture(tb testing.TB, agents, accepted int) *Controller {
 			for range 2 + 2*rng.Intn(3) {
 				f.Path = append(f.Path, topology.LinkID(rng.Intn(g.NumLinks())))
 			}
-			c.kernel.Restore(f)
+			e.flows = append(e.flows, f)
 		}
-		c.acceptLocked(task)
+		c.ledger = append(c.ledger, e)
 	}
 	for i := range agents {
 		near, far := net.Pipe()
@@ -230,13 +231,13 @@ func TestBroadcastAllocsIndependentOfAgents(t *testing.T) {
 	}
 }
 
-// settle reports every flow of the oldest share of a broadcastFixture's
-// accepted tasks finished, as ctl_storm's agents do, leaving the newest
+// settle marks every flow of the oldest share of a broadcastFixture's
+// accepted tasks done, as ctl_storm's agents' TERMs do, leaving the newest
 // tasks live.
 func settle(c *Controller, accepted int, share float64) {
-	for task := int64(1); task <= int64(share*float64(accepted)); task++ {
-		for _, f := range c.kernel.Flows(task) {
-			c.onTerm(TermMsg{Flow: f.Key})
+	for _, e := range c.ledger[:int(share*float64(accepted))] {
+		for _, f := range e.flows {
+			f.Done = true
 		}
 	}
 }

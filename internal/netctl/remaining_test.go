@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"taps/internal/core"
-	"taps/internal/obs/declog"
 	"taps/internal/simtime"
 	"taps/internal/topology"
 )
@@ -104,15 +103,12 @@ func loggedController(t *testing.T, g *topology.Graph, r topology.Routing) (*Con
 	return c, logPath
 }
 
-// probeKernel submits a one-flow task (flow key = task ID) straight to the
-// controller's kernel at now, logging its arrival as onProbe would, and
-// requires it accepted.
+// probeKernel decides a one-flow task (flow key = task ID) at now through
+// the controller's probe handler, and requires it accepted.
 func probeKernel(t *testing.T, c *Controller, now simtime.Time, task int64, deadline simtime.Time, src, dst topology.NodeID, size int64) {
 	t.Helper()
-	c.sink.Emit(&declog.Record{Kind: declog.KindTask, Time: now, Task: task, Deadline: deadline, Flows: []declog.FlowInfo{
-		{ID: task, Src: int32(src), Dst: int32(dst), Size: size}}})
-	d, _ := c.kernel.TaskArrived(now, task, deadline,
-		[]core.FlowSpec{{Key: uint64(task), Src: src, Dst: dst, Size: size}})
+	d, _ := c.probe(now, ProbeMsg{Task: task, Deadline: deadline,
+		Flows: []FlowInfo{{ID: uint64(task), Src: src, Dst: dst, Size: size}}})
 	if d != core.Accept {
 		t.Fatalf("task %d at t=%d: %v, want accept", task, now, d)
 	}

@@ -13,9 +13,10 @@
 // records alone, (a) the span tree every trace export and causal
 // explanation is rendered from — no tree is kept live — and (b) the
 // controller's plan state: per-flow slice grants, per-link occupancy, and
-// the in-flight flow table. A restarted netctl controller recovers its
-// world from the log without re-contacting agents, and `tapsctl -replay`
-// answers time-travel queries against any simulated instant.
+// the in-flight flow table, with which `tapsctl -replay` answers
+// time-travel queries against any simulated instant. A restarted netctl
+// controller recovers its world without re-contacting agents by deciding
+// the logged inputs again, each append checked against the log (Redo).
 //
 // Records are deterministic byte streams: encoding walks slices in
 // recorded order, never maps, and stores only simulated time — the

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"taps/internal/obs"
@@ -728,5 +729,88 @@ func TestIncrementalPassLogReplaysWhole(t *testing.T) {
 	passes := rp.Tree().Replans
 	if len(passes) != 2 || passes[1].Kind != span.ReplanArrival || passes[1].Seq != 2 || passes[1].Trigger != 2 {
 		t.Fatalf("replayed passes: %+v", passes)
+	}
+}
+
+// writeLog writes recs to a fresh log at path and returns its bytes.
+func writeLog(t *testing.T, path string, recs []Record) []byte {
+	t.Helper()
+	w, err := Create(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range recs {
+		w.Append(&recs[i])
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestRedoChecksThenAppends: after Redo, appends that reproduce the log's
+// records write nothing, and the first append past its end is written.
+func TestRedoChecksThenAppends(t *testing.T) {
+	recs := sampleRecords()
+	path := filepath.Join(t.TempDir(), "redo.dlg")
+	writeLog(t, path, recs[:4])
+	want := writeLog(t, filepath.Join(t.TempDir(), "want.dlg"), recs[:5])
+	w, _, err := OpenAppend(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Redo(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range recs[:5] {
+		if err := w.Append(&recs[i]); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+		if n, err := w.Redone(); n != min(i+1, 4) || err != nil {
+			t.Fatalf("after append %d: %d redone, %v", i, n, err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, want) {
+		t.Fatalf("redone log is %d bytes, want the %d of writing every record once", len(got), len(want))
+	}
+}
+
+// TestRedoRefusesADifferentRecord: the first append that differs from the
+// log's next record is refused, naming the record's index, and nothing is
+// written then or after.
+func TestRedoRefusesADifferentRecord(t *testing.T) {
+	recs := sampleRecords()
+	path := filepath.Join(t.TempDir(), "redo.dlg")
+	before := writeLog(t, path, recs[:4])
+	w, _, err := OpenAppend(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Redo(); err != nil {
+		t.Fatal(err)
+	}
+	w.Append(&recs[0])
+	w.Append(&recs[1])
+	other := recs[2]
+	other.Time++
+	if err := w.Append(&other); err == nil || !strings.Contains(err.Error(), "record 2 differs") {
+		t.Fatalf("a different record 2: %v", err)
+	}
+	w.Append(&recs[2])
+	w.Append(&recs[3])
+	w.Append(&recs[4])
+	if n, err := w.Redone(); n != 2 || err == nil {
+		t.Fatalf("after the refusal: %d redone, %v", n, err)
+	}
+	w.Close()
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, before) {
+		t.Fatalf("the refused log changed: %d -> %d bytes", len(before), len(got))
 	}
 }

@@ -5,43 +5,15 @@ import (
 	"taps/internal/simtime"
 )
 
-// FlowState is the replayer's mirror of one in-flight flow: identity from
-// its KindTask record, route and grant from the latest committed plan.
-type FlowState struct {
-	Flow     int64
-	Task     int64
-	Src      int32
-	Dst      int32
-	Size     int64
-	Label    string
-	Deadline simtime.Time
-	Path     []int32
-	Slices   simtime.IntervalSet
-	// Sent lists, in commit order, the grants later commits superseded
-	// after the flow had transmitted under them; what its current grant
-	// has carried since follows from Slices.
-	Sent []SentGrant
-	Done bool
-}
-
-// SentGrant is the transmission time a flow consumed on the route of one
-// superseded grant. The bytes that moved follow from the route's line rate,
-// which the log does not record.
-type SentGrant struct {
-	Path []int32
-	Time simtime.Time
-}
-
 // Replayer reconstructs controller state by folding decision records in
 // log order. It is the only builder of a span tree, and it keeps two
 // views at once:
 //
 //   - the span forest: task and flow lifecycles, every planning pass, the
 //     attribution chains and transmission segments (Tree);
-//   - the plan state: per-flow slice grants, per-link occupancy, and the
-//     in-flight flow table, rebuilt by applying each KindCommit with its
-//     recorded mode semantics — exactly the mutation the live scheduler
-//     performed.
+//   - the plan state: per-flow slice grants and per-link occupancy, rebuilt
+//     from the pass each KindCommit installs, and the flows of the tasks
+//     still in play.
 //
 // SetUntil turns the replayer into a time-travel query: records stamped
 // after the cutoff are ignored (segments are clipped), materializing the
@@ -53,10 +25,9 @@ type Replayer struct {
 	meta       *Meta
 	slices     map[int64]simtime.IntervalSet
 	occ        map[int32]simtime.IntervalSet
-	flows      map[int64]*FlowState
+	flows      map[int64]bool // done, by flow
 	taskFlows  map[int64][]int64
 	accepted   map[int64]bool
-	decided    map[int64]bool
 	lastReplan *span.ReplanSpan
 	until      simtime.Time
 	hasUntil   bool
@@ -70,10 +41,9 @@ func NewReplayer() *Replayer {
 		flowAt:    make(map[int64]int),
 		slices:    make(map[int64]simtime.IntervalSet),
 		occ:       make(map[int32]simtime.IntervalSet),
-		flows:     make(map[int64]*FlowState),
+		flows:     make(map[int64]bool),
 		taskFlows: make(map[int64][]int64),
 		accepted:  make(map[int64]bool),
-		decided:   make(map[int64]bool),
 	}
 }
 
@@ -113,13 +83,9 @@ func (r *Replayer) Apply(rec *Record) {
 	case KindMeta:
 		r.meta = rec.Meta
 	case KindTask:
-		r.decided[rec.Task] = true
 		for i := range rec.Flows {
 			fi := &rec.Flows[i]
-			r.flows[fi.ID] = &FlowState{
-				Flow: fi.ID, Task: rec.Task, Src: fi.Src, Dst: fi.Dst,
-				Size: fi.Size, Label: fi.Label, Deadline: rec.Deadline,
-			}
+			r.flows[fi.ID] = false
 			r.taskFlows[rec.Task] = append(r.taskFlows[rec.Task], fi.ID)
 		}
 	case KindReplan:
@@ -136,8 +102,8 @@ func (r *Replayer) Apply(rec *Record) {
 		r.dropTask(rec.Task)
 		r.accepted[rec.By] = true
 	case KindFlowEnd:
-		if f := r.flows[rec.Flow]; f != nil {
-			f.Done = rec.Done
+		if _, ok := r.flows[rec.Flow]; ok {
+			r.flows[rec.Flow] = rec.Done
 		}
 	case KindAttr, KindTaskEnd, KindSegments, KindLinkDown:
 	}
@@ -256,31 +222,6 @@ func (r *Replayer) applyCommit(now simtime.Time) {
 	}
 	r.slices = slices
 	r.occ = occ
-	// The pass is installed whole: an unfinished flow holds exactly what
-	// this pass gave it, nothing if the pass left it out. The time its
-	// superseded grant had already carried is kept.
-	for _, f := range r.flows {
-		if !f.Done {
-			f.supersede(now)
-		}
-	}
-	for i := range plans {
-		p := &plans[i]
-		f := r.flows[p.Flow]
-		if p.Path == nil || f == nil {
-			continue
-		}
-		f.Path = append([]int32(nil), p.Path...)
-		f.Slices = simtime.NewIntervalSet(p.Slices...)
-	}
-}
-
-// supersede takes the flow's grant away at now, noting what it carried.
-func (f *FlowState) supersede(now simtime.Time) {
-	if t := f.Slices.OverlapTotal(simtime.Interval{Start: 0, End: now}); t > 0 {
-		f.Sent = append(f.Sent, SentGrant{Path: f.Path, Time: t})
-	}
-	f.Path, f.Slices = nil, simtime.IntervalSet{}
 }
 
 // Tree returns the span forest folded so far. It is the replayer's own:
@@ -297,21 +238,12 @@ func (r *Replayer) Slices() map[int64]simtime.IntervalSet { return r.slices }
 // state).
 func (r *Replayer) Occupancy() map[int32]simtime.IntervalSet { return r.occ }
 
-// Flows is the reconstructed in-flight flow table. Flows of rejected or
-// preempted tasks have been dropped, mirroring the live controller.
-func (r *Replayer) Flows() map[int64]*FlowState { return r.flows }
-
-// TaskFlows maps each live task to its flow IDs in arrival order.
-func (r *Replayer) TaskFlows() map[int64][]int64 { return r.taskFlows }
+// Flows is whether each flow is done, for the tasks still in play: those
+// of rejected and preempted tasks are dropped, as the controller does.
+func (r *Replayer) Flows() map[int64]bool { return r.flows }
 
 // Accepted reports whether task was admitted (and not later dropped).
 func (r *Replayer) Accepted(task int64) bool { return r.accepted[task] }
-
-// AcceptedSet exposes the accepted-task table for recovery.
-func (r *Replayer) AcceptedSet() map[int64]bool { return r.accepted }
-
-// DecidedSet exposes the decided-task table for recovery.
-func (r *Replayer) DecidedSet() map[int64]bool { return r.decided }
 
 // Applied returns how many records have been folded (post-cutoff records
 // excluded).

@@ -1,6 +1,7 @@
 package declog
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -52,6 +53,10 @@ type Writer struct {
 	pending int // records appended since the last fsync
 	health  *obs.Recorder
 	err     error
+	// redo is what is left of the frames to re-decide (Redo), and redone
+	// how many the appends have reproduced.
+	redo   []byte
+	redone int
 }
 
 // Create creates (or truncates) a decision log at path and writes the
@@ -131,6 +136,9 @@ func (w *Writer) Append(r *Record) error {
 	if w.path == "" {
 		return nil
 	}
+	if len(w.redo) > 0 {
+		return w.redoLocked(frame)
+	}
 	if _, err := w.f.Write(frame); err != nil { //taps:allow lockorder Writer.mu IS the append serializer: the write must happen under it to keep frames contiguous
 		w.err = fmt.Errorf("declog: append: %w", err)
 		return w.err
@@ -141,6 +149,41 @@ func (w *Writer) Append(r *Record) error {
 	if w.pending >= syncEvery {
 		return w.syncLocked()
 	}
+	return nil
+}
+
+// Redo makes the appends that follow re-decide the records the file holds:
+// while any is left, an append is checked against the next, byte for byte,
+// instead of written, and the first that differs is refused with an error
+// that names its index and both records, sticky like a write error. Call
+// it on a writer from OpenAppend, before its first append.
+func (w *Writer) Redo() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.redo, w.redone = make([]byte, w.end-int64(len(Magic))), 0
+	_, err := w.f.ReadAt(w.redo, int64(len(Magic))) //taps:allow lockorder one-time set-up before the first append
+	return err
+}
+
+// Redone returns how many records the appends since Redo have reproduced,
+// and the writer's error.
+func (w *Writer) Redone() (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.redone, w.err
+}
+
+// redoLocked checks one appended frame against the next frame to redo.
+func (w *Writer) redoLocked(frame []byte) error {
+	n := frameHeaderSize + int(binary.LittleEndian.Uint32(w.redo))
+	if !bytes.Equal(frame, w.redo[:n]) {
+		logged, _ := decodeRecord(w.redo[frameHeaderSize:n])
+		redone, _ := decodeRecord(frame[frameHeaderSize:])
+		w.err = fmt.Errorf("declog: record %d differs: the log holds %+v %+v, re-deciding wrote %+v %+v",
+			w.redone, logged, logged.Replan, redone, redone.Replan)
+		return w.err
+	}
+	w.redo, w.redone = w.redo[n:], w.redone+1
 	return nil
 }
 
