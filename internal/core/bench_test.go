@@ -155,12 +155,11 @@ func BenchmarkPlanFullReplan(b *testing.B) {
 	}
 }
 
-// churnPlane is a data plane on a frozen clock: no flow ever sends a byte,
-// and a discarded task needs no stopping.
+// churnPlane is a data plane on a frozen clock, where a discarded task
+// needs no stopping.
 type churnPlane struct{}
 
-func (churnPlane) Remaining(f *core.Flow, _ simtime.Time) float64 { return float64(f.Size) }
-func (churnPlane) Discard(simtime.Time, int64, int64)             {}
+func (churnPlane) Discard(simtime.Time, int64, int64) {}
 
 // BenchmarkPlanChurn is the benchmark's ctl_liveflows workload at the
 // planner layer: a kernel on a k=16 fat-tree holding 128 tasks of 12–20

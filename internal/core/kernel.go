@@ -45,14 +45,9 @@ type Flow struct {
 	Done bool
 }
 
-// DataPlane is what an adapter knows and the kernel cannot: how far the
-// senders have got, and how to stop them.
+// DataPlane is how the kernel stops senders; how far they have got it
+// derives from its own grants (sweep).
 type DataPlane interface {
-	// Remaining reports how many bytes f still has to send at now; zero or
-	// less once it has delivered everything or will send no more. The
-	// kernel asks when an input opens a pass, before it touches the record,
-	// so the answer may be derived from f's own grant.
-	Remaining(f *Flow, now simtime.Time) float64
 	// Discard tells the adapter that the reject rule has discarded task —
 	// the newcomer itself when by is span.NoTask, otherwise an admitted
 	// task preempted in favour of newcomer by — so that it stops the
@@ -185,10 +180,9 @@ func (k *Kernel) TaskArrived(now simtime.Time, task int64, deadline simtime.Time
 		// delivered), and a flow with nothing to send needs no grant: both
 		// are finished on arrival.
 		if fs.Src == fs.Dst {
-			f.Done, f.Bytes = true, 0
-		} else {
-			f.Done = k.dp.Remaining(f, now) <= 0
+			f.Bytes = 0
 		}
+		f.Done = f.Bytes <= 0
 		flows[i] = f
 		k.flows[fs.Key] = f
 		if !f.Done {
@@ -245,9 +239,15 @@ func (k *Kernel) LinkDown(now simtime.Time) {
 }
 
 // Replan re-plans every flow in flight from now on behalf of an admitted
-// task whose grant has to be issued again (a sender that lost its reply
-// has also lost its first slices). No rule runs: nothing arrived.
+// task whose grant has to be issued again: a sender that lost its reply
+// never got that grant, so the task's unfinished flows start over at their
+// full size. No rule runs: nothing arrived.
 func (k *Kernel) Replan(now simtime.Time, task int64) {
+	for _, f := range k.tasks[task] {
+		if !f.Done {
+			f.Bytes, f.Path, f.Slices = float64(f.Size), nil, simtime.IntervalSet{}
+		}
+	}
 	k.sweep(now)
 	k.commit(now, k.plan(now, span.ReplanArrival, task))
 }
@@ -282,8 +282,10 @@ func (k *Kernel) LinkBusy() (busy map[topology.LinkID]simtime.IntervalSet, flows
 }
 
 // sweep opens a pass at now: it drops the flows that finished since the
-// last one, asks the data plane how much every other flow has left, and
-// sorts those with work to do into plan order.
+// last one, sizes every other flow and sorts those with work to do into
+// plan order. A sender sends only inside its slices, from the instant they
+// were planned from, so a flow has left the bytes its grant was sized for
+// less line rate × granted time before now.
 func (k *Kernel) sweep(now simtime.Time) {
 	live := k.live[:0]
 	k.order, k.spent = k.order[:0], k.spent[:0]
@@ -292,9 +294,11 @@ func (k *Kernel) sweep(now simtime.Time) {
 			continue
 		}
 		live = append(live, f)
-		f.Bytes = max(k.dp.Remaining(f, now), 0)
+		if sent := f.Slices.OverlapTotal(simtime.Interval{Start: 0, End: now}); sent > 0 {
+			f.Bytes = max(f.Bytes-k.planner.Graph.MinCapacity(f.Path)*float64(sent)/1e6, 0)
+		}
 		if f.Bytes == 0 {
-			// Complete as far as the data plane can tell; the report just
+			// Complete as far as its grant can tell; the report just
 			// has not arrived. Nothing to schedule, and not a miss.
 			k.spent = append(k.spent, f)
 			continue

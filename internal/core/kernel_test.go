@@ -6,6 +6,7 @@ package core
 // networked controller's Snapshot reports from).
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -15,22 +16,15 @@ import (
 	"taps/internal/sim"
 	"taps/internal/simtime"
 	"taps/internal/topology"
+	"taps/internal/workload"
 )
 
-// fakePlane is a data plane with perfect senders: run moves every flow in
-// flight forward by what its committed slices carry in an interval.
+// fakePlane is a data plane with perfect senders: each sends exactly what
+// its committed slices carry.
 type fakePlane struct {
 	g         *topology.Graph
 	k         *Kernel
-	left      map[uint64]float64
 	discarded []int64
-}
-
-func (p *fakePlane) Remaining(f *Flow, _ simtime.Time) float64 {
-	if left, ok := p.left[f.Key]; ok {
-		return left
-	}
-	return float64(f.Size)
 }
 
 func (p *fakePlane) Discard(_ simtime.Time, task, by int64) {
@@ -40,29 +34,24 @@ func (p *fakePlane) Discard(_ simtime.Time, task, by int64) {
 	}
 }
 
-// run transmits over [from, to) and returns the flows that completed.
-func (p *fakePlane) run(from, to simtime.Time) (finished []uint64) {
+// run transmits until to and returns the flows in flight whose grants
+// have carried them to the end.
+func (p *fakePlane) run(to simtime.Time) (finished []uint64) {
 	for _, f := range p.k.live {
-		if f.Done || f.Path == nil {
+		if f.Done {
 			continue
 		}
-		left := p.Remaining(f, from)
-		if left <= 0 {
-			continue
-		}
-		sent := p.g.MinCapacity(f.Path) * float64(f.Slices.OverlapTotal(simtime.Interval{Start: from, End: to})) / 1e6
-		if left -= sent; left <= 1e-9 {
-			left = 0
+		sent := p.g.MinCapacity(f.Path) * float64(f.Slices.OverlapTotal(simtime.Interval{Start: 0, End: to})) / 1e6
+		if f.Bytes-sent <= 1e-9 {
 			finished = append(finished, f.Key)
 		}
-		p.left[f.Key] = left
 	}
 	return finished
 }
 
 func newTestKernel(cfg Config) (*Kernel, *fakePlane, []topology.NodeID) {
 	g, r := topology.FatTree(topology.FatTreeSpec{K: 4, LinkCapacity: topology.Gbps(1)})
-	p := &fakePlane{g: g, left: make(map[uint64]float64)}
+	p := &fakePlane{g: g}
 	p.k = NewKernel(g, topology.NewCachedRouting(r), cfg, p)
 	return p.k, p, g.Hosts()
 }
@@ -110,7 +99,7 @@ func TestKernelStormStaysCollisionFree(t *testing.T) {
 	rejects := 0
 	for task := int64(1); task <= 400; task++ {
 		next := now + simtime.Time(rng.Intn(3000))
-		for _, fin := range plane.run(now, next) {
+		for _, fin := range plane.run(next) {
 			k.FlowFinished(next, fin, 0)
 			requireDisjoint(t, k, next, "flow finished")
 		}
@@ -209,28 +198,47 @@ func TestKernelPreemptsForNewcomerWithProgress(t *testing.T) {
 	}
 }
 
-// TestKernelSpentFlowHoldsNothing: a flow the data plane reports complete
-// before its FlowFinished arrives is neither planned nor counted as a
-// miss, and the commit leaves it holding no link time.
+// TestKernelSpentFlowHoldsNothing: a flow whose grant has carried it to
+// the end before its FlowFinished arrives is neither planned nor counted
+// as a miss, and the commit leaves it holding no link time.
 func TestKernelSpentFlowHoldsNothing(t *testing.T) {
-	k, plane, hosts := newTestKernel(DefaultConfig())
+	k, _, hosts := newTestKernel(DefaultConfig())
+	// 8 ms of work, granted [0, 8 ms); the next input comes at 12 ms.
 	k.TaskArrived(0, 1, 50e3, []FlowSpec{{Key: 1, Src: hosts[0], Dst: hosts[5], Size: 1e6}})
-	plane.left[1] = 0
-	if d, _ := k.TaskArrived(4e3, 2, 20e3, []FlowSpec{{Key: 2, Src: hosts[0], Dst: hosts[5], Size: 1e6}}); d != Accept {
+	if d, _ := k.TaskArrived(12e3, 2, 30e3, []FlowSpec{{Key: 2, Src: hosts[0], Dst: hosts[5], Size: 1e6}}); d != Accept {
 		t.Fatalf("decision %v, want accept", d)
 	}
-	requireSound(t, k, 4e3, "arrival beside a spent flow")
+	requireSound(t, k, 12e3, "arrival beside a spent flow")
 	if f := k.Flow(1); f.Done || f.Path != nil || !f.Slices.Empty() {
 		t.Fatalf("spent flow: done=%v path=%v slices=%v; want in flight and holding nothing", f.Done, f.Path, f.Slices.Intervals())
 	}
-	if got := k.Flow(2).Slices.Intervals(); len(got) != 1 || got[0].Start != 4e3 {
-		t.Fatalf("newcomer slices %v, want one window from t=4000", got)
+	if got := k.Flow(2).Slices.Intervals(); len(got) != 1 || got[0].Start != 12e3 {
+		t.Fatalf("newcomer slices %v, want one window from t=12000", got)
 	}
 	if _, flows, _ := k.LinkBusy(); flows != 2 {
 		t.Fatalf("%d flows in flight, want 2 (no FlowFinished arrived)", flows)
 	}
 	if k.Fraction(1) != 1 {
 		t.Fatalf("fraction of the spent task = %g, want 1", k.Fraction(1))
+	}
+}
+
+// TestKernelReplanStartsFromFullSize: a re-issue is for senders that lost
+// their reply, and with it the slices it granted, so a Replan plans the
+// task's flows at their full size however much of the lost grant has
+// passed. A flow of another task keeps what its grant carried.
+func TestKernelReplanStartsFromFullSize(t *testing.T) {
+	k, _, hosts := newTestKernel(DefaultConfig())
+	// Two 8 ms flows in different pods, both granted [0, 8 ms).
+	k.TaskArrived(0, 1, 50e3, []FlowSpec{{Key: 1, Src: hosts[0], Dst: hosts[5], Size: 1e6}})
+	k.TaskArrived(0, 2, 50e3, []FlowSpec{{Key: 2, Src: hosts[8], Dst: hosts[12], Size: 1e6}})
+	k.Replan(3e3, 1)
+	requireSound(t, k, 3e3, "re-issue")
+	if f := k.Flow(1); f.Bytes != 1e6 || f.Slices.Total() != 8e3 {
+		t.Fatalf("re-issued flow: %g bytes in %d us, want its full 1 MB in 8 ms", f.Bytes, f.Slices.Total())
+	}
+	if f := k.Flow(2); f.Bytes != 625e3 || f.Slices.Total() != 5e3 {
+		t.Fatalf("other flow: %g bytes in %d us, want the 625 KB left after 3 ms in 5 ms", f.Bytes, f.Slices.Total())
 	}
 }
 
@@ -313,6 +321,74 @@ func TestKernelFractionMatchesEngineCounters(t *testing.T) {
 	}
 	if commits == 0 || cut == 0 {
 		t.Fatalf("%d commits, %d sightings of a flow cut short in a live task; property untested", commits, cut)
+	}
+}
+
+// TestKernelProgressMatchesEngine: the kernel sizes every flow from its
+// own grants, never from the engine's byte counters. At every commit of
+// every Fig. 6/7 laptop cell, each flow the pass planned or found spent
+// must hold what the engine's counters say it has left (0 once the engine
+// no longer runs it), to within one µs at line rate. With the reject rule
+// off, flows also miss their deadlines and are killed mid-grant.
+func TestKernelProgressMatchesEngine(t *testing.T) {
+	seeds := int64(10)
+	if testing.Short() {
+		seeds = 1
+	}
+	tree, treeR := topology.SingleRootedTree(topology.SingleRootedTreeSpec{
+		Pods: 4, RacksPerPod: 4, HostsPerRack: 10, LinkCapacity: topology.Gbps(1),
+	})
+	fat, fatR := topology.FatTree(topology.FatTreeSpec{K: 4, LinkCapacity: topology.Gbps(1)})
+	figs := []struct {
+		g            *topology.Graph
+		r            topology.Routing
+		flowsPerTask int
+	}{
+		{tree, topology.NewCachedRouting(treeR), 60}, // Fig. 6
+		{fat, topology.NewCachedRouting(fatR), 24},   // Fig. 7
+	}
+	for _, ruleOff := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.DisableRejectRule = ruleOff
+		checks, worst := 0, 0.0
+		for _, fig := range figs {
+			for _, deadline := range []float64{20, 30, 40, 50, 60} {
+				for seed := int64(1); seed <= seeds; seed++ {
+					specs := workload.Generate(fig.g, workload.Spec{
+						Tasks: 30, MeanFlowsPerTask: fig.flowsPerTask, ArrivalRate: 100,
+						MeanDeadline: simtime.FromMillis(deadline), Seed: seed,
+					})
+					sched := New(cfg)
+					check := func(st *sim.State, flows []*Flow) {
+						for _, f := range flows {
+							sf := st.Flow(sim.FlowID(f.Key))
+							want := sf.Remaining()
+							if sf.State != sim.FlowActive {
+								want = 0
+							}
+							diff := math.Abs(f.Bytes - want)
+							if tol := st.Graph().MinCapacity(sf.Path) / 1e6; diff > tol {
+								t.Fatalf("rule off %v, %d ms, seed %d, t=%d: flow %d sized %g bytes, the engine has %g left",
+									ruleOff, int(deadline), seed, st.Now(), f.Key, f.Bytes, want)
+							}
+							checks++
+							worst = max(worst, diff)
+						}
+					}
+					sched.onCommit = func(st *sim.State) {
+						check(st, sched.k.order)
+						check(st, sched.k.spent)
+					}
+					if _, err := sim.New(fig.g, fig.r, sched, specs, sim.Config{MaxTime: 4e12}).Run(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		if checks == 0 {
+			t.Fatalf("rule off %v: no flow checked", ruleOff)
+		}
+		t.Logf("rule off %v: %d checks, worst difference %g bytes", ruleOff, checks, worst)
 	}
 }
 

@@ -78,8 +78,8 @@ func DefaultConfig() Config { return Config{MaxPaths: 16} }
 
 // Scheduler is the TAPS planner; it implements sim.Scheduler. It is the
 // simulator's adapter around the Kernel: it feeds the engine's events to
-// the kernel as inputs, answers the kernel's questions from the engine's
-// byte counters, and turns the committed plan into transmission rates.
+// the kernel as inputs, stops the flows the kernel discards, and turns the
+// committed plan into transmission rates.
 // Use New — the zero value is not usable.
 type Scheduler struct {
 	cfg   Config
@@ -125,16 +125,8 @@ type flowRateState struct {
 }
 
 // enginePlane is the kernel's view of the simulated data plane: the
-// engine's byte counters and its kill switches.
+// engine's kill switches.
 type enginePlane struct{ st *sim.State }
-
-func (p *enginePlane) Remaining(f *Flow, _ simtime.Time) float64 {
-	sf := p.st.Flow(sim.FlowID(f.Key))
-	if sf.State != sim.FlowActive {
-		return 0
-	}
-	return sf.Remaining()
-}
 
 // Discard kills the task's flows; the engine dispatches the hook and
 // terminal record matching a rejected newcomer or a preempted victim.

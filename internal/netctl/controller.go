@@ -49,15 +49,6 @@ func (c ControllerConfig) withDefaults() ControllerConfig {
 // exactly during its slices.
 type ctlPlane struct{ c *Controller }
 
-// Remaining is the bytes f had left when its current grant was planned,
-// less what that grant has carried since. Each pass re-sizes the grant
-// for the bytes left at that instant, so progress made under superseded
-// grants is carried forward rather than forgotten.
-func (p ctlPlane) Remaining(f *core.Flow, now simtime.Time) float64 {
-	sent := f.Slices.OverlapTotal(simtime.Interval{Start: 0, End: now})
-	return f.Bytes - p.c.graph.MinCapacity(f.Path)*float64(sent)/1e6
-}
-
 // Discard closes the books on a task the reject rule discarded: terminal
 // records for the task and its flows, and its entry in the grant ledger,
 // if it has one (a rejected newcomer has none). Runs inside a decision,

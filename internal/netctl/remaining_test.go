@@ -16,7 +16,8 @@ import (
 // under superseded grants must be carried forward. A 25 MB flow at 1 Gb/s
 // needs 200 ms; unrelated probes re-plan it at 100 ms and at 180 ms, and
 // each new grant must cover exactly what is left — 100 ms, then 20 ms —
-// ending at 200 ms throughout. (Measuring progress against the current
+// ending at 200 ms throughout, and a third at 190 ms must find 1.25 MB
+// left. (Measuring progress against the current
 // slices alone re-reserved 99 ms and then 119 ms.) A controller restarted
 // on the decision log must come back believing the same. The kernel is
 // driven directly, every input on its own injected now: no clock, no sleep.
@@ -48,7 +49,8 @@ func TestRemainingCarriesSentBytesAcrossReplans(t *testing.T) {
 	requireGrant(100*simtime.Millisecond, 100*simtime.Millisecond)
 	probe(180*simtime.Millisecond, 3, 5, 9, 125_000)
 	requireGrant(180*simtime.Millisecond, 20*simtime.Millisecond)
-	if got := (ctlPlane{c}).Remaining(long(), 190*simtime.Millisecond); got != 1_250_000 {
+	probe(190*simtime.Millisecond, 4, 6, 10, 125_000)
+	if got := long().Bytes; got != 1_250_000 {
 		t.Fatalf("remaining at 190 ms = %g bytes, want 1.25 MB", got)
 	}
 

@@ -12,7 +12,8 @@
 //     + the §IV-B reject rule) to accept or discard the task;
 //  4. on accept it installs forwarding entries on the switches along each
 //     chosen path (4A) and sends the pre-allocated time slices to the
-//     senders (4B);
+//     senders (4B), both in effect when the reply lands, the instant the
+//     slices were planned from (so grants alone tell how far a flow got);
 //  5. on reject it tells the senders to discard the task.
 //
 // Every message takes ControlLatencyTicks to be delivered, switch flow
@@ -111,6 +112,15 @@ type tbFlow struct {
 }
 
 func (f *tbFlow) onTime() bool { return f.done && f.doneAt <= f.deadline }
+
+// grant is a routed flow's part of a committed plan, on its way to the
+// senders and switches until tick.
+type grant struct {
+	tick   int
+	f      *tbFlow
+	path   topology.Path
+	slices simtime.IntervalSet
+}
 
 // message is a control-plane message in flight.
 type message struct {
@@ -241,6 +251,7 @@ type Testbed struct {
 	arrivals []simtime.Time
 	switches map[topology.NodeID]*switchState
 	inflight []message
+	grants   []grant // committed plans on their way, in decision order
 	accepted map[int]bool
 	decided  map[int]bool
 	res      *Result
@@ -348,6 +359,7 @@ func (tb *Testbed) Run() (*Result, error) {
 	maxTicks := tb.horizonTicks()
 	for tb.tick = 0; tb.tick < maxTicks; tb.tick++ {
 		tb.deliverControl()
+		tb.landPlans()
 		tb.hostArrivals()
 		tb.dataPlane()
 		if tb.finished() {
@@ -429,13 +441,8 @@ func (tb *Testbed) deliverControl() {
 	}
 }
 
-// ctlPlane answers the controller's kernel from the testbed's data
-// plane: the senders' byte counters, and the preemption of a task.
+// ctlPlane carries out the kernel's preemptions on the data plane.
 type ctlPlane struct{ tb *Testbed }
-
-func (p ctlPlane) Remaining(f *core.Flow, _ simtime.Time) float64 {
-	return p.tb.flows[f.Key].remaining
-}
 
 // Discard stops a preempted task: its unfinished flows are abandoned and
 // their forwarding entries withdrawn. A rejected newcomer has neither
@@ -466,7 +473,7 @@ func (tb *Testbed) controllerAdmit(task int) {
 		// re-granting.
 		if tb.accepted[task] {
 			tb.kernel.Replan(now, int64(task))
-			tb.installCommitted()
+			tb.sendPlan()
 			tb.send(msgGrant, task, -1)
 		} else {
 			tb.send(msgReject, task, -1)
@@ -482,7 +489,7 @@ func (tb *Testbed) controllerAdmit(task int) {
 		specs[i] = core.FlowSpec{Key: uint64(fid), Src: f.src, Dst: f.dst, Size: f.size}
 	}
 	decision, _ := tb.kernel.TaskArrived(now, int64(task), deadline, specs)
-	tb.installCommitted()
+	tb.sendPlan()
 	if decision == core.RejectNew {
 		tb.send(msgReject, task, -1)
 	} else {
@@ -500,21 +507,28 @@ func splitmix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// installCommitted takes over the plan the kernel just committed: every
-// routed flow gets its path and slices, and its forwarding entries move
-// to the new path.
-func (tb *Testbed) installCommitted() {
+// sendPlan puts the plan the kernel just committed on its way: every
+// routed flow's grant lands with the decision's reply.
+func (tb *Testbed) sendPlan() {
 	for _, kf := range tb.kernel.Committed() {
-		if kf.Path == nil {
-			continue
+		if kf.Path != nil {
+			tb.grants = append(tb.grants, grant{tb.tick + tb.cfg.ControlLatencyTicks, tb.flows[kf.Key], kf.Path, kf.Slices})
 		}
-		f := tb.flows[kf.Key]
-		if len(f.path) > 0 {
-			tb.removeTables(f)
+	}
+}
+
+// landPlans installs the grants that land this tick: a flow still running
+// gets its path and slices, and its forwarding entries move to the new
+// path.
+func (tb *Testbed) landPlans() {
+	for ; len(tb.grants) > 0 && tb.grants[0].tick <= tb.tick; tb.grants = tb.grants[1:] {
+		if g, f := tb.grants[0], tb.grants[0].f; !f.done && !f.discarded {
+			if len(f.path) > 0 {
+				tb.removeTables(f)
+			}
+			f.path, f.slices = g.path, g.slices
+			tb.installTables(f)
 		}
-		f.path = kf.Path
-		f.slices = kf.Slices
-		tb.installTables(f)
 	}
 }
 

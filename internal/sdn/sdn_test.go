@@ -218,6 +218,37 @@ func TestMessageLossRecoveredByRetry(t *testing.T) {
 	}
 }
 
+// TestPlanTakesEffectWithItsReply: a decision plans its slices from the
+// instant its reply reaches the senders, so that is when its plan takes
+// effect. A granted sender keeps the slices of the plan before until
+// then, and a later task's decision never leaves it idle. (Installing the
+// plan at the decision tick stalled the running flow for the whole
+// control latency: 5 ticks here.)
+func TestPlanTakesEffectWithItsReply(t *testing.T) {
+	g, _ := testbedTopo()
+	hosts := g.Hosts()
+	tasks := []sim.TaskSpec{
+		{Arrival: 0, Deadline: 60 * simtime.Millisecond,
+			Flows: []sim.FlowSpec{{Src: hosts[0], Dst: hosts[7], Size: 1_000_000}}},
+		{Arrival: 2 * simtime.Millisecond, Deadline: 20 * simtime.Millisecond,
+			Flows: []sim.FlowSpec{{Src: hosts[4], Dst: hosts[5], Size: 10_000}}},
+	}
+	res := runBed(t, sdn.ModeTAPS, sdn.Config{ControlLatencyTicks: 5}, tasks)
+	if res.TasksCompleted != 2 {
+		t.Fatalf("tasks completed = %d, want 2", res.TasksCompleted)
+	}
+	started, stalled := false, 0
+	for _, ts := range res.Timeline {
+		started = started || ts.DeliveredBytes > 0
+		if started && ts.ActiveFlows > 0 && ts.DeliveredBytes == 0 {
+			stalled++
+		}
+	}
+	if stalled != 0 {
+		t.Fatalf("%d ticks with flows active and nothing delivered after the first byte, want 0", stalled)
+	}
+}
+
 func TestMessageLossDelaysButKeepsDeterminism(t *testing.T) {
 	g, _ := testbedTopo()
 	tasks := oneTask(g, 100*1024, 60*simtime.Millisecond)
