@@ -32,10 +32,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# goldens regenerates the bench-scale trace and decision log, and replays
-# the checked-in log into a trace, and compares each byte for byte with
-# its checked-in golden. The outputs go to a directory of their own, so
-# two runs at once do not overwrite each other's files.
+# goldens regenerates the bench-scale trace and decision log, replays the
+# checked-in log into a trace and into its plan-state summary (at the end
+# of the log and at the first reject, -until 89412), and compares each
+# byte for byte with its checked-in golden. The outputs go to a directory
+# of their own, so two runs at once do not overwrite each other's files.
 goldens:
 	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; set -x; \
 	$(GO) run ./cmd/tapsim -scale bench -trace "$$dir/trace_bench.json" && \
@@ -44,7 +45,13 @@ goldens:
 	cmp "$$dir/declog_bench.bin" cmd/tapsim/testdata/declog_bench.bin && \
 	$(GO) run ./cmd/tapsctl -replay cmd/tapsim/testdata/declog_bench.bin \
 		-trace "$$dir/replayed_trace.json" && \
-	cmp "$$dir/replayed_trace.json" cmd/tapsim/testdata/trace_bench.json
+	cmp "$$dir/replayed_trace.json" cmd/tapsim/testdata/trace_bench.json && \
+	$(GO) run ./cmd/tapsctl -replay cmd/tapsim/testdata/declog_bench.bin \
+		> "$$dir/replay_bench.txt" && \
+	cmp "$$dir/replay_bench.txt" cmd/tapsctl/testdata/replay_bench.txt && \
+	$(GO) run ./cmd/tapsctl -replay cmd/tapsim/testdata/declog_bench.bin -until 89412 \
+		> "$$dir/replay_bench_until_89412.txt" && \
+	cmp "$$dir/replay_bench_until_89412.txt" cmd/tapsctl/testdata/replay_bench_until_89412.txt
 
 # examples builds every program under examples/ once and runs it; a
 # non-zero exit fails the target. They document the public API (all but
