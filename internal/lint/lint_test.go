@@ -111,7 +111,7 @@ func TestKindExhaustiveCatchesNewKind(t *testing.T) {
 			hits++
 		}
 	}
-	// Both the encoder's switch and the replayer's Apply switch must trip.
+	// Both the encoder's switch and the replayer's fold switch must trip.
 	if hits < 2 {
 		t.Fatalf("kindexhaustive flagged %d switches for the unhandled KindRegress, want >= 2 (encoder and replayer)", hits)
 	}
