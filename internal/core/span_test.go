@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"taps/internal/core"
@@ -191,6 +192,50 @@ func TestPreemptionSpans(t *testing.T) {
 	}
 	if discarded.Outcome == span.OutcomePreempted && discarded.PreemptedBy == span.NoTask {
 		t.Fatal("preempted task lacks PreemptedBy edge")
+	}
+}
+
+// TestRejectedArrivalRevokesNothing: a pass the reject rule throws away is
+// never committed, so it grants nothing and revokes nothing. Task 0 runs
+// to completion inside its grant; task 1 arrives alone with a deadline it
+// cannot meet and is rejected. Its flow was planned by the tentative
+// arrival pass only, so no window of the tree is revoked and no link
+// track carries task 1, while -why still shows the plan that missed.
+func TestRejectedArrivalRevokesNothing(t *testing.T) {
+	g, r := topology.SingleRootedTree(topology.SingleRootedTreeSpec{
+		Pods: 1, RacksPerPod: 1, HostsPerRack: 3, LinkCapacity: topology.Gbps(1),
+	})
+	hosts := g.Hosts()
+	specs := []sim.TaskSpec{
+		// 125 KB at 1 Gb/s: 1 ms of work, done long before task 1.
+		{Arrival: 0, Deadline: 10 * simtime.Millisecond,
+			Flows: []sim.FlowSpec{{Src: hosts[0], Dst: hosts[1], Size: 125_000}}},
+		// 2 MB needs 16 ms; its deadline is 1 ms.
+		{Arrival: 5 * simtime.Millisecond, Deadline: simtime.Millisecond,
+			Flows: []sim.FlowSpec{{Src: hosts[0], Dst: hosts[1], Size: 2_000_000}}},
+	}
+	log := &declog.Writer{}
+	eng := sim.New(g, topology.NewCachedRouting(r), core.New(core.DefaultConfig()), specs, sim.Config{Sink: declog.Sink{Log: log}})
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	tree := replayed(t, log)
+	if ts := tree.Task(1); ts == nil || ts.Outcome != span.OutcomeRejected {
+		t.Fatalf("task 1: %+v, want rejected", ts)
+	}
+	if got := tree.RevokedByFlow(); len(got) != 0 {
+		t.Fatalf("revoked windows %v; the only pass that planned task 1 was never committed", got)
+	}
+	var trace bytes.Buffer
+	if err := span.WriteTraceEvents(&trace, tree); err != nil {
+		t.Fatal(err)
+	}
+	// A link slice is named f<flow>/t<task>.
+	if bytes.Contains(trace.Bytes(), []byte(`"revoked"`)) || bytes.Contains(trace.Bytes(), []byte(`/t1"`)) {
+		t.Fatal("the trace carries a link slice of the uncommitted pass")
+	}
+	if why := span.WhyText(tree, 1); !strings.Contains(why, "MISSES") {
+		t.Fatalf("-why lost the plan that missed:\n%s", why)
 	}
 }
 

@@ -226,10 +226,11 @@ type linkSlice struct {
 	revoked bool
 }
 
-// linkSlices projects every plan's granted windows onto its path links,
-// splitting each window at the instant the plan was superseded (the next
-// pass that re-planned the flow) or the flow was killed: the part before
-// is occupancy, the tail is a revoked grant.
+// linkSlices projects every committed plan's granted windows onto its
+// path links, splitting each window at the instant the plan was
+// superseded (the next committed pass that re-planned the flow) or the
+// flow was killed: the part before is occupancy, the tail is a revoked
+// grant.
 func linkSlices(t *Tree) []linkSlice {
 	grants := t.grants()
 	var out []linkSlice

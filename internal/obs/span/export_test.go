@@ -37,11 +37,11 @@ func sampleTree() *Tree {
 				Ended: true, Note: "preempted"},
 		},
 		Replans: []ReplanSpan{
-			{Seq: 1, Time: 0, Kind: ReplanArrival, Trigger: 1, Flows: 1, PathsTried: 2,
+			{Seq: 1, Committed: true, Time: 0, Kind: ReplanArrival, Trigger: 1, Flows: 1, PathsTried: 2,
 				Plans: []PlanSpan{{Flow: 10, Task: 1, Candidates: 2, PathIndex: 1,
 					Path: []int32{3, 4}, Slices: []simtime.Interval{iv(0, 30)},
 					Finish: 30, Deadline: 100}}},
-			{Seq: 2, Time: 10, Kind: ReplanArrival, Trigger: 4, Flows: 1, PathsTried: 1,
+			{Seq: 2, Committed: true, Time: 10, Kind: ReplanArrival, Trigger: 4, Flows: 1, PathsTried: 1,
 				Plans: []PlanSpan{{Flow: 40, Task: 4, Candidates: 1, PathIndex: 0,
 					Path: []int32{7}, Slices: []simtime.Interval{iv(30, 90)},
 					Finish: 90, Deadline: 200}}},
@@ -171,7 +171,7 @@ func synthTree(flows, plansPerFlow int) *Tree {
 		t.Flows = append(t.Flows, fs)
 	}
 	for p := 0; p < flows; p++ {
-		rs := ReplanSpan{Seq: p + 1, Time: simtime.Time(p * 10), Kind: ReplanArrival, Trigger: int64(p)}
+		rs := ReplanSpan{Seq: p + 1, Committed: true, Time: simtime.Time(p * 10), Kind: ReplanArrival, Trigger: int64(p)}
 		for k := 0; k < plansPerFlow; k++ {
 			f := (p + k*flows/plansPerFlow) % flows
 			at := simtime.Time(p * 10)

@@ -74,20 +74,27 @@ func WhyText(t *Tree, task int64) string {
 		}
 	}
 
-	// Per-flow final plan: what the planner last decided for each flow.
-	grants := t.grants()
+	// Per-flow final plan: what the planner last decided for each flow,
+	// in any pass — a discarded task's last plan is the one that missed,
+	// in a pass that was never committed.
+	last := make(map[int64]*PlanSpan, len(ts.Flows))
+	for i := range t.Replans {
+		for j := range t.Replans[i].Plans {
+			p := &t.Replans[i].Plans[j]
+			last[p.Flow] = p
+		}
+	}
 	for _, fid := range ts.Flows {
-		gs := grants[fid]
 		fs := t.Flow(fid)
 		label := fmt.Sprintf("f%d", fid)
 		if fs != nil && fs.Label != "" {
 			label += " " + fs.Label
 		}
-		if len(gs) == 0 {
+		p := last[fid]
+		if p == nil {
 			fmt.Fprintf(&b, "  %s: never planned\n", label)
 			continue
 		}
-		p := gs[len(gs)-1].plan
 		verdict := "fits"
 		if p.Missed {
 			verdict = "MISSES"
