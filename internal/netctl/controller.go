@@ -1,7 +1,6 @@
 package netctl
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"net"
@@ -12,7 +11,6 @@ import (
 	"taps/internal/core"
 	"taps/internal/obs"
 	"taps/internal/obs/declog"
-	"taps/internal/obs/span"
 	"taps/internal/simtime"
 	"taps/internal/topology"
 )
@@ -43,41 +41,15 @@ func (c ControllerConfig) withDefaults() ControllerConfig {
 	return c
 }
 
-// ctlPlane is the kernel's view of the controller's data plane. The
-// controller never hears how far a sender has got, only when it is done,
-// so progress is derived from the kernel's own grants: a sender is busy
-// exactly during its slices.
+// ctlPlane is the controller's data plane as the decision service sees
+// it. The controller never hears how far a sender has got, only when it is
+// done, so progress is derived from the kernel's own grants: a sender is
+// busy exactly during its slices.
 type ctlPlane struct{ c *Controller }
 
-// Discard closes the books on a task the reject rule discarded: terminal
-// records for the task and its flows, and its entry in the grant ledger,
-// if it has one (a rejected newcomer has none). Runs inside a decision,
-// so c.mu is held.
-func (p ctlPlane) Discard(now simtime.Time, task, by int64) {
-	c := p.c
-	outcome, reason, note := span.OutcomeRejected, "reject rule", "task rejected"
-	if by != span.NoTask {
-		outcome, reason, note = span.OutcomePreempted, fmt.Sprintf("preempted by task %d", by), "task preempted"
-	}
-	c.sink.Emit(&declog.Record{Kind: declog.KindTaskEnd, Time: now, Task: task, Outcome: outcome, Reason: reason})
-	for _, f := range c.kernel.Flows(task) {
-		c.sink.Emit(&declog.Record{Kind: declog.KindFlowEnd, Time: now, Flow: int64(f.Key), Reason: note})
-	}
-	if i, ok := c.ledgerIndex(task); ok {
-		c.ledger = slices.Delete(c.ledger, i, i+1)
-	}
-}
-
-// grantEntry is one accepted task in the controller's grant ledger: the
-// task's flows in the kernel and, once every one of them is Done, the
-// task's grant frame. A grant lists the flows not yet Done, and a flow
-// never stops being Done, so a settled task's frame — its ID and no
-// flows — can no longer change: it is encoded once and re-sent as is.
-type grantEntry struct {
-	task    int64
-	flows   []*core.Flow
-	settled []byte
-}
+// Discard forgets the settled grant frame of a task the reject rule
+// discarded. Runs inside a decision, so c.mu is held.
+func (p ctlPlane) Discard(_ simtime.Time, task, _ int64) { delete(p.c.settled, task) }
 
 // Controller is the networked TAPS controller. Create with NewController,
 // start with Serve (or ServeListener), stop with Close.
@@ -86,8 +58,8 @@ type Controller struct {
 	graph *topology.Graph
 	epoch time.Time
 	obs   *obs.Recorder
-	// sink is where the controller and its kernel, which shares it, report
-	// every decision and lifecycle record. Both halves are always on: the
+	// sink is where the decision service and its kernel report every
+	// decision and lifecycle record. Both halves are always on: the
 	// log is in memory until EnableDecisionLog puts it in a file, and it
 	// is the only record — /trace and /why replay it.
 	sink declog.Sink
@@ -100,14 +72,16 @@ type Controller struct {
 	// agents before its first frame; an agent whose write fails leaves a
 	// nil slot. Reused from one broadcast to the next.
 	conns []*codec
-	// kernel decides: it owns the flow table and the plan.
+	// svc decides every probe and TERM, and knows which tasks were decided
+	// and which accepted; its kernel owns the flow table and the plan,
+	// which the broadcast reads.
+	svc    *core.Service
 	kernel *core.Kernel
-	// ledger is what the agents were told to send: every task accepted and
-	// not since discarded, sorted by task ID, in the order its grants are
-	// broadcast. decided holds every task a probe was decided for; those
-	// decided and not in the ledger were rejected or preempted.
-	ledger  []grantEntry
-	decided map[int64]bool
+	// settled is the grant ledger: the frame of each accepted task whose
+	// flows are all Done. A grant lists the flows not yet Done, and a flow
+	// never stops being Done, so a settled task's frame — its ID and no
+	// flows — can no longer change: it is encoded once and re-sent as is.
+	settled map[int64][]byte
 	// stageAcc points at the in-progress probe's stage accumulator while
 	// onProbe holds mu; helpers called from the critical section charge
 	// their elapsed time to it via stageAdd.
@@ -139,11 +113,11 @@ func NewController(g *topology.Graph, r topology.Routing, cfg ControllerConfig) 
 		sink:    declog.Sink{Log: &declog.Writer{}, Obs: rec},
 		load:    newLoadStats(),
 		agents:  make(map[*codec]HelloMsg),
-		decided: make(map[int64]bool),
+		settled: make(map[int64][]byte),
 		closed:  make(chan struct{}),
 	}
-	c.kernel = core.NewKernel(g, r, core.Config{MaxPaths: cfg.MaxPaths}, ctlPlane{c})
-	c.kernel.Sink = &c.sink
+	c.svc = core.NewService(g, r, core.Config{MaxPaths: cfg.MaxPaths}, &c.sink, ctlPlane{c})
+	c.kernel = c.svc.Kernel()
 	c.sink.Log.Append(c.metaRecord())
 	return c
 }
@@ -233,9 +207,10 @@ func (c *Controller) redoLocked(w *declog.Writer, recs []declog.Record) (inputs 
 }
 
 // redecide runs the input a logged record opens — a probe for a Task
-// record, a re-issue for a Replan of its own, a TERM for a FlowEnd — at the
-// record's time. A Meta record opens none: the clock resumes the epoch and
-// speed it names, and it is carried over as it is.
+// record, a repeated probe of its trigger for a Replan of its own, a TERM
+// for a FlowEnd — at the record's time. A Meta record opens none: the
+// clock resumes the epoch and speed it names, and it is carried over as it
+// is.
 func (c *Controller) redecide(r *declog.Record) error {
 	switch r.Kind {
 	case declog.KindMeta:
@@ -253,9 +228,9 @@ func (c *Controller) redecide(r *declog.Record) error {
 		}
 		c.probe(r.Time, p)
 	case declog.KindReplan:
-		c.reissue(r.Time, r.Replan.Trigger)
+		c.probe(r.Time, ProbeMsg{Task: r.Replan.Trigger})
 	case declog.KindFlowEnd:
-		c.term(r.Time, uint64(r.Flow))
+		c.svc.Term(r.Time, uint64(r.Flow), 0)
 	case declog.KindAdmit, declog.KindReject, declog.KindPreempt, declog.KindAttr,
 		declog.KindTaskEnd, declog.KindSegments, declog.KindLinkDown, declog.KindCommit:
 		return fmt.Errorf("a %s record opens no input", r.Kind)
@@ -464,79 +439,38 @@ func (c *Controller) onProbe(p ProbeMsg) {
 		c.observeStages(end, &acc)
 		c.load.inFlight.Add(-1)
 	}()
-	if c.decided[p.Task] {
-		// Duplicate probe (agent retry): replan and re-broadcast.
-		if _, ok := c.ledgerIndex(p.Task); ok {
-			c.reissue(c.now(), p.Task)
-			c.declogSyncLocked()
-			c.broadcastGrantsLocked()
-		} else {
-			c.broadcastRejectLocked(p.Task, "already rejected")
-		}
+	ans := c.probe(c.now(), p)
+	if ans.Again && ans.Decision == core.RejectNew {
+		c.broadcastRejectLocked(p.Task, "already rejected")
 		return
 	}
-	decision, victim := c.probe(c.now(), p)
 	c.declogSyncLocked()
-	switch decision {
-	case core.RejectNew:
+	switch {
+	case ans.Again:
+		// An agent's retry: the grant it lost was issued anew.
+	case ans.Decision == core.RejectNew:
 		c.broadcastRejectLocked(p.Task, "reject rule")
 		c.cfg.Logf("netctl: task %d rejected", p.Task)
-	case core.Preempt:
-		c.broadcastRejectLocked(victim, "preempted")
-		c.cfg.Logf("netctl: task %d accepted, task %d preempted", p.Task, victim)
-	case core.Accept:
+	case ans.Decision == core.Preempt:
+		c.broadcastRejectLocked(ans.Victim, "preempted")
+		c.cfg.Logf("netctl: task %d accepted, task %d preempted", p.Task, ans.Victim)
+	default:
 		c.cfg.Logf("netctl: task %d accepted", p.Task)
 	}
 	c.broadcastGrantsLocked()
 }
 
-// probe decides a task's first probe at now (Alg. 1, the reject rule) and
-// records it: the Task record, the kernel's records, the ledger entry of an
-// admitted task and the ends of its flows finished on arrival. It returns
-// the rule's decision and, for Preempt, the victim.
-func (c *Controller) probe(now simtime.Time, p ProbeMsg) (core.Decision, int64) {
-	c.decided[p.Task] = true
+// probe hands a probe to the decision service at now, charging the
+// decision's time to the in-progress probe's plan stage.
+func (c *Controller) probe(now simtime.Time, p ProbeMsg) core.Answer {
+	sw := obs.StartStopwatch()
 	specs := make([]core.FlowSpec, len(p.Flows))
-	infos := make([]declog.FlowInfo, len(p.Flows))
 	for i, fi := range p.Flows {
 		specs[i] = core.FlowSpec{Key: fi.ID, Src: fi.Src, Dst: fi.Dst, Size: fi.Size}
-		infos[i] = declog.FlowInfo{ID: int64(fi.ID), Src: int32(fi.Src), Dst: int32(fi.Dst), Size: fi.Size,
-			Label: c.graph.Node(fi.Src).Name + "->" + c.graph.Node(fi.Dst).Name}
 	}
-	c.sink.Emit(&declog.Record{Kind: declog.KindTask, Time: now, Task: p.Task, Deadline: p.Deadline, Flows: infos})
-	var decision core.Decision
-	var victim int64
-	c.decideLocked(func() { decision, victim = c.kernel.TaskArrived(now, p.Task, p.Deadline, specs) })
-	if decision != core.RejectNew {
-		c.acceptLocked(p.Task)
-		// Flows the kernel found finished on arrival (a local transfer,
-		// nothing to send) end here: no agent will ever report them.
-		ended := false
-		for _, f := range c.kernel.Flows(p.Task) {
-			if f.Done {
-				c.flowEndedLocked(f, now)
-				ended = true
-			}
-		}
-		if ended {
-			c.taskEndedLocked(p.Task, now)
-		}
-	}
-	return decision, victim
-}
-
-// reissue re-plans everything in flight at now for an admitted task whose
-// probe came again (an agent's retry), so that its grant is issued anew.
-func (c *Controller) reissue(now simtime.Time, task int64) {
-	c.decideLocked(func() { c.kernel.Replan(now, task) })
-}
-
-// decideLocked runs one kernel input, charging its time to the
-// in-progress probe's plan stage.
-func (c *Controller) decideLocked(input func()) {
-	sw := obs.StartStopwatch()
-	input()
+	ans := c.svc.Probe(now, p.Task, p.Deadline, specs)
 	c.stageAdd(StagePlan, sw.Elapsed())
+	return ans
 }
 
 // declogSyncLocked runs the write-ahead fsync of a decision, charging the
@@ -552,20 +486,6 @@ func (c *Controller) declogSyncLocked() {
 	c.stageAdd(StageDeclogSync, sw.Elapsed())
 }
 
-// ledgerIndex is the position of task in the grant ledger, or where it
-// would go, and whether it is there.
-func (c *Controller) ledgerIndex(task int64) (int, bool) {
-	return slices.BinarySearchFunc(c.ledger, task, func(e grantEntry, t int64) int { return cmp.Compare(e.task, t) })
-}
-
-// acceptLocked enters an accepted task in the grant ledger. Task IDs
-// almost always arrive in increasing order, which makes it an append.
-func (c *Controller) acceptLocked(task int64) {
-	if i, ok := c.ledgerIndex(task); !ok {
-		c.ledger = slices.Insert(c.ledger, i, grantEntry{task: task, flows: c.kernel.Flows(task)})
-	}
-}
-
 // broadcastGrantsLocked sends the current schedule of every accepted task,
 // in task order. A live task's grant frame is encoded straight from the
 // kernel's flows into the controller's frame buffer; the first broadcast
@@ -576,14 +496,14 @@ func (c *Controller) acceptLocked(task int64) {
 func (c *Controller) broadcastGrantsLocked() {
 	sw := obs.StartStopwatch()
 	c.collectAgentsLocked()
-	for i := range c.ledger {
-		e := &c.ledger[i]
-		frame := e.settled
+	for _, task := range c.svc.AcceptedTasks() {
+		frame := c.settled[task]
 		if frame == nil {
-			c.frame = appendGrantFrame(c.frame[:0], e.task, e.flows)
+			flows := c.kernel.Flows(task)
+			c.frame = appendGrantFrame(c.frame[:0], task, flows)
 			frame = c.frame
-			if !slices.ContainsFunc(e.flows, func(f *core.Flow) bool { return !f.Done }) {
-				e.settled = slices.Clone(frame)
+			if !slices.ContainsFunc(flows, func(f *core.Flow) bool { return !f.Done }) {
+				c.settled[task] = slices.Clone(frame)
 			}
 		}
 		c.writeAllLocked(frame)
@@ -633,37 +553,7 @@ func (c *Controller) onTerm(t TermMsg) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.load.termsTotal++
-	c.term(c.now(), t.Flow)
-}
-
-// term marks a flow finished at now and closes its span, and its task's
-// once all its flows are done. Unknown and finished flows are ignored.
-func (c *Controller) term(now simtime.Time, flow uint64) {
-	f := c.kernel.Flow(flow)
-	if f == nil || f.Done {
-		return
-	}
-	c.kernel.FlowFinished(now, f.Key, 0)
-	c.flowEndedLocked(f, now)
-	c.taskEndedLocked(f.Task, now)
-}
-
-// flowEndedLocked closes a finished flow's span.
-func (c *Controller) flowEndedLocked(f *core.Flow, now simtime.Time) {
-	c.sink.Emit(&declog.Record{Kind: declog.KindFlowEnd, Time: now, Flow: int64(f.Key),
-		Done: true, OnTime: now <= f.Deadline})
-}
-
-// taskEndedLocked closes the task's span as completed once every one of
-// its flows is done. Callers end all the flows a decision finished first,
-// so a task ends once however many of its flows finish together.
-func (c *Controller) taskEndedLocked(task int64, now simtime.Time) {
-	for _, f := range c.kernel.Flows(task) {
-		if !f.Done {
-			return
-		}
-	}
-	c.sink.Emit(&declog.Record{Kind: declog.KindTaskEnd, Time: now, Task: task, Outcome: span.OutcomeCompleted})
+	c.svc.Term(c.now(), t.Flow, 0)
 }
 
 // Snapshot is introspection for tests and operators.
@@ -684,9 +574,7 @@ func (c *Controller) Snapshot() Snapshot {
 	defer c.mu.Unlock()
 	var s Snapshot
 	s.Agents = len(c.agents)
-	for _, e := range c.ledger {
-		s.AcceptedTasks = append(s.AcceptedTasks, e.task)
-	}
+	s.AcceptedTasks = append(s.AcceptedTasks, c.svc.AcceptedTasks()...)
 	s.LinkBusy, s.PendingFlows, s.OverlapViolations = c.kernel.LinkBusy()
 	return s
 }

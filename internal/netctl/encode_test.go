@@ -167,9 +167,11 @@ func FuzzGrantFrame(f *testing.F) {
 	})
 }
 
-// broadcastFixture is a controller whose grant ledger holds accepted
-// tasks — one to three flows each, with committed slices and paths — and
-// agents connected over in-memory pipes whose far ends are drained.
+// broadcastFixture is a controller that has accepted tasks — one to three
+// flows each, with committed slices and paths — and agents connected over
+// in-memory pipes whose far ends are drained. Each task is probed with
+// local flows of no bytes, which the service admits without planning
+// anything; the drawn grant is then written into the kernel's flows.
 func broadcastFixture(tb testing.TB, agents, accepted int) *Controller {
 	tb.Helper()
 	g, r := topology.FatTree(topology.FatTreeSpec{K: 4, LinkCapacity: topology.Gbps(1)})
@@ -177,9 +179,9 @@ func broadcastFixture(tb testing.TB, agents, accepted int) *Controller {
 	hosts := g.Hosts()
 	rng := rand.New(rand.NewSource(1))
 	for task := int64(1); task <= int64(accepted); task++ {
-		e := grantEntry{task: task}
+		var drawn []core.Flow
 		for j := range 1 + rng.Intn(3) {
-			f := &core.Flow{FlowReq: core.FlowReq{Key: uint64(task)<<8 | uint64(j),
+			f := core.Flow{FlowReq: core.FlowReq{Key: uint64(task)<<8 | uint64(j),
 				Src: hosts[rng.Intn(len(hosts))], Deadline: 20*simtime.Millisecond + rng.Int63n(40*simtime.Millisecond)},
 				Task: task}
 			for range 1 + rng.Intn(3) {
@@ -189,9 +191,18 @@ func broadcastFixture(tb testing.TB, agents, accepted int) *Controller {
 			for range 2 + 2*rng.Intn(3) {
 				f.Path = append(f.Path, topology.LinkID(rng.Intn(g.NumLinks())))
 			}
-			e.flows = append(e.flows, f)
+			drawn = append(drawn, f)
 		}
-		c.ledger = append(c.ledger, e)
+		p := ProbeMsg{Task: task}
+		for _, f := range drawn {
+			p.Flows = append(p.Flows, FlowInfo{ID: f.Key, Src: f.Src, Dst: f.Src})
+		}
+		if ans := c.probe(0, p); ans.Decision != core.Accept {
+			tb.Fatalf("task %d: %v, want accept", task, ans.Decision)
+		}
+		for j, f := range c.kernel.Flows(task) {
+			*f = drawn[j]
+		}
 	}
 	for i := range agents {
 		near, far := net.Pipe()
@@ -235,8 +246,8 @@ func TestBroadcastAllocsIndependentOfAgents(t *testing.T) {
 // accepted tasks done, as ctl_storm's agents' TERMs do, leaving the newest
 // tasks live.
 func settle(c *Controller, accepted int, share float64) {
-	for _, e := range c.ledger[:int(share*float64(accepted))] {
-		for _, f := range e.flows {
+	for _, task := range c.svc.AcceptedTasks()[:int(share*float64(accepted))] {
+		for _, f := range c.kernel.Flows(task) {
 			f.Done = true
 		}
 	}

@@ -87,7 +87,7 @@ func decideCell(t *testing.T, g *topology.Graph, r topology.Routing, specs []sim
 			}
 			c.probe(in.Time, p)
 		case declog.KindFlowEnd:
-			c.term(in.Time, uint64(in.Flow))
+			c.svc.Term(in.Time, uint64(in.Flow), 0)
 		}
 	}
 	c.mu.Unlock()

@@ -54,15 +54,10 @@ func (c *Controller) status() Status {
 		TopologyHosts: len(c.graph.Hosts()),
 		TopologyLinks: c.graph.NumLinks(),
 		SpeedupFactor: c.cfg.Speedup,
-		DecidedTasks:  len(c.decided),
+		RejectedTasks: c.svc.RejectedTasks(),
 	}
-	for t := range c.decided {
-		if _, ok := c.ledgerIndex(t); !ok {
-			st.RejectedTasks = append(st.RejectedTasks, t)
-		}
-	}
+	st.DecidedTasks = len(c.svc.AcceptedTasks()) + len(st.RejectedTasks)
 	c.mu.Unlock()
-	sort.Slice(st.RejectedTasks, func(i, j int) bool { return st.RejectedTasks[i] < st.RejectedTasks[j] })
 	type lb struct {
 		l    StatusLink
 		busy simtime.Time

@@ -64,15 +64,15 @@ func RecipeLog(tb testing.TB, probes int) []byte {
 			p.Flows[j] = FlowInfo{ID: uint64(task)<<8 | uint64(j),
 				Src: hosts[src], Dst: hosts[dst], Size: 500e3 + rng.Int63n(1500e3+1)}
 		}
-		switch d, _ := c.probe(now, p); d {
+		switch c.probe(now, p).Decision {
 		case core.RejectNew:
 			n.rejects++
 		case core.Preempt:
 			n.preempts++
 		case core.Accept:
 		}
-		if task%20 == 0 && len(c.ledger) > 0 {
-			c.reissue(now, c.ledger[len(c.ledger)-1].task)
+		if accepted := c.svc.AcceptedTasks(); task%20 == 0 && len(accepted) > 0 {
+			c.probe(now, ProbeMsg{Task: accepted[len(accepted)-1]})
 			n.reissues++
 		}
 	}
@@ -89,11 +89,11 @@ func RecipeLog(tb testing.TB, probes int) []byte {
 // termOldest TERMs at now every unfinished flow of the oldest admitted
 // task that has one, and returns how many.
 func (c *Controller) termOldest(now simtime.Time) int {
-	for _, e := range c.ledger {
+	for _, task := range c.svc.AcceptedTasks() {
 		terms := 0
-		for _, f := range e.flows {
+		for _, f := range c.kernel.Flows(task) {
 			if !f.Done {
-				c.term(now, f.Key)
+				c.svc.Term(now, f.Key, 0)
 				terms++
 			}
 		}

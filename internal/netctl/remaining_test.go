@@ -109,8 +109,8 @@ func loggedController(t *testing.T, g *topology.Graph, r topology.Routing) (*Con
 // the controller's probe handler, and requires it accepted.
 func probeKernel(t *testing.T, c *Controller, now simtime.Time, task int64, deadline simtime.Time, src, dst topology.NodeID, size int64) {
 	t.Helper()
-	d, _ := c.probe(now, ProbeMsg{Task: task, Deadline: deadline,
-		Flows: []FlowInfo{{ID: uint64(task), Src: src, Dst: dst, Size: size}}})
+	d := c.probe(now, ProbeMsg{Task: task, Deadline: deadline,
+		Flows: []FlowInfo{{ID: uint64(task), Src: src, Dst: dst, Size: size}}}).Decision
 	if d != core.Accept {
 		t.Fatalf("task %d at t=%d: %v, want accept", task, now, d)
 	}

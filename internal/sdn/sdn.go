@@ -245,15 +245,14 @@ type Testbed struct {
 	mode     Mode
 	graph    *topology.Graph
 	routing  topology.Routing
-	kernel   *core.Kernel // the controller's decision procedure
+	svc      *core.Service // the controller: decides every probe and TERM
+	kernel   *core.Kernel  // svc's kernel, whose committed plans are granted
 	flows    []*tbFlow
 	tasks    [][]flowID
 	arrivals []simtime.Time
 	switches map[topology.NodeID]*switchState
 	inflight []message
 	grants   []grant // committed plans on their way, in decision order
-	accepted map[int]bool
-	decided  map[int]bool
 	res      *Result
 	tick     int
 
@@ -286,13 +285,12 @@ func New(g *topology.Graph, r topology.Routing, mode Mode, cfg Config, tasks []s
 		graph:     g,
 		routing:   r,
 		switches:  make(map[topology.NodeID]*switchState),
-		accepted:  make(map[int]bool),
-		decided:   make(map[int]bool),
 		lastProbe: make(map[int]int),
 		resolved:  make(map[int]bool),
 		res:       &Result{Mode: mode},
 	}
-	tb.kernel = core.NewKernel(g, r, core.DefaultConfig(), ctlPlane{tb})
+	tb.svc = core.NewService(g, r, core.DefaultConfig(), nil, ctlPlane{tb})
+	tb.kernel = tb.svc.Kernel()
 	for i := 0; i < g.NumNodes(); i++ {
 		n := g.Node(topology.NodeID(i))
 		if n.Kind != topology.Host {
@@ -443,7 +441,8 @@ func (tb *Testbed) deliverControl() {
 	}
 }
 
-// ctlPlane carries out the kernel's preemptions on the data plane.
+// ctlPlane carries out the decision service's preemptions on the data
+// plane.
 type ctlPlane struct{ tb *Testbed }
 
 // Discard stops a preempted task: its unfinished flows are abandoned and
@@ -454,7 +453,6 @@ func (p ctlPlane) Discard(_ simtime.Time, task, by int64) {
 		return
 	}
 	tb := p.tb
-	tb.accepted[int(task)] = false
 	for _, fid := range tb.tasks[task] {
 		if f := tb.flows[fid]; !f.done {
 			f.discarded = true
@@ -463,26 +461,14 @@ func (p ctlPlane) Discard(_ simtime.Time, task, by int64) {
 	}
 }
 
-// controllerAdmit hands a newly probed task to the kernel (Alg. 1 + the
-// reject rule) and carries out its decision.
+// controllerAdmit hands a probe to the decision service (Alg. 1 + the
+// reject rule) and carries out its answer. A repeated probe means the
+// previous reply was lost: the verdict stands, but an accepted task's
+// senders missed their original slices, so the service re-planned its
+// surviving flows from now and they are granted again.
 func (tb *Testbed) controllerAdmit(task int) {
 	// Slices are planned from the instant the reply reaches the senders.
 	now := tb.now() + simtime.Time(tb.cfg.ControlLatencyTicks)*tickDuration
-	if tb.decided[task] {
-		// Duplicate probe: the previous reply was lost. The verdict is
-		// idempotent, but a lost grant means the senders missed their
-		// original slices — re-plan the surviving flows from now before
-		// re-granting.
-		if tb.accepted[task] {
-			tb.kernel.Replan(now, int64(task))
-			tb.sendPlan()
-			tb.send(msgGrant, task, -1)
-		} else {
-			tb.send(msgReject, task, -1)
-		}
-		return
-	}
-	tb.decided[task] = true
 	specs := make([]core.FlowSpec, len(tb.tasks[task]))
 	var deadline simtime.Time // shared by the task's flows
 	for i, fid := range tb.tasks[task] {
@@ -490,12 +476,15 @@ func (tb *Testbed) controllerAdmit(task int) {
 		deadline = f.deadline
 		specs[i] = core.FlowSpec{Key: uint64(fid), Src: f.src, Dst: f.dst, Size: f.size}
 	}
-	decision, _ := tb.kernel.TaskArrived(now, int64(task), deadline, specs)
+	ans := tb.svc.Probe(now, int64(task), deadline, specs)
+	if ans.Again && ans.Decision == core.RejectNew {
+		tb.send(msgReject, task, -1) // no pass was planned
+		return
+	}
 	tb.sendPlan()
-	if decision == core.RejectNew {
+	if ans.Decision == core.RejectNew {
 		tb.send(msgReject, task, -1)
 	} else {
-		tb.accepted[task] = true
 		tb.send(msgGrant, task, -1)
 	}
 }
@@ -562,7 +551,7 @@ func (tb *Testbed) removeTables(f *tbFlow) {
 // controllerTerm handles a TERM: withdraw the flow's entries (§IV-C).
 func (tb *Testbed) controllerTerm(fid flowID) {
 	f := tb.flows[fid]
-	tb.kernel.FlowFinished(tb.now(), uint64(fid), f.remaining)
+	tb.svc.Term(tb.now(), uint64(fid), f.remaining)
 	tb.removeTables(f)
 }
 
@@ -735,7 +724,7 @@ func (tb *Testbed) finished() bool {
 			// An accepted flow still counts as pending only while its
 			// deadline is ahead: a flow stranded by a refused table
 			// install (or a lost slice) is terminal once it expires.
-			if tb.accepted[f.task] && f.remaining > 0 && f.deadline > now {
+			if tb.svc.Accepted(int64(f.task)) && f.remaining > 0 && f.deadline > now {
 				return false
 			}
 		case ModeFairSharing:
@@ -770,7 +759,7 @@ func (tb *Testbed) finalize() {
 		if done {
 			tb.res.TasksCompleted++
 		}
-		if tb.mode == ModeTAPS && tb.decided[ti] && !tb.accepted[ti] {
+		if tb.mode == ModeTAPS && tb.svc.Rejected(int64(ti)) {
 			tb.res.TasksRejected++
 		}
 	}
