@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"taps/internal/simtime"
@@ -227,28 +228,34 @@ type linkSlice struct {
 }
 
 // linkSlices projects every committed plan's granted windows onto its
-// path links, splitting each window at the instant the plan was
-// superseded (the next committed pass that re-planned the flow) or the
-// flow was killed: the part before is occupancy, the tail is a revoked
-// grant.
+// path links, cutting each window at the instant the plan was superseded
+// (the next committed pass that re-planned the flow) or the flow was
+// killed: the part before is occupancy. What the next commit took back on
+// a link (takenBack) is a revoked grant there; a window it granted again
+// on the same link is the next plan's occupancy, not a revocation.
 func linkSlices(t *Tree) []linkSlice {
 	grants := t.grants()
 	var out []linkSlice
 	for i := range t.Flows {
 		fs := &t.Flows[i]
-		for _, g := range grants[fs.Flow] {
-			for _, iv := range g.plan.Slices {
-				valid := simtime.Interval{Start: iv.Start, End: min(iv.End, g.cutoff)}
-				rest := simtime.Interval{Start: max(iv.Start, g.cutoff), End: iv.End}
-				for _, l := range g.plan.Path {
-					if !valid.Empty() {
+		gs := grants[fs.Flow]
+		for j := range gs {
+			g := &gs[j]
+			for _, l := range g.plan.Path {
+				for _, iv := range g.plan.Slices {
+					if valid := (simtime.Interval{Start: iv.Start, End: min(iv.End, g.cutoff)}); !valid.Empty() {
 						out = append(out, linkSlice{link: l, iv: valid,
 							flow: fs.Flow, task: g.plan.Task, seq: g.seq})
 					}
-					if !rest.Empty() {
-						out = append(out, linkSlice{link: l, iv: rest,
-							flow: fs.Flow, task: g.plan.Task, seq: g.seq, revoked: true})
-					}
+				}
+				next := nextPlan(gs, j)
+				if next != nil && !slices.Contains(next.Path, l) {
+					next = nil
+				}
+				back := takenBack(g, next)
+				for _, iv := range back.Intervals() {
+					out = append(out, linkSlice{link: l, iv: iv,
+						flow: fs.Flow, task: g.plan.Task, seq: g.seq, revoked: true})
 				}
 			}
 		}

@@ -333,29 +333,50 @@ func (t *Tree) grants() map[int64][]grant {
 	return byFlow
 }
 
-// revoked merges the parts of a flow's grants past their cutoffs.
-func revoked(gs []grant) []simtime.Interval {
+// takenBack is what the next commit took back of a committed grant: its
+// windows past the cutoff, less those that next, the flow's next committed
+// plan, granted it again. next is nil for a flow's last grant (a killed
+// flow loses its whole tail), and for a link track on which the next plan
+// does not route the flow.
+func takenBack(g *grant, next *PlanSpan) simtime.IntervalSet {
 	var set simtime.IntervalSet
-	for _, g := range gs {
-		for _, iv := range g.plan.Slices {
-			if iv.End > g.cutoff {
-				set.Add(simtime.Interval{Start: max(iv.Start, g.cutoff), End: iv.End})
-			}
+	for _, iv := range g.plan.Slices {
+		if iv.End > g.cutoff {
+			set.Add(simtime.Interval{Start: max(iv.Start, g.cutoff), End: iv.End})
 		}
 	}
-	return set.Intervals()
+	if next != nil {
+		for _, iv := range next.Slices {
+			set.Remove(iv)
+		}
+	}
+	return set
+}
+
+// nextPlan is the committed plan that follows gs[i], or nil.
+func nextPlan(gs []grant, i int) *PlanSpan {
+	if i+1 < len(gs) {
+		return gs[i+1].plan
+	}
+	return nil
 }
 
 // RevokedByFlow returns, keyed by flow, the slice windows that were
 // granted to a flow and later revoked before use: the tail of a committed
 // plan's slices past the instant the next committed pass re-planned the
-// flow, plus — for killed flows — the last committed plan's slices past
-// the kill instant. This is what the Gantt renderer marks '~' and the
-// trace exporter flags revoked=true. Flows with none are left out.
+// flow, less what that pass granted the flow again, plus — for killed
+// flows — the last committed plan's slices past the kill instant. This is
+// what the Gantt renderer marks '~'; the trace exporter flags the same
+// windows revoked=true, link by link. Flows with none are left out.
 func (t *Tree) RevokedByFlow() map[int64][]simtime.Interval {
 	out := make(map[int64][]simtime.Interval)
 	for flow, gs := range t.grants() {
-		if ivs := revoked(gs); len(ivs) > 0 {
+		var set simtime.IntervalSet
+		for i := range gs {
+			back := takenBack(&gs[i], nextPlan(gs, i))
+			set.UnionInPlace(&back)
+		}
+		if ivs := set.Intervals(); len(ivs) > 0 {
 			out[flow] = ivs
 		}
 	}
