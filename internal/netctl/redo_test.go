@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -111,7 +112,9 @@ var (
 
 // BenchmarkControllerRecovery is a restart: NewController and
 // EnableDecisionLog on a 2 000-probe recipe log (generated once per test
-// binary), every input of which recovery decides again.
+// binary), every input of which recovery decides again. ns/input divides
+// the time by the inputs re-decided, as the recovery's log line counts
+// them.
 func BenchmarkControllerRecovery(b *testing.B) {
 	stormLogOnce.Do(func() { stormLog = RecipeLog(b, 2000) })
 	path := filepath.Join(b.TempDir(), "ctl.dlg")
@@ -119,11 +122,17 @@ func BenchmarkControllerRecovery(b *testing.B) {
 		b.Fatal(err)
 	}
 	g, r := topology.FatTree(topology.FatTreeSpec{K: 4, LinkCapacity: topology.Gbps(1)})
+	inputs := 0
+	cfg := ControllerConfig{Logf: func(format string, args ...any) {
+		if strings.HasPrefix(format, "netctl: recovered ") {
+			inputs += args[2].(int)
+		}
+	}}
 	b.SetBytes(int64(len(stormLog)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
-		c := NewController(g, topology.NewCachedRouting(r), ControllerConfig{})
+		c := NewController(g, topology.NewCachedRouting(r), cfg)
 		if err := c.EnableDecisionLog(path); err != nil {
 			b.Fatal(err)
 		}
@@ -131,4 +140,5 @@ func BenchmarkControllerRecovery(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(inputs), "ns/input")
 }
