@@ -168,3 +168,40 @@ func TestServiceKnowsTheFateOfEachTask(t *testing.T) {
 		}
 	}
 }
+
+// TestTermCountsWhatWasDelivered: a TERM finishes its flow with what its
+// sender left undelivered, which the reject rule's completion fraction
+// and the flow's end record both read.
+func TestTermCountsWhatWasDelivered(t *testing.T) {
+	g, r := topology.FatTree(topology.FatTreeSpec{K: 4, LinkCapacity: topology.Gbps(1)})
+	h := g.Hosts()
+	w := &declog.Writer{}
+	s := NewService(g, r, DefaultConfig(), &declog.Sink{Log: w}, nopPlane{})
+	s.Probe(0, 5, 40*simtime.Millisecond, []FlowSpec{
+		{Key: 50, Src: h[4], Dst: h[12], Size: 1e6}, {Key: 51, Src: h[5], Dst: h[13], Size: 1e6}})
+	s.Term(0, 51, 0)
+	if got := s.Kernel().Fraction(5); got != 0.5 {
+		t.Fatalf("after flow 51 delivered all: fraction %v, want 0.5", got)
+	}
+	s.Term(0, 50, 250e3)
+	if got := s.Kernel().Fraction(5); got != 0.875 {
+		t.Fatalf("after flow 50 left 250 kB: fraction %v, want 0.875", got)
+	}
+	b, err := w.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := declog.Read(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(map[int64]bool)
+	for _, rec := range recs {
+		if rec.Kind == declog.KindFlowEnd {
+			done[rec.Flow] = rec.Done
+		}
+	}
+	if want := map[int64]bool{50: false, 51: true}; !reflect.DeepEqual(done, want) {
+		t.Fatalf("flow ends delivered %v, want %v", done, want)
+	}
+}
