@@ -12,32 +12,26 @@ import (
 
 // Service is the decision half of a control plane: what the controller of
 // Fig. 4 does with each probe and each TERM, around the Kernel. It knows
-// which tasks were decided and which of them hold a grant, answers a
-// sender's repeated probe, and writes the lifecycle records of what it
-// decides — a task's arrival, the end of each flow and of each task. Like
-// the kernel it performs no I/O and reads no clock. The networked
-// controller and the SDN testbed are its adapters: each carries the
-// answers to its own data plane.
-//
-// A Service is not safe for concurrent use.
+// which tasks were decided and which hold a grant, and writes the
+// lifecycle records of what it decides. Like the kernel it performs no I/O
+// and reads no clock; the networked controller and the SDN testbed carry
+// its answers to their own data planes. It is not safe for concurrent use.
 type Service struct {
 	k    *Kernel
 	g    *topology.Graph
 	sink *declog.Sink
 	dp   DataPlane
 
-	// decided holds every task a probe was decided for; accepted, in
-	// ascending order, those of them admitted and not since discarded.
-	decided  map[int64]bool
-	accepted []int64
+	// accepted and rejected split the tasks a probe was decided for, each
+	// in ascending order: admitted and not since discarded, and the rest.
+	accepted, rejected []int64
 }
 
 // NewService returns the decision service of a control plane over g with
-// routing r. It and its kernel report to sink, which may be nil; dp stops
-// the flows of a task the reject rule discarded, once the service has
-// closed the task's books.
+// routing r. It and its kernel report to sink, which may be nil. dp, when
+// not nil, stops the flows of a task the reject rule discarded.
 func NewService(g *topology.Graph, r topology.Routing, cfg Config, sink *declog.Sink, dp DataPlane) *Service {
-	s := &Service{g: g, sink: sink, dp: dp, decided: make(map[int64]bool)}
+	s := &Service{g: g, sink: sink, dp: dp}
 	s.k = NewKernel(g, r, cfg, s)
 	s.k.Sink = sink
 	return s
@@ -46,34 +40,29 @@ func NewService(g *topology.Graph, r topology.Routing, cfg Config, sink *declog.
 // Kernel returns the service's kernel, for adapters to read grants from.
 func (s *Service) Kernel() *Kernel { return s.k }
 
-// Answer is the service's reply to a probe.
+// Answer is the service's reply to a probe: the reject rule's decision
+// and, for Preempt, the victim. Again marks a repeated probe, whose sender
+// lost the first reply: it gets Accept, and its task's flows re-planned
+// from now, while the task holds a grant, and RejectNew, with no planning
+// pass, once it does not.
 type Answer struct {
-	// Decision is the reject rule's for a first probe. A repeated probe
-	// gets Accept while its task holds a grant, RejectNew once it does not.
 	Decision Decision
-	// Victim is the admitted task a Preempt discarded, else span.NoTask.
-	Victim int64
-	// Again marks a repeated probe: its sender did not hear the first
-	// reply. An accepted task's flows were re-planned from now; a
-	// rejected or preempted task got no planning pass.
-	Again bool
+	Victim   int64
+	Again    bool
 }
 
-// Probe decides a probe of task, whose flows are specs, at now. A first
-// probe is the task's arrival: the Task record, then Alg. 1 and the reject
-// rule (Kernel.TaskArrived), and, for an admitted task, the ends of its
-// flows that were finished on arrival, which no sender will ever report. A
-// repeated probe is a sender's retry: the grant it lost is issued anew
-// (Kernel.Replan), and specs are not read.
+// Probe decides a probe of task at now. A first probe is the task's
+// arrival: its Task record, Alg. 1 and the reject rule, and the ends of
+// the flows an admitted task finished on arrival, which no sender will
+// report. A repeated probe issues the lost grant anew and reads no specs.
 func (s *Service) Probe(now simtime.Time, task int64, deadline simtime.Time, specs []FlowSpec) Answer {
-	if s.decided[task] {
-		if !s.Accepted(task) {
-			return Answer{Decision: RejectNew, Victim: span.NoTask, Again: true}
-		}
+	if s.Accepted(task) {
 		s.k.Replan(now, task)
-		return Answer{Decision: Accept, Victim: span.NoTask, Again: true}
+		return Answer{Decision: Accept, Again: true}
 	}
-	s.decided[task] = true
+	if _, ok := slices.BinarySearch(s.rejected, task); ok {
+		return Answer{Decision: RejectNew, Again: true}
+	}
 	if s.sink.On() {
 		infos := make([]declog.FlowInfo, len(specs))
 		for i, fs := range specs {
@@ -83,13 +72,8 @@ func (s *Service) Probe(now simtime.Time, task int64, deadline simtime.Time, spe
 		s.sink.Emit(&declog.Record{Kind: declog.KindTask, Time: now, Task: task, Deadline: deadline, Flows: infos})
 	}
 	decision, victim := s.k.TaskArrived(now, task, deadline, specs)
-	if decision != Preempt {
-		victim = span.NoTask
-	}
 	if decision != RejectNew {
-		if i, ok := slices.BinarySearch(s.accepted, task); !ok {
-			s.accepted = slices.Insert(s.accepted, i, task)
-		}
+		s.accepted = insert(s.accepted, task)
 		ended := false
 		for _, f := range s.k.Flows(task) {
 			if f.Done {
@@ -105,8 +89,7 @@ func (s *Service) Probe(now simtime.Time, task int64, deadline simtime.Time, spe
 }
 
 // Term decides a TERM: the sender of flow key stopped at now with left
-// bytes undelivered. The flow's end is recorded, and its task's once every
-// flow of the task is done. Unknown and finished flows are ignored.
+// bytes undelivered. Unknown and finished flows are ignored.
 func (s *Service) Term(now simtime.Time, key uint64, left float64) {
 	f := s.k.Flow(key)
 	if f == nil || f.Done {
@@ -117,10 +100,9 @@ func (s *Service) Term(now simtime.Time, key uint64, left float64) {
 	s.taskEnded(now, f.Task)
 }
 
-// Discard is the kernel's DataPlane: it closes the books on a task the
-// reject rule discarded — terminal records for the task and its flows, and
-// its place among the accepted — then hands the task to the adapter's data
-// plane.
+// Discard is the kernel's DataPlane: the terminal records of a task the
+// reject rule discarded and of its flows, the task out of the accepted
+// set, then the adapter's data plane.
 func (s *Service) Discard(now simtime.Time, task, by int64) {
 	if s.sink.On() {
 		outcome, reason, note := span.OutcomeRejected, "reject rule", "task rejected"
@@ -135,7 +117,10 @@ func (s *Service) Discard(now simtime.Time, task, by int64) {
 	if i, ok := slices.BinarySearch(s.accepted, task); ok {
 		s.accepted = slices.Delete(s.accepted, i, i+1)
 	}
-	s.dp.Discard(now, task, by)
+	s.rejected = insert(s.rejected, task)
+	if s.dp != nil {
+		s.dp.Discard(now, task, by)
+	}
 }
 
 // flowEnded records the end of a finished flow.
@@ -145,9 +130,9 @@ func (s *Service) flowEnded(now simtime.Time, f *Flow) {
 		Done: delivered, OnTime: delivered && now <= f.Deadline})
 }
 
-// taskEnded records a task as completed once every one of its flows is
-// done. Callers end all the flows an input finished first, so a task ends
-// once however many of its flows finish together.
+// taskEnded records a task as completed once all its flows are done.
+// Callers end every flow an input finished first, so a task ends once
+// however many of its flows finish together.
 func (s *Service) taskEnded(now simtime.Time, task int64) {
 	for _, f := range s.k.Flows(task) {
 		if !f.Done {
@@ -163,24 +148,19 @@ func (s *Service) Accepted(task int64) bool {
 	return ok
 }
 
-// Rejected reports whether task was decided and holds no grant: the
-// reject rule discarded it on arrival, or preempted it since.
-func (s *Service) Rejected(task int64) bool { return s.decided[task] && !s.Accepted(task) }
-
 // AcceptedTasks returns the tasks admitted and not since discarded, in
-// ascending order. The slice is the service's own: read it, do not keep it
-// past the next input.
+// ascending order. The slice is the service's: do not keep it past the
+// next input.
 func (s *Service) AcceptedTasks() []int64 { return s.accepted }
 
-// RejectedTasks returns the tasks decided that hold no grant, in ascending
-// order.
-func (s *Service) RejectedTasks() []int64 {
-	var out []int64
-	for t := range s.decided {
-		if !s.Accepted(t) {
-			out = append(out, t)
-		}
-	}
-	slices.Sort(out)
-	return out
+// RejectedTasks returns, in ascending order, the tasks decided that hold
+// no grant: rejected on arrival, or preempted since. The slice is the
+// service's, like AcceptedTasks'.
+func (s *Service) RejectedTasks() []int64 { return s.rejected }
+
+// insert adds task to the ascending set. Task IDs mostly arrive in
+// increasing order, which makes it an append.
+func insert(set []int64, task int64) []int64 {
+	i, _ := slices.BinarySearch(set, task)
+	return slices.Insert(set, i, task)
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"taps/internal/obs/declog"
-	"taps/internal/obs/span"
 	"taps/internal/simtime"
 	"taps/internal/topology"
 )
@@ -65,7 +64,7 @@ func TestServicePolicy(t *testing.T) {
 	}
 	probe := func(task int64) input { return input{probe: task} }
 	term := func(key uint64) input { return input{term: key} }
-	again := func(d Decision) *Answer { return &Answer{Decision: d, Victim: span.NoTask, Again: true} }
+	again := func(d Decision) *Answer { return &Answer{Decision: d, Again: true} }
 	K := struct{ task, replan, commit, admit, flowEnd, taskEnd declog.Kind }{
 		declog.KindTask, declog.KindReplan, declog.KindCommit, declog.KindAdmit, declog.KindFlowEnd, declog.KindTaskEnd,
 	}
@@ -92,7 +91,7 @@ func TestServicePolicy(t *testing.T) {
 		{"TERM of a task's last flow", []input{probe(5), term(51), term(50)},
 			nil, []declog.Kind{K.flowEnd, K.taskEnd}},
 		{"two flows finished on arrival", []input{probe(6)},
-			&Answer{Decision: Accept, Victim: span.NoTask},
+			&Answer{Decision: Accept},
 			[]declog.Kind{K.task, K.replan, K.commit, K.admit, K.flowEnd, K.flowEnd, K.taskEnd}},
 	}
 	for _, tc := range cases {
@@ -161,11 +160,6 @@ func TestServiceKnowsTheFateOfEachTask(t *testing.T) {
 	}
 	if got := s.RejectedTasks(); !reflect.DeepEqual(got, []int64{5, 7}) {
 		t.Fatalf("rejected %v, want [5 7]", got)
-	}
-	for task, want := range map[int64]bool{5: true, 7: true, 9: false, 11: false} {
-		if s.Rejected(task) != want {
-			t.Fatalf("Rejected(%d) = %v, want %v", task, !want, want)
-		}
 	}
 }
 

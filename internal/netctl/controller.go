@@ -41,16 +41,6 @@ func (c ControllerConfig) withDefaults() ControllerConfig {
 	return c
 }
 
-// ctlPlane is the controller's data plane as the decision service sees
-// it. The controller never hears how far a sender has got, only when it is
-// done, so progress is derived from the kernel's own grants: a sender is
-// busy exactly during its slices.
-type ctlPlane struct{ c *Controller }
-
-// Discard forgets the settled grant frame of a task the reject rule
-// discarded. Runs inside a decision, so c.mu is held.
-func (p ctlPlane) Discard(_ simtime.Time, task, _ int64) { delete(p.c.settled, task) }
-
 // Controller is the networked TAPS controller. Create with NewController,
 // start with Serve (or ServeListener), stop with Close.
 type Controller struct {
@@ -72,15 +62,15 @@ type Controller struct {
 	// agents before its first frame; an agent whose write fails leaves a
 	// nil slot. Reused from one broadcast to the next.
 	conns []*codec
-	// svc decides every probe and TERM, and knows which tasks were decided
-	// and which accepted; its kernel owns the flow table and the plan,
-	// which the broadcast reads.
-	svc    *core.Service
-	kernel *core.Kernel
+	// svc decides every probe and TERM and knows which tasks hold a grant;
+	// its kernel owns the flow table and the plan. It is given no data
+	// plane: the controller never hears how far a sender has got.
+	svc *core.Service
 	// settled is the grant ledger: the frame of each accepted task whose
 	// flows are all Done. A grant lists the flows not yet Done, and a flow
 	// never stops being Done, so a settled task's frame — its ID and no
 	// flows — can no longer change: it is encoded once and re-sent as is.
+	// The reject rule never discards a settled task: it has no flow to miss.
 	settled map[int64][]byte
 	// stageAcc points at the in-progress probe's stage accumulator while
 	// onProbe holds mu; helpers called from the critical section charge
@@ -116,8 +106,7 @@ func NewController(g *topology.Graph, r topology.Routing, cfg ControllerConfig) 
 		settled: make(map[int64][]byte),
 		closed:  make(chan struct{}),
 	}
-	c.svc = core.NewService(g, r, core.Config{MaxPaths: cfg.MaxPaths}, &c.sink, ctlPlane{c})
-	c.kernel = c.svc.Kernel()
+	c.svc = core.NewService(g, r, core.Config{MaxPaths: cfg.MaxPaths}, &c.sink, nil)
 	c.sink.Log.Append(c.metaRecord())
 	return c
 }
@@ -499,7 +488,7 @@ func (c *Controller) broadcastGrantsLocked() {
 	for _, task := range c.svc.AcceptedTasks() {
 		frame := c.settled[task]
 		if frame == nil {
-			flows := c.kernel.Flows(task)
+			flows := c.svc.Kernel().Flows(task)
 			c.frame = appendGrantFrame(c.frame[:0], task, flows)
 			frame = c.frame
 			if !slices.ContainsFunc(flows, func(f *core.Flow) bool { return !f.Done }) {
@@ -575,6 +564,6 @@ func (c *Controller) Snapshot() Snapshot {
 	var s Snapshot
 	s.Agents = len(c.agents)
 	s.AcceptedTasks = append(s.AcceptedTasks, c.svc.AcceptedTasks()...)
-	s.LinkBusy, s.PendingFlows, s.OverlapViolations = c.kernel.LinkBusy()
+	s.LinkBusy, s.PendingFlows, s.OverlapViolations = c.svc.Kernel().LinkBusy()
 	return s
 }

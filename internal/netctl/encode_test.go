@@ -200,7 +200,7 @@ func broadcastFixture(tb testing.TB, agents, accepted int) *Controller {
 		if ans := c.probe(0, p); ans.Decision != core.Accept {
 			tb.Fatalf("task %d: %v, want accept", task, ans.Decision)
 		}
-		for j, f := range c.kernel.Flows(task) {
+		for j, f := range c.svc.Kernel().Flows(task) {
 			*f = drawn[j]
 		}
 	}
@@ -247,7 +247,7 @@ func TestBroadcastAllocsIndependentOfAgents(t *testing.T) {
 // tasks live.
 func settle(c *Controller, accepted int, share float64) {
 	for _, task := range c.svc.AcceptedTasks()[:int(share*float64(accepted))] {
-		for _, f := range c.kernel.Flows(task) {
+		for _, f := range c.svc.Kernel().Flows(task) {
 			f.Done = true
 		}
 	}
@@ -316,7 +316,7 @@ func (c *Controller) FreshGrantFrames(tasks []int64) []byte {
 	defer c.mu.Unlock()
 	var frames []byte
 	for _, t := range tasks {
-		frames = appendGrantFrame(frames, t, c.kernel.Flows(t))
+		frames = appendGrantFrame(frames, t, c.svc.Kernel().Flows(t))
 	}
 	return frames
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -54,7 +55,7 @@ func (c *Controller) status() Status {
 		TopologyHosts: len(c.graph.Hosts()),
 		TopologyLinks: c.graph.NumLinks(),
 		SpeedupFactor: c.cfg.Speedup,
-		RejectedTasks: c.svc.RejectedTasks(),
+		RejectedTasks: slices.Clone(c.svc.RejectedTasks()),
 	}
 	st.DecidedTasks = len(c.svc.AcceptedTasks()) + len(st.RejectedTasks)
 	c.mu.Unlock()

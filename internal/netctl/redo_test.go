@@ -92,7 +92,7 @@ func RecipeLog(tb testing.TB, probes int) []byte {
 func (c *Controller) termOldest(now simtime.Time) int {
 	for _, task := range c.svc.AcceptedTasks() {
 		terms := 0
-		for _, f := range c.kernel.Flows(task) {
+		for _, f := range c.svc.Kernel().Flows(task) {
 			if !f.Done {
 				c.svc.Term(now, f.Key, 0)
 				terms++

@@ -29,7 +29,7 @@ func TestRemainingCarriesSentBytesAcrossReplans(t *testing.T) {
 		t.Helper()
 		probeKernel(t, c, now, task, now+simtime.Second, hosts[src], hosts[dst], size)
 	}
-	long := func() *core.Flow { return c.kernel.Flow(1) }
+	long := func() *core.Flow { return c.svc.Kernel().Flow(1) }
 	requireGrant := func(from, total simtime.Time) {
 		t.Helper()
 		ivs := long().Slices.Intervals()
@@ -75,7 +75,7 @@ func TestRecoveryCountsEachGrantAtItsOwnLineRate(t *testing.T) {
 	}
 	r := topology.NewBFSRouting(g)
 	c, logPath := loggedController(t, g, r)
-	long := func() *core.Flow { return c.kernel.Flow(1) }
+	long := func() *core.Flow { return c.svc.Kernel().Flow(1) }
 
 	probeKernel(t, c, 0, 1, simtime.Second, a, b, 10_000_000)
 	first := long().Path
@@ -129,7 +129,7 @@ func requireRecoveredAlike(t *testing.T, c *Controller, g *topology.Graph, r top
 	}
 	defer recovered.Close()
 	for key := uint64(1); key <= n; key++ {
-		live, got := c.kernel.Flow(key), recovered.kernel.Flow(key)
+		live, got := c.svc.Kernel().Flow(key), recovered.svc.Kernel().Flow(key)
 		if got == nil || got.Bytes != live.Bytes || !reflect.DeepEqual(got.Path, live.Path) ||
 			!reflect.DeepEqual(got.Slices.Intervals(), live.Slices.Intervals()) {
 			t.Fatalf("flow %d recovered as %+v, the live controller held %+v", key, got, live)

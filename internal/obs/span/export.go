@@ -238,9 +238,7 @@ func linkSlices(t *Tree) []linkSlice {
 	var out []linkSlice
 	for i := range t.Flows {
 		fs := &t.Flows[i]
-		gs := grants[fs.Flow]
-		for j := range gs {
-			g := &gs[j]
+		for _, g := range grants[fs.Flow] {
 			for _, l := range g.plan.Path {
 				for _, iv := range g.plan.Slices {
 					if valid := (simtime.Interval{Start: iv.Start, End: min(iv.End, g.cutoff)}); !valid.Empty() {
@@ -248,11 +246,11 @@ func linkSlices(t *Tree) []linkSlice {
 							flow: fs.Flow, task: g.plan.Task, seq: g.seq})
 					}
 				}
-				next := nextPlan(gs, j)
+				next := g.next
 				if next != nil && !slices.Contains(next.Path, l) {
 					next = nil
 				}
-				back := takenBack(g, next)
+				back := takenBack(&g, next)
 				for _, iv := range back.Intervals() {
 					out = append(out, linkSlice{link: l, iv: iv,
 						flow: fs.Flow, task: g.plan.Task, seq: g.seq, revoked: true})

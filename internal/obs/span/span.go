@@ -295,14 +295,15 @@ func (t *Tree) Plan() (grants map[int64]simtime.IntervalSet, occ map[int32]simti
 
 // grant is one committed plan of a flow and the instant its windows stop
 // being the flow's (cutoff): where the next committed pass re-plans the
-// flow, else where the flow is killed, else never (simtime.Infinity). The
-// part of a window past the cutoff is a revoked grant. A pass that was
-// never committed — the tentative pass of an arrival the reject rule
-// discarded — granted nothing and revokes nothing.
+// flow (next), else where the flow is killed, else never
+// (simtime.Infinity). A pass that was never committed — the tentative
+// pass of an arrival the reject rule discarded — granted nothing and
+// revokes nothing.
 type grant struct {
 	seq    int
 	plan   *PlanSpan
 	cutoff simtime.Time
+	next   *PlanSpan
 }
 
 // grants groups the tree's committed plans by flow, in pass order, with
@@ -319,7 +320,7 @@ func (t *Tree) grants() map[int64][]grant {
 			p := &rs.Plans[j]
 			gs := byFlow[p.Flow]
 			if n := len(gs); n > 0 {
-				gs[n-1].cutoff = rs.Time
+				gs[n-1].cutoff, gs[n-1].next = rs.Time, p
 			}
 			byFlow[p.Flow] = append(gs, grant{seq: rs.Seq, plan: p, cutoff: simtime.Infinity})
 		}
@@ -336,8 +337,8 @@ func (t *Tree) grants() map[int64][]grant {
 // takenBack is what the next commit took back of a committed grant: its
 // windows past the cutoff, less those that next, the flow's next committed
 // plan, granted it again. next is nil for a flow's last grant (a killed
-// flow loses its whole tail), and for a link track on which the next plan
-// does not route the flow.
+// flow loses its whole tail), and for a link track the next plan does not
+// cross.
 func takenBack(g *grant, next *PlanSpan) simtime.IntervalSet {
 	var set simtime.IntervalSet
 	for _, iv := range g.plan.Slices {
@@ -353,14 +354,6 @@ func takenBack(g *grant, next *PlanSpan) simtime.IntervalSet {
 	return set
 }
 
-// nextPlan is the committed plan that follows gs[i], or nil.
-func nextPlan(gs []grant, i int) *PlanSpan {
-	if i+1 < len(gs) {
-		return gs[i+1].plan
-	}
-	return nil
-}
-
 // RevokedByFlow returns, keyed by flow, the slice windows that were
 // granted to a flow and later revoked before use: the tail of a committed
 // plan's slices past the instant the next committed pass re-planned the
@@ -373,7 +366,7 @@ func (t *Tree) RevokedByFlow() map[int64][]simtime.Interval {
 	for flow, gs := range t.grants() {
 		var set simtime.IntervalSet
 		for i := range gs {
-			back := takenBack(&gs[i], nextPlan(gs, i))
+			back := takenBack(&gs[i], gs[i].next)
 			set.UnionInPlace(&back)
 		}
 		if ivs := set.Intervals(); len(ivs) > 0 {

@@ -748,7 +748,7 @@ func (tb *Testbed) finalize() {
 			tb.res.WastedBytes += f.sent
 		}
 	}
-	for ti, flows := range tb.tasks {
+	for _, flows := range tb.tasks {
 		done := len(flows) > 0
 		for _, fid := range flows {
 			if !tb.flows[fid].onTime() {
@@ -759,10 +759,8 @@ func (tb *Testbed) finalize() {
 		if done {
 			tb.res.TasksCompleted++
 		}
-		if tb.mode == ModeTAPS && tb.svc.Rejected(int64(ti)) {
-			tb.res.TasksRejected++
-		}
 	}
+	tb.res.TasksRejected = len(tb.svc.RejectedTasks())
 	// Back-fill the per-tick useful bytes from the recorded deliveries.
 	for i, ds := range tb.deliveries {
 		for _, d := range ds {
